@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -19,26 +17,14 @@ from .javasrc import ProjectParseError
 from .oasvalidate import validate_document
 from .pipeline import generate_project
 
-log = logging.getLogger("oasforge")
-
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_DIAGNOSTICS = 2
 
 
-def _setup_logging():
-    level = os.environ.get("OAS_FORGE_LOG", "warn").lower()
-    levels = {"error": logging.ERROR, "warn": logging.WARNING,
-              "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
-
-
 @click.group()
 def main():
     """Generate OpenAPI 3 descriptions from Spring Boot source trees."""
-    _setup_logging()
 
 
 @main.command()

@@ -32,4 +32,3 @@ DUPLICATE_METHOD = "DUPLICATE_METHOD"
 PROFILE_NEGATION = "PROFILE_NEGATION"
 UNRESOLVED_STATUS = "UNRESOLVED_STATUS"
 BAD_PATH_SEGMENT = "BAD_PATH_SEGMENT"
-COMPUTED_STATUS = "COMPUTED_STATUS"

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .diagnostics import Diagnostic, PROFILE_NEGATION
-from .javasrc import (ArrayVal, AttributeValue, ClassDecl, SourceModel, StrLit,
+from .javasrc import (ArrayVal, AttributeValue, ClassDecl, SourceModel,
                       resolve_string_constant, supertype_chain)
 from .spring import (ADVICE_MARKERS, CONTROLLER_MARKERS, PROFILE_MARKER,
                      find_annotation)
@@ -59,38 +58,30 @@ def _profile_values(value: AttributeValue) -> list[AttributeValue]:
     return [value]
 
 
-def assign_profiles(cls: ClassDecl, model: Optional[SourceModel] = None,
-                    diagnostics: Optional[list[Diagnostic]] = None
-                    ) -> frozenset[str]:
+def assign_profiles(cls: ClassDecl, model: SourceModel,
+                    diagnostics: list[Diagnostic]) -> frozenset[str]:
     """Profile names from @Profile; absent/empty annotation means ALL."""
     anno = find_annotation(cls.annotations, PROFILE_MARKER, cls)
     if anno is None or "value" not in anno.attributes:
         return ALL
     names: set[str] = set()
     for item in _profile_values(anno.attributes["value"]):
-        text = None
-        if isinstance(item, StrLit):
-            text = item.value
-        elif model is not None:
-            text = resolve_string_constant(item, cls, model)
+        text = resolve_string_constant(item, cls, model)
         if text is None:
             continue
         if text.startswith("!"):
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    PROFILE_NEGATION,
-                    f"negated profile expression {text!r} on "
-                    f"{cls.qualified_name} treated as all profiles",
-                    cls.source_file))
+            diagnostics.append(Diagnostic(
+                PROFILE_NEGATION,
+                f"negated profile expression {text!r} on "
+                f"{cls.qualified_name} treated as all profiles",
+                cls.source_file))
             return ALL
         names.add(text)
     return frozenset(names) if names else ALL
 
 
-def group_by_profile(controller_set: ControllerSet,
-                     model: Optional[SourceModel] = None,
-                     diagnostics: Optional[list[Diagnostic]] = None
-                     ) -> list[ProfileUnit]:
+def group_by_profile(controller_set: ControllerSet, model: SourceModel,
+                     diagnostics: list[Diagnostic]) -> list[ProfileUnit]:
     assignments: dict[str, frozenset[str]] = {}
     for cls in controller_set.controllers + controller_set.advices:
         assignments[cls.qualified_name] = assign_profiles(cls, model,

@@ -9,13 +9,11 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import yaml
 
-from .diagnostics import Diagnostic, DUPLICATE_METHOD
 from .endpoints import EndpointMethod, ParameterDesc, ResponseDesc
 from .schemas import SchemaNode, SchemaRegistry
 from .spring import HTTP_VERBS, reason_phrase
@@ -57,8 +55,6 @@ def schema_to_dict(node: SchemaNode) -> dict:
         out = {"type": node.oas_type}
         if node.oas_format:
             out["format"] = node.oas_format
-        if node.pattern:
-            out["pattern"] = node.pattern
         return out
     if node.kind == "array":
         return {"type": "array", "items": schema_to_dict(node.items)}
@@ -95,7 +91,7 @@ def _parameter_to_dict(param: ParameterDesc) -> dict:
 
 
 def _response_to_dict(resp: ResponseDesc) -> dict:
-    out = {"description": resp.description or reason_phrase(resp.status)}
+    out = {"description": reason_phrase(resp.status)}
     if resp.schema is not None:
         out["content"] = {
             "application/json": {"schema": schema_to_dict(resp.schema)}}
@@ -138,24 +134,14 @@ def _components_to_dict(reg: SchemaRegistry) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 
 def assemble_document(endpoints: list[EndpointMethod], reg: SchemaRegistry,
-                      meta: DocMeta,
-                      diagnostics: Optional[list[Diagnostic]] = None
-                      ) -> OpenApiDoc:
-    if diagnostics is None:
-        diagnostics = []
+                      meta: DocMeta) -> OpenApiDoc:
     title = meta.project
     if meta.profile != "default":
         title = f"{meta.project} ({meta.profile})"
     paths: dict[str, dict[str, dict]] = {}
     for endpoint in endpoints:
         verbs = paths.setdefault(endpoint.path, {})
-        verb = endpoint.verb.lower()
-        if verb in verbs:
-            diagnostics.append(Diagnostic(
-                DUPLICATE_METHOD,
-                f"duplicate operation {endpoint.verb} {endpoint.path}; "
-                "last definition wins"))
-        verbs[verb] = _operation_to_dict(endpoint)
+        verbs[endpoint.verb.lower()] = _operation_to_dict(endpoint)
     return OpenApiDoc(
         oas_version=OAS_VERSION,
         title=title,

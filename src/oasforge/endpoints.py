@@ -15,8 +15,8 @@ from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
                       ClassRef, IntLit, MethodDecl, NameRef, SourceModel,
                       StrLit, TypeRef, resolve_string_constant,
                       supertype_chain)
-from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, map_simple_type,
-                      schema_for_type, unwrap_response_wrapper)
+from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, schema_for_type,
+                      unwrap_response_wrapper)
 from .spring import (HTTP_VERBS, MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS,
                      REQUEST_MAPPING, SERVLET_TYPES, VERB_MAPPINGS,
                      find_annotation, status_code_for)
@@ -41,7 +41,6 @@ class RequestBodyDesc:
 class ResponseDesc:
     status: str
     schema: Optional[SchemaNode] = None
-    description: str = ""
 
 
 @dataclass
@@ -64,8 +63,7 @@ def normalize_path(*parts: str) -> str:
     return "/" + "/".join(segments)
 
 
-def split_path_pattern(segment: str,
-                       diagnostics: Optional[list[Diagnostic]] = None
+def split_path_pattern(segment: str, diagnostics: list[Diagnostic]
                        ) -> tuple[str, Optional[tuple[str, str]]]:
     """Strip an inline regex constraint from one path segment.
 
@@ -75,10 +73,9 @@ def split_path_pattern(segment: str,
     if not (segment.startswith("{") and ":" in segment):
         return segment, None
     if not segment.endswith("}") or segment.count("{") != segment.count("}"):
-        if diagnostics is not None:
-            diagnostics.append(Diagnostic(
-                BAD_PATH_SEGMENT,
-                f"unbalanced braces in path segment {segment!r}"))
+        diagnostics.append(Diagnostic(
+            BAD_PATH_SEGMENT,
+            f"unbalanced braces in path segment {segment!r}"))
         return segment, None
     inner = segment[1:-1]
     name, _, regex = inner.partition(":")
@@ -183,14 +180,6 @@ def _attr_bool(anno: AnnotationUse, attr: str, default: bool) -> bool:
     return default
 
 
-def _param_schema(t: TypeRef, ctx: ClassDecl, model: SourceModel,
-                  reg: SchemaRegistry) -> SchemaNode:
-    simple = map_simple_type(t, model, ctx)
-    if simple is not None:
-        return simple
-    return schema_for_type(t, model, reg, ctx)
-
-
 def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
                            reg: SchemaRegistry, ctx: ClassDecl,
                            diagnostics: list[Diagnostic]
@@ -212,19 +201,15 @@ def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
             seen.add(f.name)
             params.append(ParameterDesc(
                 name=f.name, location="query", required=False,
-                schema=_param_schema(f.type, level, model, reg)))
+                schema=schema_for_type(f.type, model, reg, level)))
     return params
 
 
-def extract_parameters(handler: MethodDecl, endpoint_path: str,
-                       model: SourceModel, reg: SchemaRegistry,
-                       ctx: ClassDecl,
-                       constraints: Optional[dict[str, str]] = None,
-                       diagnostics: Optional[list[Diagnostic]] = None
+def extract_parameters(handler: MethodDecl, model: SourceModel,
+                       reg: SchemaRegistry, ctx: ClassDecl,
+                       constraints: dict[str, str],
+                       diagnostics: list[Diagnostic]
                        ) -> tuple[list[ParameterDesc], Optional[RequestBodyDesc]]:
-    constraints = constraints or {}
-    if diagnostics is None:
-        diagnostics = []
     params: list[ParameterDesc] = []
     body: Optional[RequestBodyDesc] = None
     for p in handler.parameters:
@@ -261,7 +246,7 @@ def extract_parameters(handler: MethodDecl, endpoint_path: str,
         if kind == "PathVariable":
             params.append(ParameterDesc(
                 name=name, location="path", required=True,
-                schema=_param_schema(p.type, ctx, model, reg),
+                schema=schema_for_type(p.type, model, reg, ctx),
                 pattern=constraints.get(name)))
         elif kind == "RequestParam":
             required = _attr_bool(anno, "required", True)
@@ -269,14 +254,14 @@ def extract_parameters(handler: MethodDecl, endpoint_path: str,
                 required = False
             params.append(ParameterDesc(
                 name=name, location="query", required=required,
-                schema=_param_schema(p.type, ctx, model, reg)))
+                schema=schema_for_type(p.type, model, reg, ctx)))
         elif kind == "RequestHeader":
             required = _attr_bool(anno, "required", True)
             if "defaultValue" in anno.attributes:
                 required = False
             params.append(ParameterDesc(
                 name=name, location="header", required=required,
-                schema=_param_schema(p.type, ctx, model, reg)))
+                schema=schema_for_type(p.type, model, reg, ctx)))
     return params, body
 
 
@@ -340,8 +325,7 @@ def _exception_matches(declared: str, thrown: str, ctx: ClassDecl,
 
 def resolve_exception_status(exc: str, local: ClassDecl,
                              advices: list[ClassDecl], model: SourceModel,
-                             diagnostics: Optional[list[Diagnostic]] = None
-                             ) -> str:
+                             diagnostics: list[Diagnostic]) -> str:
     """Local @ExceptionHandler methods win over advice handlers; no match
     means 500."""
     scopes = [local] + list(advices)
@@ -363,23 +347,19 @@ def resolve_exception_status(exc: str, local: ClassDecl,
             body_codes.discard(None)
             if len(body_codes) == 1:
                 return body_codes.pop()  # type: ignore[return-value]
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    UNRESOLVED_STATUS,
-                    f"exception handler {method.name} for {exc} has no "
-                    "statically readable status; assuming 500",
-                    scope.source_file, method.line))
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_STATUS,
+                f"exception handler {method.name} for {exc} has no "
+                "statically readable status; assuming 500",
+                scope.source_file, method.line))
             return "500"
     return "500"
 
 
 def extract_responses(handler: MethodDecl, unit: ProfileUnit,
                       model: SourceModel, reg: SchemaRegistry,
-                      ctx: ClassDecl,
-                      diagnostics: Optional[list[Diagnostic]] = None
+                      ctx: ClassDecl, diagnostics: list[Diagnostic]
                       ) -> list[ResponseDesc]:
-    if diagnostics is None:
-        diagnostics = []
     facts = handler.body_facts
     explicit: set[str] = set()
     for literal in facts.returned_status_literals:
@@ -438,11 +418,8 @@ def _handlers(chain: list[ClassDecl]) -> list[tuple[ClassDecl, MethodDecl]]:
 
 
 def extract_endpoints(unit: ProfileUnit, model: SourceModel,
-                      reg: SchemaRegistry,
-                      diagnostics: Optional[list[Diagnostic]] = None
+                      reg: SchemaRegistry, diagnostics: list[Diagnostic]
                       ) -> list[EndpointMethod]:
-    if diagnostics is None:
-        diagnostics = []
     endpoints: list[EndpointMethod] = []
     seen: dict[tuple[str, str], EndpointMethod] = {}
     for controller in unit.controller_set.controllers:
@@ -466,7 +443,7 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                             constraints[constraint[0]] = constraint[1]
                     path = normalize_path("/".join(clean_segments))
                     params, body = extract_parameters(
-                        handler, path, model, reg, controller, constraints,
+                        handler, model, reg, controller, constraints,
                         diagnostics)
                     responses = extract_responses(handler, unit, model, reg,
                                                   controller, diagnostics)

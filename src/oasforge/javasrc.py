@@ -162,14 +162,10 @@ class TypeRef:
     raw_name: str
     type_arguments: tuple["TypeRef", ...] = ()
     array_depth: int = 0
-    resolved: bool = False
 
     @property
     def simple_name(self) -> str:
         return self.raw_name.rsplit(".", 1)[-1]
-
-    def with_resolution(self, qualified: str) -> "TypeRef":
-        return TypeRef(qualified, self.type_arguments, self.array_depth, True)
 
 
 UNSPECIFIED_TYPE = TypeRef("UNSPECIFIED_TYPE")
@@ -683,7 +679,7 @@ class _Parser:
             p_type = self.parse_type_ref()
             if self.accept("..."):
                 p_type = TypeRef(p_type.raw_name, p_type.type_arguments,
-                                 p_type.array_depth + 1, p_type.resolved)
+                                 p_type.array_depth + 1)
             if self.at("this"):  # receiver parameter
                 self.next()
             else:
@@ -695,7 +691,7 @@ class _Parser:
                     extra += 1
                 if extra:
                     p_type = TypeRef(p_type.raw_name, p_type.type_arguments,
-                                     p_type.array_depth + extra, p_type.resolved)
+                                     p_type.array_depth + extra)
                 params.append(ParamDecl(p_name, p_type, tuple(p_annos)))
             if not self.accept(","):
                 break
@@ -729,7 +725,7 @@ class _Parser:
                 extra += 1
             if extra:
                 ftype = TypeRef(ftype.raw_name, ftype.type_arguments,
-                                ftype.array_depth + extra, ftype.resolved)
+                                ftype.array_depth + extra)
             initializer: Optional[AttributeValue] = None
             if self.accept("="):
                 initializer = self.parse_initializer_expr()
@@ -943,20 +939,7 @@ class ProjectParseError(Exception):
 
 
 def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
-    parser = _Parser(tokenize(source), file)
-    classes: list[ClassDecl] = []
-    for cls in parser.parse_unit():
-        classes.append(cls)
-    # flatten _MultiField leftovers from field declarations
-    for cls in classes:
-        flat: list[FieldDecl] = []
-        for f in cls.fields:
-            if isinstance(f, _MultiField):
-                flat.extend(f)
-            else:
-                flat.append(f)
-        cls.fields = tuple(flat)
-    return classes
+    return _Parser(tokenize(source), file).parse_unit()
 
 
 def parse_project(root_dir: os.PathLike | str) -> SourceModel:

@@ -44,6 +44,5 @@ def generate_project(root: Path | str,
         endpoints = extract_endpoints(unit, model, reg, diagnostics)
         meta = DocMeta(project=project, profile=unit.profile_name,
                        version=version)
-        documents[unit.profile_name] = assemble_document(
-            endpoints, reg, meta, diagnostics)
+        documents[unit.profile_name] = assemble_document(endpoints, reg, meta)
     return GenerationResult(project, model, documents, diagnostics)

@@ -7,7 +7,7 @@ instead of flattening fields into one schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .javasrc import (ClassDecl, FieldDecl, SourceModel, TypeRef,
@@ -60,7 +60,6 @@ class SchemaNode:
     parts: tuple["SchemaNode", ...] = ()
     properties: tuple[tuple[str, "SchemaNode"], ...] = ()
     required: tuple[str, ...] = ()
-    pattern: str = ""
 
 
 UNSPECIFIED = SchemaNode("unspecified")
@@ -123,32 +122,17 @@ class SchemaRegistry:
         return sorted(self.schemas.items())
 
 
-def map_simple_type(t: TypeRef, model: SourceModel,
-                    ctx: Optional[ClassDecl] = None) -> Optional[SchemaNode]:
-    """Map a simple type to a schema; None when a named schema is needed."""
-    return _schema_for(t, model, ctx, reg=None)
-
-
 def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
-                    ctx: Optional[ClassDecl] = None) -> SchemaNode:
-    node = _schema_for(t, model, ctx, reg)
-    return node if node is not None else UNSPECIFIED
-
-
-def _schema_for(t: TypeRef, model: SourceModel, ctx: Optional[ClassDecl],
-                reg: Optional[SchemaRegistry]) -> Optional[SchemaNode]:
+                    ctx: ClassDecl) -> SchemaNode:
+    """Schema of `t` as named in `ctx`: simple types, collections, maps and
+    enums inline; any other class as a $ref to a schema registered in `reg`.
+    """
     if t.array_depth > 0:
-        element = TypeRef(t.raw_name, t.type_arguments, t.array_depth - 1,
-                          t.resolved)
-        inner = _schema_for(element, model, ctx, reg)
-        if inner is None:
-            return None
-        return array_of(inner)
+        element = TypeRef(t.raw_name, t.type_arguments, t.array_depth - 1)
+        return array_of(schema_for_type(element, model, reg, ctx))
 
     simple = t.simple_name
     if t.raw_name == UNSPECIFIED_TYPE.raw_name:
-        if reg is None:
-            return None
         return ref_to(register_unspecified(reg))
     if simple in PRIMITIVE_MAP:
         oas_type, oas_format = PRIMITIVE_MAP[simple]
@@ -156,32 +140,18 @@ def _schema_for(t: TypeRef, model: SourceModel, ctx: Optional[ClassDecl],
     if simple in COLLECTION_TYPES:
         if not t.type_arguments:
             return array_of(UNSPECIFIED)
-        inner = _schema_for(t.type_arguments[0], model, ctx, reg)
-        if inner is None:
-            return None
-        return array_of(inner)
+        return array_of(schema_for_type(t.type_arguments[0], model, reg, ctx))
     if simple in MAP_TYPES:
         if len(t.type_arguments) < 2:
             return map_of(UNSPECIFIED)
-        inner = _schema_for(t.type_arguments[1], model, ctx, reg)
-        if inner is None:
-            return None
-        return map_of(inner)
+        return map_of(schema_for_type(t.type_arguments[1], model, reg, ctx))
     if simple == "Object":
         return UNSPECIFIED
 
-    cls = model.find_class(t.raw_name, ctx) if ctx else \
-        model.classes.get(model.resolve_type_name(t.raw_name, _any_ctx(model))
-                          or "")
+    cls = model.find_class(t.raw_name, ctx)
     if cls is not None and cls.kind == "enum":
         return enum_of(cls.enum_constants)
-    if reg is None:
-        return None
     return ref_to(build_named_schema_for_type(t, model, reg, ctx))
-
-
-def _any_ctx(model: SourceModel) -> ClassDecl:
-    return next(iter(model.classes.values()))
 
 
 def register_unspecified(reg: SchemaRegistry) -> str:
@@ -214,20 +184,18 @@ def unwrap_response_wrapper(t: TypeRef) -> TypeRef:
     return t
 
 
-def _mangled_name(t: TypeRef, model: SourceModel,
-                  ctx: Optional[ClassDecl]) -> str:
+def _mangled_name(t: TypeRef) -> str:
     base = t.simple_name
     if not t.type_arguments:
         return base
-    parts = [_mangled_name(arg, model, ctx) for arg in t.type_arguments]
+    parts = [_mangled_name(arg) for arg in t.type_arguments]
     return base + "Of" + "Of".join(parts)
 
 
 def build_named_schema_for_type(t: TypeRef, model: SourceModel,
-                                reg: SchemaRegistry,
-                                ctx: Optional[ClassDecl] = None) -> str:
+                                reg: SchemaRegistry, ctx: ClassDecl) -> str:
     """Register the named schema for a (possibly generic) class reference."""
-    cls = model.find_class(t.raw_name, ctx or _any_ctx(model))
+    cls = model.find_class(t.raw_name, ctx)
     if cls is None:
         return _register_external(t, reg, ctx)
     if not t.type_arguments or not cls.type_params:
@@ -239,7 +207,7 @@ def build_named_schema_for_type(t: TypeRef, model: SourceModel,
     known = reg.known(key)
     if known is not None:
         return known
-    name = reg.allocate_name(key, _mangled_name(t, model, ctx))
+    name = reg.allocate_name(key, _mangled_name(t))
     reg.schemas[name] = _class_schema(cls, model, reg, bindings)
     return name
 
@@ -276,20 +244,20 @@ def _substitute(t: TypeRef, bindings: dict[str, TypeRef]) -> TypeRef:
     if t.raw_name in bindings and not t.type_arguments:
         bound = bindings[t.raw_name]
         return TypeRef(bound.raw_name, bound.type_arguments,
-                       bound.array_depth + t.array_depth, bound.resolved)
+                       bound.array_depth + t.array_depth)
     if not t.type_arguments:
         return t
     args = tuple(_substitute(a, bindings) for a in t.type_arguments)
-    return TypeRef(t.raw_name, args, t.array_depth, t.resolved)
+    return TypeRef(t.raw_name, args, t.array_depth)
 
 
 def _register_external(t: TypeRef, reg: SchemaRegistry,
-                       ctx: Optional[ClassDecl]) -> str:
+                       ctx: ClassDecl) -> str:
     simple = t.simple_name
     package = ""
     if "." in t.raw_name:
         package = t.raw_name.rsplit(".", 1)[0]
-    elif ctx is not None:
+    else:
         imported = ctx.imports.get(simple)
         if imported:
             package = imported.rsplit(".", 1)[0]
@@ -303,14 +271,3 @@ def _register_external(t: TypeRef, reg: SchemaRegistry,
         reg.external_notes[name] = package
     return name
 
-
-def collect_schemas(doc_refs, model: SourceModel, reg: SchemaRegistry
-                    ) -> SchemaRegistry:
-    """Register every class in doc_refs; field/supertype closure follows
-    from the recursive registration."""
-    ctx = _any_ctx(model)
-    for name in doc_refs:
-        cls = model.find_class(name, ctx)
-        if cls is not None:
-            build_named_schema(cls, model, reg)
-    return reg

@@ -83,18 +83,18 @@ class Everywhere {}
 
 def test_single_profile_annotation():
     model = model_from(PROFILED)
-    assert assign_profiles(model.classes["app.External"], model) == \
+    assert assign_profiles(model.classes["app.External"], model, []) == \
         {"external"}
 
 
 def test_no_annotation_means_all():
     model = model_from(PROFILED)
-    assert assign_profiles(model.classes["app.Everywhere"], model) is ALL
+    assert assign_profiles(model.classes["app.Everywhere"], model, []) is ALL
 
 
 def test_profile_array_attribute():
     model = model_from(PROFILED)
-    assert assign_profiles(model.classes["app.Multi"], model) == {"a", "b"}
+    assert assign_profiles(model.classes["app.Multi"], model, []) == {"a", "b"}
 
 
 def test_negated_profile_is_diagnostic_and_all():
@@ -116,7 +116,7 @@ class NotProd {}
 def test_grouping_splits_by_profile():
     model = model_from(PROFILED)
     cs = discover_rest_classes(model)
-    units = {u.profile_name: u for u in group_by_profile(cs, model)}
+    units = {u.profile_name: u for u in group_by_profile(cs, model, [])}
     assert set(units) == {"default", "external", "a", "b"}
     assert {c.simple_name for c in units["external"].controller_set.controllers} \
         == {"External", "Everywhere"}
@@ -127,7 +127,7 @@ def test_grouping_splits_by_profile():
 def test_no_profiles_yields_single_default_unit():
     model = model_from(PLAIN)
     cs = discover_rest_classes(model)
-    units = group_by_profile(cs, model)
+    units = group_by_profile(cs, model, [])
     assert [u.profile_name for u in units] == ["default"]
     assert units[0].controller_set.controllers == cs.controllers
 
@@ -135,7 +135,7 @@ def test_no_profiles_yields_single_default_unit():
 def test_union_over_units_covers_all_controllers():
     model = model_from(PROFILED)
     cs = discover_rest_classes(model)
-    units = group_by_profile(cs, model)
+    units = group_by_profile(cs, model, [])
     union = {c.qualified_name
              for u in units for c in u.controller_set.controllers}
     assert union == {c.qualified_name for c in cs.controllers}

@@ -16,7 +16,7 @@ from oasforge.spring import HTTP_VERBS
 def analyze(*sources):
     model = model_from(*sources)
     cs = discover_rest_classes(model)
-    units = group_by_profile(cs, model)
+    units = group_by_profile(cs, model, [])
     reg = SchemaRegistry()
     diags = []
     eps = extract_endpoints(units[0], model, reg, diags)
@@ -41,13 +41,13 @@ def test_normalize_is_idempotent_and_clean(parts):
 
 
 def test_split_pattern_strips_regex():
-    assert split_path_pattern("{year:\\d+}") == ("{year}", ("year", "\\d+"))
-    assert split_path_pattern("{id:[0-9]+}") == ("{id}", ("id", "[0-9]+"))
+    assert split_path_pattern("{year:\\d+}", []) == ("{year}", ("year", "\\d+"))
+    assert split_path_pattern("{id:[0-9]+}", []) == ("{id}", ("id", "[0-9]+"))
 
 
 def test_split_pattern_passthrough():
-    assert split_path_pattern("items") == ("items", None)
-    assert split_path_pattern("{id}") == ("{id}", None)
+    assert split_path_pattern("items", []) == ("items", None)
+    assert split_path_pattern("{id}", []) == ("{id}", None)
 
 
 def test_split_pattern_unbalanced_is_diagnostic():
@@ -60,7 +60,7 @@ def test_split_pattern_unbalanced_is_diagnostic():
 @given(st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True),
        st.from_regex(r"[\[\]0-9a-z+*?\\-]{1,10}", fullmatch=True))
 def test_split_pattern_round_trip(name, regex):
-    clean, constraint = split_path_pattern("{" + name + ":" + regex + "}")
+    clean, constraint = split_path_pattern("{" + name + ":" + regex + "}", [])
     assert constraint is not None
     rebuilt = "{" + constraint[0] + ":" + constraint[1] + "}"
     assert rebuilt == "{" + name + ":" + regex + "}"
@@ -362,7 +362,7 @@ def test_local_handler_beats_global():
     model, unit, _ = endpoint("/void")
     local = model.classes["app.C"]
     code = resolve_exception_status("NotHereException", local,
-                                    unit.controller_set.advices, model)
+                                    unit.controller_set.advices, model, [])
     assert code == "404"
 
 
@@ -370,14 +370,14 @@ def test_unhandled_exception_maps_to_500():
     model, unit, _ = endpoint("/void")
     local = model.classes["app.C"]
     assert resolve_exception_status("NoSuchHandlerException", local,
-                                    unit.controller_set.advices, model) == "500"
+                                    unit.controller_set.advices, model, []) == "500"
 
 
 def test_superclass_handler_matches_subclass_exception():
     model, unit, _ = endpoint("/void")
     local = model.classes["app.C"]
     code = resolve_exception_status("SubNotHereException", local,
-                                    unit.controller_set.advices, model)
+                                    unit.controller_set.advices, model, [])
     assert code == "404"
 
 

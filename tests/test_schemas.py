@@ -7,7 +7,7 @@ from conftest import model_from
 from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
 from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, UNSPECIFIED,
                               build_named_schema, build_named_schema_for_type,
-                              map_simple_type, required_fields, schema_for_type,
+                              required_fields, schema_for_type,
                               unwrap_response_wrapper)
 
 DOMAIN = """
@@ -31,26 +31,30 @@ def t(name, *args, depth=0):
 
 # -- simple mapping ---------------------------------------------------------
 
+def schema_of(ref, model, ctx):
+    return schema_for_type(ref, model, SchemaRegistry(), ctx)
+
+
 def test_integer_widths():
     model, ctx = ctx_model()
-    assert map_simple_type(t("int"), model, ctx) == \
-        map_simple_type(t("Integer"), model, ctx)
-    assert map_simple_type(t("int"), model, ctx).oas_format == "int32"
-    assert map_simple_type(t("long"), model, ctx).oas_format == "int64"
-    assert map_simple_type(t("double"), model, ctx).oas_type == "number"
+    assert schema_of(t("int"), model, ctx) == \
+        schema_of(t("Integer"), model, ctx)
+    assert schema_of(t("int"), model, ctx).oas_format == "int32"
+    assert schema_of(t("long"), model, ctx).oas_format == "int64"
+    assert schema_of(t("double"), model, ctx).oas_type == "number"
 
 
 def test_string_family():
     model, ctx = ctx_model()
     for name in ("String", "char", "UUID", "LocalDate"):
-        node = map_simple_type(t(name), model, ctx)
+        node = schema_of(t(name), model, ctx)
         assert node.oas_type == "string"
 
 
 def test_array_and_collection_both_become_array():
     model, ctx = ctx_model()
-    from_array = map_simple_type(t("String", depth=1), model, ctx)
-    from_list = map_simple_type(t("List", t("String")), model, ctx)
+    from_array = schema_of(t("String", depth=1), model, ctx)
+    from_list = schema_of(t("List", t("String")), model, ctx)
     assert from_array == from_list
     assert from_array.kind == "array"
     assert from_array.items.oas_type == "string"
@@ -58,20 +62,19 @@ def test_array_and_collection_both_become_array():
 
 def test_map_becomes_additional_properties():
     model, ctx = ctx_model()
-    node = map_simple_type(t("Map", t("String"), t("Double")), model, ctx)
+    node = schema_of(t("Map", t("String"), t("Double")), model, ctx)
     assert node.kind == "map"
     assert node.value_schema.oas_type == "number"
 
 
 def test_raw_collection_and_object_are_unspecified():
     model, ctx = ctx_model()
-    assert map_simple_type(t("List"), model, ctx).items == UNSPECIFIED
-    assert map_simple_type(t("Object"), model, ctx) == UNSPECIFIED
+    assert schema_of(t("List"), model, ctx).items == UNSPECIFIED
+    assert schema_of(t("Object"), model, ctx) == UNSPECIFIED
 
 
 def test_custom_class_needs_registry():
     model, ctx = ctx_model()
-    assert map_simple_type(t("Account"), model, ctx) is None
     node = schema_for_type(t("Account"), model, SchemaRegistry(), ctx)
     assert node.kind == "ref" and node.ref_name == "Account"
 
@@ -79,10 +82,10 @@ def test_custom_class_needs_registry():
 @given(st.sampled_from(sorted(PRIMITIVE_MAP)))
 def test_primitive_mapping_total_and_stable(name):
     model, ctx = ctx_model()
-    node = map_simple_type(t(name), model, ctx)
+    node = schema_of(t(name), model, ctx)
     assert node.kind == "primitive"
     assert node.oas_type in {"integer", "number", "boolean", "string"}
-    assert node == map_simple_type(t(name), model, ctx)
+    assert node == schema_of(t(name), model, ctx)
 
 
 # -- response unwrapping ----------------------------------------------------
