@@ -405,10 +405,11 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
 def _handlers(chain: list[ClassDecl]) -> list[tuple[ClassDecl, MethodDecl]]:
     """Mapped methods across the hierarchy; overriding subclass wins."""
     out: list[tuple[ClassDecl, MethodDecl]] = []
-    seen: set[tuple[str, int]] = set()
+    seen: set[tuple] = set()
     for cls in chain:
         for method in cls.methods:
-            sig = (method.name, len(method.parameters))
+            sig = (method.name, tuple((p.type.simple_name, p.type.array_depth)
+                                      for p in method.parameters))
             if sig in seen:
                 continue
             seen.add(sig)

@@ -51,6 +51,12 @@ class JavaSyntaxError(Exception):
         self.line = line
 
 
+class InvalidEscapeError(JavaSyntaxError):
+    """A malformed unicode escape in a string literal. javac rejects the
+    whole file, so unlike other syntax errors in a field initializer it is
+    not skipped."""
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
@@ -69,7 +75,7 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def unescape_string(literal: str) -> str:
+def unescape_string(literal: str, line: int) -> str:
     # literal includes the surrounding double quotes
     body = literal[1:-1]
     out: list[str] = []
@@ -81,7 +87,12 @@ def unescape_string(literal: str) -> str:
         if c == "\\" and i + 1 < len(body):
             nxt = body[i + 1]
             if nxt == "u" and i + 5 < len(body):
-                out.append(chr(int(body[i + 2:i + 6], 16)))
+                digits = body[i + 2:i + 6]
+                try:
+                    out.append(chr(int(digits, 16)))
+                except ValueError:
+                    raise InvalidEscapeError(
+                        f"invalid unicode escape \\u{digits}", line) from None
                 i += 6
                 continue
             out.append(simple.get(nxt, nxt))
@@ -274,10 +285,6 @@ class SourceModel:
         return self.classes.get(fq) if fq else None
 
 
-class SupertypeCycleError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -464,7 +471,7 @@ class _Parser:
             return self.parse_annotation_use()
         if t.kind == "str":
             self.next()
-            return StrLit(unescape_string(t.text))
+            return StrLit(unescape_string(t.text, t.line))
         if t.kind == "char":
             self.next()
             return StrLit(t.text[1:-1])
@@ -751,6 +758,8 @@ class _Parser:
             value = self.parse_attr_expr()
             if self.at(";") or self.at(","):
                 return value
+        except InvalidEscapeError:
+            raise
         except JavaSyntaxError:
             pass
         self.pos = save
@@ -936,6 +945,10 @@ def extract_body_facts(body: list[Token]) -> BodyFacts:
 
 class ProjectParseError(Exception):
     pass
+
+
+class SupertypeCycleError(ProjectParseError):
+    """Classes that extend each other: no analysis of the tree is sound."""
 
 
 def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:

@@ -89,6 +89,38 @@ def test_generate_diagnostics_reported_on_stderr(runner, tmp_path):
     assert "Broken.java" in result.stderr
 
 
+def test_bad_unicode_escape_is_parse_error_not_crash(runner, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Bad.java").write_text(
+        "package app;\nclass Bad {\n"
+        "    static final String P = \"\\uZZZZ\";\n}\n")
+    (src / "Good.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Good {\n"
+        "    @GetMapping(\"/ok\")\n"
+        "    String ok() { return \"x\"; }\n}\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(src), "--output", str(out))
+    assert result.exit_code == 0, result.output
+    assert "PARSE_ERROR" in result.stderr and "Bad.java:3" in result.stderr
+    data = json.loads((out / "src-default.openapi.json").read_text())
+    assert list(data["paths"]) == ["/ok"]
+
+
+def test_inheritance_cycle_is_fatal_without_traceback(runner, tmp_path):
+    (tmp_path / "A.java").write_text("package app;\nclass A extends B {}\n")
+    (tmp_path / "B.java").write_text("package app;\nclass B extends A {}\n")
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: inheritance cycle: app.A -> app.B -> app.A" in \
+        result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_fail_on_diagnostics_exits_2(runner, tmp_path):
     result = run(runner, "generate",
                  "--input", str(FIXTURES_DIR / "parse_error"),

@@ -121,6 +121,44 @@ class C {
     assert {(e.path, e.verb) for e in eps} == {("/a", "GET"), ("/b", "GET")}
 
 
+def test_same_arity_overloads_both_emitted():
+    src = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping("/a")
+    String get(@RequestParam String q) { return q; }
+    @PostMapping("/b")
+    String get(@RequestParam int n) { return ""; }
+}
+"""
+    _, _, _, eps, diags = analyze(src)
+    assert {(e.path, e.verb) for e in eps} == {("/a", "GET"), ("/b", "POST")}
+    assert diags == []
+
+
+def test_overriding_subclass_handler_wins():
+    src = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+class Base {
+    @GetMapping("/base")
+    String get(@RequestParam String q) { return q; }
+}
+
+@RestController
+class Sub extends Base {
+    @GetMapping("/sub")
+    String get(@RequestParam java.lang.String q) { return q; }
+}
+"""
+    _, _, _, eps, _ = analyze(src)
+    assert [(e.path, e.verb) for e in eps] == [("/sub", "GET")]
+
+
 def test_class_base_path_joined_with_method_path():
     src = """
 package app;
