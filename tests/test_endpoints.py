@@ -1,5 +1,6 @@
 """Endpoint extraction: paths, verbs, parameters, responses."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -417,6 +418,71 @@ def test_superclass_handler_matches_subclass_exception():
     code = resolve_exception_status("SubNotHereException", local,
                                     unit.controller_set.advices, model, [])
     assert code == "404"
+
+
+EXCEPTIONS = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+class Base extends RuntimeException {}
+class NotFound extends Base {}
+class Deep extends Base {}
+class Gone extends RuntimeException {}
+
+@RestControllerAdvice
+class Handlers {
+    @ExceptionHandler(NotFound.class)
+    @ResponseStatus(HttpStatus.NOT_FOUND)
+    void notFound() {}
+
+    @ExceptionHandler(Base.class)
+    @ResponseStatus(HttpStatus.BAD_REQUEST)
+    void base() {}
+
+    @ExceptionHandler(RuntimeException.class)
+    @ResponseStatus(HttpStatus.CONFLICT)
+    void runtime() {}
+
+    @ExceptionHandler(Err.class)
+    @ResponseStatus(HttpStatus.GONE)
+    void ambiguous() {}
+
+    @ExceptionHandler(IllegalStateException.class)
+    @ResponseStatus(HttpStatus.SERVICE_UNAVAILABLE)
+    void illegalState() {}
+}
+"""
+
+# `Err` names two classes, so the `ambiguous` handler's target does not
+# resolve in `Handlers`; `Leaf` extends one of them through an import.
+EXCEPTION_PACKAGES = (
+    "package app.a;\npublic class Err extends RuntimeException {}\n",
+    "package app.b;\npublic class Err extends RuntimeException {}\n",
+    "package app;\nimport app.a.Err;\nclass Leaf extends Err {}\n",
+)
+
+
+@pytest.mark.parametrize("thrown, status", [
+    # both names resolve: exact match, then a match on a superclass
+    ("NotFound", "404"),
+    ("Deep", "400"),
+    ("Base", "400"),
+    # the handler target is outside the tree: it matches a class of the
+    # thrown type's chain by simple name, but the chain ends at the tree's
+    # edge, so a RuntimeException handler does not see Gone's superclass
+    ("Leaf", "410"),
+    ("Gone", "500"),
+    # the thrown type is outside the tree: simple-name equality only
+    ("UncheckedIOException", "500"),
+    # neither name resolves
+    ("IllegalStateException", "503"),
+    ("java.lang.IllegalStateException", "503"),
+])
+def test_exception_status_by_name_resolution(thrown, status):
+    model = model_from(EXCEPTIONS, *EXCEPTION_PACKAGES)
+    handlers = model.classes["app.Handlers"]
+    assert resolve_exception_status(thrown, handlers, [], model, []) == status
 
 
 def test_every_endpoint_has_a_response():

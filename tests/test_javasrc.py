@@ -149,6 +149,23 @@ def test_cycle_raises():
         supertype_chain(model.classes["app.X"], model)
 
 
+def test_chain_follows_superclass_imported_from_another_package():
+    model = model_from(
+        "package app.base;\npublic class Parent {}\n",
+        "package app.other;\npublic class Parent {}\n",
+        "package app.web;\nimport app.base.Parent;\n"
+        "class Child extends Parent {}\n")
+    chain = supertype_chain(model.classes["app.web.Child"], model)
+    assert [c.qualified_name for c in chain] == ["app.web.Child",
+                                                 "app.base.Parent"]
+
+
+def test_class_extending_itself_in_a_package_raises():
+    model = model_from("package app;\nclass Loop extends Loop {}\n")
+    with pytest.raises(SupertypeCycleError):
+        supertype_chain(model.classes["app.Loop"], model)
+
+
 def test_body_facts_capture_throw_and_statuses():
     src = """
 package app;
