@@ -24,6 +24,7 @@ class Diagnostic:
 
 # Diagnostic codes, stable for CI grepping.
 PARSE_ERROR = "PARSE_ERROR"
+DUPLICATE_CLASS = "DUPLICATE_CLASS"
 UNRESOLVED_CONSTANT = "UNRESOLVED_CONSTANT"
 UNRESOLVED_TYPE = "UNRESOLVED_TYPE"
 SKIPPED_PARAMETER = "SKIPPED_PARAMETER"

@@ -299,28 +299,16 @@ def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
 
 def _exception_matches(declared: str, thrown: str, ctx: ClassDecl,
                        model: SourceModel) -> bool:
-    declared_fq = model.resolve_type_name(declared, ctx)
-    thrown_fq = model.resolve_type_name(thrown, ctx)
+    """Whether a handler for `declared` catches `thrown`, both as named in
+    `ctx`. A name outside the model is compared by its simple name."""
     d_simple = declared.rsplit(".", 1)[-1]
-    t_simple = thrown.rsplit(".", 1)[-1]
-    if declared_fq and thrown_fq:
-        if declared_fq == thrown_fq:
-            return True
-        thrown_cls = model.classes.get(thrown_fq)
-        if thrown_cls is not None:
-            return any(c.qualified_name == declared_fq
-                       for c in supertype_chain(thrown_cls, model))
-        return False
-    if declared_fq is None and thrown_fq is None:
-        return d_simple == t_simple
-    # one side resolvable: match on simple name, then walk supertypes
-    if thrown_fq is not None:
-        thrown_cls = model.classes.get(thrown_fq)
-        if thrown_cls is not None and any(
-                c.simple_name == d_simple
-                for c in supertype_chain(thrown_cls, model)):
-            return True
-    return d_simple == t_simple
+    thrown_cls = model.find_class(thrown, ctx)
+    if thrown_cls is None:
+        return d_simple == thrown.rsplit(".", 1)[-1]
+    declared_fq = model.resolve_type_name(declared, ctx)
+    return any(c.qualified_name == declared_fq if declared_fq
+               else c.simple_name == d_simple
+               for c in supertype_chain(thrown_cls, model))
 
 
 def resolve_exception_status(exc: str, local: ClassDecl,

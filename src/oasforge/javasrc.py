@@ -12,10 +12,11 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .diagnostics import Diagnostic, PARSE_ERROR
+from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,11 @@ def unescape_string(literal: str, line: int) -> str:
         else:
             out.append(c)
             i += 1
-    return "".join(out)
+    try:
+        # joins each \uD83D\uDE00-style pair into one code point
+        return "".join(out).encode("utf-16", "surrogatepass").decode("utf-16")
+    except UnicodeDecodeError:
+        raise InvalidEscapeError("unpaired surrogate escape", line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +247,10 @@ class ClassDecl:
     def simple_name(self) -> str:
         return self.qualified_name.rsplit(".", 1)[-1]
 
-    @property
+    @cached_property
     def string_constants(self) -> dict[str, AttributeValue]:
+        """Static final fields with a constant initializer, by name. Built
+        on first use, after parsing has set `fields`."""
         return {
             f.name: f.initializer
             for f in self.fields
@@ -253,8 +260,25 @@ class ClassDecl:
 
 @dataclass
 class SourceModel:
+    """The parsed classes of a tree, by fully qualified name.
+
+    This is the only code that decides which class a name means.
+    `resolve_type_name` tries, in order: the name as a fully qualified
+    name, the single-type import of the naming class, the naming class's
+    own package, its wildcard imports, and last a class anywhere in the
+    model whose simple name is unique. Each `superclass` is resolved once,
+    here at construction, so `supertype_chain` only follows fully
+    qualified names; a superclass that does not resolve keeps its source
+    spelling and ends the chain.
+    """
     classes: dict[str, ClassDecl]
     parse_diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    def __post_init__(self):
+        for cls in self.classes.values():
+            if cls.superclass:
+                cls.superclass = (self.resolve_type_name(cls.superclass, cls)
+                                  or cls.superclass)
 
     def by_simple_name(self, simple: str) -> list[ClassDecl]:
         return [c for c in self.classes.values() if c.simple_name == simple]
@@ -382,8 +406,7 @@ class _Parser:
                     imports[name.rsplit(".", 1)[-1]] = name
                 self.expect(";")
                 continue
-            decl = self.parse_type_decl(package, imports, dict.fromkeys(wildcards))
-            classes.extend(decl)
+            classes.extend(self.parse_type_decl(package))
         for cls in classes:
             cls.package = package
             cls.imports = imports
@@ -498,7 +521,7 @@ class _Parser:
 
     # -- type declarations ---------------------------------------------------
 
-    def parse_type_decl(self, package: str, imports, wildcards,
+    def parse_type_decl(self, package: str,
                         outer: Optional[str] = None) -> list[ClassDecl]:
         annos, mods = self.parse_annotations_and_modifiers()
         t = self.peek()
@@ -571,19 +594,13 @@ class _Parser:
         if kind == "enum":
             enum_constants = self.parse_enum_constants()
         while not self.at("}"):
-            member = self.parse_member(simple_class_name=name, package=package,
-                                       imports=imports, wildcards=wildcards,
-                                       outer=simple)
-            if member is None:
-                continue
-            if isinstance(member, _MultiField):
-                fields.extend(member)
-            elif isinstance(member, list):
-                nested.extend(member)
-            elif isinstance(member, MethodDecl):
-                methods.append(member)
-            elif isinstance(member, FieldDecl):
-                fields.append(member)
+            for member in self.parse_member(name, package, outer=simple):
+                if isinstance(member, ClassDecl):
+                    nested.append(member)
+                elif isinstance(member, MethodDecl):
+                    methods.append(member)
+                else:
+                    fields.append(member)
         self.expect("}")
 
         cls.fields = tuple(fields)
@@ -630,13 +647,15 @@ class _Parser:
                     break
         return constants
 
-    def parse_member(self, simple_class_name: str, package, imports, wildcards,
-                     outer: str):
+    def parse_member(self, simple_class_name: str, package: str, outer: str
+                     ) -> list[Union[ClassDecl, MethodDecl, FieldDecl]]:
+        """The declarations of one class member: nested classes, one method
+        or the fields of one declaration; none for an initializer."""
         if self.accept(";"):
-            return None
+            return []
         if self.at("{"):  # instance initializer
             self.skip_balanced("{", "}")
-            return None
+            return []
         save = self.pos
         annos, mods = self.parse_annotations_and_modifiers()
         t = self.peek()
@@ -644,11 +663,11 @@ class _Parser:
             raise JavaSyntaxError("unexpected end of class body", 0)
         if t.text == "{":  # static or instance initializer block
             self.skip_balanced("{", "}")
-            return None
+            return []
         if t.text in ("class", "interface", "enum", "record") or (
                 t.text == "@" and self.at("interface", 1)):
             self.pos = save
-            return self.parse_type_decl(package, imports, wildcards, outer=outer)
+            return self.parse_type_decl(package, outer=outer)
 
         if self.at("<"):  # method type parameters
             self.skip_generics()
@@ -665,7 +684,7 @@ class _Parser:
                 self.skip_balanced("{", "}")
             else:
                 self.expect(";")
-            return None
+            return []
 
         decl_type = self.parse_type_ref()
         name_tok = self.next()
@@ -674,7 +693,7 @@ class _Parser:
                 f"expected member name, found {name_tok.text!r}", name_tok.line)
 
         if self.at("("):
-            return self.parse_method_rest(name_tok, annos, decl_type)
+            return [self.parse_method_rest(name_tok, annos, decl_type)]
         return self.parse_field_rest(name_tok, annos, mods, decl_type)
 
     def parse_method_rest(self, name_tok: Token, annos, return_type: TypeRef
@@ -720,7 +739,7 @@ class _Parser:
                           return_type, tuple(throws), facts, name_tok.line)
 
     def parse_field_rest(self, name_tok: Token, annos, mods, decl_type: TypeRef
-                         ) -> FieldDecl:
+                         ) -> list[FieldDecl]:
         fields: list[FieldDecl] = []
         name = name_tok.text
         while True:
@@ -744,11 +763,7 @@ class _Parser:
                 continue
             break
         self.expect(";")
-        # Multi-declarator lines are rare in the analyzed corpus; keep the
-        # first declarator's record carrying all, callers see each field.
-        if len(fields) == 1:
-            return fields[0]
-        return _MultiField(fields)  # type: ignore[return-value]
+        return fields
 
     def parse_initializer_expr(self) -> Optional[AttributeValue]:
         """Parse a field initializer, returning an AttributeValue when it
@@ -823,10 +838,6 @@ class _Parser:
         else:
             raise JavaSyntaxError(f"expected '>', found {t.text!r}", t.line)
         return tuple(args)
-
-
-class _MultiField(list):
-    """Internal: several FieldDecls produced by one declaration line."""
 
 
 def _int_value(text: str) -> int:
@@ -970,6 +981,12 @@ def parse_project(root_dir: os.PathLike | str) -> SourceModel:
         try:
             text = path.read_text(encoding="utf-8")
             for cls in parse_source(text, rel):
+                earlier = classes.get(cls.qualified_name)
+                if earlier is not None:
+                    diagnostics.append(Diagnostic(
+                        DUPLICATE_CLASS,
+                        f"{cls.qualified_name} is declared in "
+                        f"{earlier.source_file} and {rel}; using {rel}", rel))
                 classes[cls.qualified_name] = cls
             parsed_any = True
         except (JavaSyntaxError, UnicodeDecodeError) as exc:
@@ -978,17 +995,7 @@ def parse_project(root_dir: os.PathLike | str) -> SourceModel:
     if not parsed_any:
         details = "; ".join(d.render() for d in diagnostics)
         raise ProjectParseError(f"no parsable .java files under {root}: {details}")
-    model = SourceModel(classes, diagnostics)
-    _resolve_supertypes(model)
-    return model
-
-
-def _resolve_supertypes(model: SourceModel):
-    for cls in model.classes.values():
-        if cls.superclass:
-            fq = model.resolve_type_name(cls.superclass, cls)
-            if fq and fq != cls.qualified_name:
-                cls.superclass = fq
+    return SourceModel(classes, diagnostics)
 
 
 def supertype_chain(cls: ClassDecl, model: SourceModel) -> list[ClassDecl]:
@@ -997,9 +1004,6 @@ def supertype_chain(cls: ClassDecl, model: SourceModel) -> list[ClassDecl]:
     cur = cls
     while cur.superclass:
         nxt = model.classes.get(cur.superclass)
-        if nxt is None:
-            nxt_fq = model.resolve_type_name(cur.superclass, cur)
-            nxt = model.classes.get(nxt_fq) if nxt_fq else None
         if nxt is None:
             break
         if nxt.qualified_name in seen:
@@ -1038,42 +1042,27 @@ def resolve_string_constant(value: Optional[AttributeValue], ctx: ClassDecl,
 
 def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
                       active: set) -> Optional[str]:
-    if len(ref.parts) == 1:
-        const = ref.parts[0]
-        candidates = supertype_chain(ctx, model)
-    else:
-        owner_name = ".".join(ref.parts[:-1])
-        const = ref.parts[-1]
-        owner = model.find_class(owner_name, ctx)
-        if owner is None:
+    const = ref.parts[-1]
+    scope = ctx
+    if len(ref.parts) > 1:
+        scope = model.find_class(".".join(ref.parts[:-1]), ctx)
+        if scope is None:
             return None
-        candidates = supertype_chain(owner, model)
-    for cls in candidates:
-        init = cls.string_constants.get(const)
-        if init is not None:
-            key = (cls.qualified_name, const)
-            if key in active:
-                return None
-            active.add(key)
-            try:
-                return resolve_string_constant(init, cls, model, active)
-            finally:
-                active.discard(key)
-    # last resort: unique constant with this name anywhere in the model
-    if len(ref.parts) == 1:
-        hits = [
-            (cls, cls.string_constants[const])
-            for cls in model.classes.values()
-            if const in cls.string_constants
-        ]
-        if len(hits) == 1:
-            cls, init = hits[0]
-            key = (cls.qualified_name, const)
-            if key in active:
-                return None
-            active.add(key)
-            try:
-                return resolve_string_constant(init, cls, model, active)
-            finally:
-                active.discard(key)
-    return None
+    owner = next((cls for cls in supertype_chain(scope, model)
+                  if const in cls.string_constants), None)
+    if owner is None and len(ref.parts) == 1:
+        # last resort: unique constant with this name anywhere in the model
+        hits = [cls for cls in model.classes.values()
+                if const in cls.string_constants]
+        owner = hits[0] if len(hits) == 1 else None
+    if owner is None:
+        return None
+    key = (owner.qualified_name, const)
+    if key in active:
+        return None
+    active.add(key)
+    try:
+        return resolve_string_constant(owner.string_constants[const], owner,
+                                       model, active)
+    finally:
+        active.discard(key)

@@ -149,9 +149,11 @@ def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
         return UNSPECIFIED
 
     cls = model.find_class(t.raw_name, ctx)
-    if cls is not None and cls.kind == "enum":
+    if cls is None:
+        return ref_to(_register_external(t, reg, ctx))
+    if cls.kind == "enum":
         return enum_of(cls.enum_constants)
-    return ref_to(build_named_schema_for_type(t, model, reg, ctx))
+    return ref_to(build_named_schema_for_type(t, cls, model, reg))
 
 
 def register_unspecified(reg: SchemaRegistry) -> str:
@@ -192,12 +194,10 @@ def _mangled_name(t: TypeRef) -> str:
     return base + "Of" + "Of".join(parts)
 
 
-def build_named_schema_for_type(t: TypeRef, model: SourceModel,
-                                reg: SchemaRegistry, ctx: ClassDecl) -> str:
-    """Register the named schema for a (possibly generic) class reference."""
-    cls = model.find_class(t.raw_name, ctx)
-    if cls is None:
-        return _register_external(t, reg, ctx)
+def build_named_schema_for_type(t: TypeRef, cls: ClassDecl,
+                                model: SourceModel, reg: SchemaRegistry) -> str:
+    """Register the named schema for `t`, a (possibly generic) reference to
+    the model class `cls`."""
     if not t.type_arguments or not cls.type_params:
         return build_named_schema(cls, model, reg)
     # generic instantiation: one schema per argument combination

@@ -10,7 +10,8 @@ Each test covers one release criterion:
    OAS_FORGE_REFERENCE_CORPUS it is regenerated and byte-compared like the
    bundled corpus; without one, the bundled golden corpus is the criterion.
 4. Structural validity: every emitted document passes OAS 3.0 structural
-   validation and contains no dangling $ref.
+   validation and contains no dangling $ref. Where openapi-spec-validator
+   is installed, it agrees on every golden and generated document.
 5. Merge semantics: merging is idempotent, disjoint documents add up, and
    conflicting operations are refused.
 6. Runtime envelope: each fixture project generates in under 1s.
@@ -95,6 +96,19 @@ def test_all_documents_structurally_valid_with_closed_refs():
             assert errors == [], f"{name} ({profile}): {errors}"
             # flattening walks every $ref and raises on a dangling one
             flatten_for_eval(data)
+
+
+def test_openapi_spec_validator_agrees_every_document_is_valid():
+    oracle = pytest.importorskip("openapi_spec_validator")
+    documents = [(path.name, json.loads(path.read_text()))
+                 for path in sorted(GOLDEN_DIR.glob("*.json"))]
+    for fixture in sorted(p for p in FIXTURES_DIR.iterdir() if p.is_dir()):
+        documents += [(f"{fixture.name} ({profile})", doc_to_dict(doc))
+                      for profile, doc in regenerate(fixture.name).items()]
+    for name, data in documents:
+        assert validate_document(data) == [], name
+        errors = oracle.OpenAPIV30SpecValidator(data).iter_errors()
+        assert [e.message for e in errors] == [], name
 
 
 def test_merge_semantics():

@@ -109,6 +109,45 @@ def test_bad_unicode_escape_is_parse_error_not_crash(runner, tmp_path):
     assert list(data["paths"]) == ["/ok"]
 
 
+def test_surrogate_pair_escape_is_one_character(runner, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Lone.java").write_text(
+        "package app;\nclass Lone {\n"
+        "    static final String P = \"\\uD83D\";\n}\n")
+    (src / "Smile.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Smile {\n"
+        "    @GetMapping(\"/smile\\uD83D\\uDE00\")\n"
+        "    String smile() { return \"x\"; }\n}\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(src), "--output", str(out))
+    assert result.exit_code == 0, result.output
+    assert "PARSE_ERROR" in result.stderr and "Lone.java:3" in result.stderr
+    data = json.loads((out / "src-default.openapi.json").read_text())
+    assert list(data["paths"]) == ["/smile\U0001F600"]
+
+
+def test_duplicate_class_is_reported_and_later_file_wins(runner, tmp_path):
+    src = tmp_path / "src"
+    for module, path in (("a", "/one"), ("b", "/two")):
+        (src / module).mkdir(parents=True)
+        (src / module / "Api.java").write_text(
+            "package app;\n"
+            "import org.springframework.web.bind.annotation.*;\n"
+            f"@RestController\nclass Api {{\n"
+            f"    @GetMapping(\"{path}\")\n"
+            "    String get() { return \"x\"; }\n}\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(src), "--output", str(out))
+    assert result.exit_code == 0, result.output
+    assert ("DUPLICATE_CLASS: app.Api is declared in a/Api.java and "
+            "b/Api.java; using b/Api.java") in result.stderr
+    data = json.loads((out / "src-default.openapi.json").read_text())
+    assert list(data["paths"]) == ["/two"]
+
+
 def test_inheritance_cycle_is_fatal_without_traceback(runner, tmp_path):
     (tmp_path / "A.java").write_text("package app;\nclass A extends B {}\n")
     (tmp_path / "B.java").write_text("package app;\nclass B extends A {}\n")

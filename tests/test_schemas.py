@@ -201,8 +201,8 @@ class Item {
 """
     model = model_from(src)
     reg = SchemaRegistry()
-    ctx = model.classes["app.Page"]
-    name = build_named_schema_for_type(t("Page", t("Item")), model, reg, ctx)
+    page = model.classes["app.Page"]
+    name = build_named_schema_for_type(t("Page", t("Item")), page, model, reg)
     assert name == "PageOfItem"
     node = reg.schemas[name]
     props = dict(node.properties)
