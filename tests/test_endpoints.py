@@ -444,6 +444,10 @@ class Handlers {
     @ResponseStatus(HttpStatus.CONFLICT)
     void runtime() {}
 
+    @ExceptionHandler(app.b.Err.class)
+    @ResponseStatus(HttpStatus.UNPROCESSABLE_ENTITY)
+    void otherErr() {}
+
     @ExceptionHandler(Err.class)
     @ResponseStatus(HttpStatus.GONE)
     void ambiguous() {}
@@ -455,7 +459,8 @@ class Handlers {
 """
 
 # `Err` names two classes, so the `ambiguous` handler's target does not
-# resolve in `Handlers`; `Leaf` extends one of them through an import.
+# resolve in `Handlers`; `Leaf` extends `app.a.Err` through an import, so
+# the `otherErr` handler, which names the other one, must not catch it.
 EXCEPTION_PACKAGES = (
     "package app.a;\npublic class Err extends RuntimeException {}\n",
     "package app.b;\npublic class Err extends RuntimeException {}\n",
@@ -468,6 +473,7 @@ EXCEPTION_PACKAGES = (
     ("NotFound", "404"),
     ("Deep", "400"),
     ("Base", "400"),
+    ("app.b.Err", "422"),
     # the handler target is outside the tree: it matches a class of the
     # thrown type's chain by simple name, but the chain ends at the tree's
     # edge, so a RuntimeException handler does not see Gone's superclass
