@@ -57,7 +57,8 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for profile, doc in result.documents.items():
-        errors = validate_document(doc_to_dict(doc))
+        data = doc_to_dict(doc)
+        errors = validate_document(data)
         if errors:
             click.echo("error: generated document failed validation:",
                        err=True)
@@ -66,7 +67,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
             sys.exit(EXIT_FATAL)
         name = f"{result.project}-{profile}.openapi.{fmt}"
         path = output_dir / name
-        path.write_bytes(serialize(doc, fmt))
+        path.write_bytes(serialize(data, fmt))
         written.append(path)
 
     if merge and result.documents:
@@ -76,7 +77,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FATAL)
         path = output_dir / f"{result.project}-merged.openapi.json"
-        path.write_bytes(serialize(merged, "json"))
+        path.write_bytes(serialize(doc_to_dict(merged), "json"))
         written.append(path)
 
     for diag in result.diagnostics:
@@ -102,7 +103,8 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
 def _load_description(path: Path) -> dict:
     text = path.read_text(encoding="utf-8")
     if path.suffix in (".yaml", ".yml") or path.name.endswith(".openapi.yaml"):
-        return yaml.safe_load(text)
+        return yaml.load(text,
+                         Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     return json.loads(text)
 
 

@@ -215,8 +215,8 @@ def merge_documents(docs: list[OpenApiDoc]) -> OpenApiDoc:
     )
 
 
-def serialize(doc: OpenApiDoc, format: str = "json") -> bytes:
-    data = doc_to_dict(doc)
+def serialize(data: dict, format: str = "json") -> bytes:
+    """Render the output of `doc_to_dict` as JSON or YAML bytes."""
     if format == "json":
         return (json.dumps(data, indent=2, ensure_ascii=False) + "\n"
                 ).encode("utf-8")

@@ -266,29 +266,56 @@ class SourceModel:
     `resolve_type_name` tries, in order: the name as a fully qualified
     name, the single-type import of the naming class, the naming class's
     own package, its wildcard imports, and last a class anywhere in the
-    model whose simple name is unique. Each `superclass` is resolved once,
-    here at construction, so `supertype_chain` only follows fully
-    qualified names; a superclass that does not resolve keeps its source
-    spelling and ends the chain.
+    model whose simple name is unique. In that last step a qualified name
+    only matches a class whose fully qualified name ends with "." plus the
+    name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
+    does not find `app.Date`. Each `superclass` is resolved once, here at
+    construction, so `supertype_chain` only follows fully qualified names;
+    a superclass that does not resolve keeps its source spelling and ends
+    the chain.
+
+    No lookup walks `classes`. Construction builds a simple name → classes
+    index, in `classes` order, and the last resort of constant lookup uses
+    a constant name → classes index built on first use. Both are valid
+    because `classes` is not changed after construction.
     """
     classes: dict[str, ClassDecl]
     parse_diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def __post_init__(self):
+        index: dict[str, list[ClassDecl]] = {}
+        for cls in self.classes.values():
+            index.setdefault(cls.simple_name, []).append(cls)
+        self._by_simple_name = {k: tuple(v) for k, v in index.items()}
         for cls in self.classes.values():
             if cls.superclass:
                 cls.superclass = (self.resolve_type_name(cls.superclass, cls)
                                   or cls.superclass)
 
-    def by_simple_name(self, simple: str) -> list[ClassDecl]:
-        return [c for c in self.classes.values() if c.simple_name == simple]
+    def by_simple_name(self, simple: str) -> tuple[ClassDecl, ...]:
+        return self._by_simple_name.get(simple, ())
+
+    @cached_property
+    def _by_constant_name(self) -> dict[str, list[ClassDecl]]:
+        """Constant name → the classes that declare a string constant of
+        that name. Built from the simple-name index, which holds every
+        class, so trees that never need it do not build every class's
+        `string_constants`."""
+        index: dict[str, list[ClassDecl]] = {}
+        for group in self._by_simple_name.values():
+            for cls in group:
+                for const in cls.string_constants:
+                    index.setdefault(const, []).append(cls)
+        return index
 
     def resolve_type_name(self, name: str, ctx: ClassDecl) -> Optional[str]:
         """Resolve a (possibly simple) type name to a model class FQN."""
         if name in self.classes:
             return name
-        simple = name.rsplit(".", 1)[-1] if "." in name else name
-        if "." not in name:
+        if "." in name:
+            matches = [c for c in self.by_simple_name(name.rsplit(".", 1)[1])
+                       if c.qualified_name.endswith("." + name)]
+        else:
             imported = ctx.imports.get(name)
             if imported and imported in self.classes:
                 return imported
@@ -299,7 +326,7 @@ class SourceModel:
                 cand = f"{pkg}.{name}"
                 if cand in self.classes:
                     return cand
-        matches = self.by_simple_name(simple)
+            matches = self.by_simple_name(name)
         if len(matches) == 1:
             return matches[0].qualified_name
         return None
@@ -1052,8 +1079,7 @@ def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
                   if const in cls.string_constants), None)
     if owner is None and len(ref.parts) == 1:
         # last resort: unique constant with this name anywhere in the model
-        hits = [cls for cls in model.classes.values()
-                if const in cls.string_constants]
+        hits = model._by_constant_name.get(const, ())
         owner = hits[0] if len(hits) == 1 else None
     if owner is None:
         return None

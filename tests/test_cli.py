@@ -160,6 +160,25 @@ def test_inheritance_cycle_is_fatal_without_traceback(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_class_extending_outside_class_of_same_name_is_not_a_cycle(
+        runner, tmp_path):
+    (tmp_path / "Date.java").write_text(
+        "package app;\nclass Date extends java.util.Date {}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        "    @GetMapping(\"/now\")\n"
+        "    Date now() { return null; }\n}\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(out))
+    assert result.exit_code == 0, result.output
+    data = json.loads((out / f"{tmp_path.name}-default.openapi.json")
+                      .read_text())
+    assert list(data["paths"]) == ["/now"]
+
+
 def test_fail_on_diagnostics_exits_2(runner, tmp_path):
     result = run(runner, "generate",
                  "--input", str(FIXTURES_DIR / "parse_error"),
@@ -221,3 +240,30 @@ def test_evaluate_bad_ground_truth_is_fatal(runner, tmp_path):
                  "--gt", str(bad))
     assert result.exit_code == 1
     assert "error:" in result.stderr
+
+
+def test_evaluate_yaml_output_scores_like_json_output(runner, tmp_path):
+    reports = {}
+    for fmt in ("json", "yaml"):
+        out = tmp_path / fmt
+        run(runner, "generate", "--input", str(FIXTURES_DIR / "request_body"),
+            "--output", str(out), "--format", fmt)
+        report = tmp_path / f"{fmt}-report.json"
+        result = run(runner, "evaluate",
+                     "--oas", str(out / f"request_body-default.openapi.{fmt}"),
+                     "--gt", str(GT_DIR / "request_body.json"),
+                     "--report-json", str(report))
+        assert result.exit_code == 0, result.output
+        reports[fmt] = json.loads(report.read_text())
+    assert reports["yaml"] == reports["json"]
+
+
+def test_evaluate_malformed_yaml_is_fatal_without_traceback(runner, tmp_path):
+    bad = tmp_path / "bad.openapi.yaml"
+    bad.write_text("paths: [unclosed\n")
+    result = run(runner, "evaluate", "--oas", str(bad),
+                 "--gt", str(GT_DIR / "request_body.json"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.output

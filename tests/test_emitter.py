@@ -53,27 +53,27 @@ def test_enum_and_array_render():
 
 def test_json_serialization_is_byte_stable():
     doc = docs_for("request_body")["default"]
-    assert serialize(doc) == serialize(doc)
+    assert serialize(doc_to_dict(doc)) == serialize(doc_to_dict(doc))
     again = docs_for("request_body")["default"]
-    assert serialize(doc) == serialize(again)
+    assert serialize(doc_to_dict(doc)) == serialize(doc_to_dict(again))
 
 
 def test_json_round_trips():
     doc = docs_for("allof_inheritance")["default"]
-    parsed = json.loads(serialize(doc))
+    parsed = json.loads(serialize(doc_to_dict(doc)))
     assert parsed == doc_to_dict(doc)
 
 
 def test_yaml_round_trips():
     doc = docs_for("allof_inheritance")["default"]
-    parsed = yaml.safe_load(serialize(doc, format="yaml"))
+    parsed = yaml.safe_load(serialize(doc_to_dict(doc), format="yaml"))
     assert parsed == doc_to_dict(doc)
 
 
 def test_serialize_rejects_unknown_format():
     doc = docs_for("void_default")["default"]
     with pytest.raises(ValueError):
-        serialize(doc, format="toml")
+        serialize(doc_to_dict(doc), format="toml")
 
 
 def test_paths_sorted_and_verbs_canonical():

@@ -1,12 +1,14 @@
 """Source-model tests: parsing, constant resolution, supertype chains."""
 
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
-from oasforge.javasrc import (ProjectParseError, StrLit, SupertypeCycleError,
-                              parse_project, parse_source,
+from oasforge.javasrc import (NameRef, ProjectParseError, StrLit,
+                              SupertypeCycleError, parse_project, parse_source,
                               resolve_string_constant, supertype_chain)
 
 SIMPLE_CONTROLLER = """
@@ -164,6 +166,61 @@ def test_class_extending_itself_in_a_package_raises():
     model = model_from("package app;\nclass Loop extends Loop {}\n")
     with pytest.raises(SupertypeCycleError):
         supertype_chain(model.classes["app.Loop"], model)
+
+
+class _NoScan(Mapping):
+    """Classes by name that can be looked up but not iterated."""
+
+    def __init__(self, classes):
+        self._classes = classes
+
+    def __getitem__(self, name):
+        return self._classes[name]
+
+    def __len__(self):
+        return len(self._classes)
+
+    def __iter__(self):
+        raise AssertionError("a lookup scanned SourceModel.classes")
+
+
+def test_name_lookups_do_not_scan_classes():
+    model = model_from(
+        "package app.a;\nclass Item {}\nclass Dup {}\n"
+        "class Paths { static final String ROOT = \"/r\"; }\n",
+        "package app.b;\nclass Dup {}\n",
+        "package app.web;\nclass User {}\n")
+    model.classes = _NoScan(model.classes)
+    ctx = model.classes["app.web.User"]
+    assert model.resolve_type_name("Item", ctx) == "app.a.Item"
+    assert model.resolve_type_name("Dup", ctx) is None
+    assert resolve_string_constant(NameRef(("ROOT",)), ctx, model) == "/r"
+
+
+def test_qualified_name_resolves_only_to_a_class_ending_with_it():
+    model = model_from(
+        "package app;\nclass Outer { static class Inner {} }\n"
+        "class Date extends java.util.Date {}\n",
+        "package app.web;\nclass User {}\n")
+    ctx = model.classes["app.web.User"]
+    assert model.resolve_type_name("Outer.Inner", ctx) == "app.Outer.Inner"
+    assert model.resolve_type_name("ter.Inner", ctx) is None
+    assert model.resolve_type_name("java.util.Date", ctx) is None
+    assert model.resolve_type_name("Date", ctx) == "app.Date"
+    assert model.classes["app.Date"].superclass == "java.util.Date"
+
+
+def test_duplicate_class_found_by_simple_name_is_the_later_file(tmp_path):
+    for module in ("a", "b"):
+        (tmp_path / module).mkdir()
+        (tmp_path / module / "Api.java").write_text(
+            "package app;\nclass Api {}\n")
+    (tmp_path / "User.java").write_text("package web;\nclass User {}\n")
+    model = parse_project(tmp_path)
+    assert [c.source_file for c in model.by_simple_name("Api")] == \
+        ["b/Api.java"]
+    ctx = model.classes["web.User"]
+    assert model.find_class("Api", ctx) is model.classes["app.Api"]
 
 
 def test_body_facts_capture_throw_and_statuses():
