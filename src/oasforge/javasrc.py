@@ -274,9 +274,8 @@ class SourceModel:
     a superclass that does not resolve keeps its source spelling and ends
     the chain.
 
-    No lookup walks `classes`. Construction builds a simple name → classes
-    index, in `classes` order, and the last resort of constant lookup uses
-    a constant name → classes index built on first use. Both are valid
+    Construction builds a simple name → classes index, in `classes` order,
+    so `by_simple_name` does not walk `classes`. The index is valid
     because `classes` is not changed after construction.
     """
     classes: dict[str, ClassDecl]
@@ -294,19 +293,6 @@ class SourceModel:
 
     def by_simple_name(self, simple: str) -> tuple[ClassDecl, ...]:
         return self._by_simple_name.get(simple, ())
-
-    @cached_property
-    def _by_constant_name(self) -> dict[str, list[ClassDecl]]:
-        """Constant name → the classes that declare a string constant of
-        that name. Built from the simple-name index, which holds every
-        class, so trees that never need it do not build every class's
-        `string_constants`."""
-        index: dict[str, list[ClassDecl]] = {}
-        for group in self._by_simple_name.values():
-            for cls in group:
-                for const in cls.string_constants:
-                    index.setdefault(const, []).append(cls)
-        return index
 
     def resolve_type_name(self, name: str, ctx: ClassDecl) -> Optional[str]:
         """Resolve a (possibly simple) type name to a model class FQN."""
@@ -1079,7 +1065,8 @@ def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
                   if const in cls.string_constants), None)
     if owner is None and len(ref.parts) == 1:
         # last resort: unique constant with this name anywhere in the model
-        hits = model._by_constant_name.get(const, ())
+        hits = [cls for cls in model.classes.values()
+                if const in cls.string_constants]
         owner = hits[0] if len(hits) == 1 else None
     if owner is None:
         return None

@@ -186,15 +186,24 @@ class _NoScan(Mapping):
 
 def test_name_lookups_do_not_scan_classes():
     model = model_from(
-        "package app.a;\nclass Item {}\nclass Dup {}\n"
-        "class Paths { static final String ROOT = \"/r\"; }\n",
+        "package app.a;\nclass Item {}\nclass Dup {}\n",
         "package app.b;\nclass Dup {}\n",
         "package app.web;\nclass User {}\n")
     model.classes = _NoScan(model.classes)
     ctx = model.classes["app.web.User"]
     assert model.resolve_type_name("Item", ctx) == "app.a.Item"
     assert model.resolve_type_name("Dup", ctx) is None
+
+
+def test_bare_constant_falls_back_to_the_one_class_declaring_it():
+    model = model_from(
+        "package app.a;\nclass Paths { static final String ROOT = \"/r\"; "
+        "static final String DUP = \"/a\"; }\n",
+        "package app.b;\nclass More { static final String DUP = \"/b\"; }\n",
+        "package app.web;\nclass User {}\n")
+    ctx = model.classes["app.web.User"]
     assert resolve_string_constant(NameRef(("ROOT",)), ctx, model) == "/r"
+    assert resolve_string_constant(NameRef(("DUP",)), ctx, model) is None
 
 
 def test_qualified_name_resolves_only_to_a_class_ending_with_it():
