@@ -103,9 +103,14 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
 def _load_description(path: Path) -> dict:
     text = path.read_text(encoding="utf-8")
     if path.suffix in (".yaml", ".yml") or path.name.endswith(".openapi.yaml"):
-        return yaml.load(text,
+        data = yaml.load(text,
                          Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    return json.loads(text)
+    else:
+        data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"top level is a {type(data).__name__}, not a "
+                         "mapping")
+    return data
 
 
 @main.command("evaluate")
@@ -139,7 +144,7 @@ def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
     for path in files:
         try:
             flat = flat.union(flatten_for_eval(_load_description(path)))
-        except (json.JSONDecodeError, yaml.YAMLError, KeyError) as exc:
+        except (ValueError, yaml.YAMLError, KeyError) as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             sys.exit(EXIT_FATAL)
 

@@ -33,3 +33,4 @@ DUPLICATE_METHOD = "DUPLICATE_METHOD"
 PROFILE_NEGATION = "PROFILE_NEGATION"
 UNRESOLVED_STATUS = "UNRESOLVED_STATUS"
 BAD_PATH_SEGMENT = "BAD_PATH_SEGMENT"
+UNBOUND_PATH_VARIABLE = "UNBOUND_PATH_VARIABLE"

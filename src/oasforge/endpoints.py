@@ -3,20 +3,21 @@ controller classes of one profile unit."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
                           SERVLET_PARAMETER, SKIPPED_PARAMETER,
-                          UNRESOLVED_CONSTANT, UNRESOLVED_STATUS,
-                          UNRESOLVED_TYPE)
+                          UNBOUND_PATH_VARIABLE, UNRESOLVED_CONSTANT,
+                          UNRESOLVED_STATUS, UNRESOLVED_TYPE)
 from .discovery import ProfileUnit
 from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
                       ClassRef, IntLit, MethodDecl, NameRef, SourceModel,
                       StrLit, TypeRef, resolve_string_constant,
                       supertype_chain)
-from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, schema_for_type,
-                      unwrap_response_wrapper)
+from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, primitive,
+                      schema_for_type, unwrap_response_wrapper)
 from .spring import (HTTP_VERBS, MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS,
                      REQUEST_MAPPING, SERVLET_TYPES, VERB_MAPPINGS,
                      find_annotation, status_code_for)
@@ -80,6 +81,20 @@ def split_path_pattern(segment: str, diagnostics: list[Diagnostic]
     inner = segment[1:-1]
     name, _, regex = inner.partition(":")
     return "{" + name + "}", (name, regex)
+
+
+def _split_template(joined: str, diagnostics: list[Diagnostic]
+                    ) -> tuple[str, dict[str, str]]:
+    """The path template without inline regexes, and each variable's
+    regex."""
+    constraints: dict[str, str] = {}
+    clean_segments = []
+    for segment in joined.split("/"):
+        clean, constraint = split_path_pattern(segment, diagnostics)
+        clean_segments.append(clean)
+        if constraint:
+            constraints[constraint[0]] = constraint[1]
+    return normalize_path("/".join(clean_segments)), constraints
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +263,57 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                 name=name, location="path", required=True,
                 schema=schema_for_type(p.type, model, reg, ctx),
                 pattern=constraints.get(name)))
-        elif kind == "RequestParam":
-            required = _attr_bool(anno, "required", True)
-            if "defaultValue" in anno.attributes:
-                required = False
+        else:  # RequestParam or RequestHeader
+            required = _attr_bool(anno, "required", True) \
+                and "defaultValue" not in anno.attributes
             params.append(ParameterDesc(
-                name=name, location="query", required=required,
-                schema=schema_for_type(p.type, model, reg, ctx)))
-        elif kind == "RequestHeader":
-            required = _attr_bool(anno, "required", True)
-            if "defaultValue" in anno.attributes:
-                required = False
-            params.append(ParameterDesc(
-                name=name, location="header", required=required,
+                name=name,
+                location="query" if kind == "RequestParam" else "header",
+                required=required,
                 schema=schema_for_type(p.type, model, reg, ctx)))
     return params, body
+
+
+_TEMPLATE_VARIABLE = re.compile(r"\{([^{}]+)\}")
+
+
+def _bind_to_template(params: list[ParameterDesc], path: str,
+                      constraints: dict[str, str], handler: MethodDecl,
+                      ctx: ClassDecl, diagnostics: list[Diagnostic]
+                      ) -> list[ParameterDesc]:
+    """Make the parameters fit the path template: drop a path parameter the
+    template does not name and each later parameter with an earlier one's
+    (name, location), then add a string path parameter for each template
+    variable that no parameter binds."""
+    template = _TEMPLATE_VARIABLE.findall(path)
+    kept: list[ParameterDesc] = []
+    seen: set[tuple[str, str]] = set()
+    for param in params:
+        key = (param.name, param.location)
+        if param.location == "path" and param.name not in template:
+            reason = f"is not a variable of path {path!r}"
+        elif key in seen:
+            reason = "repeats an earlier parameter"
+        else:
+            seen.add(key)
+            kept.append(param)
+            continue
+        diagnostics.append(Diagnostic(
+            SKIPPED_PARAMETER,
+            f"{param.location} parameter {param.name!r} of {handler.name} "
+            f"{reason}", ctx.source_file, handler.line))
+    for name in template:
+        if (name, "path") in seen:
+            continue
+        seen.add((name, "path"))
+        kept.append(ParameterDesc(name, "path", True, primitive("string"),
+                                  constraints.get(name)))
+        diagnostics.append(Diagnostic(
+            UNBOUND_PATH_VARIABLE,
+            f"variable {name!r} of path {path!r} is bound by no parameter "
+            f"of {handler.name}; typed as string",
+            ctx.source_file, handler.line))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +401,26 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
                       ) -> list[ResponseDesc]:
     facts = handler.body_facts
     explicit: set[str] = set()
-    for literal in facts.returned_status_literals:
+    for literal in sorted(facts.returned_status_literals):
         code = status_code_for(literal)
-        if code is not None:
+        if code is None:
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_STATUS,
+                f"status {literal!r} in {handler.name} maps to no HTTP "
+                "status code; ignored", ctx.source_file, handler.line))
+        else:
             explicit.add(code)
 
     anno = find_annotation(handler.annotations, "ResponseStatus", ctx)
     default_code = "200"
     if anno is not None:
-        default_code = _response_status_code(anno) or "200"
+        code = _response_status_code(anno)
+        if code is None and anno.attributes.keys() & {"value", "code"}:
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_STATUS,
+                f"@ResponseStatus of {handler.name} maps to no HTTP status "
+                "code; assuming 200", ctx.source_file, handler.line))
+        default_code = code or "200"
 
     success: set[str] = set(explicit)
     if not explicit or facts.has_plain_return or anno is not None:
@@ -419,38 +481,36 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
             assert anno is not None
             method_paths = _mapping_paths(anno, owner, model, diagnostics)
             verbs = _mapping_verbs(anno)
+            per_path = []
             for base in base_paths:
                 for raw_path in method_paths:
-                    joined = normalize_path(base, raw_path)
-                    constraints: dict[str, str] = {}
-                    clean_segments = []
-                    for segment in joined.split("/"):
-                        clean, constraint = split_path_pattern(segment,
-                                                               diagnostics)
-                        clean_segments.append(clean)
-                        if constraint:
-                            constraints[constraint[0]] = constraint[1]
-                    path = normalize_path("/".join(clean_segments))
+                    path, constraints = _split_template(
+                        normalize_path(base, raw_path), diagnostics)
                     params, body = extract_parameters(
                         handler, model, reg, controller, constraints,
                         diagnostics)
-                    responses = extract_responses(handler, unit, model, reg,
-                                                  controller, diagnostics)
-                    for verb in verbs:
-                        key = (path, verb)
-                        endpoint = EndpointMethod(
-                            path=path, verb=verb, handler=handler,
-                            controller=controller,
-                            parameters=list(params),
-                            request_body=body,
-                            responses=list(responses))
-                        if key in seen:
-                            diagnostics.append(Diagnostic(
-                                DUPLICATE_METHOD,
-                                f"duplicate operation {verb} {path} in "
-                                f"profile {unit.profile_name!r}",
-                                controller.source_file, handler.line))
-                            continue
-                        seen[key] = endpoint
-                        endpoints.append(endpoint)
+                    params = _bind_to_template(params, path, constraints,
+                                               handler, controller,
+                                               diagnostics)
+                    per_path.append((path, params, body))
+            # After the parameters, so schema names are allocated in the
+            # order the golden corpus fixes.
+            responses = extract_responses(handler, unit, model, reg,
+                                          controller, diagnostics)
+            for path, params, body in per_path:
+                for verb in verbs:
+                    key = (path, verb)
+                    if key in seen:
+                        diagnostics.append(Diagnostic(
+                            DUPLICATE_METHOD,
+                            f"duplicate operation {verb} {path} in "
+                            f"profile {unit.profile_name!r}",
+                            controller.source_file, handler.line))
+                        continue
+                    endpoint = EndpointMethod(
+                        path=path, verb=verb, handler=handler,
+                        controller=controller, parameters=list(params),
+                        request_body=body, responses=list(responses))
+                    seen[key] = endpoint
+                    endpoints.append(endpoint)
     return endpoints

@@ -67,11 +67,11 @@ _PHRASE_BY_CODE.setdefault(103, "Checkpoint")
 
 
 def status_code_for(identifier: str) -> Optional[str]:
-    """Map an HttpStatus constant name or numeric literal to a 3-digit code."""
-    if identifier.isdigit():
-        return identifier if len(identifier) == 3 else None
-    code = _STATUS_BY_NAME.get(identifier)
-    return str(code) if code is not None else None
+    """Map an HttpStatus constant name or numeric literal to a code in
+    100-599; None when it names no such code."""
+    code = int(identifier) if identifier.isdecimal() \
+        else _STATUS_BY_NAME.get(identifier)
+    return str(code) if code is not None and 100 <= code <= 599 else None
 
 
 def reason_phrase(code: str) -> str:

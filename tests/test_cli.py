@@ -267,3 +267,62 @@ def test_evaluate_malformed_yaml_is_fatal_without_traceback(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.stderr
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("content, suffix", [("hello\n", ".openapi.yaml"),
+                                             ("[1]\n", ".openapi.json")],
+                         ids=["yaml-scalar", "json-list"])
+def test_evaluate_description_that_is_not_a_mapping_is_fatal(
+        runner, tmp_path, content, suffix):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text(content)
+    result = run(runner, "evaluate", "--oas", str(bad),
+                 "--gt", str(GT_DIR / "request_body.json"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {bad}: top level is a" in result.stderr
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("handler, diagnostic, operation", [
+    ('@GetMapping("/orders/{id}")\n'
+     '    String get(@PathVariable("orderId") Long id) { return ""; }',
+     "SKIPPED_PARAMETER: path parameter 'orderId' of get is not a variable "
+     "of path '/orders/{id}'",
+     {"path": "/orders/{id}", "parameters": [
+         {"name": "id", "in": "path", "required": True,
+          "schema": {"type": "string"}}], "responses": ["200"]}),
+    ('@GetMapping("/orders")\n'
+     '    ResponseEntity<String> get() '
+     '{ return ResponseEntity.status(999).build(); }',
+     "UNRESOLVED_STATUS: status '999' in get maps to no HTTP status code",
+     {"path": "/orders", "parameters": [], "responses": ["200"]}),
+    ('@GetMapping("/orders")\n'
+     '    String get(@RequestParam String q, @RequestParam("q") String q2) '
+     '{ return ""; }',
+     "SKIPPED_PARAMETER: query parameter 'q' of get repeats an earlier "
+     "parameter",
+     {"path": "/orders", "parameters": [
+         {"name": "q", "in": "query", "required": True,
+          "schema": {"type": "string"}}], "responses": ["200"]}),
+], ids=["path-variable-not-in-template", "status-999", "repeated-query"])
+def test_invalid_binding_is_diagnosed_and_document_is_valid(
+        runner, tmp_path, handler, diagnostic, operation):
+    oracle = pytest.importorskip("openapi_spec_validator")
+    (tmp_path / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.http.ResponseEntity;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        f"@RestController\nclass Api {{\n    {handler}\n}}\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(out))
+    assert result.exit_code == 0, result.output
+    assert diagnostic in result.stderr
+    data = json.loads((out / f"{tmp_path.name}-default.openapi.json")
+                      .read_text())
+    op = data["paths"][operation["path"]]["get"]
+    assert op.get("parameters", []) == operation["parameters"]
+    assert list(op["responses"]) == operation["responses"]
+    assert [e.message for e in
+            oracle.OpenAPIV30SpecValidator(data).iter_errors()] == []

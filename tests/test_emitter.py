@@ -109,6 +109,31 @@ def test_validator_flags_missing_path_parameter():
     assert validate_document(doc) != []
 
 
+def _repeat_first_parameter(op):
+    op["parameters"].append(dict(op["parameters"][0]))
+
+
+def _add_stray_path_parameter(op):
+    op["parameters"].append({"name": "ghost", "in": "path", "required": True,
+                             "schema": {"type": "string"}})
+
+
+def _add_status_999(op):
+    op["responses"]["999"] = {"description": "Status 999"}
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_repeat_first_parameter, "duplicate path parameter 'year'"),
+    (_add_stray_path_parameter, "path parameter 'ghost' not in template"),
+    (_add_status_999, "responses.999: invalid status key"),
+], ids=["repeated-parameter", "stray-path-parameter", "status-999"])
+def test_validator_flags_what_extraction_must_prevent(edit, error):
+    doc = doc_to_dict(docs_for("path_regex")["default"])
+    path = next(iter(doc["paths"]))
+    edit(doc["paths"][path]["get"])
+    assert any(error in e for e in validate_document(doc))
+
+
 # -- merging ----------------------------------------------------------------
 
 def test_merge_is_idempotent():

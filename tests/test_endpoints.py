@@ -315,6 +315,47 @@ def test_model_attribute_unresolvable_type_is_diagnostic():
     assert diags and diags[0].code == "UNRESOLVED_TYPE"
 
 
+TEMPLATE = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping("/shops/{shop:[a-z]+}/items/{item}/{shop}")
+    void get(@RequestParam String q, @ModelAttribute Filter f,
+             @RequestParam("q") int again) {}
+}
+
+class Filter {
+    private String q;
+    private String owner;
+}
+"""
+
+
+def test_template_binding_fills_in_unbound_variables_and_drops_repeats():
+    _, _, _, eps, diags = analyze(TEMPLATE)
+    [ep] = eps
+    assert ep.path == "/shops/{shop}/items/{item}/{shop}"
+    assert [(p.name, p.location, p.required, p.schema.oas_type, p.pattern)
+            for p in ep.parameters] == [
+        ("q", "query", True, "string", None),
+        ("owner", "query", False, "string", None),
+        ("shop", "path", True, "string", "[a-z]+"),
+        ("item", "path", True, "string", None)]
+    assert [(d.code, d.message) for d in diags] == [
+        ("SKIPPED_PARAMETER",
+         "query parameter 'q' of get repeats an earlier parameter"),
+        ("SKIPPED_PARAMETER",
+         "query parameter 'q' of get repeats an earlier parameter"),
+        ("UNBOUND_PATH_VARIABLE",
+         "variable 'shop' of path '/shops/{shop}/items/{item}/{shop}' is "
+         "bound by no parameter of get; typed as string"),
+        ("UNBOUND_PATH_VARIABLE",
+         "variable 'item' of path '/shops/{shop}/items/{item}/{shop}' is "
+         "bound by no parameter of get; typed as string")]
+
+
 # -- responses --------------------------------------------------------------
 
 RESPONSES = """
@@ -495,3 +536,37 @@ def test_every_endpoint_has_a_response():
     _, _, _, eps, _ = analyze(RESPONSES)
     assert eps
     assert all(e.responses for e in eps)
+
+
+UNMAPPED_STATUS = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping({"/a", "/b"})
+    ResponseEntity<String> get() {
+        return ResponseEntity.status(600).body(HttpStatus.NO_SUCH.name());
+    }
+
+    @GetMapping("/c")
+    @ResponseStatus(HttpStatus.NO_SUCH)
+    void annotated() {}
+}
+"""
+
+
+def test_unmapped_status_is_diagnosed_once_and_200_applies():
+    _, _, _, eps, diags = analyze(UNMAPPED_STATUS)
+    assert [(e.path, [r.status for r in e.responses]) for e in eps] == [
+        ("/a", ["200"]), ("/b", ["200"]), ("/c", ["200"])]
+    assert [(d.code, d.message) for d in diags] == [
+        ("UNRESOLVED_STATUS",
+         "status '600' in get maps to no HTTP status code; ignored"),
+        ("UNRESOLVED_STATUS",
+         "status 'NO_SUCH' in get maps to no HTTP status code; ignored"),
+        ("UNRESOLVED_STATUS",
+         "@ResponseStatus of annotated maps to no HTTP status code; "
+         "assuming 200")]

@@ -1,0 +1,130 @@
+"""Property: any small Spring-like tree gives documents that both
+`validate_document` and openapi-spec-validator accept."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oasforge.emitter import doc_to_dict
+from oasforge.oasvalidate import validate_document
+from oasforge.pipeline import generate_project
+
+oracle = pytest.importorskip("openapi_spec_validator")
+
+SEGMENTS = ["orders", "items", "{id}", "{id:[0-9]+}", "{slug}"]
+
+# Distinct Java names, so any subset is a legal parameter list. Path
+# variables match some templates and not others; "q" and "page" repeat
+# across @RequestParam and the @ModelAttribute DTOs.
+PARAMETERS = [
+    "@PathVariable Long id",
+    '@PathVariable("id") String key',
+    '@PathVariable("orderId") Long order',
+    "@PathVariable String slug",
+    "@RequestParam String q",
+    '@RequestParam("q") String q2',
+    '@RequestParam(defaultValue = "1") int page',
+    '@RequestHeader("X-Org") String org',
+    "@ModelAttribute Filter filter",
+    "@ModelAttribute Paging paging",
+    "@RequestBody Filter body",
+    "HttpServletRequest request",
+    "String unannotated",
+]
+
+BODIES = (
+    [f"return ResponseEntity.status({n}).build();"
+     for n in (200, 201, 404, 600, 999)]
+    + ["return new ResponseEntity<>(HttpStatus.NO_SUCH_STATUS);",
+       "throw new MissingException();",
+       "return null;"])
+
+MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
+            '@RequestMapping(path = "{}", method = RequestMethod.PUT)']
+
+SHARED = """package app;
+
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+class Filter {
+    private String q;
+    private String owner;
+}
+
+class Paging {
+    private int page;
+    private String q;
+}
+
+class MissingException extends RuntimeException {}
+
+@RestControllerAdvice
+class Advice {
+    @ExceptionHandler(MissingException.class)
+    @ResponseStatus(HttpStatus.NOT_FOUND)
+    void missing() {}
+}
+"""
+
+paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
+    lambda segments: "/" + "/".join(segments))
+
+
+@st.composite
+def handlers(draw, index: int) -> str:
+    mapping = draw(st.sampled_from(MAPPINGS)).format(draw(paths))
+    status = draw(st.sampled_from(
+        ["", "@ResponseStatus(HttpStatus.CREATED)\n    ",
+         "@ResponseStatus(HttpStatus.NO_SUCH_STATUS)\n    "]))
+    params = draw(st.lists(st.sampled_from(PARAMETERS), unique=True,
+                           max_size=4))
+    return (f"    {status}{mapping}\n"
+            f"    ResponseEntity<Filter> h{index}({', '.join(params)}) {{\n"
+            f"        {draw(st.sampled_from(BODIES))}\n    }}\n")
+
+
+@st.composite
+def controllers(draw, index: int) -> str:
+    profile = draw(st.sampled_from([None, "dev", "prod"]))
+    base = draw(st.one_of(st.none(), paths))
+    annotations = "@RestController\n"
+    if profile:
+        annotations += f'@Profile("{profile}")\n'
+    if base is not None:
+        annotations += f'@RequestMapping("{base}")\n'
+    body = "\n".join(draw(handlers(i))
+                     for i in range(draw(st.integers(1, 3))))
+    return ("package app;\n\n"
+            "import javax.servlet.http.HttpServletRequest;\n"
+            "import org.springframework.context.annotation.Profile;\n"
+            "import org.springframework.http.*;\n"
+            "import org.springframework.web.bind.annotation.*;\n\n"
+            f"{annotations}class C{index} {{\n{body}}}\n")
+
+
+@st.composite
+def trees(draw) -> dict[str, str]:
+    count = draw(st.integers(1, 4))
+    files = {f"C{i}.java": draw(controllers(i)) for i in range(count)}
+    files["Shared.java"] = SHARED
+    return files
+
+
+@settings(max_examples=50, deadline=None)
+@given(trees())
+def test_generated_documents_pass_both_validators(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in files.items():
+            (root / name).write_text(text)
+        result = generate_project(root)
+    assert result.documents
+    for profile, doc in result.documents.items():
+        data = doc_to_dict(doc)
+        assert validate_document(data) == [], profile
+        errors = oracle.OpenAPIV30SpecValidator(data).iter_errors()
+        assert [e.message for e in errors] == [], profile
