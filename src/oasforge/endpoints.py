@@ -3,8 +3,7 @@ controller classes of one profile unit."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
@@ -14,8 +13,7 @@ from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
 from .discovery import ProfileUnit
 from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
                       ClassRef, IntLit, MethodDecl, NameRef, SourceModel,
-                      StrLit, TypeRef, resolve_string_constant,
-                      supertype_chain)
+                      TypeRef, resolve_string_constant, supertype_chain)
 from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, primitive,
                       schema_for_type, unwrap_response_wrapper)
 from .spring import (HTTP_VERBS, MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS,
@@ -64,103 +62,107 @@ def normalize_path(*parts: str) -> str:
     return "/" + "/".join(segments)
 
 
-def split_path_pattern(segment: str, diagnostics: list[Diagnostic]
-                       ) -> tuple[str, Optional[tuple[str, str]]]:
-    """Strip an inline regex constraint from one path segment.
+def split_template(path: str, file: str, line: int,
+                   diagnostics: list[Diagnostic]
+                   ) -> tuple[str, dict[str, Optional[str]]]:
+    """Read each `{name}` or `{name:regex}` group of a path template, by
+    brace depth so that a regex may hold braces: "/f/{n}.{ext:[a-z]+}"
+    gives ("/f/{n}.{ext}", {"n": None, "ext": "[a-z]+"}).
 
-    "{id:[0-9]+}" becomes ("{id}", ("id", "[0-9]+")); plain segments pass
-    through unchanged.
+    Variables are in order of first use, and a later regex for a name wins.
+    A `{` that is never closed stays as text, and a group with an empty
+    name or a brace in its name is dropped; both give BAD_PATH_SEGMENT.
     """
-    if not (segment.startswith("{") and ":" in segment):
-        return segment, None
-    if not segment.endswith("}") or segment.count("{") != segment.count("}"):
-        diagnostics.append(Diagnostic(
-            BAD_PATH_SEGMENT,
-            f"unbalanced braces in path segment {segment!r}"))
-        return segment, None
-    inner = segment[1:-1]
-    name, _, regex = inner.partition(":")
-    return "{" + name + "}", (name, regex)
+    out: list[str] = []
+    variables: dict[str, Optional[str]] = {}
+    pos = 0
+    while (start := path.find("{", pos)) >= 0:
+        out.append(path[pos:start])
+        depth = 0
+        for end in range(start, len(path)):
+            depth += (path[end] == "{") - (path[end] == "}")
+            if depth == 0:
+                break
+        if depth:
+            diagnostics.append(Diagnostic(
+                BAD_PATH_SEGMENT, f"unclosed '{{' in path {path!r}; kept as "
+                "text", file, line))
+            out.append("{")
+            pos = start + 1
+            continue
+        name, colon, regex = path[start + 1:end].partition(":")
+        pos = end + 1
+        if not name or "{" in name or "}" in name:
+            diagnostics.append(Diagnostic(
+                BAD_PATH_SEGMENT, f"variable {path[start:pos]!r} of path "
+                f"{path!r} has no usable name; dropped", file, line))
+            continue
+        out.append("{" + name + "}")
+        if colon or name not in variables:
+            variables[name] = regex if colon else None
+    out.append(path[pos:])
+    return normalize_path("".join(out)), variables
 
 
-def _split_template(joined: str, diagnostics: list[Diagnostic]
-                    ) -> tuple[str, dict[str, str]]:
-    """The path template without inline regexes, and each variable's
-    regex."""
-    constraints: dict[str, str] = {}
-    clean_segments = []
-    for segment in joined.split("/"):
-        clean, constraint = split_path_pattern(segment, diagnostics)
-        clean_segments.append(clean)
-        if constraint:
-            constraints[constraint[0]] = constraint[1]
-    return normalize_path("/".join(clean_segments)), constraints
+# ---------------------------------------------------------------------------
+# Annotation attributes
+# ---------------------------------------------------------------------------
+
+def _items(anno: AnnotationUse, attr: str) -> tuple[AttributeValue, ...]:
+    """An attribute's elements: an array's items, or its one value."""
+    value = anno.attributes.get(attr)
+    if value is None:
+        return ()
+    return value.items if isinstance(value, ArrayVal) else (value,)
+
+
+def _attr_strings(anno: AnnotationUse, names: tuple[str, ...], what: str,
+                  ctx: ClassDecl, model: SourceModel, line: int,
+                  diagnostics: list[Diagnostic],
+                  fallback: Optional[str] = None) -> list[str]:
+    """The strings of the first attribute in `names` that `anno` sets. An
+    element that does not resolve is reported as UNRESOLVED_CONSTANT and
+    read as `fallback`, or as its raw token without one."""
+    items = next(filter(None, (_items(anno, attr) for attr in names)), ())
+    out: list[str] = []
+    for item in items:
+        resolved = resolve_string_constant(item, ctx, model)
+        if resolved is None:
+            raw = ".".join(item.parts) if isinstance(item, NameRef) \
+                else str(item)
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_CONSTANT,
+                f"cannot resolve {what} {raw!r} in {ctx.qualified_name}",
+                ctx.source_file, line))
+            resolved = raw if fallback is None else fallback
+        out.append(resolved)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Mapping annotations
 # ---------------------------------------------------------------------------
 
-def _string_values(value: AttributeValue, ctx: ClassDecl, model: SourceModel,
-                   diagnostics: list[Diagnostic]) -> list[str]:
-    items = value.items if isinstance(value, ArrayVal) else (value,)
-    out: list[str] = []
-    for item in items:
-        resolved = resolve_string_constant(item, ctx, model)
-        if resolved is None:
-            raw = _raw_token(item)
-            diagnostics.append(Diagnostic(
-                UNRESOLVED_CONSTANT,
-                f"cannot resolve path constant {raw!r} in {ctx.qualified_name}",
-                ctx.source_file))
-            out.append(raw)
-        else:
-            out.append(resolved)
-    return out
-
-
-def _raw_token(value: AttributeValue) -> str:
-    if isinstance(value, StrLit):
-        return value.value
-    if isinstance(value, NameRef):
-        return ".".join(value.parts)
-    return str(value)
-
-
-def _mapping_paths(anno: AnnotationUse, ctx: ClassDecl, model: SourceModel,
-                   diagnostics: list[Diagnostic]) -> list[str]:
-    for attr in ("value", "path"):
-        if attr in anno.attributes:
-            paths = _string_values(anno.attributes[attr], ctx, model,
-                                   diagnostics)
-            if paths:
-                return paths
-    return [""]
+def _mapping_paths(anno: AnnotationUse, ctx: ClassDecl, line: int,
+                   model: SourceModel, diagnostics: list[Diagnostic]
+                   ) -> list[str]:
+    return _attr_strings(anno, ("value", "path"), "path constant", ctx,
+                         model, line, diagnostics) or [""]
 
 
 def _mapping_verbs(anno: AnnotationUse) -> list[str]:
     if anno.simple_name in VERB_MAPPINGS:
         return [VERB_MAPPINGS[anno.simple_name]]
-    value = anno.attributes.get("method")
-    if value is None:
-        return list(HTTP_VERBS)
-    items = value.items if isinstance(value, ArrayVal) else (value,)
-    verbs = []
-    for item in items:
-        if isinstance(item, NameRef):
-            candidate = item.parts[-1]
-            if candidate in HTTP_VERBS:
-                verbs.append(candidate)
-    return verbs or list(HTTP_VERBS)
+    return [item.parts[-1] for item in _items(anno, "method")
+            if isinstance(item, NameRef) and item.parts[-1] in HTTP_VERBS] \
+        or list(HTTP_VERBS)
 
 
-def _find_mapping(method: MethodDecl, cls: ClassDecl
-                  ) -> Optional[AnnotationUse]:
-    for name in MAPPING_ANNOTATIONS:
-        anno = find_annotation(method.annotations, name, cls)
-        if anno is not None:
-            return anno
-    return None
+def _first_annotation(annotations: tuple[AnnotationUse, ...],
+                      names: set[str], cls: ClassDecl
+                      ) -> Optional[AnnotationUse]:
+    return next(filter(None, (find_annotation(annotations, name, cls)
+                              for name in names)), None)
 
 
 def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
@@ -168,22 +170,13 @@ def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
     for cls in chain:  # nearest class in the hierarchy wins
         anno = find_annotation(cls.annotations, REQUEST_MAPPING, cls)
         if anno is not None:
-            return _mapping_paths(anno, cls, model, diagnostics)
+            return _mapping_paths(anno, cls, 0, model, diagnostics)
     return [""]
 
 
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
-
-def _attr_string(anno: AnnotationUse, names: tuple[str, ...],
-                 ctx: ClassDecl, model: SourceModel) -> Optional[str]:
-    for attr in names:
-        value = anno.attributes.get(attr)
-        if value is not None:
-            return resolve_string_constant(value, ctx, model)
-    return None
-
 
 def _attr_bool(anno: AnnotationUse, attr: str, default: bool) -> bool:
     value = anno.attributes.get(attr)
@@ -222,7 +215,6 @@ def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
 
 def extract_parameters(handler: MethodDecl, model: SourceModel,
                        reg: SchemaRegistry, ctx: ClassDecl,
-                       constraints: dict[str, str],
                        diagnostics: list[Diagnostic]
                        ) -> tuple[list[ParameterDesc], Optional[RequestBodyDesc]]:
     params: list[ParameterDesc] = []
@@ -235,11 +227,7 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                 "encapsulated parameters are not statically visible",
                 ctx.source_file, handler.line))
             continue
-        anno = None
-        for name in PARAM_ANNOTATIONS:
-            anno = find_annotation(p.annotations, name, ctx)
-            if anno is not None:
-                break
+        anno = _first_annotation(p.annotations, PARAM_ANNOTATIONS, ctx)
         if anno is None:
             diagnostics.append(Diagnostic(
                 SKIPPED_PARAMETER,
@@ -257,12 +245,13 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
             params.extend(expand_model_attribute(p.type, model, reg, ctx,
                                                  diagnostics))
             continue
-        name = _attr_string(anno, ("value", "name"), ctx, model) or p.name
+        name = next(iter(_attr_strings(
+            anno, ("value", "name"), "parameter name", ctx, model,
+            handler.line, diagnostics, fallback=p.name)), "") or p.name
         if kind == "PathVariable":
             params.append(ParameterDesc(
                 name=name, location="path", required=True,
-                schema=schema_for_type(p.type, model, reg, ctx),
-                pattern=constraints.get(name)))
+                schema=schema_for_type(p.type, model, reg, ctx)))
         else:  # RequestParam or RequestHeader
             required = _attr_bool(anno, "required", True) \
                 and "defaultValue" not in anno.attributes
@@ -274,40 +263,39 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
     return params, body
 
 
-_TEMPLATE_VARIABLE = re.compile(r"\{([^{}]+)\}")
-
-
 def _bind_to_template(params: list[ParameterDesc], path: str,
-                      constraints: dict[str, str], handler: MethodDecl,
-                      ctx: ClassDecl, diagnostics: list[Diagnostic]
-                      ) -> list[ParameterDesc]:
+                      variables: dict[str, Optional[str]],
+                      handler: MethodDecl, ctx: ClassDecl,
+                      diagnostics: list[Diagnostic]) -> list[ParameterDesc]:
     """Make the parameters fit the path template: drop a path parameter the
     template does not name and each later parameter with an earlier one's
-    (name, location), then add a string path parameter for each template
-    variable that no parameter binds."""
-    template = _TEMPLATE_VARIABLE.findall(path)
+    (name, location), give each path parameter its variable's regex, then
+    add a string path parameter for each variable that no parameter
+    binds."""
     kept: list[ParameterDesc] = []
     seen: set[tuple[str, str]] = set()
     for param in params:
         key = (param.name, param.location)
-        if param.location == "path" and param.name not in template:
+        if param.location == "path" and param.name not in variables:
             reason = f"is not a variable of path {path!r}"
         elif key in seen:
             reason = "repeats an earlier parameter"
         else:
             seen.add(key)
+            if param.location == "path":
+                # `params` is shared by every path of the handler
+                param = replace(param, pattern=variables[param.name])
             kept.append(param)
             continue
         diagnostics.append(Diagnostic(
             SKIPPED_PARAMETER,
             f"{param.location} parameter {param.name!r} of {handler.name} "
             f"{reason}", ctx.source_file, handler.line))
-    for name in template:
+    for name, regex in variables.items():
         if (name, "path") in seen:
             continue
-        seen.add((name, "path"))
         kept.append(ParameterDesc(name, "path", True, primitive("string"),
-                                  constraints.get(name)))
+                                  regex))
         diagnostics.append(Diagnostic(
             UNBOUND_PATH_VARIABLE,
             f"variable {name!r} of path {path!r} is bound by no parameter "
@@ -320,14 +308,40 @@ def _bind_to_template(params: list[ParameterDesc], path: str,
 # Responses
 # ---------------------------------------------------------------------------
 
-def _response_status_code(anno: AnnotationUse) -> Optional[str]:
+def _statuses(method: MethodDecl, ctx: ClassDecl,
+              diagnostics: list[Diagnostic]) -> tuple[set[str], Optional[str]]:
+    """The codes of the status literals in `method`'s body, and the code of
+    its @ResponseStatus: None without one, "" when it gives none. Each
+    literal or annotation value that maps to no code is reported and
+    ignored."""
+    codes: set[str] = set()
+    for literal in sorted(method.body_facts.returned_status_literals):
+        code = status_code_for(literal)
+        if code is None:
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_STATUS,
+                f"status {literal!r} in {method.name} maps to no HTTP "
+                "status code; ignored", ctx.source_file, method.line))
+        else:
+            codes.add(code)
+    anno = find_annotation(method.annotations, "ResponseStatus", ctx)
+    if anno is None:
+        return codes, None
+    annotated = None
     for attr in ("value", "code"):
         value = anno.attributes.get(attr)
         if isinstance(value, NameRef):
-            return status_code_for(value.parts[-1])
+            annotated = status_code_for(value.parts[-1])
+            break
         if isinstance(value, IntLit):
-            return status_code_for(str(value.value))
-    return None
+            annotated = status_code_for(str(value.value))
+            break
+    if annotated is None and anno.attributes.keys() & {"value", "code"}:
+        diagnostics.append(Diagnostic(
+            UNRESOLVED_STATUS,
+            f"@ResponseStatus of {method.name} maps to no HTTP status code; "
+            "ignored", ctx.source_file, method.line))
+    return codes, annotated or ""
 
 
 def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
@@ -335,17 +349,9 @@ def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
     anno = find_annotation(method.annotations, "ExceptionHandler", cls)
     if anno is None:
         return []
-    value = anno.attributes.get("value")
-    targets: list[str] = []
-    if value is not None:
-        items = value.items if isinstance(value, ArrayVal) else (value,)
-        for item in items:
-            if isinstance(item, ClassRef):
-                targets.append(item.name)
-    if not targets:
-        for p in method.parameters:
-            targets.append(p.type.raw_name)
-    return targets
+    return [item.name for item in _items(anno, "value")
+            if isinstance(item, ClassRef)] \
+        or [p.type.raw_name for p in method.parameters]
 
 
 def _exception_matches(declared: str, thrown: str, ctx: ClassDecl,
@@ -366,26 +372,19 @@ def resolve_exception_status(exc: str, local: ClassDecl,
                              advices: list[ClassDecl], model: SourceModel,
                              diagnostics: list[Diagnostic]) -> str:
     """Local @ExceptionHandler methods win over advice handlers; no match
-    means 500."""
-    scopes = [local] + list(advices)
-    for scope in scopes:
+    means 500. A handler's @ResponseStatus wins over its body's status,
+    which must be unique."""
+    for scope in [local, *advices]:
         for method in scope.methods:
             targets = _exception_handler_targets(method, scope)
-            if not targets:
-                continue
             if not any(_exception_matches(t, exc, scope, model)
                        for t in targets):
                 continue
-            anno = find_annotation(method.annotations, "ResponseStatus", scope)
-            if anno is not None:
-                code = _response_status_code(anno)
-                if code is not None:
-                    return code
-            body_codes = {status_code_for(s)
-                          for s in method.body_facts.returned_status_literals}
-            body_codes.discard(None)
-            if len(body_codes) == 1:
-                return body_codes.pop()  # type: ignore[return-value]
+            codes, annotated = _statuses(method, scope, diagnostics)
+            if annotated:
+                return annotated
+            if len(codes) == 1:
+                return codes.pop()
             diagnostics.append(Diagnostic(
                 UNRESOLVED_STATUS,
                 f"exception handler {method.name} for {exc} has no "
@@ -399,32 +398,11 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
                       model: SourceModel, reg: SchemaRegistry,
                       ctx: ClassDecl, diagnostics: list[Diagnostic]
                       ) -> list[ResponseDesc]:
-    facts = handler.body_facts
-    explicit: set[str] = set()
-    for literal in sorted(facts.returned_status_literals):
-        code = status_code_for(literal)
-        if code is None:
-            diagnostics.append(Diagnostic(
-                UNRESOLVED_STATUS,
-                f"status {literal!r} in {handler.name} maps to no HTTP "
-                "status code; ignored", ctx.source_file, handler.line))
-        else:
-            explicit.add(code)
-
-    anno = find_annotation(handler.annotations, "ResponseStatus", ctx)
-    default_code = "200"
-    if anno is not None:
-        code = _response_status_code(anno)
-        if code is None and anno.attributes.keys() & {"value", "code"}:
-            diagnostics.append(Diagnostic(
-                UNRESOLVED_STATUS,
-                f"@ResponseStatus of {handler.name} maps to no HTTP status "
-                "code; assuming 200", ctx.source_file, handler.line))
-        default_code = code or "200"
-
-    success: set[str] = set(explicit)
-    if not explicit or facts.has_plain_return or anno is not None:
-        success.add(default_code)
+    explicit, annotated = _statuses(handler, ctx, diagnostics)
+    success = set(explicit)
+    if not explicit or handler.body_facts.has_plain_return \
+            or annotated is not None:
+        success.add(annotated or "200")
 
     return_type = unwrap_response_wrapper(handler.return_type)
     schema: Optional[SchemaNode] = None
@@ -438,7 +416,8 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
         body_schema = schema if code.startswith(("1", "2", "3")) else None
         responses[code] = ResponseDesc(code, body_schema)
 
-    error_sources = set(handler.declared_throws) | facts.thrown_exception_types
+    error_sources = set(handler.declared_throws) \
+        | handler.body_facts.thrown_exception_types
     for exc in sorted(error_sources):
         code = resolve_exception_status(exc, ctx,
                                         unit.controller_set.advices, model,
@@ -452,9 +431,11 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
 # Endpoint extraction
 # ---------------------------------------------------------------------------
 
-def _handlers(chain: list[ClassDecl]) -> list[tuple[ClassDecl, MethodDecl]]:
-    """Mapped methods across the hierarchy; overriding subclass wins."""
-    out: list[tuple[ClassDecl, MethodDecl]] = []
+def _handlers(chain: list[ClassDecl]
+              ) -> list[tuple[ClassDecl, MethodDecl, AnnotationUse]]:
+    """Mapped methods across the hierarchy, with their mapping annotation;
+    overriding subclass wins."""
+    out: list[tuple[ClassDecl, MethodDecl, AnnotationUse]] = []
     seen: set[tuple] = set()
     for cls in chain:
         for method in cls.methods:
@@ -463,8 +444,10 @@ def _handlers(chain: list[ClassDecl]) -> list[tuple[ClassDecl, MethodDecl]]:
             if sig in seen:
                 continue
             seen.add(sig)
-            if _find_mapping(method, cls) is not None:
-                out.append((cls, method))
+            anno = _first_annotation(method.annotations, MAPPING_ANNOTATIONS,
+                                     cls)
+            if anno is not None:
+                out.append((cls, method, anno))
     return out
 
 
@@ -476,28 +459,26 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
     for controller in unit.controller_set.controllers:
         chain = supertype_chain(controller, model)
         base_paths = _class_base_paths(chain, model, diagnostics)
-        for owner, handler in _handlers(chain):
-            anno = _find_mapping(handler, owner)
-            assert anno is not None
-            method_paths = _mapping_paths(anno, owner, model, diagnostics)
+        for owner, handler, anno in _handlers(chain):
+            method_paths = _mapping_paths(anno, owner, handler.line, model,
+                                          diagnostics)
             verbs = _mapping_verbs(anno)
+            params, body = extract_parameters(handler, model, reg, controller,
+                                              diagnostics)
             per_path = []
             for base in base_paths:
                 for raw_path in method_paths:
-                    path, constraints = _split_template(
-                        normalize_path(base, raw_path), diagnostics)
-                    params, body = extract_parameters(
-                        handler, model, reg, controller, constraints,
-                        diagnostics)
-                    params = _bind_to_template(params, path, constraints,
-                                               handler, controller,
-                                               diagnostics)
-                    per_path.append((path, params, body))
+                    path, variables = split_template(
+                        normalize_path(base, raw_path), owner.source_file,
+                        handler.line, diagnostics)
+                    per_path.append((path, _bind_to_template(
+                        params, path, variables, handler, controller,
+                        diagnostics)))
             # After the parameters, so schema names are allocated in the
             # order the golden corpus fixes.
             responses = extract_responses(handler, unit, model, reg,
                                           controller, diagnostics)
-            for path, params, body in per_path:
+            for path, path_params in per_path:
                 for verb in verbs:
                     key = (path, verb)
                     if key in seen:
@@ -509,7 +490,7 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                         continue
                     endpoint = EndpointMethod(
                         path=path, verb=verb, handler=handler,
-                        controller=controller, parameters=list(params),
+                        controller=controller, parameters=list(path_params),
                         request_body=body, responses=list(responses))
                     seen[key] = endpoint
                     endpoints.append(endpoint)

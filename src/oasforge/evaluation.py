@@ -18,6 +18,10 @@ ResponseKey = tuple[str, str, str]
 
 CATEGORIES = ("methods", "parameters", "responses")
 
+# the keys of an OAS 3.0 path item that hold operations
+OPERATION_KEYS = ("get", "put", "post", "delete", "options", "head", "patch",
+                  "trace")
+
 
 class GroundTruthError(Exception):
     pass
@@ -159,17 +163,29 @@ def _schema_field_names(schema: dict, components: dict,
     return names
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} is a {type(value).__name__}, not a "
+                         "mapping")
+    return value
+
+
 def flatten_for_eval(doc: dict) -> FlatSets:
-    """Flat (path, verb[, name|status]) sets of a serialized description."""
-    components = doc.get("components", {}).get("schemas", {})
+    """Flat (path, verb[, name|status]) sets of a serialized description.
+
+    Raises ValueError when paths, a path item, an operation or the component
+    schemas are not mappings."""
+    components = _mapping(_mapping(doc.get("components", {}), "components")
+                          .get("schemas", {}), "components.schemas")
     methods: set[MethodKey] = set()
     parameters: set[ParameterKey] = set()
     responses: set[ResponseKey] = set()
-    for path, item in doc.get("paths", {}).items():
+    for path, item in _mapping(doc.get("paths", {}), "paths").items():
         norm = _normalize_path(path)
-        for verb, op in item.items():
-            if verb == "parameters" or not isinstance(op, dict):
+        for verb, op in _mapping(item, f"paths.{path}").items():
+            if verb not in OPERATION_KEYS:
                 continue
+            _mapping(op, f"paths.{path}.{verb}")
             verb_u = verb.upper()
             methods.add((norm, verb_u))
             for param in op.get("parameters", []):

@@ -191,7 +191,6 @@ UNSPECIFIED_TYPE = TypeRef("UNSPECIFIED_TYPE")
 class BodyFacts:
     thrown_exception_types: frozenset[str] = frozenset()
     returned_status_literals: frozenset[str] = frozenset()
-    returns_null_only: bool = False
     has_plain_return: bool = False
 
 
@@ -928,8 +927,6 @@ def _statement_statuses(stmt: list[Token]) -> set[str]:
 def extract_body_facts(body: list[Token]) -> BodyFacts:
     thrown: set[str] = set()
     statuses: set[str] = set()
-    returns = 0
-    null_returns = 0
     plain_return = False
     for stmt in _split_statements(body):
         stmt_statuses = _statement_statuses(stmt)
@@ -948,17 +945,12 @@ def extract_body_facts(body: list[Token]) -> BodyFacts:
                     thrown.add(".".join(name_parts))
             continue
         ret_idx = next((i for i, t in enumerate(stmt) if t.text == "return"), None)
-        if ret_idx is not None:
-            returns += 1
-            rest = stmt[ret_idx + 1:]
-            if len(rest) == 1 and rest[0].text == "null":
-                null_returns += 1
-            elif not stmt_statuses:
-                plain_return = True
+        if ret_idx is not None and not stmt_statuses \
+                and [t.text for t in stmt[ret_idx + 1:]] != ["null"]:
+            plain_return = True
     return BodyFacts(
         thrown_exception_types=frozenset(thrown),
         returned_status_literals=frozenset(statuses),
-        returns_null_only=returns > 0 and null_returns == returns,
         has_plain_return=plain_return,
     )
 

@@ -45,4 +45,6 @@ def generate_project(root: Path | str,
         meta = DocMeta(project=project, profile=unit.profile_name,
                        version=version)
         documents[unit.profile_name] = assemble_document(endpoints, reg, meta)
+    # A finding outside any profile repeats once for each profile's unit.
+    diagnostics = list(dict.fromkeys(diagnostics))
     return GenerationResult(project, model, documents, diagnostics)

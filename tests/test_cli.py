@@ -269,18 +269,26 @@ def test_evaluate_malformed_yaml_is_fatal_without_traceback(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("content, suffix", [("hello\n", ".openapi.yaml"),
-                                             ("[1]\n", ".openapi.json")],
-                         ids=["yaml-scalar", "json-list"])
+@pytest.mark.parametrize("content, suffix, message", [
+    ("hello\n", ".openapi.yaml", "top level is a str"),
+    ("[1]\n", ".openapi.json", "top level is a list"),
+    ("paths: [1]\n", ".openapi.yaml", "paths is a list"),
+    ("paths:\n  /a: 1\n", ".openapi.yaml", "paths./a is a int"),
+    ("paths:\n  /a:\n    get: x\n", ".openapi.yaml",
+     "paths./a.get is a str"),
+    ("components:\n  schemas: [1]\n", ".openapi.yaml",
+     "components.schemas is a list"),
+], ids=["yaml-scalar", "json-list", "paths-list", "path-item-int",
+        "operation-str", "schemas-list"])
 def test_evaluate_description_that_is_not_a_mapping_is_fatal(
-        runner, tmp_path, content, suffix):
+        runner, tmp_path, content, suffix, message):
     bad = tmp_path / f"bad{suffix}"
     bad.write_text(content)
     result = run(runner, "evaluate", "--oas", str(bad),
                  "--gt", str(GT_DIR / "request_body.json"))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert f"error: {bad}: top level is a" in result.stderr
+    assert f"error: {bad}: {message}, not a mapping" in result.stderr
     assert "Traceback" not in result.output
 
 
@@ -326,3 +334,29 @@ def test_invalid_binding_is_diagnosed_and_document_is_valid(
     assert list(op["responses"]) == operation["responses"]
     assert [e.message for e in
             oracle.OpenAPIV30SpecValidator(data).iter_errors()] == []
+
+
+def test_profile_independent_diagnostic_is_printed_once(runner, tmp_path):
+    head = ("package app;\n"
+            "import javax.servlet.http.HttpServletRequest;\n"
+            "import org.springframework.context.annotation.Profile;\n"
+            "import org.springframework.web.bind.annotation.*;\n")
+    (tmp_path / "Shared.java").write_text(
+        head + "@RestController\nclass Shared {\n"
+        '    @GetMapping({"/s", "/t"})\n'
+        '    String get(HttpServletRequest request) { return ""; }\n}\n')
+    for profile in ("dev", "prod"):
+        (tmp_path / f"{profile.title()}.java").write_text(
+            head + f'@RestController\n@Profile("{profile}")\n'
+            f"class {profile.title()} {{\n"
+            f'    @GetMapping("/{profile}")\n'
+            '    String get() { return ""; }\n}\n')
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    assert "profiles: default, dev, prod" in result.output
+    assert result.stderr.splitlines() == [
+        "SERVLET_PARAMETER: servlet parameter 'request' of get skipped; "
+        "encapsulated parameters are not statically visible "
+        "(Shared.java:8)"]
+    assert "diagnostics: 1" in result.output

@@ -1,5 +1,7 @@
 """Endpoint extraction: paths, verbs, parameters, responses."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from oasforge.discovery import discover_rest_classes, group_by_profile
 from oasforge.endpoints import (expand_model_attribute, extract_endpoints,
                                 extract_parameters, extract_responses,
                                 normalize_path, resolve_exception_status,
-                                split_path_pattern)
+                                split_template)
 from oasforge.schemas import SchemaRegistry
 from oasforge.spring import HTTP_VERBS
 
@@ -42,30 +44,47 @@ def test_normalize_is_idempotent_and_clean(parts):
 
 
 def test_split_pattern_strips_regex():
-    assert split_path_pattern("{year:\\d+}", []) == ("{year}", ("year", "\\d+"))
-    assert split_path_pattern("{id:[0-9]+}", []) == ("{id}", ("id", "[0-9]+"))
+    assert split_template("/{year:\\d+}", "", 0, []) == \
+        ("/{year}", {"year": "\\d+"})
+    assert split_template("/a/{id:[0-9]+}/b", "", 0, []) == \
+        ("/a/{id}/b", {"id": "[0-9]+"})
+    # braces inside the regex are read by depth
+    assert split_template("/{id:\\d{3}}", "", 0, []) == \
+        ("/{id}", {"id": "\\d{3}"})
+    # two variables in one segment each keep their own regex
+    assert split_template("/f/{name}.{ext:[a-z]+}", "", 0, []) == \
+        ("/f/{name}.{ext}", {"name": None, "ext": "[a-z]+"})
 
 
 def test_split_pattern_passthrough():
-    assert split_path_pattern("items", []) == ("items", None)
-    assert split_path_pattern("{id}", []) == ("{id}", None)
+    assert split_template("/items", "", 0, []) == ("/items", {})
+    assert split_template("/{id}/x/{id}", "", 0, []) == \
+        ("/{id}/x/{id}", {"id": None})
 
 
 def test_split_pattern_unbalanced_is_diagnostic():
     diags = []
-    seg, constraint = split_path_pattern("{id:[0-9]+", diags)
-    assert seg == "{id:[0-9]+" and constraint is None
-    assert len(diags) == 1
+    assert split_template("/{id:[0-9]+", "C.java", 7, diags) == \
+        ("/{id:[0-9]+", {})
+    assert [(d.code, d.file, d.line) for d in diags] == \
+        [("BAD_PATH_SEGMENT", "C.java", 7)]
 
 
 @given(st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True),
        st.from_regex(r"[\[\]0-9a-z+*?\\-]{1,10}", fullmatch=True))
 def test_split_pattern_round_trip(name, regex):
-    clean, constraint = split_path_pattern("{" + name + ":" + regex + "}", [])
-    assert constraint is not None
-    rebuilt = "{" + constraint[0] + ":" + constraint[1] + "}"
-    assert rebuilt == "{" + name + ":" + regex + "}"
-    assert clean == "{" + name + "}"
+    clean, variables = split_template("/{" + name + ":" + regex + "}",
+                                      "", 0, [])
+    assert variables == {name: regex}
+    assert clean == "/{" + name + "}"
+
+
+@given(st.text(alphabet="ab{}:/.", max_size=16))
+def test_split_template_names_what_the_validator_reads(text):
+    # generate's own check reads template variables with a flat regex; any
+    # template the scanner writes must show it exactly the scanner's names
+    clean, variables = split_template(normalize_path(text), "", 0, [])
+    assert set(re.findall(r"\{([^{}]+)\}", clean)) == set(variables)
 
 
 # -- verbs ------------------------------------------------------------------
@@ -569,4 +588,107 @@ def test_unmapped_status_is_diagnosed_once_and_200_applies():
          "status 'NO_SUCH' in get maps to no HTTP status code; ignored"),
         ("UNRESOLVED_STATUS",
          "@ResponseStatus of annotated maps to no HTTP status code; "
-         "assuming 200")]
+         "ignored")]
+
+
+# -- one reading per decision -----------------------------------------------
+
+TWO_VARIABLE_SEGMENT = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping("/f/{name}.{ext:[a-z]+}")
+    String get(@PathVariable String name, @PathVariable String ext) {
+        return name;
+    }
+
+    @GetMapping({"/p/{id:[0-9]+}", "/q/{id}"})
+    String two(@PathVariable String id) { return id; }
+}
+"""
+
+
+def test_each_variable_of_a_segment_keeps_its_pattern():
+    _, _, _, eps, diags = analyze(TWO_VARIABLE_SEGMENT)
+    assert [(e.path, [(p.name, p.pattern) for p in e.parameters])
+            for e in eps] == [
+        ("/f/{name}.{ext}", [("name", None), ("ext", "[a-z]+")]),
+        ("/p/{id}", [("id", "[0-9]+")]),
+        ("/q/{id}", [("id", None)])]
+    assert diags == []
+
+
+EXCEPTION_BODY_STATUS = """
+package app;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+class Missing extends RuntimeException {}
+
+@RestController
+class C {
+    @GetMapping("/x")
+    String get() { throw new Missing(); }
+
+    @ExceptionHandler(Missing.class)
+    ResponseEntity<String> missing(boolean teapot) {
+        if (teapot) {
+            return ResponseEntity.status(999).build();
+        }
+        return ResponseEntity.status(404).build();
+    }
+}
+"""
+
+
+def test_exception_handler_reports_an_unmapped_status():
+    model = model_from(EXCEPTION_BODY_STATUS)
+    local = model.classes["app.C"]
+    diags = []
+    assert resolve_exception_status("Missing", local, [], model, diags) \
+        == "404"
+    handler = next(m for m in local.methods if m.name == "missing")
+    assert [(d.code, d.message, d.file, d.line) for d in diags] == [
+        ("UNRESOLVED_STATUS",
+         "status '999' in missing maps to no HTTP status code; ignored",
+         "<test-0>", handler.line)]
+
+
+UNRESOLVED_NAMES = """
+package app;
+import javax.servlet.http.HttpServletRequest;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping(Missing.PATH)
+    String get(@RequestParam(Missing.NAME) String q) { return q; }
+
+    @GetMapping({"/a", "/b/{id:[0-9]+"})
+    String servlet(HttpServletRequest request) { return ""; }
+}
+"""
+
+
+def test_unresolved_names_and_bad_segments_carry_the_handler_line():
+    model, _, _, eps, diags = analyze(UNRESOLVED_NAMES)
+    lines = {m.name: m.line for m in model.classes["app.C"].methods}
+    assert [(e.path, [p.name for p in e.parameters]) for e in eps] == [
+        ("/Missing.PATH", ["q"]), ("/a", []), ("/b/{id:[0-9]+", [])]
+    assert [(d.code, d.message, d.file, d.line) for d in diags] == [
+        ("UNRESOLVED_CONSTANT",
+         "cannot resolve path constant 'Missing.PATH' in app.C",
+         "<test-0>", lines["get"]),
+        ("UNRESOLVED_CONSTANT",
+         "cannot resolve parameter name 'Missing.NAME' in app.C",
+         "<test-0>", lines["get"]),
+        # once for the handler, not once for each of its two paths
+        ("SERVLET_PARAMETER",
+         "servlet parameter 'request' of servlet skipped; encapsulated "
+         "parameters are not statically visible",
+         "<test-0>", lines["servlet"]),
+        ("BAD_PATH_SEGMENT",
+         "unclosed '{' in path '/b/{id:[0-9]+'; kept as text",
+         "<test-0>", lines["servlet"])]

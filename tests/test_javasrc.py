@@ -257,8 +257,7 @@ class H {
     facts = methods["h"].body_facts
     assert facts.thrown_exception_types == {"IllegalStateException"}
     assert facts.returned_status_literals == {"CREATED"}
-    assert not facts.returns_null_only
-    assert methods["nullOnly"].body_facts.returns_null_only
+    assert not methods["nullOnly"].body_facts.has_plain_return
 
 
 def test_enum_constants_in_declaration_order():

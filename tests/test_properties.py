@@ -14,7 +14,8 @@ from oasforge.pipeline import generate_project
 
 oracle = pytest.importorskip("openapi_spec_validator")
 
-SEGMENTS = ["orders", "items", "{id}", "{id:[0-9]+}", "{slug}"]
+SEGMENTS = ["orders", "items", "{id}", "{id:[0-9]+}", "{slug}",
+            "{name}.{ext:[a-z]+}"]
 
 # Distinct Java names, so any subset is a legal parameter list. Path
 # variables match some templates and not others; "q" and "page" repeat
@@ -24,6 +25,7 @@ PARAMETERS = [
     '@PathVariable("id") String key',
     '@PathVariable("orderId") Long order',
     "@PathVariable String slug",
+    "@PathVariable String ext",
     "@RequestParam String q",
     '@RequestParam("q") String q2',
     '@RequestParam(defaultValue = "1") int page',
