@@ -144,7 +144,8 @@ def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
     for path in files:
         try:
             flat = flat.union(flatten_for_eval(_load_description(path)))
-        except (ValueError, yaml.YAMLError, KeyError) as exc:
+        # The JSON and YAML parsers recurse once per nested value.
+        except (ValueError, yaml.YAMLError, KeyError, RecursionError) as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             sys.exit(EXIT_FATAL)
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, PROFILE_NEGATION
+from .diagnostics import Diagnostic, PROFILE_NEGATION, UNRESOLVED_CONSTANT
 from .javasrc import (ArrayVal, AttributeValue, ClassDecl, SourceModel,
-                      resolve_string_constant, supertype_chain)
+                      resolve_string_constant, spelling, supertype_chain)
 from .spring import (ADVICE_MARKERS, CONTROLLER_MARKERS, PROFILE_MARKER,
                      find_annotation)
 
@@ -60,7 +60,8 @@ def _profile_values(value: AttributeValue) -> list[AttributeValue]:
 
 def assign_profiles(cls: ClassDecl, model: SourceModel,
                     diagnostics: list[Diagnostic]) -> frozenset[str]:
-    """Profile names from @Profile; absent/empty annotation means ALL."""
+    """Profile names from @Profile; absent/empty annotation means ALL. A
+    name that does not resolve is reported and left out."""
     anno = find_annotation(cls.annotations, PROFILE_MARKER, cls)
     if anno is None or "value" not in anno.attributes:
         return ALL
@@ -68,6 +69,10 @@ def assign_profiles(cls: ClassDecl, model: SourceModel,
     for item in _profile_values(anno.attributes["value"]):
         text = resolve_string_constant(item, cls, model)
         if text is None:
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_CONSTANT,
+                f"cannot resolve profile name {spelling(item)!r} in "
+                f"{cls.qualified_name}", cls.source_file))
             continue
         if text.startswith("!"):
             diagnostics.append(Diagnostic(

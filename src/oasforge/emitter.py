@@ -117,7 +117,7 @@ def _operation_to_dict(endpoint: EndpointMethod) -> dict:
 
 def _components_to_dict(reg: SchemaRegistry) -> dict[str, dict]:
     out: dict[str, dict] = {}
-    for name, node in reg.sorted_items():
+    for name, node in sorted(reg.schemas.items()):
         rendered = schema_to_dict(node)
         package = reg.external_notes.get(name)
         if package:
@@ -133,18 +133,20 @@ def _components_to_dict(reg: SchemaRegistry) -> dict[str, dict]:
 # Assembly, merging, serialization
 # ---------------------------------------------------------------------------
 
+def _title_suffix(profile: str) -> str:
+    """What a profile's document title adds to the project name."""
+    return "" if profile == "default" else f" ({profile})"
+
+
 def assemble_document(endpoints: list[EndpointMethod], reg: SchemaRegistry,
                       meta: DocMeta) -> OpenApiDoc:
-    title = meta.project
-    if meta.profile != "default":
-        title = f"{meta.project} ({meta.profile})"
     paths: dict[str, dict[str, dict]] = {}
     for endpoint in endpoints:
         verbs = paths.setdefault(endpoint.path, {})
         verbs[endpoint.verb.lower()] = _operation_to_dict(endpoint)
     return OpenApiDoc(
         oas_version=OAS_VERSION,
-        title=title,
+        title=meta.project + _title_suffix(meta.profile),
         service_version=meta.version,
         profile=meta.profile,
         paths=paths,
@@ -204,11 +206,11 @@ def merge_documents(docs: list[OpenApiDoc]) -> OpenApiDoc:
             schema_owners[name] = doc.profile
     if conflicts:
         raise MergeConflictError(conflicts)
-    base_title = docs[0].title.split(" (")[0]
+    first = docs[0]
     return OpenApiDoc(
-        oas_version=docs[0].oas_version,
-        title=base_title,
-        service_version=docs[0].service_version,
+        oas_version=first.oas_version,
+        title=first.title.removesuffix(_title_suffix(first.profile)),
+        service_version=first.service_version,
         profile="merged",
         paths=paths,
         components_schemas=schemas,

@@ -12,8 +12,9 @@ from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
                           UNRESOLVED_STATUS, UNRESOLVED_TYPE)
 from .discovery import ProfileUnit
 from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
-                      ClassRef, IntLit, MethodDecl, NameRef, SourceModel,
-                      TypeRef, resolve_string_constant, supertype_chain)
+                      ClassRef, Concat, IntLit, MethodDecl, NameRef,
+                      SourceModel, TypeRef, resolve_string_constant, spelling,
+                      supertype_chain)
 from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, primitive,
                       schema_for_type, unwrap_response_wrapper)
 from .spring import (HTTP_VERBS, MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS,
@@ -116,25 +117,37 @@ def _items(anno: AnnotationUse, attr: str) -> tuple[AttributeValue, ...]:
     return value.items if isinstance(value, ArrayVal) else (value,)
 
 
+def _partial_string(value: AttributeValue, ctx: ClassDecl,
+                    model: SourceModel) -> str:
+    """`value` as a string, each part that does not resolve spelled as in
+    the source: `Missing.BASE + "/x"` gives "Missing.BASE/x"."""
+    resolved = resolve_string_constant(value, ctx, model)
+    if resolved is not None:
+        return resolved
+    if isinstance(value, Concat):
+        return "".join(_partial_string(p, ctx, model) for p in value.parts)
+    return spelling(value)
+
+
 def _attr_strings(anno: AnnotationUse, names: tuple[str, ...], what: str,
-                  ctx: ClassDecl, model: SourceModel, line: int,
+                  ctx: ClassDecl, model: SourceModel, file: str, line: int,
                   diagnostics: list[Diagnostic],
                   fallback: Optional[str] = None) -> list[str]:
-    """The strings of the first attribute in `names` that `anno` sets. An
-    element that does not resolve is reported as UNRESOLVED_CONSTANT and
-    read as `fallback`, or as its raw token without one."""
+    """The strings of the first attribute in `names` that `anno` sets, as
+    named in `ctx`. An element that does not resolve is reported as
+    UNRESOLVED_CONSTANT at `file`:`line` and read as `fallback`, or as its
+    partial string without one."""
     items = next(filter(None, (_items(anno, attr) for attr in names)), ())
     out: list[str] = []
     for item in items:
         resolved = resolve_string_constant(item, ctx, model)
         if resolved is None:
-            raw = ".".join(item.parts) if isinstance(item, NameRef) \
-                else str(item)
             diagnostics.append(Diagnostic(
                 UNRESOLVED_CONSTANT,
-                f"cannot resolve {what} {raw!r} in {ctx.qualified_name}",
-                ctx.source_file, line))
-            resolved = raw if fallback is None else fallback
+                f"cannot resolve {what} {spelling(item)!r} in "
+                f"{ctx.qualified_name}", file, line))
+            resolved = _partial_string(item, ctx, model) \
+                if fallback is None else fallback
         out.append(resolved)
     return out
 
@@ -147,7 +160,7 @@ def _mapping_paths(anno: AnnotationUse, ctx: ClassDecl, line: int,
                    model: SourceModel, diagnostics: list[Diagnostic]
                    ) -> list[str]:
     return _attr_strings(anno, ("value", "path"), "path constant", ctx,
-                         model, line, diagnostics) or [""]
+                         model, ctx.source_file, line, diagnostics) or [""]
 
 
 def _mapping_verbs(anno: AnnotationUse) -> list[str]:
@@ -214,9 +227,11 @@ def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
 
 
 def extract_parameters(handler: MethodDecl, model: SourceModel,
-                       reg: SchemaRegistry, ctx: ClassDecl,
+                       reg: SchemaRegistry, ctx: ClassDecl, file: str,
                        diagnostics: list[Diagnostic]
                        ) -> tuple[list[ParameterDesc], Optional[RequestBodyDesc]]:
+    """The parameters and request body of `handler`, its types named in
+    `ctx`; diagnostics point at the handler's line in `file`."""
     params: list[ParameterDesc] = []
     body: Optional[RequestBodyDesc] = None
     for p in handler.parameters:
@@ -225,15 +240,14 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                 SERVLET_PARAMETER,
                 f"servlet parameter {p.name!r} of {handler.name} skipped; "
                 "encapsulated parameters are not statically visible",
-                ctx.source_file, handler.line))
+                file, handler.line))
             continue
         anno = _first_annotation(p.annotations, PARAM_ANNOTATIONS, ctx)
         if anno is None:
             diagnostics.append(Diagnostic(
                 SKIPPED_PARAMETER,
                 f"parameter {p.name!r} of {handler.name} has no recognized "
-                "binding annotation",
-                ctx.source_file, handler.line))
+                "binding annotation", file, handler.line))
             continue
         kind = anno.simple_name
         if kind == "RequestBody":
@@ -246,7 +260,7 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                                                  diagnostics))
             continue
         name = next(iter(_attr_strings(
-            anno, ("value", "name"), "parameter name", ctx, model,
+            anno, ("value", "name"), "parameter name", ctx, model, file,
             handler.line, diagnostics, fallback=p.name)), "") or p.name
         if kind == "PathVariable":
             params.append(ParameterDesc(
@@ -265,7 +279,7 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
 
 def _bind_to_template(params: list[ParameterDesc], path: str,
                       variables: dict[str, Optional[str]],
-                      handler: MethodDecl, ctx: ClassDecl,
+                      handler: MethodDecl, file: str,
                       diagnostics: list[Diagnostic]) -> list[ParameterDesc]:
     """Make the parameters fit the path template: drop a path parameter the
     template does not name and each later parameter with an earlier one's
@@ -290,7 +304,7 @@ def _bind_to_template(params: list[ParameterDesc], path: str,
         diagnostics.append(Diagnostic(
             SKIPPED_PARAMETER,
             f"{param.location} parameter {param.name!r} of {handler.name} "
-            f"{reason}", ctx.source_file, handler.line))
+            f"{reason}", file, handler.line))
     for name, regex in variables.items():
         if (name, "path") in seen:
             continue
@@ -299,8 +313,7 @@ def _bind_to_template(params: list[ParameterDesc], path: str,
         diagnostics.append(Diagnostic(
             UNBOUND_PATH_VARIABLE,
             f"variable {name!r} of path {path!r} is bound by no parameter "
-            f"of {handler.name}; typed as string",
-            ctx.source_file, handler.line))
+            f"of {handler.name}; typed as string", file, handler.line))
     return kept
 
 
@@ -308,12 +321,12 @@ def _bind_to_template(params: list[ParameterDesc], path: str,
 # Responses
 # ---------------------------------------------------------------------------
 
-def _statuses(method: MethodDecl, ctx: ClassDecl,
+def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
               diagnostics: list[Diagnostic]) -> tuple[set[str], Optional[str]]:
     """The codes of the status literals in `method`'s body, and the code of
-    its @ResponseStatus: None without one, "" when it gives none. Each
-    literal or annotation value that maps to no code is reported and
-    ignored."""
+    its @ResponseStatus as named in `ctx`: None without one, "" when it
+    gives none. Each literal or annotation value that maps to no code is
+    reported at the method's line in `file` and ignored."""
     codes: set[str] = set()
     for literal in sorted(method.body_facts.returned_status_literals):
         code = status_code_for(literal)
@@ -321,7 +334,7 @@ def _statuses(method: MethodDecl, ctx: ClassDecl,
             diagnostics.append(Diagnostic(
                 UNRESOLVED_STATUS,
                 f"status {literal!r} in {method.name} maps to no HTTP "
-                "status code; ignored", ctx.source_file, method.line))
+                "status code; ignored", file, method.line))
         else:
             codes.add(code)
     anno = find_annotation(method.annotations, "ResponseStatus", ctx)
@@ -340,7 +353,7 @@ def _statuses(method: MethodDecl, ctx: ClassDecl,
         diagnostics.append(Diagnostic(
             UNRESOLVED_STATUS,
             f"@ResponseStatus of {method.name} maps to no HTTP status code; "
-            "ignored", ctx.source_file, method.line))
+            "ignored", file, method.line))
     return codes, annotated or ""
 
 
@@ -380,7 +393,8 @@ def resolve_exception_status(exc: str, local: ClassDecl,
             if not any(_exception_matches(t, exc, scope, model)
                        for t in targets):
                 continue
-            codes, annotated = _statuses(method, scope, diagnostics)
+            codes, annotated = _statuses(method, scope, scope.source_file,
+                                         diagnostics)
             if annotated:
                 return annotated
             if len(codes) == 1:
@@ -396,9 +410,9 @@ def resolve_exception_status(exc: str, local: ClassDecl,
 
 def extract_responses(handler: MethodDecl, unit: ProfileUnit,
                       model: SourceModel, reg: SchemaRegistry,
-                      ctx: ClassDecl, diagnostics: list[Diagnostic]
-                      ) -> list[ResponseDesc]:
-    explicit, annotated = _statuses(handler, ctx, diagnostics)
+                      ctx: ClassDecl, file: str,
+                      diagnostics: list[Diagnostic]) -> list[ResponseDesc]:
+    explicit, annotated = _statuses(handler, ctx, file, diagnostics)
     success = set(explicit)
     if not explicit or handler.body_facts.has_plain_return \
             or annotated is not None:
@@ -463,21 +477,23 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
             method_paths = _mapping_paths(anno, owner, handler.line, model,
                                           diagnostics)
             verbs = _mapping_verbs(anno)
+            # Types resolve in the controller; diagnostics point at the
+            # class that declares the handler.
+            file = owner.source_file
             params, body = extract_parameters(handler, model, reg, controller,
-                                              diagnostics)
+                                              file, diagnostics)
             per_path = []
             for base in base_paths:
                 for raw_path in method_paths:
                     path, variables = split_template(
-                        normalize_path(base, raw_path), owner.source_file,
-                        handler.line, diagnostics)
+                        normalize_path(base, raw_path), file, handler.line,
+                        diagnostics)
                     per_path.append((path, _bind_to_template(
-                        params, path, variables, handler, controller,
-                        diagnostics)))
+                        params, path, variables, handler, file, diagnostics)))
             # After the parameters, so schema names are allocated in the
             # order the golden corpus fixes.
             responses = extract_responses(handler, unit, model, reg,
-                                          controller, diagnostics)
+                                          controller, file, diagnostics)
             for path, path_params in per_path:
                 for verb in verbs:
                     key = (path, verb)
@@ -486,7 +502,7 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                             DUPLICATE_METHOD,
                             f"duplicate operation {verb} {path} in "
                             f"profile {unit.profile_name!r}",
-                            controller.source_file, handler.line))
+                            file, handler.line))
                         continue
                     endpoint = EndpointMethod(
                         path=path, verb=verb, handler=handler,

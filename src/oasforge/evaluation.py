@@ -117,6 +117,8 @@ def load_ground_truth(file: Path | str) -> GroundTruth:
     except json.JSONDecodeError as exc:
         raise GroundTruthError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise GroundTruthError(f"{path}: nested too deeply")
     if not isinstance(data, dict):
         raise GroundTruthError(f"{path}: top level must be an object")
 
@@ -143,62 +145,87 @@ def load_ground_truth(file: Path | str) -> GroundTruth:
 # Flattening
 # ---------------------------------------------------------------------------
 
-def _schema_field_names(schema: dict, components: dict,
-                        _seen: frozenset = frozenset()) -> list[str]:
+def _schema_field_names(schema, components: dict, where: str) -> list[str]:
     """Field names of an object schema, expanded through $ref and allOf
-    (the full inheritance chain); nested objects are not descended into."""
-    ref = schema.get("$ref")
-    if ref is not None:
-        name = ref.rsplit("/", 1)[-1]
-        if name in _seen:
-            return []
-        target = components.get(name)
-        if target is None:
-            raise KeyError(f"dangling $ref {ref!r} during flattening")
-        return _schema_field_names(target, components, _seen | {name})
+    (the full inheritance chain); nested objects are not descended into.
+    The walk keeps its own stack, so a chain of any length is read."""
     names: list[str] = []
-    for part in schema.get("allOf", []):
-        names.extend(_schema_field_names(part, components, _seen))
-    names.extend(schema.get("properties", {}).keys())
+    seen: set[str] = set()
+    stack = [(schema, where)]
+    while stack:
+        schema, where = stack.pop()
+        ref = _expect(schema, dict, where).get("$ref")
+        if ref is not None:
+            name = _expect(ref, str, where, ".$ref").rsplit("/", 1)[-1]
+            if name in seen:
+                continue
+            seen.add(name)
+            target = components.get(name)
+            if target is None:
+                raise KeyError(f"dangling $ref {ref!r} during flattening")
+            stack.append((target, "components.schemas." + name))
+            continue
+        names.extend(_expect(schema.get("properties", {}), dict, where,
+                             ".properties"))
+        parts = _expect(schema.get("allOf", []), list, where, ".allOf")
+        stack.extend((part, f"{where}.allOf[{i}]")
+                     for i, part in enumerate(parts))
     return names
 
 
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} is a {type(value).__name__}, not a "
-                         "mapping")
+_KIND_NAMES = {dict: "mapping", list: "list", str: "string"}
+
+
+def _expect(value, kind: type, where: str, key: str = ""):
+    """`value`, if it is a `kind`; the error names the entry `where` + `key`,
+    which are joined only then, because scoring reads many entries."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}{key} is a {type(value).__name__}, not a "
+                         f"{_KIND_NAMES[kind]}")
     return value
 
 
 def flatten_for_eval(doc: dict) -> FlatSets:
     """Flat (path, verb[, name|status]) sets of a serialized description.
 
-    Raises ValueError when paths, a path item, an operation or the component
-    schemas are not mappings."""
-    components = _mapping(_mapping(doc.get("components", {}), "components")
-                          .get("schemas", {}), "components.schemas")
+    Raises ValueError when an entry that scoring reads (paths, path items,
+    operations, their parameters, request bodies and responses, the body
+    schemas and the component schemas) has the wrong type."""
+    components = _expect(_expect(doc.get("components", {}), dict,
+                                 "components").get("schemas", {}),
+                         dict, "components.schemas")
     methods: set[MethodKey] = set()
     parameters: set[ParameterKey] = set()
     responses: set[ResponseKey] = set()
-    for path, item in _mapping(doc.get("paths", {}), "paths").items():
+    for path, item in _expect(doc.get("paths", {}), dict, "paths").items():
         norm = _normalize_path(path)
-        for verb, op in _mapping(item, f"paths.{path}").items():
+        for verb, op in _expect(item, dict, "paths.", path).items():
             if verb not in OPERATION_KEYS:
                 continue
-            _mapping(op, f"paths.{path}.{verb}")
+            where = f"paths.{path}.{verb}"
+            _expect(op, dict, where)
             verb_u = verb.upper()
             methods.add((norm, verb_u))
-            for param in op.get("parameters", []):
-                name = param.get("name")
+            params = _expect(op.get("parameters", []), list, where,
+                             ".parameters")
+            for i, param in enumerate(params):
+                name = _expect(param, dict,
+                               f"{where}.parameters[{i}]").get("name")
                 if name:
                     parameters.add((norm, verb_u, str(name)))
-            body = op.get("requestBody", {})
-            for media in body.get("content", {}).values():
-                schema = media.get("schema")
+            body = _expect(op.get("requestBody", {}), dict, where,
+                           ".requestBody")
+            content = _expect(body.get("content", {}), dict, where,
+                              ".requestBody.content")
+            for media_type, media in content.items():
+                at = f"{where}.requestBody.content.{media_type}"
+                schema = _expect(media, dict, at).get("schema")
                 if schema:
-                    for field in _schema_field_names(schema, components):
+                    for field in _schema_field_names(schema, components,
+                                                     at + ".schema"):
                         parameters.add((norm, verb_u, field))
-            for status in op.get("responses", {}):
+            for status in _expect(op.get("responses", {}), dict, where,
+                                  ".responses"):
                 responses.add((norm, verb_u, str(status)))
     return FlatSets(frozenset(methods), frozenset(parameters),
                     frozenset(responses))

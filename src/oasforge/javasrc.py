@@ -9,6 +9,7 @@ downstream Spring analysis needs without a full Java grammar.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -1043,6 +1044,18 @@ def resolve_string_constant(value: Optional[AttributeValue], ctx: ClassDecl,
     if isinstance(value, NameRef):
         return _resolve_name_ref(value, ctx, model, _active)
     return None
+
+
+def spelling(value: AttributeValue) -> str:
+    """How a string-valued attribute is written in the source, for
+    messages: `Missing.BASE + "/x"`."""
+    if isinstance(value, NameRef):
+        return ".".join(value.parts)
+    if isinstance(value, StrLit):
+        return json.dumps(value.value, ensure_ascii=False)
+    if isinstance(value, Concat):
+        return " + ".join(spelling(p) for p in value.parts)
+    return str(value)
 
 
 def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,

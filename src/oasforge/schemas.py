@@ -101,11 +101,16 @@ class SchemaRegistry:
         self.schemas: dict[str, SchemaNode] = {}
         self.external_notes: dict[str, str] = {}
         self._name_by_key: dict[str, str] = {}
+        # Named classes whose schemas are still being built, newest last:
+        # (name, class, type-parameter bindings, instance fields, properties
+        # mapped so far).
+        self.pending: list[tuple] = []
 
-    def allocate_name(self, key: str, preferred: str) -> str:
+    def allocate_name(self, key: str, preferred: str) -> tuple[str, bool]:
+        """The schema name of `key`, and whether this call allocated it."""
         existing = self._name_by_key.get(key)
         if existing is not None:
-            return existing
+            return existing, False
         name = preferred
         suffix = 2
         while name in self.schemas:
@@ -113,13 +118,7 @@ class SchemaRegistry:
             suffix += 1
         self._name_by_key[key] = name
         self.schemas[name] = UNSPECIFIED  # placeholder until built
-        return name
-
-    def known(self, key: str) -> Optional[str]:
-        return self._name_by_key.get(key)
-
-    def sorted_items(self):
-        return sorted(self.schemas.items())
+        return name, True
 
 
 def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
@@ -133,7 +132,8 @@ def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
 
     simple = t.simple_name
     if t.raw_name == UNSPECIFIED_TYPE.raw_name:
-        return ref_to(register_unspecified(reg))
+        name, _ = reg.allocate_name("<unspecified>", UNSPECIFIED_SCHEMA_NAME)
+        return ref_to(name)
     if simple in PRIMITIVE_MAP:
         oas_type, oas_format = PRIMITIVE_MAP[simple]
         return primitive(oas_type, oas_format)
@@ -153,13 +153,7 @@ def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
         return ref_to(_register_external(t, reg, ctx))
     if cls.kind == "enum":
         return enum_of(cls.enum_constants)
-    return ref_to(build_named_schema_for_type(t, cls, model, reg))
-
-
-def register_unspecified(reg: SchemaRegistry) -> str:
-    name = reg.allocate_name("<unspecified>", UNSPECIFIED_SCHEMA_NAME)
-    reg.schemas[name] = UNSPECIFIED
-    return name
+    return ref_to(build_named_schema(t, cls, model, reg))
 
 
 def required_fields(cls: ClassDecl) -> list[str]:
@@ -194,50 +188,50 @@ def _mangled_name(t: TypeRef) -> str:
     return base + "Of" + "Of".join(parts)
 
 
-def build_named_schema_for_type(t: TypeRef, cls: ClassDecl,
-                                model: SourceModel, reg: SchemaRegistry) -> str:
-    """Register the named schema for `t`, a (possibly generic) reference to
-    the model class `cls`."""
-    if not t.type_arguments or not cls.type_params:
-        return build_named_schema(cls, model, reg)
-    # generic instantiation: one schema per argument combination
-    bindings = dict(zip(cls.type_params, t.type_arguments))
-    key = cls.qualified_name + "<" + ",".join(
-        a.raw_name + "[]" * a.array_depth for a in t.type_arguments) + ">"
-    known = reg.known(key)
-    if known is not None:
-        return known
-    name = reg.allocate_name(key, _mangled_name(t))
-    reg.schemas[name] = _class_schema(cls, model, reg, bindings)
-    return name
-
-
-def build_named_schema(cls: ClassDecl, model: SourceModel,
+def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
                        reg: SchemaRegistry) -> str:
-    known = reg.known(cls.qualified_name)
-    if known is not None:
-        return known
-    name = reg.allocate_name(cls.qualified_name, cls.simple_name)
-    if cls.kind == "enum":
-        reg.schemas[name] = enum_of(cls.enum_constants)
+    """Name of the schema registered for `t`, a (possibly generic) reference
+    to the model class `cls`.
+
+    A newly named class is pushed on `reg.pending`, and the outermost call
+    builds the class on top one field at a time. So a class named while a
+    field is mapped is built next, names are allocated depth-first, and no
+    call recurses per class. A class names its superclass after its fields.
+    """
+    key = cls.qualified_name
+    preferred = cls.simple_name
+    bindings = {}
+    if t.type_arguments and cls.type_params:
+        # generic instantiation: one schema per argument combination
+        bindings = dict(zip(cls.type_params, t.type_arguments))
+        key += "<" + ",".join(
+            a.raw_name + "[]" * a.array_depth for a in t.type_arguments) + ">"
+        preferred = _mangled_name(t)
+    name, new = reg.allocate_name(key, preferred)
+    if not new:
         return name
-    reg.schemas[name] = _class_schema(cls, model, reg, bindings=None)
+    reg.pending.append((name, cls, bindings, _instance_fields(cls), []))
+    if len(reg.pending) > 1:
+        return name  # the outermost call's loop builds it
+    while reg.pending:
+        depth = len(reg.pending) - 1
+        top_name, top, top_bindings, fields, properties = reg.pending[depth]
+        if len(properties) < len(fields):
+            f = fields[len(properties)]
+            ftype = _substitute(f.type, top_bindings)
+            properties.append(
+                (f.name, schema_for_type(ftype, model, reg, top)))
+            continue
+        schema = object_of(properties, required_fields(top))
+        chain = supertype_chain(top, model)
+        if len(chain) > 1:
+            # named while `top` is still pending, so this loop builds it next
+            parent_name = build_named_schema(
+                TypeRef(chain[1].qualified_name), chain[1], model, reg)
+            schema = all_of([ref_to(parent_name), schema])
+        reg.schemas[top_name] = schema
+        del reg.pending[depth]
     return name
-
-
-def _class_schema(cls: ClassDecl, model: SourceModel, reg: SchemaRegistry,
-                  bindings: Optional[dict[str, TypeRef]]) -> SchemaNode:
-    properties = []
-    for f in _instance_fields(cls):
-        ftype = _substitute(f.type, bindings) if bindings else f.type
-        properties.append((f.name, schema_for_type(ftype, model, reg, cls)))
-    own = object_of(properties, required_fields(cls))
-
-    chain = supertype_chain(cls, model)
-    if len(chain) > 1:
-        parent_name = build_named_schema(chain[1], model, reg)
-        return all_of([ref_to(parent_name), own])
-    return own
 
 
 def _substitute(t: TypeRef, bindings: dict[str, TypeRef]) -> TypeRef:
@@ -261,13 +255,8 @@ def _register_external(t: TypeRef, reg: SchemaRegistry,
         imported = ctx.imports.get(simple)
         if imported:
             package = imported.rsplit(".", 1)[0]
-    key = f"<external>{package}.{simple}"
-    known = reg.known(key)
-    if known is not None:
-        return known
-    name = reg.allocate_name(key, simple)
-    reg.schemas[name] = UNSPECIFIED
-    if package:
+    name, new = reg.allocate_name(f"<external>{package}.{simple}", simple)
+    if new and package:
         reg.external_notes[name] = package
     return name
 

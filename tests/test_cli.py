@@ -269,17 +269,48 @@ def test_evaluate_malformed_yaml_is_fatal_without_traceback(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_evaluate_deeply_nested_json_is_fatal_without_traceback(runner,
+                                                                tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    description = tmp_path / "deep.openapi.json"
+    description.write_text('{"paths": ' + deep + "}")
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"methods": ' + deep + "}")
+    for gt in (GT_DIR / "request_body.json", truth):
+        result = run(runner, "evaluate", "--oas", str(description),
+                     "--gt", str(gt))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.output
+
+
+OPERATION = "paths:\n  /a:\n    get:\n"
+
+
 @pytest.mark.parametrize("content, suffix, message", [
-    ("hello\n", ".openapi.yaml", "top level is a str"),
-    ("[1]\n", ".openapi.json", "top level is a list"),
-    ("paths: [1]\n", ".openapi.yaml", "paths is a list"),
-    ("paths:\n  /a: 1\n", ".openapi.yaml", "paths./a is a int"),
+    ("hello\n", ".openapi.yaml", "top level is a str, not a mapping"),
+    ("[1]\n", ".openapi.json", "top level is a list, not a mapping"),
+    ("paths: [1]\n", ".openapi.yaml", "paths is a list, not a mapping"),
+    ("paths:\n  /a: 1\n", ".openapi.yaml",
+     "paths./a is a int, not a mapping"),
     ("paths:\n  /a:\n    get: x\n", ".openapi.yaml",
-     "paths./a.get is a str"),
+     "paths./a.get is a str, not a mapping"),
     ("components:\n  schemas: [1]\n", ".openapi.yaml",
-     "components.schemas is a list"),
+     "components.schemas is a list, not a mapping"),
+    (OPERATION + "      parameters: [1]\n", ".openapi.yaml",
+     "paths./a.get.parameters[0] is a int, not a mapping"),
+    (OPERATION + "      requestBody: [1]\n", ".openapi.yaml",
+     "paths./a.get.requestBody is a list, not a mapping"),
+    (OPERATION + "      requestBody:\n        content:\n"
+     "          application/json:\n            schema: {$ref: 1}\n",
+     ".openapi.yaml", "paths./a.get.requestBody.content.application/json"
+     ".schema.$ref is a int, not a string"),
+    (OPERATION + "      responses: [1]\n", ".openapi.yaml",
+     "paths./a.get.responses is a list, not a mapping"),
 ], ids=["yaml-scalar", "json-list", "paths-list", "path-item-int",
-        "operation-str", "schemas-list"])
+        "operation-str", "schemas-list", "parameter-int", "request-body-list",
+        "ref-int", "responses-list"])
 def test_evaluate_description_that_is_not_a_mapping_is_fatal(
         runner, tmp_path, content, suffix, message):
     bad = tmp_path / f"bad{suffix}"
@@ -288,8 +319,52 @@ def test_evaluate_description_that_is_not_a_mapping_is_fatal(
                  "--gt", str(GT_DIR / "request_body.json"))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert f"error: {bad}: {message}, not a mapping" in result.stderr
+    assert f"error: {bad}: {message}" in result.stderr
     assert "Traceback" not in result.output
+
+
+DEPTH = 1000
+
+
+@pytest.mark.parametrize("chain", ["field", "inheritance"])
+def test_thousand_class_chain_generates_and_evaluates(runner, tmp_path, chain):
+    """C0 -> C1 -> ... -> C999, linked by a field or by `extends`; each
+    class is one more level of schema references."""
+    classes = []
+    for i in range(DEPTH):
+        last = i == DEPTH - 1
+        if chain == "field":
+            link = "" if last else f" private C{i + 1} next;"
+            classes.append(f"class C{i} {{ private String f{i};{link} }}")
+        else:
+            link = "" if last else f" extends C{i + 1}"
+            classes.append(f"class C{i}{link} {{ private String f{i}; }}")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        '    @PostMapping("/c")\n'
+        "    C0 post(@RequestBody C0 body) { return body; }\n}\n"
+        + "\n".join(classes) + "\n")
+    fields = ["f0", "next"] if chain == "field" \
+        else [f"f{i}" for i in range(DEPTH)]
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({
+        "methods": [{"path": "/c", "verb": "POST"}],
+        "parameters": [{"path": "/c", "verb": "POST", "name": f}
+                       for f in fields],
+        "responses": [{"path": "/c", "verb": "POST", "status": "200"}]}))
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(src),
+                 "--output", str(out))
+    assert result.exit_code == 0, result.output
+    assert f"schemas: {DEPTH}" in result.output
+    result = run(runner, "evaluate", "--oas", str(out), "--gt", str(gt))
+    assert result.exit_code == 0, result.output
+    for line in result.output.splitlines()[1:4]:
+        assert line.split()[-2:] == ["1.00", "1.00"]
 
 
 @pytest.mark.parametrize("handler, diagnostic, operation", [

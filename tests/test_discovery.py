@@ -139,3 +139,21 @@ def test_union_over_units_covers_all_controllers():
     union = {c.qualified_name
              for u in units for c in u.controller_set.controllers}
     assert union == {c.qualified_name for c in cs.controllers}
+
+
+def test_unresolved_profile_name_is_diagnostic_and_all():
+    src = """
+package app;
+import org.springframework.context.annotation.Profile;
+import org.springframework.web.bind.annotation.RestController;
+
+@Profile(Missing.EU)
+@RestController
+class Api {}
+"""
+    model = model_from(src)
+    diags = []
+    assert assign_profiles(model.classes["app.Api"], model, diags) is ALL
+    assert [(d.code, d.message, d.file) for d in diags] == [
+        ("UNRESOLVED_CONSTANT",
+         "cannot resolve profile name 'Missing.EU' in app.Api", "<test-0>")]

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
-from oasforge.emitter import (MergeConflictError, doc_to_dict,
+from oasforge.emitter import (DocMeta, MergeConflictError,
+                              assemble_document, doc_to_dict,
                               merge_documents, read_project_version,
                               schema_to_dict, serialize)
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
-from oasforge.schemas import (all_of, array_of, enum_of, map_of, object_of,
-                              primitive, ref_to)
+from oasforge.schemas import (SchemaRegistry, all_of, array_of, enum_of,
+                              map_of, object_of, primitive, ref_to)
 
 
 def docs_for(name):
@@ -158,6 +159,15 @@ def test_merge_conflict_raises_with_location():
     with pytest.raises(MergeConflictError) as err:
         merge_documents(list(docs.values()))
     assert "GET /status" in str(err.value)
+
+
+@pytest.mark.parametrize("first_profile", ["default", "eu"])
+def test_merged_title_is_the_project_name(first_profile):
+    docs = [assemble_document([], SchemaRegistry(),
+                              DocMeta(project="shop (v2)", profile=profile))
+            for profile in (first_profile, "us")]
+    assert docs[1].title == "shop (v2) (us)"
+    assert merge_documents(docs).title == "shop (v2)"
 
 
 def test_merge_empty_list_rejected():

@@ -668,6 +668,11 @@ class C {
 
     @GetMapping({"/a", "/b/{id:[0-9]+"})
     String servlet(HttpServletRequest request) { return ""; }
+
+    static final String ROOT = "/r";
+
+    @GetMapping({Missing.BASE + "/x", ROOT + Missing.BASE + "/x"})
+    String concat() { return ""; }
 }
 """
 
@@ -676,7 +681,8 @@ def test_unresolved_names_and_bad_segments_carry_the_handler_line():
     model, _, _, eps, diags = analyze(UNRESOLVED_NAMES)
     lines = {m.name: m.line for m in model.classes["app.C"].methods}
     assert [(e.path, [p.name for p in e.parameters]) for e in eps] == [
-        ("/Missing.PATH", ["q"]), ("/a", []), ("/b/{id:[0-9]+", [])]
+        ("/Missing.PATH", ["q"]), ("/a", []), ("/b/{id:[0-9]+", []),
+        ("/Missing.BASE/x", []), ("/rMissing.BASE/x", [])]
     assert [(d.code, d.message, d.file, d.line) for d in diags] == [
         ("UNRESOLVED_CONSTANT",
          "cannot resolve path constant 'Missing.PATH' in app.C",
@@ -691,4 +697,57 @@ def test_unresolved_names_and_bad_segments_carry_the_handler_line():
          "<test-0>", lines["servlet"]),
         ("BAD_PATH_SEGMENT",
          "unclosed '{' in path '/b/{id:[0-9]+'; kept as text",
-         "<test-0>", lines["servlet"])]
+         "<test-0>", lines["servlet"]),
+        ("UNRESOLVED_CONSTANT",
+         "cannot resolve path constant 'Missing.BASE + \"/x\"' in app.C",
+         "<test-0>", lines["concat"]),
+        ("UNRESOLVED_CONSTANT",
+         "cannot resolve path constant 'ROOT + Missing.BASE + \"/x\"' in "
+         "app.C", "<test-0>", lines["concat"])]
+
+
+INHERITED_BASE = """
+package app;
+import javax.servlet.http.HttpServletRequest;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+class Base {
+    @GetMapping("/s/{id}")
+    ResponseEntity<String> servlet(HttpServletRequest request, String loose,
+                                   @RequestParam(Missing.NAME) String q) {
+        return ResponseEntity.status(999).build();
+    }
+
+    @GetMapping("/dup")
+    String dup(@RequestParam int x) { return ""; }
+}
+"""
+
+INHERITED_API = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class Api extends Base {
+    @GetMapping("/dup")
+    String dup() { return ""; }
+}
+"""
+
+
+def test_inherited_handler_diagnostics_name_the_declaring_file():
+    model, _, _, eps, diags = analyze(INHERITED_BASE, INHERITED_API)
+    base = model.classes["app.Base"]
+    lines = {m.name + str(len(m.parameters)): m.line for m in base.methods}
+    assert base.source_file == "<test-0>"
+    assert model.classes["app.Api"].source_file == "<test-1>"
+    assert [(d.code, d.file, d.line) for d in diags] == [
+        ("SERVLET_PARAMETER", "<test-0>", lines["servlet3"]),
+        ("SKIPPED_PARAMETER", "<test-0>", lines["servlet3"]),
+        ("UNRESOLVED_CONSTANT", "<test-0>", lines["servlet3"]),
+        ("UNBOUND_PATH_VARIABLE", "<test-0>", lines["servlet3"]),
+        ("UNRESOLVED_STATUS", "<test-0>", lines["servlet3"]),
+        ("DUPLICATE_METHOD", "<test-0>", lines["dup1"])]
+    assert [(e.path, e.handler.name) for e in eps] == [
+        ("/dup", "dup"), ("/s/{id}", "servlet")]

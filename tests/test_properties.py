@@ -44,11 +44,16 @@ BODIES = (
        "throw new MissingException();",
        "return null;"])
 
+# A plain DTO, a generic wrapper, a DTO that refers to itself and one that
+# extends a base class.
+RETURNS = ["Filter", "Page<Filter>", "TreeNode", "Order"]
+
 MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
             '@RequestMapping(path = "{}", method = RequestMethod.PUT)']
 
 SHARED = """package app;
 
+import java.util.List;
 import org.springframework.http.HttpStatus;
 import org.springframework.web.bind.annotation.*;
 
@@ -60,6 +65,24 @@ class Filter {
 class Paging {
     private int page;
     private String q;
+}
+
+class TreeNode {
+    private String label;
+    private List<TreeNode> children;
+}
+
+class Page<T> {
+    private long total;
+    private List<T> items;
+}
+
+class Entity {
+    private long id;
+}
+
+class Order extends Entity {
+    private String owner;
 }
 
 class MissingException extends RuntimeException {}
@@ -84,8 +107,10 @@ def handlers(draw, index: int) -> str:
          "@ResponseStatus(HttpStatus.NO_SUCH_STATUS)\n    "]))
     params = draw(st.lists(st.sampled_from(PARAMETERS), unique=True,
                            max_size=4))
+    returned = draw(st.sampled_from(RETURNS))
     return (f"    {status}{mapping}\n"
-            f"    ResponseEntity<Filter> h{index}({', '.join(params)}) {{\n"
+            f"    ResponseEntity<{returned}> h{index}({', '.join(params)}) "
+            "{\n"
             f"        {draw(st.sampled_from(BODIES))}\n    }}\n")
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import model_from
 from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
 from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, UNSPECIFIED,
-                              build_named_schema, build_named_schema_for_type,
                               required_fields, schema_for_type,
                               unwrap_response_wrapper)
 
@@ -107,6 +106,13 @@ def test_unwrap_passes_plain_types_through():
 
 # -- named schemas ----------------------------------------------------------
 
+def named(model, reg, qualified_name):
+    """Register the model class `qualified_name` by referring to it from
+    itself; return its schema name."""
+    cls = model.classes[qualified_name]
+    return schema_for_type(t(cls.simple_name), model, reg, cls).ref_name
+
+
 INHERIT = """
 package app;
 
@@ -125,7 +131,7 @@ class Base {
 def test_inheritance_becomes_all_of():
     model = model_from(INHERIT)
     reg = SchemaRegistry()
-    name = build_named_schema(model.classes["app.Derived"], model, reg)
+    name = named(model, reg, "app.Derived")
     node = reg.schemas[name]
     assert node.kind == "all_of"
     assert node.parts[0].ref_name == "Base"
@@ -162,7 +168,7 @@ class S {
 """
     model = model_from(src)
     reg = SchemaRegistry()
-    build_named_schema(model.classes["app.S"], model, reg)
+    named(model, reg, "app.S")
     assert [p[0] for p in reg.schemas["S"].properties] == ["name"]
 
 
@@ -171,17 +177,17 @@ def test_simple_name_collision_gets_suffix():
     b = "package b;\nclass Thing { private String y; }\n"
     model = model_from(a, b)
     reg = SchemaRegistry()
-    n1 = build_named_schema(model.classes["a.Thing"], model, reg)
-    n2 = build_named_schema(model.classes["b.Thing"], model, reg)
+    n1 = named(model, reg, "a.Thing")
+    n2 = named(model, reg, "b.Thing")
     assert {n1, n2} == {"Thing", "Thing_2"}
 
 
 def test_registration_is_idempotent():
     model = model_from(INHERIT)
     reg = SchemaRegistry()
-    first = build_named_schema(model.classes["app.Derived"], model, reg)
+    first = named(model, reg, "app.Derived")
     snapshot = dict(reg.schemas)
-    second = build_named_schema(model.classes["app.Derived"], model, reg)
+    second = named(model, reg, "app.Derived")
     assert first == second
     assert reg.schemas == snapshot
 
@@ -202,7 +208,7 @@ class Item {
     model = model_from(src)
     reg = SchemaRegistry()
     page = model.classes["app.Page"]
-    name = build_named_schema_for_type(t("Page", t("Item")), page, model, reg)
+    name = schema_for_type(t("Page", t("Item")), model, reg, page).ref_name
     assert name == "PageOfItem"
     node = reg.schemas[name]
     props = dict(node.properties)
@@ -221,7 +227,7 @@ class Holder {
 """
     model = model_from(src)
     reg = SchemaRegistry()
-    build_named_schema(model.classes["app.Holder"], model, reg)
+    named(model, reg, "app.Holder")
     assert reg.schemas["Widget"] == UNSPECIFIED
     assert reg.external_notes["Widget"] == "com.vendor.sdk"
 
@@ -244,7 +250,7 @@ class Leaf {
 """
     model = model_from(src)
     reg = SchemaRegistry()
-    build_named_schema(model.classes["app.Outer"], model, reg)
+    named(model, reg, "app.Outer")
     assert set(reg.schemas) == {"Outer", "Inner", "Leaf"}
 
 
@@ -259,7 +265,7 @@ class Node {
 """
     model = model_from(src)
     reg = SchemaRegistry()
-    build_named_schema(model.classes["app.Node"], model, reg)
+    named(model, reg, "app.Node")
     props = dict(reg.schemas["Node"].properties)
     assert props["children"].items.ref_name == "Node"
 
@@ -268,5 +274,7 @@ def test_enum_schema_preserves_declaration_order():
     src = "package app;\nenum Level { LOW, HIGH, MEDIUM }\n"
     model = model_from(src)
     reg = SchemaRegistry()
-    build_named_schema(model.classes["app.Level"], model, reg)
-    assert reg.schemas["Level"].enum_values == ("LOW", "HIGH", "MEDIUM")
+    node = schema_for_type(t("Level"), model, reg, model.classes["app.Level"])
+    assert node.kind == "enum"
+    assert node.enum_values == ("LOW", "HIGH", "MEDIUM")
+    assert reg.schemas == {}
