@@ -16,8 +16,7 @@ sys.path.insert(0, str(REPO / "tests"))
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES  # noqa: E402
 from oasforge.emitter import doc_to_dict  # noqa: E402
-from oasforge.evaluation import (evaluate, flat_as_ground_truth,  # noqa: E402
-                                 flatten_for_eval)
+from oasforge.evaluation import evaluate, flatten_for_eval  # noqa: E402
 from oasforge.pipeline import generate_project  # noqa: E402
 
 
@@ -38,7 +37,7 @@ def main() -> int:
         consistent = True
         for doc in result.documents.values():
             flat = flatten_for_eval(doc_to_dict(doc))
-            report = evaluate(flat, flat_as_ground_truth(flat))
+            report = evaluate(flat, flat)
             for cat in ("methods", "parameters", "responses"):
                 score = getattr(report, cat)
                 if score.fp or score.fn:

@@ -17,9 +17,9 @@ from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
                       supertype_chain)
 from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, primitive,
                       schema_for_type, unwrap_response_wrapper)
-from .spring import (HTTP_VERBS, MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS,
-                     REQUEST_MAPPING, SERVLET_TYPES, VERB_MAPPINGS,
-                     find_annotation, status_code_for)
+from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
+                     PARAM_ANNOTATIONS, REQUEST_MAPPING, SERVLET_TYPES,
+                     VERB_MAPPINGS, find_annotation, status_code_for)
 
 
 @dataclass
@@ -367,32 +367,47 @@ def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
         or [p.type.raw_name for p in method.parameters]
 
 
-def _exception_matches(declared: str, thrown: str, ctx: ClassDecl,
-                       model: SourceModel) -> bool:
-    """Whether a handler for `declared` catches `thrown`, both as named in
-    `ctx`. A name outside the model is compared by its simple name."""
+def _exception_distance(declared: str, thrown: str, ctx: ClassDecl,
+                        model: SourceModel) -> Optional[int]:
+    """How many superclass steps lead from `thrown` up to `declared`, both
+    as named in `ctx`; None when a handler for `declared` does not catch
+    `thrown`. Where the chain leaves the model it goes on through
+    EXCEPTION_SUPERCLASSES, and a name outside the model is compared by its
+    simple name."""
     d_simple = declared.rsplit(".", 1)[-1]
-    thrown_cls = model.find_class(thrown, ctx)
-    if thrown_cls is None:
-        return d_simple == thrown.rsplit(".", 1)[-1]
     declared_fq = model.resolve_type_name(declared, ctx)
-    return any(c.qualified_name == declared_fq if declared_fq
-               else c.simple_name == d_simple
-               for c in supertype_chain(thrown_cls, model))
+    thrown_cls = model.find_class(thrown, ctx)
+    chain = supertype_chain(thrown_cls, model) if thrown_cls else []
+    for distance, cls in enumerate(chain):
+        if (cls.qualified_name == declared_fq if declared_fq
+                else cls.simple_name == d_simple):
+            return distance
+    distance = len(chain)
+    outside = chain[-1].superclass if chain else thrown
+    while outside:
+        simple = outside.rsplit(".", 1)[-1]
+        if simple == d_simple:
+            return distance
+        outside = EXCEPTION_SUPERCLASSES.get(simple)
+        distance += 1
+    return None
 
 
 def resolve_exception_status(exc: str, local: ClassDecl,
                              advices: list[ClassDecl], model: SourceModel,
                              diagnostics: list[Diagnostic]) -> str:
     """Local @ExceptionHandler methods win over advice handlers; no match
-    means 500. A handler's @ResponseStatus wins over its body's status,
-    which must be unique."""
+    means 500. Within a class, as in Spring, the handler whose target is
+    nearest `exc` in its superclass chain wins, and of equally near ones
+    the first declared. A handler's @ResponseStatus wins over its body's
+    status, which must be unique."""
     for scope in [local, *advices]:
-        for method in scope.methods:
-            targets = _exception_handler_targets(method, scope)
-            if not any(_exception_matches(t, exc, scope, model)
-                       for t in targets):
-                continue
+        hits = [(distance, i) for i, method in enumerate(scope.methods)
+                for t in _exception_handler_targets(method, scope)
+                if (distance := _exception_distance(t, exc, scope, model))
+                is not None]
+        if hits:
+            method = scope.methods[min(hits)[1]]
             codes, annotated = _statuses(method, scope, scope.source_file,
                                          diagnostics)
             if annotated:

@@ -28,14 +28,10 @@ class GroundTruthError(Exception):
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    methods: frozenset[MethodKey]
-    parameters: frozenset[ParameterKey]
-    responses: frozenset[ResponseKey]
-
-
-@dataclass(frozen=True)
 class FlatSets:
+    """The (path, verb[, name|status]) keys of a description, from
+    `flatten_for_eval`, or of a ground-truth file, from
+    `load_ground_truth`."""
     methods: frozenset[MethodKey]
     parameters: frozenset[ParameterKey]
     responses: frozenset[ResponseKey]
@@ -108,7 +104,7 @@ def _entry(row: dict, keys: tuple[str, ...], index: int, category: str
     return tuple(values)
 
 
-def load_ground_truth(file: Path | str) -> GroundTruth:
+def load_ground_truth(file: Path | str) -> FlatSets:
     path = Path(file)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -138,7 +134,7 @@ def load_ground_truth(file: Path | str) -> GroundTruth:
                     f"{path}: duplicate {category} entry at index {i}: {entry}")
             entries.add(entry)
         sets[category] = frozenset(entries)
-    return GroundTruth(sets["methods"], sets["parameters"], sets["responses"])
+    return FlatSets(sets["methods"], sets["parameters"], sets["responses"])
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +237,12 @@ def _score(predicted: frozenset, truth: frozenset) -> CategoryScore:
                          fn=len(truth - predicted))
 
 
-def evaluate(flat: FlatSets, gt: GroundTruth) -> EvalReport:
+def evaluate(flat: FlatSets, gt: FlatSets) -> EvalReport:
     return EvalReport(
         methods=_score(flat.methods, gt.methods),
         parameters=_score(flat.parameters, gt.parameters),
         responses=_score(flat.responses, gt.responses),
     )
-
-
-def flat_as_ground_truth(flat: FlatSets) -> GroundTruth:
-    return GroundTruth(flat.methods, flat.parameters, flat.responses)
 
 
 def format_report(report: EvalReport) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -24,6 +24,9 @@ from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Every `>` is a token of its own, so nested type arguments close one
+# level per token; a shift operator, which only bodies hold, is read as
+# several tokens.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -34,7 +37,7 @@ _TOKEN_RE = re.compile(
         |\d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
         |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?)
     | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<op>\.\.\.|->|::|>>>=|<<=|>>=|>>>|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@])
+    | (?P<op>\.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@])
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -171,7 +174,7 @@ PRIMITIVES = {"int", "long", "short", "byte", "float", "double", "boolean",
 
 MODIFIERS = {"public", "protected", "private", "static", "final", "abstract",
              "synchronized", "native", "transient", "volatile", "strictfp",
-             "default", "sealed", "non-sealed"}
+             "default", "sealed"}
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,7 @@ class TypeRef:
 
 
 UNSPECIFIED_TYPE = TypeRef("UNSPECIFIED_TYPE")
+OBJECT_TYPE = TypeRef("java.lang.Object")
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,6 @@ class ClassDecl:
     kind: str  # class | interface | enum | record
     annotations: tuple[AnnotationUse, ...] = ()
     superclass: Optional[str] = None
-    interfaces: tuple[str, ...] = ()
     fields: tuple[FieldDecl, ...] = ()
     methods: tuple[MethodDecl, ...] = ()
     enum_constants: tuple[str, ...] = ()
@@ -375,21 +378,6 @@ class _Parser:
             elif t.text == close:
                 depth -= 1
         return out
-
-    def skip_generics(self):
-        """Consume a balanced <...> section, counting > >> >>> closers."""
-        self.expect("<")
-        depth = 1
-        while depth > 0:
-            t = self.next()
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-            elif t.text == ">>":
-                depth -= 2
-            elif t.text == ">>>":
-                depth -= 3
 
     # -- compilation unit ---------------------------------------------------
 
@@ -536,15 +524,12 @@ class _Parser:
 
     def parse_type_decl(self, package: str,
                         outer: Optional[str] = None) -> list[ClassDecl]:
-        annos, mods = self.parse_annotations_and_modifiers()
+        annos, _ = self.parse_annotations_and_modifiers()
         t = self.peek()
         if t is None:
             return []
         if t.text == "@" and self.at("interface", 1):
             # annotation type declaration: skip entirely
-            self.next()
-            self.next()
-            name = self.expect_ident()
             while not self.at("{"):
                 self.next()
             self.skip_balanced("{", "}")
@@ -560,49 +545,23 @@ class _Parser:
         type_params: tuple[str, ...] = ()
         if self.at("<"):
             type_params = self.parse_type_param_names()
-
+        fields: list[FieldDecl] = []
+        if kind == "record":
+            fields = [FieldDecl(p.name, p.type, p.annotations)
+                      for p in self.parse_formal_params()]
         superclass: Optional[str] = None
-        interfaces: list[str] = []
         if self.accept("extends"):
-            first = self.parse_type_ref()
-            if kind == "interface":
-                interfaces.append(first.raw_name)
-                while self.accept(","):
-                    interfaces.append(self.parse_type_ref().raw_name)
-            else:
-                superclass = first.raw_name
+            extended = self.parse_type_list(",")
+            if kind != "interface":
+                superclass = extended[0].raw_name
         if self.accept("implements"):
-            interfaces.append(self.parse_type_ref().raw_name)
-            while self.accept(","):
-                interfaces.append(self.parse_type_ref().raw_name)
+            self.parse_type_list(",")
         if self.accept("permits"):
-            self.parse_type_ref()
-            while self.accept(","):
-                self.parse_type_ref()
+            self.parse_type_list(",")
 
-        record_fields: list[FieldDecl] = []
-        if kind == "record" and self.at("("):
-            self.expect("(")
-            while not self.at(")"):
-                f_annos, _ = self.parse_annotations_and_modifiers()
-                f_type = self.parse_type_ref()
-                f_name = self.expect_ident()
-                record_fields.append(FieldDecl(f_name, f_type, tuple(f_annos)))
-                if not self.accept(","):
-                    break
-            self.expect(")")
-            if self.accept("implements"):
-                self.parse_type_ref()
-                while self.accept(","):
-                    self.parse_type_ref()
-
-        cls = ClassDecl(qualified, kind, tuple(annos), superclass,
-                        tuple(interfaces), type_params=type_params)
         nested: list[ClassDecl] = []
-        fields: list[FieldDecl] = list(record_fields)
         methods: list[MethodDecl] = []
         enum_constants: list[str] = []
-
         self.expect("{")
         if kind == "enum":
             enum_constants = self.parse_enum_constants()
@@ -615,10 +574,9 @@ class _Parser:
                 else:
                     fields.append(member)
         self.expect("}")
-
-        cls.fields = tuple(fields)
-        cls.methods = tuple(methods)
-        cls.enum_constants = tuple(enum_constants)
+        cls = ClassDecl(qualified, kind, tuple(annos), superclass,
+                        tuple(fields), tuple(methods), tuple(enum_constants),
+                        type_params)
         return [cls] + nested
 
     def parse_type_param_names(self) -> tuple[str, ...]:
@@ -627,18 +585,10 @@ class _Parser:
         while True:
             names.append(self.expect_ident())
             if self.accept("extends"):
-                self.parse_type_ref()
-                while self.accept("&"):
-                    self.parse_type_ref()
-            if self.accept(","):
-                continue
-            t = self.next()
-            if t.text == ">":
+                self.parse_type_list("&")
+            if not self.accept(","):
                 break
-            if t.text in (">>", ">>>"):
-                self.toks.insert(self.pos, Token("op", t.text[1:], t.line))
-                break
-            raise JavaSyntaxError(f"expected '>', found {t.text!r}", t.line)
+        self.expect(">")
         return tuple(names)
 
     def parse_enum_constants(self) -> list[str]:
@@ -649,7 +599,7 @@ class _Parser:
                 break
             if self.at("}"):
                 break
-            annos, _ = self.parse_annotations_and_modifiers()
+            self.parse_annotations_and_modifiers()
             constants.append(self.expect_ident())
             if self.at("("):
                 self.skip_balanced("(", ")")
@@ -663,11 +613,9 @@ class _Parser:
     def parse_member(self, simple_class_name: str, package: str, outer: str
                      ) -> list[Union[ClassDecl, MethodDecl, FieldDecl]]:
         """The declarations of one class member: nested classes, one method
-        or the fields of one declaration; none for an initializer."""
+        or the fields of one declaration; none for an initializer or a
+        constructor."""
         if self.accept(";"):
-            return []
-        if self.at("{"):  # instance initializer
-            self.skip_balanced("{", "}")
             return []
         save = self.pos
         annos, mods = self.parse_annotations_and_modifiers()
@@ -682,21 +630,10 @@ class _Parser:
             self.pos = save
             return self.parse_type_decl(package, outer=outer)
 
-        if self.at("<"):  # method type parameters
-            self.skip_generics()
-
-        # constructor: Name (
-        if t.kind == "ident" and t.text == simple_class_name and self.at("(", 1):
-            self.next()
-            self.skip_balanced("(", ")")
-            if self.accept("throws"):
-                self.parse_type_ref()
-                while self.accept(","):
-                    self.parse_type_ref()
-            if self.at("{"):
-                self.skip_balanced("{", "}")
-            else:
-                self.expect(";")
+        if self.at("<"):  # method or constructor type parameters
+            self.skip_balanced("<", ">")
+        if self.at(simple_class_name) and self.at("(", 1):  # constructor
+            self.parse_method_rest(self.next(), annos, UNSPECIFIED_TYPE)
             return []
 
         decl_type = self.parse_type_ref()
@@ -711,35 +648,10 @@ class _Parser:
 
     def parse_method_rest(self, name_tok: Token, annos, return_type: TypeRef
                           ) -> MethodDecl:
-        self.expect("(")
-        params: list[ParamDecl] = []
-        while not self.at(")"):
-            p_annos, _ = self.parse_annotations_and_modifiers()
-            p_type = self.parse_type_ref()
-            if self.accept("..."):
-                p_type = TypeRef(p_type.raw_name, p_type.type_arguments,
-                                 p_type.array_depth + 1)
-            if self.at("this"):  # receiver parameter
-                self.next()
-            else:
-                p_name = self.expect_ident()
-                extra = 0
-                while self.at("[") :
-                    self.next()
-                    self.expect("]")
-                    extra += 1
-                if extra:
-                    p_type = TypeRef(p_type.raw_name, p_type.type_arguments,
-                                     p_type.array_depth + extra)
-                params.append(ParamDecl(p_name, p_type, tuple(p_annos)))
-            if not self.accept(","):
-                break
-        self.expect(")")
+        params = self.parse_formal_params()
         throws: list[str] = []
         if self.accept("throws"):
-            throws.append(self.parse_type_ref().raw_name)
-            while self.accept(","):
-                throws.append(self.parse_type_ref().raw_name)
+            throws = [t.raw_name for t in self.parse_type_list(",")]
         facts = EMPTY_BODY
         if self.at("{"):
             body = self.skip_balanced("{", "}")
@@ -751,20 +663,31 @@ class _Parser:
         return MethodDecl(name_tok.text, tuple(annos), tuple(params),
                           return_type, tuple(throws), facts, name_tok.line)
 
+    def parse_formal_params(self) -> list[ParamDecl]:
+        """A parenthesized parameter list: of a method, a constructor or a
+        record header. A receiver parameter (`Api this`) is not listed."""
+        self.expect("(")
+        params: list[ParamDecl] = []
+        while not self.at(")"):
+            annos, _ = self.parse_annotations_and_modifiers()
+            ptype = self.parse_type_ref()
+            if self.accept("..."):
+                ptype = replace(ptype, array_depth=ptype.array_depth + 1)
+            if not self.accept("this"):
+                name = self.expect_ident()
+                params.append(ParamDecl(name, self.parse_dims(ptype),
+                                        tuple(annos)))
+            if not self.accept(","):
+                break
+        self.expect(")")
+        return params
+
     def parse_field_rest(self, name_tok: Token, annos, mods, decl_type: TypeRef
                          ) -> list[FieldDecl]:
         fields: list[FieldDecl] = []
         name = name_tok.text
         while True:
-            ftype = decl_type
-            extra = 0
-            while self.at("["):
-                self.next()
-                self.expect("]")
-                extra += 1
-            if extra:
-                ftype = TypeRef(ftype.raw_name, ftype.type_arguments,
-                                ftype.array_depth + extra)
+            ftype = self.parse_dims(decl_type)
             initializer: Optional[AttributeValue] = None
             if self.accept("="):
                 initializer = self.parse_initializer_expr()
@@ -814,43 +737,44 @@ class _Parser:
             self.next()
             if self.accept("extends") or self.accept("super"):
                 return self.parse_type_ref()
-            return TypeRef("java.lang.Object")
+            return OBJECT_TYPE
         if t.text in PRIMITIVES:
             self.next()
-            name = t.text
-            args: tuple[TypeRef, ...] = ()
-        else:
-            name = self.parse_dotted_name()
-            args = ()
-            if self.at("<"):
-                args = self.parse_type_arguments()
-            # nested generic member access like Map.Entry<K,V> handled by
-            # parse_dotted_name already (no generics in the middle supported)
-        depth = 0
-        while self.at("[") and self.at("]", 1):
-            self.next()
-            self.next()
-            depth += 1
-        return TypeRef(name, args, depth)
+            return self.parse_dims(TypeRef(t.text))
+        # a nested type like Map.Entry<K,V> is one dotted name; type
+        # arguments in the middle of the name are not supported
+        name = self.parse_dotted_name()
+        args: tuple[TypeRef, ...] = ()
+        if self.at("<"):
+            args = self.parse_type_arguments()
+        return self.parse_dims(TypeRef(name, args))
 
     def parse_type_arguments(self) -> tuple[TypeRef, ...]:
         self.expect("<")
         if self.accept(">"):  # diamond
             return ()
-        args = [self.parse_type_ref()]
-        while self.accept(","):
-            args.append(self.parse_type_ref())
-        # closing may come as > or be fused into >> / >>> by the tokenizer
-        t = self.next()
-        if t.text == ">":
-            pass
-        elif t.text == ">>":
-            self.toks.insert(self.pos, Token("op", ">", t.line))
-        elif t.text == ">>>":
-            self.toks.insert(self.pos, Token("op", ">>", t.line))
-        else:
-            raise JavaSyntaxError(f"expected '>', found {t.text!r}", t.line)
+        args = self.parse_type_list(",")
+        self.expect(">")
         return tuple(args)
+
+    def parse_type_list(self, separator: str) -> list[TypeRef]:
+        """Types separated by `separator`: `,` in type arguments and in
+        extends, implements, permits and throws clauses, `&` in bounds."""
+        types = [self.parse_type_ref()]
+        while self.accept(separator):
+            types.append(self.parse_type_ref())
+        return types
+
+    def parse_dims(self, type_: TypeRef) -> TypeRef:
+        """`type_` with one more array dimension for each `[]` that
+        follows."""
+        depth = type_.array_depth
+        while self.at("[") and self.at("]", 1):
+            self.pos += 2
+            depth += 1
+        if depth == type_.array_depth:
+            return type_
+        return replace(type_, array_depth=depth)
 
 
 def _int_value(text: str) -> int:
@@ -1047,15 +971,23 @@ def resolve_string_constant(value: Optional[AttributeValue], ctx: ClassDecl,
 
 
 def spelling(value: AttributeValue) -> str:
-    """How a string-valued attribute is written in the source, for
-    messages: `Missing.BASE + "/x"`."""
+    """How an attribute value is written in the source, for messages:
+    `Missing.BASE + "/x"`, `5`, `Api.class`, `{a, b}`."""
     if isinstance(value, NameRef):
         return ".".join(value.parts)
     if isinstance(value, StrLit):
         return json.dumps(value.value, ensure_ascii=False)
     if isinstance(value, Concat):
         return " + ".join(spelling(p) for p in value.parts)
-    return str(value)
+    if isinstance(value, BoolLit):
+        return "true" if value.value else "false"
+    if isinstance(value, IntLit):
+        return str(value.value)
+    if isinstance(value, ClassRef):
+        return value.name + ".class"
+    if isinstance(value, ArrayVal):
+        return "{" + ", ".join(spelling(i) for i in value.items) + "}"
+    return "@" + value.simple_name
 
 
 def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,

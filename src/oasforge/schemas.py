@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .javasrc import (ClassDecl, FieldDecl, SourceModel, TypeRef,
-                      UNSPECIFIED_TYPE, supertype_chain)
+from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, SourceModel,
+                      TypeRef, UNSPECIFIED_TYPE, supertype_chain)
 from .spring import REQUIRED_MARKERS, find_annotation
 
 PRIMITIVE_MAP = {
@@ -197,10 +197,11 @@ def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
     builds the class on top one field at a time. So a class named while a
     field is mapped is built next, names are allocated depth-first, and no
     call recurses per class. A class names its superclass after its fields.
+    A raw reference binds each type variable to Object.
     """
     key = cls.qualified_name
     preferred = cls.simple_name
-    bindings = {}
+    bindings = dict.fromkeys(cls.type_params, OBJECT_TYPE)
     if t.type_arguments and cls.type_params:
         # generic instantiation: one schema per argument combination
         bindings = dict(zip(cls.type_params, t.type_arguments))

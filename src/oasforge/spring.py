@@ -46,6 +46,42 @@ FRAMEWORK_PACKAGE_PREFIXES = (
     "java.lang",
 )
 
+# The superclass of common JDK and Spring exceptions, by simple name, so
+# that a handler for a superclass catches an exception whose chain leaves
+# the source tree. A name that means different classes in different
+# libraries (AccessDeniedException, ConstraintViolationException) is left
+# out.
+EXCEPTION_SUPERCLASSES = {
+    "Exception": "Throwable",
+    "Error": "Throwable",
+    "RuntimeException": "Exception",
+    "IOException": "Exception",
+    "InterruptedException": "Exception",
+    "TimeoutException": "Exception",
+    "ExecutionException": "Exception",
+    "IllegalArgumentException": "RuntimeException",
+    "NumberFormatException": "IllegalArgumentException",
+    "IllegalStateException": "RuntimeException",
+    "UnsupportedOperationException": "RuntimeException",
+    "NullPointerException": "RuntimeException",
+    "IndexOutOfBoundsException": "RuntimeException",
+    "NoSuchElementException": "RuntimeException",
+    "ArithmeticException": "RuntimeException",
+    "ClassCastException": "RuntimeException",
+    "ConcurrentModificationException": "RuntimeException",
+    "DateTimeException": "RuntimeException",
+    "UncheckedIOException": "RuntimeException",
+    "FileNotFoundException": "IOException",
+    "NestedRuntimeException": "RuntimeException",
+    "ResponseStatusException": "ErrorResponseException",
+    "ErrorResponseException": "NestedRuntimeException",
+    "DataAccessException": "NestedRuntimeException",
+    "EmptyResultDataAccessException": "DataAccessException",
+    "DataIntegrityViolationException": "DataAccessException",
+    "BindException": "Exception",
+    "MethodArgumentNotValidException": "BindException",
+}
+
 # Spring HttpStatus constant names that differ from http.HTTPStatus, plus
 # names absent from the stdlib table.
 _EXTRA_STATUS = {

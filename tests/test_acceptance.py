@@ -28,8 +28,7 @@ import pytest
 from conftest import FIXTURES_DIR, GOLDEN_DIR, GOLDEN_FIXTURES
 from oasforge.emitter import (MergeConflictError, doc_to_dict,
                               merge_documents, serialize)
-from oasforge.evaluation import (evaluate, flat_as_ground_truth,
-                                 flatten_for_eval)
+from oasforge.evaluation import evaluate, flatten_for_eval
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
 
@@ -67,7 +66,7 @@ def test_generated_documents_score_perfectly_against_themselves():
     for name in GOLDEN_FIXTURES:
         for doc in regenerate(name).values():
             flat = flatten_for_eval(doc_to_dict(doc))
-            report = evaluate(flat, flat_as_ground_truth(flat))
+            report = evaluate(flat, flat)
             for category in ("methods", "parameters", "responses"):
                 score = getattr(report, category)
                 if score.tp + score.fn == 0:

@@ -535,13 +535,16 @@ EXCEPTION_PACKAGES = (
     ("Base", "400"),
     ("app.b.Err", "422"),
     # the handler target is outside the tree: it matches a class of the
-    # thrown type's chain by simple name, but the chain ends at the tree's
-    # edge, so a RuntimeException handler does not see Gone's superclass
+    # thrown type's chain by simple name; past the tree's edge the chain
+    # goes on through the table of JDK and Spring exception superclasses,
+    # and the nearest handler wins (Err, not RuntimeException, for Leaf)
     ("Leaf", "410"),
-    ("Gone", "500"),
-    # the thrown type is outside the tree: simple-name equality only
-    ("UncheckedIOException", "500"),
-    # neither name resolves
+    ("Gone", "409"),
+    # the thrown type is outside the tree: the table alone
+    ("UncheckedIOException", "409"),
+    ("NumberFormatException", "409"),
+    # neither name resolves; the exact handler is nearer than the
+    # RuntimeException one declared before it
     ("IllegalStateException", "503"),
     ("java.lang.IllegalStateException", "503"),
 ])
@@ -751,3 +754,31 @@ def test_inherited_handler_diagnostics_name_the_declaring_file():
         ("DUPLICATE_METHOD", "<test-0>", lines["dup1"])]
     assert [(e.path, e.handler.name) for e in eps] == [
         ("/dup", "dup"), ("/s/{id}", "servlet")]
+
+
+NON_STRING_PATHS = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping(5)
+    String number() { return ""; }
+
+    @GetMapping(path = Api.class)
+    String type() { return ""; }
+
+    @GetMapping({true, @Deprecated})
+    String mixed() { return ""; }
+}
+"""
+
+
+def test_non_string_path_values_are_spelled_as_in_the_source():
+    _, _, _, eps, diags = analyze(NON_STRING_PATHS)
+    assert sorted(e.path for e in eps) == [
+        "/5", "/@Deprecated", "/Api.class", "/true"]
+    assert [(d.code, d.message) for d in diags] == [
+        ("UNRESOLVED_CONSTANT", f"cannot resolve path constant {value!r} in "
+                                "app.C")
+        for value in ("5", "Api.class", "true", "@Deprecated")]

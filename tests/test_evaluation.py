@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR
 from oasforge.emitter import doc_to_dict
 from oasforge.evaluation import (CategoryScore, EMPTY_FLAT, FlatSets,
-                                 GroundTruth, GroundTruthError, evaluate,
-                                 flat_as_ground_truth, flatten_for_eval,
+                                 GroundTruthError, evaluate, flatten_for_eval,
                                  format_report, load_ground_truth)
 from oasforge.pipeline import generate_project
 
@@ -133,8 +132,8 @@ def test_flatten_empty_document():
 def test_scores_count_tp_fp_fn():
     flat = FlatSets(frozenset({("/a", "GET"), ("/b", "GET")}),
                     frozenset(), frozenset())
-    gt = GroundTruth(frozenset({("/a", "GET"), ("/c", "GET")}),
-                     frozenset(), frozenset())
+    gt = FlatSets(frozenset({("/a", "GET"), ("/c", "GET")}),
+                  frozenset(), frozenset())
     score = evaluate(flat, gt).methods
     assert (score.tp, score.fp, score.fn) == (1, 1, 1)
     assert score.precision == 0.5 and score.recall == 0.5
@@ -149,7 +148,7 @@ def test_empty_prediction_scores_zero_precision():
 def test_perfect_prediction_scores_one():
     keys = frozenset({("/a", "GET", "200")})
     score = evaluate(FlatSets(frozenset(), frozenset(), keys),
-                     GroundTruth(frozenset(), frozenset(), keys)).responses
+                     FlatSets(frozenset(), frozenset(), keys)).responses
     assert score.precision == 1.0 and score.recall == 1.0
 
 
@@ -159,9 +158,9 @@ def test_perfect_prediction_scores_one():
                          st.sampled_from(["GET", "POST"]))))
 def test_swapping_prediction_and_truth_swaps_precision_recall(pred, truth):
     forward = evaluate(FlatSets(frozenset(pred), frozenset(), frozenset()),
-                       GroundTruth(frozenset(truth), frozenset(), frozenset()))
+                       FlatSets(frozenset(truth), frozenset(), frozenset()))
     backward = evaluate(FlatSets(frozenset(truth), frozenset(), frozenset()),
-                        GroundTruth(frozenset(pred), frozenset(), frozenset()))
+                        FlatSets(frozenset(pred), frozenset(), frozenset()))
     assert forward.methods.precision == backward.methods.recall
     assert forward.methods.recall == backward.methods.precision
 
@@ -170,14 +169,13 @@ def test_generated_document_matches_itself_exactly():
     result = generate_project(FIXTURES_DIR / "exception_precedence")
     for doc in result.documents.values():
         flat = flatten_for_eval(doc_to_dict(doc))
-        report = evaluate(flat, flat_as_ground_truth(flat))
+        report = evaluate(flat, flat)
         for category in (report.methods, report.parameters, report.responses):
             assert category.fp == 0 and category.fn == 0
 
 
 def test_report_formats_as_aligned_table():
-    report = evaluate(EMPTY_FLAT, GroundTruth(frozenset(), frozenset(),
-                                              frozenset()))
+    report = evaluate(EMPTY_FLAT, EMPTY_FLAT)
     text = format_report(report)
     lines = text.splitlines()
     assert len(lines) == 4

@@ -7,9 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
-from oasforge.javasrc import (NameRef, ProjectParseError, StrLit,
-                              SupertypeCycleError, parse_project, parse_source,
-                              resolve_string_constant, supertype_chain)
+from oasforge.javasrc import (AnnotationUse, ArrayVal, BoolLit, ClassRef,
+                              Concat, IntLit, NameRef, ProjectParseError,
+                              StrLit, SupertypeCycleError, TypeRef,
+                              parse_project, parse_source,
+                              resolve_string_constant, spelling,
+                              supertype_chain)
 
 SIMPLE_CONTROLLER = """
 package app;
@@ -278,3 +281,63 @@ class M {}
     from oasforge.javasrc import ArrayVal
     assert isinstance(anno.attributes["value"], ArrayVal)
     assert len(anno.attributes["value"].items) == 2
+
+
+def only_class(source):
+    (cls,) = parse_source("package app;\n" + source)
+    return cls
+
+
+def test_generic_constructor_is_skipped():
+    cls = only_class("class A { <T> A(T t) {} String name; }")
+    assert [f.name for f in cls.fields] == ["name"]
+    assert cls.methods == ()
+
+
+def test_record_components_are_formal_parameters():
+    cls = only_class("record R(@Valid String... xs) {}")
+    (xs,) = cls.fields
+    assert (xs.name, xs.type.raw_name, xs.type.array_depth) == \
+        ("xs", "String", 1)
+    assert [a.simple_name for a in xs.annotations] == ["Valid"]
+
+
+def test_record_implements_several_interfaces():
+    cls = only_class("record R(int a) implements X, Y {}")
+    assert [f.name for f in cls.fields] == ["a"]
+    assert cls.superclass is None
+
+
+def test_nested_type_arguments_close_one_level_per_token():
+    cls = only_class("class H { A<B<C<D>>> deep; int after; }")
+    deep, after = cls.fields
+    assert deep.type == TypeRef("A", (TypeRef("B", (TypeRef(
+        "C", (TypeRef("D"),)),)),))
+    assert after.name == "after"
+
+
+def test_generic_method_with_bounded_type_parameter_and_throws():
+    cls = only_class(
+        "class H { <T extends Comparable<List<T>>> void m() throws E, F {} }")
+    (m,) = cls.methods
+    assert (m.name, m.declared_throws) == ("m", ("E", "F"))
+
+
+def test_shift_assignments_in_a_body():
+    cls = only_class(
+        "class H { void m(int x, int y) { x >>>= 1; y >>= 2; } int k; }")
+    assert [m.name for m in cls.methods] == ["m"]
+    assert [f.name for f in cls.fields] == ["k"]
+
+
+@pytest.mark.parametrize("value, text", [
+    (NameRef(("Paths", "BASE")), "Paths.BASE"),
+    (Concat((NameRef(("BASE",)), StrLit("/x"))), 'BASE + "/x"'),
+    (IntLit(-5), "-5"),
+    (BoolLit(False), "false"),
+    (ClassRef("app.Api"), "app.Api.class"),
+    (ArrayVal((NameRef(("a",)), NameRef(("b",)))), "{a, b}"),
+    (AnnotationUse("Deprecated"), "@Deprecated"),
+])
+def test_spelling_writes_each_value_kind_as_source(value, text):
+    assert spelling(value) == text

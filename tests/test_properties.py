@@ -42,11 +42,13 @@ BODIES = (
      for n in (200, 201, 404, 600, 999)]
     + ["return new ResponseEntity<>(HttpStatus.NO_SUCH_STATUS);",
        "throw new MissingException();",
+       "throw new IllegalArgumentException();",
        "return null;"])
 
-# A plain DTO, a generic wrapper, a DTO that refers to itself and one that
-# extends a base class.
-RETURNS = ["Filter", "Page<Filter>", "TreeNode", "Order"]
+# A plain DTO, a generic wrapper, the wrapper used raw, a DTO that refers
+# to itself, one that extends a base class and a record with a varargs
+# component.
+RETURNS = ["Filter", "Page<Filter>", "Page", "TreeNode", "Order", "Tag"]
 
 MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
             '@RequestMapping(path = "{}", method = RequestMethod.PUT)']
@@ -60,6 +62,10 @@ import org.springframework.web.bind.annotation.*;
 class Filter {
     private String q;
     private String owner;
+
+    Filter() {}
+
+    <T> Filter(T seed) {}
 }
 
 class Paging {
@@ -85,6 +91,8 @@ class Order extends Entity {
     private String owner;
 }
 
+record Tag(String label, String... aliases) {}
+
 class MissingException extends RuntimeException {}
 
 @RestControllerAdvice
@@ -92,6 +100,10 @@ class Advice {
     @ExceptionHandler(MissingException.class)
     @ResponseStatus(HttpStatus.NOT_FOUND)
     void missing() {}
+
+    @ExceptionHandler(RuntimeException.class)
+    @ResponseStatus(HttpStatus.CONFLICT)
+    void runtime() {}
 }
 """
 

@@ -1,12 +1,13 @@
 """Type-to-schema mapping, named-schema registration, response unwrapping."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import model_from
 from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
 from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, UNSPECIFIED,
-                              required_fields, schema_for_type,
+                              array_of, required_fields, schema_for_type,
                               unwrap_response_wrapper)
 
 DOMAIN = """
@@ -214,6 +215,28 @@ class Item {
     props = dict(node.properties)
     assert props["items"].kind == "array"
     assert props["items"].items.ref_name == "Item"
+
+
+@pytest.mark.parametrize("raw", ["Page", "Sub"])
+def test_raw_generic_reference_binds_type_variables_to_object(raw):
+    src = """
+package app;
+
+class Page<T> {
+    private List<T> items;
+    private T first;
+}
+
+class Sub extends Page<Item> {}
+
+class Item {}
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    named(model, reg, f"app.{raw}")
+    props = dict(reg.schemas["Page"].properties)
+    assert props == {"items": array_of(UNSPECIFIED), "first": UNSPECIFIED}
+    assert "T" not in reg.schemas
 
 
 def test_external_class_noted_with_package():
