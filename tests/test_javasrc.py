@@ -302,6 +302,14 @@ def test_record_components_are_formal_parameters():
     assert [a.simple_name for a in xs.annotations] == ["Valid"]
 
 
+def test_method_parameters_drop_the_receiver_and_count_every_dimension():
+    cls = only_class(
+        "class H { void m(H this, final int a[][], String[]... rest) {} }")
+    (m,) = cls.methods
+    assert [(p.name, p.type.raw_name, p.type.array_depth)
+            for p in m.parameters] == [("a", "int", 2), ("rest", "String", 2)]
+
+
 def test_record_implements_several_interfaces():
     cls = only_class("record R(int a) implements X, Y {}")
     assert [f.name for f in cls.fields] == ["a"]
