@@ -382,6 +382,8 @@ def _exception_distance(declared: str, thrown: str, ctx: ClassDecl,
         if (cls.qualified_name == declared_fq if declared_fq
                 else cls.simple_name == d_simple):
             return distance
+    if declared_fq and chain:  # a class of the model is never outside it
+        return None
     distance = len(chain)
     outside = chain[-1].superclass if chain else thrown
     while outside:

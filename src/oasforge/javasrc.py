@@ -633,7 +633,15 @@ class _Parser:
         if self.at("<"):  # method or constructor type parameters
             self.skip_balanced("<", ">")
         if self.at(simple_class_name) and self.at("(", 1):  # constructor
-            self.parse_method_rest(self.next(), annos, UNSPECIFIED_TYPE)
+            # skipped unread: nothing is taken from a constructor
+            self.next()
+            self.skip_balanced("(", ")")
+            if self.accept("throws"):
+                self.parse_type_list(",")
+            if self.at("{"):
+                self.skip_balanced("{", "}")
+            else:
+                self.expect(";")
             return []
 
         decl_type = self.parse_type_ref()
@@ -664,8 +672,8 @@ class _Parser:
                           return_type, tuple(throws), facts, name_tok.line)
 
     def parse_formal_params(self) -> list[ParamDecl]:
-        """A parenthesized parameter list: of a method, a constructor or a
-        record header. A receiver parameter (`Api this`) is not listed."""
+        """A parenthesized parameter list: of a method or a record header.
+        A receiver parameter (`Api this`) is not listed."""
         self.expect("(")
         params: list[ParamDecl] = []
         while not self.at(")"):

@@ -46,40 +46,20 @@ FRAMEWORK_PACKAGE_PREFIXES = (
     "java.lang",
 )
 
-# The superclass of common JDK and Spring exceptions, by simple name, so
-# that a handler for a superclass catches an exception whose chain leaves
-# the source tree. A name that means different classes in different
-# libraries (AccessDeniedException, ConstraintViolationException) is left
-# out.
+# The superclass of common java.lang and java.io exceptions, by simple
+# name, so that a handler for a superclass catches an exception whose chain
+# leaves the source tree. Library exceptions (Spring's among them) are left
+# out until an input shows which ones are needed; so is any name that means
+# different classes in different libraries.
 EXCEPTION_SUPERCLASSES = {
     "Exception": "Throwable",
-    "Error": "Throwable",
     "RuntimeException": "Exception",
     "IOException": "Exception",
-    "InterruptedException": "Exception",
-    "TimeoutException": "Exception",
-    "ExecutionException": "Exception",
+    "UncheckedIOException": "RuntimeException",
     "IllegalArgumentException": "RuntimeException",
     "NumberFormatException": "IllegalArgumentException",
     "IllegalStateException": "RuntimeException",
     "UnsupportedOperationException": "RuntimeException",
-    "NullPointerException": "RuntimeException",
-    "IndexOutOfBoundsException": "RuntimeException",
-    "NoSuchElementException": "RuntimeException",
-    "ArithmeticException": "RuntimeException",
-    "ClassCastException": "RuntimeException",
-    "ConcurrentModificationException": "RuntimeException",
-    "DateTimeException": "RuntimeException",
-    "UncheckedIOException": "RuntimeException",
-    "FileNotFoundException": "IOException",
-    "NestedRuntimeException": "RuntimeException",
-    "ResponseStatusException": "ErrorResponseException",
-    "ErrorResponseException": "NestedRuntimeException",
-    "DataAccessException": "NestedRuntimeException",
-    "EmptyResultDataAccessException": "DataAccessException",
-    "DataIntegrityViolationException": "DataAccessException",
-    "BindException": "Exception",
-    "MethodArgumentNotValidException": "BindException",
 }
 
 # Spring HttpStatus constant names that differ from http.HTTPStatus, plus

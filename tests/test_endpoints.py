@@ -520,11 +520,13 @@ class Handlers {
 
 # `Err` names two classes, so the `ambiguous` handler's target does not
 # resolve in `Handlers`; `Leaf` extends `app.a.Err` through an import, so
-# the `otherErr` handler, which names the other one, must not catch it.
+# the `otherErr` handler, which names the other one, must not catch it;
+# nor must it catch `LibLeaf`, whose superclass `Err` is outside the tree.
 EXCEPTION_PACKAGES = (
     "package app.a;\npublic class Err extends RuntimeException {}\n",
     "package app.b;\npublic class Err extends RuntimeException {}\n",
     "package app;\nimport app.a.Err;\nclass Leaf extends Err {}\n",
+    "package app;\nimport com.lib.Err;\nclass LibLeaf extends Err {}\n",
 )
 
 
@@ -539,6 +541,7 @@ EXCEPTION_PACKAGES = (
     # goes on through the table of JDK and Spring exception superclasses,
     # and the nearest handler wins (Err, not RuntimeException, for Leaf)
     ("Leaf", "410"),
+    ("LibLeaf", "410"),
     ("Gone", "409"),
     # the thrown type is outside the tree: the table alone
     ("UncheckedIOException", "409"),
@@ -550,6 +553,45 @@ EXCEPTION_PACKAGES = (
 ])
 def test_exception_status_by_name_resolution(thrown, status):
     model = model_from(EXCEPTIONS, *EXCEPTION_PACKAGES)
+    handlers = model.classes["app.Handlers"]
+    assert resolve_exception_status(thrown, handlers, [], model, []) == status
+
+
+NEAREST_HANDLER = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+class Root extends RuntimeException {}
+class Base extends Root {}
+class NotFound extends Base {}
+
+@RestControllerAdvice
+class Handlers {
+    @ExceptionHandler(RuntimeException.class)
+    @ResponseStatus(HttpStatus.CONFLICT)
+    void runtime() {}
+
+    @ExceptionHandler(Root.class)
+    @ResponseStatus(HttpStatus.GONE)
+    void root() {}
+
+    @ExceptionHandler(Base.class)
+    @ResponseStatus(HttpStatus.BAD_REQUEST)
+    void base() {}
+}
+"""
+
+
+# Within one class the handler nearest the thrown type wins, not the first
+# declared one, also where the whole chain is inside the tree.
+@pytest.mark.parametrize("thrown, status", [
+    ("NotFound", "400"),
+    ("Base", "400"),
+    ("Root", "410"),
+])
+def test_nearest_handler_wins_over_an_earlier_broader_one(thrown, status):
+    model = model_from(NEAREST_HANDLER)
     handlers = model.classes["app.Handlers"]
     assert resolve_exception_status(thrown, handlers, [], model, []) == status
 

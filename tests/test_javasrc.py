@@ -294,6 +294,18 @@ def test_generic_constructor_is_skipped():
     assert cls.methods == ()
 
 
+@pytest.mark.parametrize("params", [
+    "List<@NotNull String> ids",
+    "@Size(max = 2 * 1024) String body",
+    "Outer<T>.Inner x",
+    "String @A [] xs",
+])
+def test_constructor_parameters_are_skipped_unread(params):
+    cls = only_class(f"class A {{ A({params}) throws E, F {{}} String name; }}")
+    assert [f.name for f in cls.fields] == ["name"]
+    assert cls.methods == ()
+
+
 def test_record_components_are_formal_parameters():
     cls = only_class("record R(@Valid String... xs) {}")
     (xs,) = cls.fields
