@@ -15,7 +15,6 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES  # noqa: E402
-from oasforge.emitter import doc_to_dict  # noqa: E402
 from oasforge.evaluation import evaluate, flatten_for_eval  # noqa: E402
 from oasforge.pipeline import generate_project  # noqa: E402
 
@@ -31,12 +30,12 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         total += elapsed
         ops = sum(len(v) for d in result.documents.values()
-                  for v in d.paths.values())
-        schemas = sum(len(d.components_schemas)
+                  for v in d["paths"].values())
+        schemas = sum(len(d.get("components", {}).get("schemas", {}))
                       for d in result.documents.values())
         consistent = True
         for doc in result.documents.values():
-            flat = flatten_for_eval(doc_to_dict(doc))
+            flat = flatten_for_eval(doc)
             report = evaluate(flat, flat)
             for cat in ("methods", "parameters", "responses"):
                 score = getattr(report, cat)

@@ -15,7 +15,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
 from conftest import FIXTURES_DIR, GOLDEN_DIR, GOLDEN_FIXTURES  # noqa: E402
-from oasforge.emitter import doc_to_dict, serialize  # noqa: E402
+from oasforge.emitter import serialize  # noqa: E402
 from oasforge.pipeline import generate_project  # noqa: E402
 
 
@@ -27,7 +27,7 @@ def main() -> int:
             print(f"{name}: {diag.render()}", file=sys.stderr)
         for profile, doc in result.documents.items():
             target = GOLDEN_DIR / f"{name}-{profile}.openapi.json"
-            payload = serialize(doc_to_dict(doc))
+            payload = serialize(doc)
             if target.exists() and target.read_bytes() == payload:
                 continue
             target.write_bytes(payload)

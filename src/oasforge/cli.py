@@ -9,8 +9,7 @@ from pathlib import Path
 import click
 import yaml
 
-from .emitter import MergeConflictError, doc_to_dict, merge_documents, \
-    serialize
+from .emitter import MergeConflictError, merge_documents, serialize
 from .evaluation import (EMPTY_FLAT, GroundTruthError, evaluate,
                          flatten_for_eval, format_report, load_ground_truth)
 from .javasrc import ProjectParseError
@@ -57,8 +56,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for profile, doc in result.documents.items():
-        data = doc_to_dict(doc)
-        errors = validate_document(data)
+        errors = validate_document(doc)
         if errors:
             click.echo("error: generated document failed validation:",
                        err=True)
@@ -67,26 +65,25 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
             sys.exit(EXIT_FATAL)
         name = f"{result.project}-{profile}.openapi.{fmt}"
         path = output_dir / name
-        path.write_bytes(serialize(data, fmt))
+        path.write_bytes(serialize(doc, fmt))
         written.append(path)
 
     if merge and result.documents:
         try:
-            merged = merge_documents(list(result.documents.values()))
+            merged = merge_documents(result.documents, result.project)
         except MergeConflictError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_FATAL)
         path = output_dir / f"{result.project}-merged.openapi.json"
-        path.write_bytes(serialize(doc_to_dict(merged), "json"))
+        path.write_bytes(serialize(merged, "json"))
         written.append(path)
 
     for diag in result.diagnostics:
         click.echo(diag.render(), err=True)
 
-    endpoint_count = sum(
-        len(ops) for doc in result.documents.values()
-        for ops in doc.paths.values())
-    schema_count = sum(len(doc.components_schemas)
+    endpoint_count = sum(len(ops) for doc in result.documents.values()
+                         for ops in doc["paths"].values())
+    schema_count = sum(len(doc.get("components", {}).get("schemas", {}))
                        for doc in result.documents.values())
     click.echo(f"profiles: {', '.join(result.documents) or '(none)'}")
     click.echo(f"operations: {endpoint_count}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -20,24 +19,7 @@ from .spring import HTTP_VERBS, reason_phrase
 
 OAS_VERSION = "3.0.3"
 
-VERB_ORDER = {verb: i for i, verb in enumerate(HTTP_VERBS)}
-
-
-@dataclass
-class DocMeta:
-    project: str
-    profile: str
-    version: str = "0.0.0"
-
-
-@dataclass
-class OpenApiDoc:
-    oas_version: str
-    title: str
-    service_version: str
-    profile: str
-    paths: dict[str, dict[str, dict]]  # path -> verb(lower) -> operation dict
-    components_schemas: dict[str, dict]
+VERB_ORDER = {verb.lower(): i for i, verb in enumerate(HTTP_VERBS)}
 
 
 class MergeConflictError(Exception):
@@ -117,7 +99,7 @@ def _operation_to_dict(endpoint: EndpointMethod) -> dict:
 
 def _components_to_dict(reg: SchemaRegistry) -> dict[str, dict]:
     out: dict[str, dict] = {}
-    for name, node in sorted(reg.schemas.items()):
+    for name, node in reg.schemas.items():
         rendered = schema_to_dict(node)
         package = reg.external_notes.get(name)
         if package:
@@ -133,92 +115,77 @@ def _components_to_dict(reg: SchemaRegistry) -> dict[str, dict]:
 # Assembly, merging, serialization
 # ---------------------------------------------------------------------------
 
-def _title_suffix(profile: str) -> str:
-    """What a profile's document title adds to the project name."""
-    return "" if profile == "default" else f" ({profile})"
+def doc_to_dict(paths: dict[str, dict[str, dict]], schemas: dict[str, dict],
+                title: str, version: str) -> dict:
+    """The OpenAPI document of `paths` (path -> lower-case verb ->
+    operation) and `schemas` (name -> component schema), with paths, verbs
+    and schemas in their canonical order."""
+    out = {
+        "openapi": OAS_VERSION,
+        "info": {"title": title, "version": version},
+        "paths": {path: {verb: paths[path][verb]
+                         for verb in sorted(paths[path], key=VERB_ORDER.get)}
+                  for path in sorted(paths)},
+    }
+    if schemas:
+        out["components"] = {
+            "schemas": {name: schemas[name] for name in sorted(schemas)}}
+    return out
 
 
 def assemble_document(endpoints: list[EndpointMethod], reg: SchemaRegistry,
-                      meta: DocMeta) -> OpenApiDoc:
+                      project: str, profile: str, version: str) -> dict:
+    """The document of one profile; a profile other than "default" is
+    named in its title."""
     paths: dict[str, dict[str, dict]] = {}
     for endpoint in endpoints:
         verbs = paths.setdefault(endpoint.path, {})
         verbs[endpoint.verb.lower()] = _operation_to_dict(endpoint)
-    return OpenApiDoc(
-        oas_version=OAS_VERSION,
-        title=meta.project + _title_suffix(meta.profile),
-        service_version=meta.version,
-        profile=meta.profile,
-        paths=paths,
-        components_schemas=_components_to_dict(reg),
-    )
+    title = project if profile == "default" else f"{project} ({profile})"
+    return doc_to_dict(paths, _components_to_dict(reg), title, version)
 
 
-def doc_to_dict(doc: OpenApiDoc) -> dict:
-    paths_out: dict = {}
-    for path in sorted(doc.paths):
-        verbs = doc.paths[path]
-        paths_out[path] = {
-            verb: verbs[verb]
-            for verb in sorted(verbs, key=lambda v: VERB_ORDER[v.upper()])
-        }
-    out = {
-        "openapi": doc.oas_version,
-        "info": {"title": doc.title, "version": doc.service_version},
-        "paths": paths_out,
-    }
-    if doc.components_schemas:
-        out["components"] = {
-            "schemas": {name: doc.components_schemas[name]
-                        for name in sorted(doc.components_schemas)}}
-    return out
-
-
-def merge_documents(docs: list[OpenApiDoc]) -> OpenApiDoc:
-    if not docs:
+def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
+    """One document with every operation and schema of the per-profile
+    documents; an operation or schema that two profiles define differently
+    is a conflict."""
+    if not docs_by_profile:
         raise ValueError("nothing to merge")
     conflicts: list[str] = []
     paths: dict[str, dict[str, dict]] = {}
     owners: dict[tuple[str, str], str] = {}
     schemas: dict[str, dict] = {}
     schema_owners: dict[str, str] = {}
-    for doc in docs:
-        for path, verbs in doc.paths.items():
+    for profile, doc in docs_by_profile.items():
+        for path, verbs in doc["paths"].items():
             for verb, op in verbs.items():
                 key = (path, verb)
                 if key in owners:
-                    existing = paths[path][verb]
-                    if existing != op:
+                    if paths[path][verb] != op:
                         conflicts.append(
                             f"operation {verb.upper()} {path} differs between "
-                            f"profiles {owners[key]!r} and {doc.profile!r}")
+                            f"profiles {owners[key]!r} and {profile!r}")
                     continue
-                owners[key] = doc.profile
+                owners[key] = profile
                 paths.setdefault(path, {})[verb] = op
-        for name, schema in doc.components_schemas.items():
+        doc_schemas = doc.get("components", {}).get("schemas", {})
+        for name, schema in doc_schemas.items():
             if name in schemas:
                 if schemas[name] != schema:
                     conflicts.append(
                         f"schema {name!r} differs between profiles "
-                        f"{schema_owners[name]!r} and {doc.profile!r}")
+                        f"{schema_owners[name]!r} and {profile!r}")
                 continue
             schemas[name] = schema
-            schema_owners[name] = doc.profile
+            schema_owners[name] = profile
     if conflicts:
         raise MergeConflictError(conflicts)
-    first = docs[0]
-    return OpenApiDoc(
-        oas_version=first.oas_version,
-        title=first.title.removesuffix(_title_suffix(first.profile)),
-        service_version=first.service_version,
-        profile="merged",
-        paths=paths,
-        components_schemas=schemas,
-    )
+    version = next(iter(docs_by_profile.values()))["info"]["version"]
+    return doc_to_dict(paths, schemas, project, version)
 
 
 def serialize(data: dict, format: str = "json") -> bytes:
-    """Render the output of `doc_to_dict` as JSON or YAML bytes."""
+    """Render a document as JSON or YAML bytes."""
     if format == "json":
         return (json.dumps(data, indent=2, ensure_ascii=False) + "\n"
                 ).encode("utf-8")

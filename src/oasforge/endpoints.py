@@ -12,14 +12,15 @@ from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
                           UNRESOLVED_STATUS, UNRESOLVED_TYPE)
 from .discovery import ProfileUnit
 from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
-                      ClassRef, Concat, IntLit, MethodDecl, NameRef,
-                      SourceModel, TypeRef, resolve_string_constant, spelling,
+                      ClassRef, Concat, MethodDecl, NameRef, SourceModel,
+                      TypeRef, resolve_string_constant, spelling,
                       supertype_chain)
 from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, primitive,
                       schema_for_type, unwrap_response_wrapper)
 from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
                      PARAM_ANNOTATIONS, REQUEST_MAPPING, SERVLET_TYPES,
-                     VERB_MAPPINGS, find_annotation, status_code_for)
+                     VERB_MAPPINGS, find_annotation,
+                     is_framework_annotation, status_code_for)
 
 
 @dataclass
@@ -174,8 +175,10 @@ def _mapping_verbs(anno: AnnotationUse) -> list[str]:
 def _first_annotation(annotations: tuple[AnnotationUse, ...],
                       names: set[str], cls: ClassDecl
                       ) -> Optional[AnnotationUse]:
-    return next(filter(None, (find_annotation(annotations, name, cls)
-                              for name in names)), None)
+    """The first of `annotations`, in declaration order, that is a
+    framework annotation named in `names`."""
+    return next((anno for anno in annotations if anno.simple_name in names
+                 and is_framework_annotation(anno, cls)), None)
 
 
 def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
@@ -346,9 +349,6 @@ def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
         if isinstance(value, NameRef):
             annotated = status_code_for(value.parts[-1])
             break
-        if isinstance(value, IntLit):
-            annotated = status_code_for(str(value.value))
-            break
     if annotated is None and anno.attributes.keys() & {"value", "code"}:
         diagnostics.append(Diagnostic(
             UNRESOLVED_STATUS,
@@ -385,7 +385,8 @@ def _exception_distance(declared: str, thrown: str, ctx: ClassDecl,
     if declared_fq and chain:  # a class of the model is never outside it
         return None
     distance = len(chain)
-    outside = chain[-1].superclass if chain else thrown
+    parent = chain[-1].superclass if chain else TypeRef(thrown)
+    outside = parent.raw_name if parent else ""
     while outside:
         simple = outside.rsplit(".", 1)[-1]
         if simple == d_simple:

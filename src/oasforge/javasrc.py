@@ -236,7 +236,7 @@ class ClassDecl:
     qualified_name: str
     kind: str  # class | interface | enum | record
     annotations: tuple[AnnotationUse, ...] = ()
-    superclass: Optional[str] = None
+    superclass: Optional[TypeRef] = None
     fields: tuple[FieldDecl, ...] = ()
     methods: tuple[MethodDecl, ...] = ()
     enum_constants: tuple[str, ...] = ()
@@ -272,10 +272,11 @@ class SourceModel:
     model whose simple name is unique. In that last step a qualified name
     only matches a class whose fully qualified name ends with "." plus the
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
-    does not find `app.Date`. Each `superclass` is resolved once, here at
-    construction, so `supertype_chain` only follows fully qualified names;
-    a superclass that does not resolve keeps its source spelling and ends
-    the chain.
+    does not find `app.Date`. The raw name of each `superclass` is
+    resolved once, here at construction, so `supertype_chain` only follows
+    fully qualified names; a superclass that does not resolve keeps its
+    source spelling and ends the chain. Its type arguments keep their
+    source spelling.
 
     Construction builds a simple name → classes index, in `classes` order,
     so `by_simple_name` does not walk `classes`. The index is valid
@@ -290,9 +291,10 @@ class SourceModel:
             index.setdefault(cls.simple_name, []).append(cls)
         self._by_simple_name = {k: tuple(v) for k, v in index.items()}
         for cls in self.classes.values():
-            if cls.superclass:
-                cls.superclass = (self.resolve_type_name(cls.superclass, cls)
-                                  or cls.superclass)
+            resolved = cls.superclass and self.resolve_type_name(
+                cls.superclass.raw_name, cls)
+            if resolved:
+                cls.superclass = replace(cls.superclass, raw_name=resolved)
 
     def by_simple_name(self, simple: str) -> tuple[ClassDecl, ...]:
         return self._by_simple_name.get(simple, ())
@@ -549,11 +551,11 @@ class _Parser:
         if kind == "record":
             fields = [FieldDecl(p.name, p.type, p.annotations)
                       for p in self.parse_formal_params()]
-        superclass: Optional[str] = None
+        superclass: Optional[TypeRef] = None
         if self.accept("extends"):
             extended = self.parse_type_list(",")
             if kind != "interface":
-                superclass = extended[0].raw_name
+                superclass = extended[0]
         if self.accept("implements"):
             self.parse_type_list(",")
         if self.accept("permits"):
@@ -665,8 +667,6 @@ class _Parser:
             body = self.skip_balanced("{", "}")
             facts = extract_body_facts(body)
         else:
-            if self.accept("default"):  # annotation member default
-                self.parse_attr_expr()
             self.expect(";")
         return MethodDecl(name_tok.text, tuple(annos), tuple(params),
                           return_type, tuple(throws), facts, name_tok.line)
@@ -759,8 +759,6 @@ class _Parser:
 
     def parse_type_arguments(self) -> tuple[TypeRef, ...]:
         self.expect("<")
-        if self.accept(">"):  # diamond
-            return ()
         args = self.parse_type_list(",")
         self.expect(">")
         return tuple(args)
@@ -941,7 +939,7 @@ def supertype_chain(cls: ClassDecl, model: SourceModel) -> list[ClassDecl]:
     seen = {cls.qualified_name}
     cur = cls
     while cur.superclass:
-        nxt = model.classes.get(cur.superclass)
+        nxt = model.classes.get(cur.superclass.raw_name)
         if nxt is None:
             break
         if nxt.qualified_name in seen:

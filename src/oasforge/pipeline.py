@@ -8,18 +8,16 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .discovery import discover_rest_classes, group_by_profile
-from .emitter import DocMeta, OpenApiDoc, assemble_document, \
-    read_project_version
+from .emitter import assemble_document, read_project_version
 from .endpoints import extract_endpoints
-from .javasrc import SourceModel, parse_project
+from .javasrc import parse_project
 from .schemas import SchemaRegistry
 
 
 @dataclass
 class GenerationResult:
     project: str
-    model: SourceModel
-    documents: dict[str, OpenApiDoc]  # profile -> document
+    documents: dict[str, dict]  # profile -> OpenAPI document
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -38,13 +36,12 @@ def generate_project(root: Path | str,
 
     project = root.resolve().name
     version = read_project_version(root)
-    documents: dict[str, OpenApiDoc] = {}
+    documents: dict[str, dict] = {}
     for unit in units:
         reg = SchemaRegistry()
         endpoints = extract_endpoints(unit, model, reg, diagnostics)
-        meta = DocMeta(project=project, profile=unit.profile_name,
-                       version=version)
-        documents[unit.profile_name] = assemble_document(endpoints, reg, meta)
+        documents[unit.profile_name] = assemble_document(
+            endpoints, reg, project, unit.profile_name, version)
     # A finding outside any profile repeats once for each profile's unit.
     diagnostics = list(dict.fromkeys(diagnostics))
-    return GenerationResult(project, model, documents, diagnostics)
+    return GenerationResult(project, documents, diagnostics)

@@ -102,8 +102,8 @@ class SchemaRegistry:
         self.external_notes: dict[str, str] = {}
         self._name_by_key: dict[str, str] = {}
         # Named classes whose schemas are still being built, newest last:
-        # (name, class, type-parameter bindings, instance fields, properties
-        # mapped so far).
+        # (name, class, type-parameter bindings, superclass reference,
+        # instance fields, properties mapped so far).
         self.pending: list[tuple] = []
 
     def allocate_name(self, key: str, preferred: str) -> tuple[str, bool]:
@@ -196,27 +196,36 @@ def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
     A newly named class is pushed on `reg.pending`, and the outermost call
     builds the class on top one field at a time. So a class named while a
     field is mapped is built next, names are allocated depth-first, and no
-    call recurses per class. A class names its superclass after its fields.
-    A raw reference binds each type variable to Object.
+    call recurses per class. A class names its superclass after its fields,
+    with the superclass's type arguments bound as the class binds its own
+    type variables: `Sub extends Page<Item>` names `PageOfItem`. A raw
+    reference binds each type variable to Object, and its superclass is
+    raw too.
     """
     key = cls.qualified_name
     preferred = cls.simple_name
     bindings = dict.fromkeys(cls.type_params, OBJECT_TYPE)
+    parent = cls.superclass
     if t.type_arguments and cls.type_params:
         # generic instantiation: one schema per argument combination
         bindings = dict(zip(cls.type_params, t.type_arguments))
         key += "<" + ",".join(
             a.raw_name + "[]" * a.array_depth for a in t.type_arguments) + ">"
         preferred = _mangled_name(t)
+        parent = parent and _substitute(parent, bindings)
+    elif cls.type_params and parent:
+        parent = TypeRef(parent.raw_name)
     name, new = reg.allocate_name(key, preferred)
     if not new:
         return name
-    reg.pending.append((name, cls, bindings, _instance_fields(cls), []))
+    reg.pending.append((name, cls, bindings, parent, _instance_fields(cls),
+                        []))
     if len(reg.pending) > 1:
         return name  # the outermost call's loop builds it
     while reg.pending:
         depth = len(reg.pending) - 1
-        top_name, top, top_bindings, fields, properties = reg.pending[depth]
+        top_name, top, top_bindings, top_parent, fields, properties = \
+            reg.pending[depth]
         if len(properties) < len(fields):
             f = fields[len(properties)]
             ftype = _substitute(f.type, top_bindings)
@@ -227,8 +236,8 @@ def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
         chain = supertype_chain(top, model)
         if len(chain) > 1:
             # named while `top` is still pending, so this loop builds it next
-            parent_name = build_named_schema(
-                TypeRef(chain[1].qualified_name), chain[1], model, reg)
+            parent_name = build_named_schema(top_parent, chain[1], model,
+                                             reg)
             schema = all_of([ref_to(parent_name), schema])
         reg.schemas[top_name] = schema
         del reg.pending[depth]

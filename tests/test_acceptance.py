@@ -26,8 +26,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES_DIR, GOLDEN_DIR, GOLDEN_FIXTURES
-from oasforge.emitter import (MergeConflictError, doc_to_dict,
-                              merge_documents, serialize)
+from oasforge.emitter import MergeConflictError, merge_documents, serialize
 from oasforge.evaluation import evaluate, flatten_for_eval
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
@@ -51,7 +50,7 @@ def corpus_matches(fixtures_dir, golden_dir, names):
         for profile, doc in docs.items():
             expected = (golden_dir
                         / f"{name}-{profile}.openapi.json").read_bytes()
-            assert serialize(doc_to_dict(doc)) == expected, \
+            assert serialize(doc) == expected, \
                 f"{name} ({profile}): output differs from golden file"
     return elapsed
 
@@ -65,7 +64,7 @@ def test_golden_corpus_regenerates_byte_identically():
 def test_generated_documents_score_perfectly_against_themselves():
     for name in GOLDEN_FIXTURES:
         for doc in regenerate(name).values():
-            flat = flatten_for_eval(doc_to_dict(doc))
+            flat = flatten_for_eval(doc)
             report = evaluate(flat, flat)
             for category in ("methods", "parameters", "responses"):
                 score = getattr(report, category)
@@ -90,11 +89,10 @@ def test_reference_corpus_or_bundled_corpus_matches():
 def test_all_documents_structurally_valid_with_closed_refs():
     for name in GOLDEN_FIXTURES:
         for profile, doc in regenerate(name).items():
-            data = doc_to_dict(doc)
-            errors = validate_document(data)
+            errors = validate_document(doc)
             assert errors == [], f"{name} ({profile}): {errors}"
             # flattening walks every $ref and raises on a dangling one
-            flatten_for_eval(data)
+            flatten_for_eval(doc)
 
 
 def test_openapi_spec_validator_agrees_every_document_is_valid():
@@ -102,7 +100,7 @@ def test_openapi_spec_validator_agrees_every_document_is_valid():
     documents = [(path.name, json.loads(path.read_text()))
                  for path in sorted(GOLDEN_DIR.glob("*.json"))]
     for fixture in sorted(p for p in FIXTURES_DIR.iterdir() if p.is_dir()):
-        documents += [(f"{fixture.name} ({profile})", doc_to_dict(doc))
+        documents += [(f"{fixture.name} ({profile})", doc)
                       for profile, doc in regenerate(fixture.name).items()]
     for name, data in documents:
         assert validate_document(data) == [], name
@@ -112,18 +110,17 @@ def test_openapi_spec_validator_agrees_every_document_is_valid():
 
 def test_merge_semantics():
     base = regenerate("constant_paths")["default"]
-    twice = merge_documents([base, base])
-    assert doc_to_dict(twice)["paths"] == doc_to_dict(base)["paths"]
-    assert twice.components_schemas == base.components_schemas
+    twice = merge_documents({"a": base, "b": base}, "constant_paths")
+    assert twice == base
 
     other = regenerate("request_body")["default"]
-    combined = merge_documents([base, other])
-    assert len(combined.paths) == len(base.paths) + len(other.paths)
-    assert validate_document(doc_to_dict(combined)) == []
+    combined = merge_documents({"a": base, "b": other}, "shop")
+    assert len(combined["paths"]) == \
+        len(base["paths"]) + len(other["paths"])
+    assert validate_document(combined) == []
 
-    conflicting = list(regenerate("profile_split").values())
     with pytest.raises(MergeConflictError):
-        merge_documents(conflicting)
+        merge_documents(regenerate("profile_split"), "profile_split")
 
 
 @pytest.mark.parametrize("name", GOLDEN_FIXTURES)
@@ -137,9 +134,9 @@ def test_each_fixture_generates_within_one_second(name):
 
 def test_two_runs_are_byte_identical():
     for name in GOLDEN_FIXTURES:
-        first = {profile: serialize(doc_to_dict(doc))
+        first = {profile: serialize(doc)
                  for profile, doc in regenerate(name).items()}
-        second = {profile: serialize(doc_to_dict(doc))
+        second = {profile: serialize(doc)
                   for profile, doc in regenerate(name).items()}
         assert first == second, f"{name}: nondeterministic output"
         for profile, payload in first.items():

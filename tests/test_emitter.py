@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
-from oasforge.emitter import (DocMeta, MergeConflictError,
-                              assemble_document, doc_to_dict,
-                              merge_documents, read_project_version,
-                              schema_to_dict, serialize)
+from oasforge.emitter import (MergeConflictError, assemble_document,
+                              doc_to_dict, merge_documents,
+                              read_project_version, schema_to_dict, serialize)
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
 from oasforge.schemas import (SchemaRegistry, all_of, array_of, enum_of,
@@ -54,35 +53,47 @@ def test_enum_and_array_render():
 
 def test_json_serialization_is_byte_stable():
     doc = docs_for("request_body")["default"]
-    assert serialize(doc_to_dict(doc)) == serialize(doc_to_dict(doc))
+    assert serialize(doc) == serialize(doc)
     again = docs_for("request_body")["default"]
-    assert serialize(doc_to_dict(doc)) == serialize(doc_to_dict(again))
+    assert serialize(doc) == serialize(again)
 
 
 def test_json_round_trips():
     doc = docs_for("allof_inheritance")["default"]
-    parsed = json.loads(serialize(doc_to_dict(doc)))
-    assert parsed == doc_to_dict(doc)
+    parsed = json.loads(serialize(doc))
+    assert parsed == doc
 
 
 def test_yaml_round_trips():
     doc = docs_for("allof_inheritance")["default"]
-    parsed = yaml.safe_load(serialize(doc_to_dict(doc), format="yaml"))
-    assert parsed == doc_to_dict(doc)
+    parsed = yaml.safe_load(serialize(doc, format="yaml"))
+    assert parsed == doc
 
 
 def test_serialize_rejects_unknown_format():
     doc = docs_for("void_default")["default"]
     with pytest.raises(ValueError):
-        serialize(doc_to_dict(doc), format="toml")
+        serialize(doc, format="toml")
 
 
 def test_paths_sorted_and_verbs_canonical():
-    doc = docs_for("all_verbs")["default"]
-    data = doc_to_dict(doc)
+    data = docs_for("all_verbs")["default"]
     assert list(data["paths"]) == sorted(data["paths"])
     assert list(data["paths"]["/tasks"]) == [
         "get", "post", "put", "delete", "patch", "head", "options"]
+
+
+def test_doc_to_dict_orders_paths_verbs_and_schemas():
+    data = doc_to_dict({"/b": {"delete": {}, "get": {}}, "/a": {}},
+                       {"Zed": {}, "Abc": {}}, "shop", "1.0")
+    assert data == {
+        "openapi": "3.0.3", "info": {"title": "shop", "version": "1.0"},
+        "paths": {"/a": {}, "/b": {"get": {}, "delete": {}}},
+        "components": {"schemas": {"Abc": {}, "Zed": {}}}}
+    assert list(data["paths"]) == ["/a", "/b"]
+    assert list(data["paths"]["/b"]) == ["get", "delete"]
+    assert list(data["components"]["schemas"]) == ["Abc", "Zed"]
+    assert "components" not in doc_to_dict({}, {}, "shop", "1.0")
 
 
 # -- structural validity ----------------------------------------------------
@@ -90,11 +101,11 @@ def test_paths_sorted_and_verbs_canonical():
 @pytest.mark.parametrize("name", GOLDEN_FIXTURES)
 def test_every_generated_document_is_structurally_valid(name):
     for doc in docs_for(name).values():
-        assert validate_document(doc_to_dict(doc)) == []
+        assert validate_document(doc) == []
 
 
 def test_validator_flags_dangling_ref():
-    doc = doc_to_dict(docs_for("request_body")["default"])
+    doc = docs_for("request_body")["default"]
     doc["paths"]["/orders"]["post"]["requestBody"]["content"][
         "application/json"]["schema"]["$ref"] = "#/components/schemas/Ghost"
     errors = validate_document(doc)
@@ -102,7 +113,7 @@ def test_validator_flags_dangling_ref():
 
 
 def test_validator_flags_missing_path_parameter():
-    doc = doc_to_dict(docs_for("path_regex")["default"])
+    doc = docs_for("path_regex")["default"]
     path = next(iter(doc["paths"]))
     op = doc["paths"][path]["get"]
     op["parameters"] = [p for p in op["parameters"]
@@ -129,7 +140,7 @@ def _add_status_999(op):
     (_add_status_999, "responses.999: invalid status key"),
 ], ids=["repeated-parameter", "stray-path-parameter", "status-999"])
 def test_validator_flags_what_extraction_must_prevent(edit, error):
-    doc = doc_to_dict(docs_for("path_regex")["default"])
+    doc = docs_for("path_regex")["default"]
     path = next(iter(doc["paths"]))
     edit(doc["paths"][path]["get"])
     assert any(error in e for e in validate_document(doc))
@@ -139,17 +150,16 @@ def test_validator_flags_what_extraction_must_prevent(edit, error):
 
 def test_merge_is_idempotent():
     doc = docs_for("constant_paths")["default"]
-    merged = merge_documents([doc, doc])
-    assert merged.paths == doc.paths
-    assert merged.components_schemas == doc.components_schemas
-    assert merged.profile == "merged"
+    merged = merge_documents({"default": doc, "eu": doc}, "constant_paths")
+    assert merged == doc
 
 
 def test_merge_of_disjoint_documents_sums_paths():
-    docs = [docs_for("constant_paths")["default"],
-            docs_for("request_body")["default"]]
-    merged = merge_documents(docs)
-    assert len(merged.paths) == sum(len(d.paths) for d in docs)
+    docs = {"a": docs_for("constant_paths")["default"],
+            "b": docs_for("request_body")["default"]}
+    merged = merge_documents(docs, "shop")
+    assert len(merged["paths"]) == \
+        sum(len(d["paths"]) for d in docs.values())
 
 
 def test_merge_conflict_raises_with_location():
@@ -157,31 +167,33 @@ def test_merge_conflict_raises_with_location():
     docs = docs_for("profile_split")
     assert set(docs) == {"external", "internal"}
     with pytest.raises(MergeConflictError) as err:
-        merge_documents(list(docs.values()))
-    assert "GET /status" in str(err.value)
+        merge_documents(docs, "profile_split")
+    assert "GET /status differs between profiles 'external' and " \
+        "'internal'" in str(err.value)
 
 
 @pytest.mark.parametrize("first_profile", ["default", "eu"])
 def test_merged_title_is_the_project_name(first_profile):
-    docs = [assemble_document([], SchemaRegistry(),
-                              DocMeta(project="shop (v2)", profile=profile))
-            for profile in (first_profile, "us")]
-    assert docs[1].title == "shop (v2) (us)"
-    assert merge_documents(docs).title == "shop (v2)"
+    docs = {profile: assemble_document([], SchemaRegistry(), "shop (v2)",
+                                       profile, "1.2")
+            for profile in (first_profile, "us")}
+    assert docs["us"]["info"]["title"] == "shop (v2) (us)"
+    assert merge_documents(docs, "shop (v2)")["info"] == {
+        "title": "shop (v2)", "version": "1.2"}
 
 
 def test_merge_empty_list_rejected():
     with pytest.raises(ValueError):
-        merge_documents([])
+        merge_documents({}, "shop")
 
 
 @given(st.permutations(list(range(2))))
 def test_merge_of_disjoint_docs_is_order_insensitive_in_content(order):
     docs = [docs_for("constant_paths")["default"],
             docs_for("request_body")["default"]]
-    merged = merge_documents([docs[i] for i in order])
-    assert doc_to_dict(merged)["paths"] == \
-        doc_to_dict(merge_documents(docs))["paths"]
+    merged = merge_documents({str(i): docs[i] for i in order}, "shop")
+    assert serialize(merged) == \
+        serialize(merge_documents({"0": docs[0], "1": docs[1]}, "shop"))
 
 
 # -- project metadata -------------------------------------------------------

@@ -141,6 +141,39 @@ class C {
     assert {(e.path, e.verb) for e in eps} == {("/a", "GET"), ("/b", "GET")}
 
 
+TWO_ANNOTATIONS = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    %s %s
+    void h(%s %s String x) {}
+}
+"""
+
+
+@pytest.mark.parametrize("first, second, operation", [
+    ('@GetMapping("/a")', '@PostMapping("/b")', ("/a", "GET")),
+    ('@PostMapping("/b")', '@GetMapping("/a")', ("/b", "POST")),
+], ids=["get-first", "post-first"])
+def test_first_declared_mapping_annotation_wins(first, second, operation):
+    src = TWO_ANNOTATIONS % (first, second, '@RequestParam("q")', "")
+    _, _, _, eps, _ = analyze(src)
+    assert [(e.path, e.verb) for e in eps] == [operation]
+
+
+@pytest.mark.parametrize("first, second, parameter", [
+    ('@RequestHeader("h")', '@RequestParam("q")', ("h", "header")),
+    ('@RequestParam("q")', '@RequestHeader("h")', ("q", "query")),
+], ids=["header-first", "param-first"])
+def test_first_declared_binding_annotation_wins(first, second, parameter):
+    src = TWO_ANNOTATIONS % ('@GetMapping("/a")', "", first, second)
+    _, _, _, eps, _ = analyze(src)
+    (ep,) = eps
+    assert [(p.name, p.location) for p in ep.parameters] == [parameter]
+
+
 def test_same_arity_overloads_both_emitted():
     src = """
 package app;
@@ -699,6 +732,47 @@ def test_exception_handler_reports_an_unmapped_status():
         ("UNRESOLVED_STATUS",
          "status '999' in missing maps to no HTTP status code; ignored",
          "<test-0>", handler.line)]
+
+
+def test_exception_handler_without_a_readable_status_gives_500():
+    model = model_from("""
+package app;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+class Missing extends RuntimeException {}
+
+@RestControllerAdvice
+class Advice {
+    @ExceptionHandler(Missing.class)
+    ResponseEntity<String> missing(Missing e) {
+        return ResponseEntity.status(e.code()).build();
+    }
+}
+""")
+    advice = model.classes["app.Advice"]
+    diags = []
+    assert resolve_exception_status("Missing", advice, [advice], model,
+                                    diags) == "500"
+    assert [(d.code, d.message, d.line) for d in diags] == [
+        ("UNRESOLVED_STATUS", "exception handler missing for Missing has no "
+         "statically readable status; assuming 500",
+         advice.methods[0].line)]
+
+
+def test_handler_returning_object_has_a_response_without_schema():
+    _, _, _, eps, diags = analyze("""
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping("/any")
+    Object any() { return lookup(); }
+}
+""")
+    assert [(r.status, r.schema) for r in eps[0].responses] == [("200", None)]
+    assert diags == []
 
 
 UNRESOLVED_NAMES = """

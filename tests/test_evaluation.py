@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR
-from oasforge.emitter import doc_to_dict
 from oasforge.evaluation import (CategoryScore, EMPTY_FLAT, FlatSets,
                                  GroundTruthError, evaluate, flatten_for_eval,
                                  format_report, load_ground_truth)
@@ -168,7 +167,7 @@ def test_swapping_prediction_and_truth_swaps_precision_recall(pred, truth):
 def test_generated_document_matches_itself_exactly():
     result = generate_project(FIXTURES_DIR / "exception_precedence")
     for doc in result.documents.values():
-        flat = flatten_for_eval(doc_to_dict(doc))
+        flat = flatten_for_eval(doc)
         report = evaluate(flat, flat)
         for category in (report.methods, report.parameters, report.responses):
             assert category.fp == 0 and category.fn == 0

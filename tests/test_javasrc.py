@@ -165,6 +165,15 @@ def test_chain_follows_superclass_imported_from_another_package():
                                                  "app.base.Parent"]
 
 
+def test_superclass_is_resolved_and_keeps_its_type_arguments():
+    model = model_from(
+        "package app.base;\npublic class Page<T> {}\n",
+        "package app.web;\nimport app.base.Page;\n"
+        "class Sub extends Page<List<Item>> {}\nclass Item {}\n")
+    assert model.classes["app.web.Sub"].superclass == TypeRef(
+        "app.base.Page", (TypeRef("List", (TypeRef("Item"),)),))
+
+
 def test_class_extending_itself_in_a_package_raises():
     model = model_from("package app;\nclass Loop extends Loop {}\n")
     with pytest.raises(SupertypeCycleError):
@@ -219,7 +228,7 @@ def test_qualified_name_resolves_only_to_a_class_ending_with_it():
     assert model.resolve_type_name("ter.Inner", ctx) is None
     assert model.resolve_type_name("java.util.Date", ctx) is None
     assert model.resolve_type_name("Date", ctx) == "app.Date"
-    assert model.classes["app.Date"].superclass == "java.util.Date"
+    assert model.classes["app.Date"].superclass == TypeRef("java.util.Date")
 
 
 def test_duplicate_class_found_by_simple_name_is_the_later_file(tmp_path):
@@ -361,3 +370,91 @@ def test_shift_assignments_in_a_body():
 ])
 def test_spelling_writes_each_value_kind_as_source(value, text):
     assert spelling(value) == text
+
+
+def test_wildcard_import_resolves_a_simple_name_used_in_two_packages():
+    model = model_from("package app.dto;\nclass Item {}\n",
+                       "package app.other;\nclass Item {}\n",
+                       "package app.web;\nimport app.dto.*;\nclass C {}\n")
+    ctx = model.classes["app.web.C"]
+    assert model.resolve_type_name("Item", ctx) == "app.dto.Item"
+
+
+def test_negative_annotation_value_is_an_int_literal():
+    (field,) = only_class("class A { @Min(-1) int n; }").fields
+    assert field.annotations[0].attributes == {"value": IntLit(-1)}
+
+
+def test_annotation_types_are_skipped_whole():
+    classes = parse_source("""
+package app;
+@interface Marker { String value() default "x"; int[] codes() default {}; }
+@RestController
+class C {
+    @interface Inner { Class<?> type() default Object.class; }
+    String name;
+}
+""")
+    assert [c.qualified_name for c in classes] == ["app.C"]
+    assert [f.name for f in classes[0].fields] == ["name"]
+
+
+def test_sealed_class_with_permits_clause():
+    cls = only_class("sealed class Shape extends Base permits Circle, Square "
+                     "{ int sides; }")
+    assert cls.superclass == TypeRef("Base")
+    assert [f.name for f in cls.fields] == ["sides"]
+
+
+def test_type_parameter_with_an_intersection_bound():
+    cls = only_class("class Box<T extends Number & Comparable<T>, U> "
+                     "{ T value; }")
+    assert cls.type_params == ("T", "U")
+    assert [f.type for f in cls.fields] == [TypeRef("T")]
+
+
+def test_enum_constants_with_arguments_and_bodies():
+    cls = only_class("""enum Level {
+    LOW(1), HIGH(9) { @Override int weight() { return 2; } }, @Deprecated OFF;
+    private final int code;
+    Level(int code) { this.code = code; }
+    Level() { this(0); }
+    int weight() { return 1; }
+}""")
+    assert cls.enum_constants == ("LOW", "HIGH", "OFF")
+    assert [f.name for f in cls.fields] == ["code"]
+    assert [m.name for m in cls.methods] == ["weight"]
+
+
+def test_initializer_blocks_are_skipped():
+    cls = only_class("class A { static int n; static { n = 1; } "
+                     "{ n += 1; } String s; }")
+    assert [f.name for f in cls.fields] == ["n", "s"]
+    assert cls.methods == ()
+
+
+def test_one_declaration_of_several_fields():
+    cls = only_class("class A { private int a, b[], c = 3; }")
+    assert [(f.name, f.type.array_depth, f.initializer)
+            for f in cls.fields] == [("a", 0, None), ("b", 1, None),
+                                     ("c", 0, IntLit(3))]
+
+
+def test_file_cut_off_mid_class_is_one_parse_error(tmp_path):
+    (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
+    (tmp_path / "Cut.java").write_text("package app;\nclass Cut {\n"
+                                       "    int n;\n")
+    (tmp_path / "Z.java").write_text("package app;\nclass Z {}\n")
+    model = parse_project(tmp_path)
+    assert sorted(model.classes) == ["app.A", "app.Z"]
+    assert [(d.code, d.file) for d in model.parse_diagnostics] == \
+        [("PARSE_ERROR", "Cut.java")]
+
+
+def test_interface_method_without_a_body_and_an_unbounded_wildcard():
+    cls = only_class("interface Api { List<?> all(); "
+                     "default int n() { return 1; } }")
+    assert [(m.name, m.return_type, m.body_facts.has_plain_return)
+            for m in cls.methods] == [
+        ("all", TypeRef("List", (TypeRef("java.lang.Object"),)), False),
+        ("n", TypeRef("int"), True)]

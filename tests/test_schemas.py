@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import model_from
 from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
 from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, UNSPECIFIED,
-                              array_of, required_fields, schema_for_type,
-                              unwrap_response_wrapper)
+                              array_of, ref_to, required_fields,
+                              schema_for_type, unwrap_response_wrapper)
 
 DOMAIN = """
 package app;
@@ -217,8 +217,14 @@ class Item {
     assert props["items"].items.ref_name == "Item"
 
 
-@pytest.mark.parametrize("raw", ["Page", "Sub"])
-def test_raw_generic_reference_binds_type_variables_to_object(raw):
+@pytest.mark.parametrize("raw, parent, item", [
+    # a raw reference binds T to Object
+    ("Page", "Page", UNSPECIFIED),
+    # `extends Page<Item>` binds T to Item
+    ("Sub", "PageOfItem", ref_to("Item")),
+], ids=["Page", "Sub"])
+def test_raw_generic_reference_binds_type_variables_to_object(raw, parent,
+                                                              item):
     src = """
 package app;
 
@@ -234,9 +240,41 @@ class Item {}
     model = model_from(src)
     reg = SchemaRegistry()
     named(model, reg, f"app.{raw}")
-    props = dict(reg.schemas["Page"].properties)
-    assert props == {"items": array_of(UNSPECIFIED), "first": UNSPECIFIED}
+    props = dict(reg.schemas[parent].properties)
+    assert props == {"items": array_of(item), "first": item}
     assert "T" not in reg.schemas
+    assert ("Page" in reg.schemas) == (parent == "Page")
+
+
+@pytest.mark.parametrize("ref, name, parent, extra", [
+    (t("Wrapped", t("Item")), "WrappedOfItem", "PageOfItem", ref_to("Item")),
+    # the superclass of a raw reference is raw
+    (t("Wrapped"), "Wrapped", "Page", UNSPECIFIED),
+], ids=["instantiated", "raw"])
+def test_generic_subclass_binds_its_superclass_arguments(ref, name, parent,
+                                                         extra):
+    src = """
+package app;
+
+class Page<T> {
+    private List<T> items;
+}
+
+class Wrapped<U> extends Page<U> {
+    private U extra;
+}
+
+class Item {}
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    wrapped = model.classes["app.Wrapped"]
+    assert schema_for_type(ref, model, reg, wrapped).ref_name == name
+    own = reg.schemas[name].parts
+    assert own[0] == ref_to(parent)
+    assert dict(own[1].properties) == {"extra": extra}
+    assert dict(reg.schemas[parent].properties) == \
+        {"items": array_of(extra)}
 
 
 def test_external_class_noted_with_package():
