@@ -13,9 +13,8 @@ from pathlib import Path
 
 import yaml
 
-from .endpoints import EndpointMethod, ParameterDesc, ResponseDesc
-from .schemas import SchemaNode, SchemaRegistry
-from .spring import HTTP_VERBS, reason_phrase
+from .schemas import SchemaRegistry
+from .spring import HTTP_VERBS
 
 OAS_VERSION = "3.0.3"
 
@@ -26,89 +25,6 @@ class MergeConflictError(Exception):
     def __init__(self, conflicts: list[str]):
         super().__init__("cannot merge documents:\n  " + "\n  ".join(conflicts))
         self.conflicts = conflicts
-
-
-# ---------------------------------------------------------------------------
-# Schema rendering
-# ---------------------------------------------------------------------------
-
-def schema_to_dict(node: SchemaNode) -> dict:
-    if node.kind == "primitive":
-        out = {"type": node.oas_type}
-        if node.oas_format:
-            out["format"] = node.oas_format
-        return out
-    if node.kind == "array":
-        return {"type": "array", "items": schema_to_dict(node.items)}
-    if node.kind == "enum":
-        return {"type": "string", "enum": list(node.enum_values)}
-    if node.kind == "map":
-        return {"type": "object",
-                "additionalProperties": schema_to_dict(node.value_schema)}
-    if node.kind == "ref":
-        return {"$ref": f"#/components/schemas/{node.ref_name}"}
-    if node.kind == "all_of":
-        return {"allOf": [schema_to_dict(p) for p in node.parts]}
-    if node.kind == "object":
-        out = {}
-        if node.required:
-            out["required"] = list(node.required)
-        out["type"] = "object"
-        out["properties"] = {name: schema_to_dict(s)
-                             for name, s in node.properties}
-        return out
-    return {}  # unspecified
-
-
-def _parameter_to_dict(param: ParameterDesc) -> dict:
-    schema = schema_to_dict(param.schema)
-    if param.pattern and "$ref" not in schema:
-        schema["pattern"] = param.pattern
-    return {
-        "name": param.name,
-        "in": param.location,
-        "required": param.required,
-        "schema": schema,
-    }
-
-
-def _response_to_dict(resp: ResponseDesc) -> dict:
-    out = {"description": reason_phrase(resp.status)}
-    if resp.schema is not None:
-        out["content"] = {
-            "application/json": {"schema": schema_to_dict(resp.schema)}}
-    return out
-
-
-def _operation_to_dict(endpoint: EndpointMethod) -> dict:
-    op: dict = {}
-    if endpoint.parameters:
-        op["parameters"] = [_parameter_to_dict(p) for p in endpoint.parameters]
-    if endpoint.request_body is not None:
-        op["requestBody"] = {
-            "content": {"application/json": {
-                "schema": schema_to_dict(endpoint.request_body.schema)}},
-            "required": endpoint.request_body.required,
-        }
-    op["responses"] = {
-        r.status: _response_to_dict(r)
-        for r in sorted(endpoint.responses, key=lambda r: r.status)
-    }
-    return op
-
-
-def _components_to_dict(reg: SchemaRegistry) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for name, node in reg.schemas.items():
-        rendered = schema_to_dict(node)
-        package = reg.external_notes.get(name)
-        if package:
-            rendered["externalDocs"] = {
-                "description": f"Defined in package {package}",
-                "url": "about:blank",
-            }
-        out[name] = rendered
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +49,16 @@ def doc_to_dict(paths: dict[str, dict[str, dict]], schemas: dict[str, dict],
     return out
 
 
-def assemble_document(endpoints: list[EndpointMethod], reg: SchemaRegistry,
-                      project: str, profile: str, version: str) -> dict:
-    """The document of one profile; a profile other than "default" is
-    named in its title."""
+def assemble_document(operations: dict[tuple[str, str], dict],
+                      reg: SchemaRegistry, project: str, profile: str,
+                      version: str) -> dict:
+    """The document of one profile, from its operations by (path, VERB);
+    a profile other than "default" is named in its title."""
     paths: dict[str, dict[str, dict]] = {}
-    for endpoint in endpoints:
-        verbs = paths.setdefault(endpoint.path, {})
-        verbs[endpoint.verb.lower()] = _operation_to_dict(endpoint)
+    for (path, verb), operation in operations.items():
+        paths.setdefault(path, {})[verb.lower()] = operation
     title = project if profile == "default" else f"{project} ({profile})"
-    return doc_to_dict(paths, _components_to_dict(reg), title, version)
+    return doc_to_dict(paths, reg.schemas, title, version)
 
 
 def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
@@ -184,14 +100,22 @@ def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
     return doc_to_dict(paths, schemas, project, version)
 
 
+class _NoAliasDumper(yaml.SafeDumper):
+    """A document shares sub-dicts between operations; write each
+    occurrence in full instead of as an anchor and its aliases."""
+
+    def ignore_aliases(self, data):
+        return True
+
+
 def serialize(data: dict, format: str = "json") -> bytes:
     """Render a document as JSON or YAML bytes."""
     if format == "json":
         return (json.dumps(data, indent=2, ensure_ascii=False) + "\n"
                 ).encode("utf-8")
     if format == "yaml":
-        return yaml.safe_dump(data, sort_keys=False,
-                              allow_unicode=True).encode("utf-8")
+        return yaml.dump(data, Dumper=_NoAliasDumper, sort_keys=False,
+                         allow_unicode=True).encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
 
 

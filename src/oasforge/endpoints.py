@@ -1,9 +1,12 @@
 """Extract (path, verb) operations with parameters and responses from the
-controller classes of one profile unit."""
+controller classes of one profile unit, each as its OAS operation dict.
+
+The dicts of one handler are shared by its paths and verbs, so none is
+changed after it is built.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
@@ -15,44 +18,12 @@ from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
                       ClassRef, Concat, MethodDecl, NameRef, SourceModel,
                       TypeRef, resolve_string_constant, spelling,
                       supertype_chain)
-from .schemas import (SchemaNode, SchemaRegistry, UNSPECIFIED, primitive,
-                      schema_for_type, unwrap_response_wrapper)
+from .schemas import (SchemaRegistry, primitive, schema_for_type,
+                      unwrap_response_wrapper)
 from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
                      PARAM_ANNOTATIONS, REQUEST_MAPPING, SERVLET_TYPES,
                      VERB_MAPPINGS, find_annotation,
-                     is_framework_annotation, status_code_for)
-
-
-@dataclass
-class ParameterDesc:
-    name: str
-    location: str  # path | query | header
-    required: bool
-    schema: SchemaNode
-    pattern: Optional[str] = None
-
-
-@dataclass
-class RequestBodyDesc:
-    schema: SchemaNode
-    required: bool = True
-
-
-@dataclass
-class ResponseDesc:
-    status: str
-    schema: Optional[SchemaNode] = None
-
-
-@dataclass
-class EndpointMethod:
-    path: str
-    verb: str
-    handler: MethodDecl
-    controller: ClassDecl
-    parameters: list[ParameterDesc] = field(default_factory=list)
-    request_body: Optional[RequestBodyDesc] = None
-    responses: list[ResponseDesc] = field(default_factory=list)
+                     is_framework_annotation, reason_phrase, status_code_for)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +175,15 @@ def _attr_bool(anno: AnnotationUse, attr: str, default: bool) -> bool:
     return default
 
 
+def _parameter(name: str, location: str, required: bool,
+               schema: dict) -> dict:
+    return {"name": name, "in": location, "required": required,
+            "schema": schema}
+
+
 def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
                            reg: SchemaRegistry, ctx: ClassDecl,
-                           diagnostics: list[Diagnostic]
-                           ) -> list[ParameterDesc]:
+                           diagnostics: list[Diagnostic]) -> list[dict]:
     """One query parameter per instance field, subclass fields first."""
     cls = model.find_class(obj_type.raw_name, ctx)
     if cls is None:
@@ -216,27 +192,28 @@ def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
             f"model attribute type {obj_type.raw_name!r} not in source tree",
             ctx.source_file))
         return []
-    params: list[ParameterDesc] = []
+    params: list[dict] = []
     seen: set[str] = set()
     for level in supertype_chain(cls, model):
         for f in level.fields:
             if f.is_static or f.name in seen:
                 continue
             seen.add(f.name)
-            params.append(ParameterDesc(
-                name=f.name, location="query", required=False,
-                schema=schema_for_type(f.type, model, reg, level)))
+            params.append(_parameter(
+                f.name, "query", False,
+                schema_for_type(f.type, model, reg, level)))
     return params
 
 
 def extract_parameters(handler: MethodDecl, model: SourceModel,
                        reg: SchemaRegistry, ctx: ClassDecl, file: str,
                        diagnostics: list[Diagnostic]
-                       ) -> tuple[list[ParameterDesc], Optional[RequestBodyDesc]]:
-    """The parameters and request body of `handler`, its types named in
-    `ctx`; diagnostics point at the handler's line in `file`."""
-    params: list[ParameterDesc] = []
-    body: Optional[RequestBodyDesc] = None
+                       ) -> tuple[list[dict], Optional[dict]]:
+    """The parameter dicts and the `requestBody` dict of `handler`, its
+    types named in `ctx`; diagnostics point at the handler's line in
+    `file`."""
+    params: list[dict] = []
+    body: Optional[dict] = None
     for p in handler.parameters:
         if p.type.simple_name in SERVLET_TYPES:
             diagnostics.append(Diagnostic(
@@ -254,9 +231,10 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
             continue
         kind = anno.simple_name
         if kind == "RequestBody":
-            body = RequestBodyDesc(
-                schema=schema_for_type(p.type, model, reg, ctx),
-                required=_attr_bool(anno, "required", True))
+            body = {
+                "content": {"application/json": {
+                    "schema": schema_for_type(p.type, model, reg, ctx)}},
+                "required": _attr_bool(anno, "required", True)}
             continue
         if kind == "ModelAttribute":
             params.extend(expand_model_attribute(p.type, model, reg, ctx,
@@ -265,54 +243,59 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
         name = next(iter(_attr_strings(
             anno, ("value", "name"), "parameter name", ctx, model, file,
             handler.line, diagnostics, fallback=p.name)), "") or p.name
+        schema = schema_for_type(p.type, model, reg, ctx)
         if kind == "PathVariable":
-            params.append(ParameterDesc(
-                name=name, location="path", required=True,
-                schema=schema_for_type(p.type, model, reg, ctx)))
+            params.append(_parameter(name, "path", True, schema))
         else:  # RequestParam or RequestHeader
             required = _attr_bool(anno, "required", True) \
                 and "defaultValue" not in anno.attributes
-            params.append(ParameterDesc(
-                name=name,
-                location="query" if kind == "RequestParam" else "header",
-                required=required,
-                schema=schema_for_type(p.type, model, reg, ctx)))
+            params.append(_parameter(
+                name, "query" if kind == "RequestParam" else "header",
+                required, schema))
     return params, body
 
 
-def _bind_to_template(params: list[ParameterDesc], path: str,
+def _with_pattern(param: dict, regex: Optional[str]) -> dict:
+    """`param`, or a copy of it whose schema has the regex of its path
+    variable when there is one and the schema is not a $ref."""
+    if not regex or "$ref" in param["schema"]:
+        return param
+    return {**param, "schema": {**param["schema"], "pattern": regex}}
+
+
+def _bind_to_template(params: list[dict], path: str,
                       variables: dict[str, Optional[str]],
                       handler: MethodDecl, file: str,
-                      diagnostics: list[Diagnostic]) -> list[ParameterDesc]:
+                      diagnostics: list[Diagnostic]) -> list[dict]:
     """Make the parameters fit the path template: drop a path parameter the
     template does not name and each later parameter with an earlier one's
     (name, location), give each path parameter its variable's regex, then
     add a string path parameter for each variable that no parameter
     binds."""
-    kept: list[ParameterDesc] = []
+    kept: list[dict] = []
     seen: set[tuple[str, str]] = set()
     for param in params:
-        key = (param.name, param.location)
-        if param.location == "path" and param.name not in variables:
+        name, location = key = (param["name"], param["in"])
+        if location == "path" and name not in variables:
             reason = f"is not a variable of path {path!r}"
         elif key in seen:
             reason = "repeats an earlier parameter"
         else:
             seen.add(key)
-            if param.location == "path":
+            if location == "path":
                 # `params` is shared by every path of the handler
-                param = replace(param, pattern=variables[param.name])
+                param = _with_pattern(param, variables[name])
             kept.append(param)
             continue
         diagnostics.append(Diagnostic(
             SKIPPED_PARAMETER,
-            f"{param.location} parameter {param.name!r} of {handler.name} "
-            f"{reason}", file, handler.line))
+            f"{location} parameter {name!r} of {handler.name} {reason}",
+            file, handler.line))
     for name, regex in variables.items():
         if (name, "path") in seen:
             continue
-        kept.append(ParameterDesc(name, "path", True, primitive("string"),
-                                  regex))
+        kept.append(_with_pattern(
+            _parameter(name, "path", True, primitive("string")), regex))
         diagnostics.append(Diagnostic(
             UNBOUND_PATH_VARIABLE,
             f"variable {name!r} of path {path!r} is bound by no parameter "
@@ -429,7 +412,10 @@ def resolve_exception_status(exc: str, local: ClassDecl,
 def extract_responses(handler: MethodDecl, unit: ProfileUnit,
                       model: SourceModel, reg: SchemaRegistry,
                       ctx: ClassDecl, file: str,
-                      diagnostics: list[Diagnostic]) -> list[ResponseDesc]:
+                      diagnostics: list[Diagnostic]) -> dict[str, dict]:
+    """The `responses` dict of `handler`, in code order: its success codes,
+    with a body schema on each 1xx-3xx one, and the codes its exceptions
+    map to."""
     explicit, annotated = _statuses(handler, ctx, file, diagnostics)
     success = set(explicit)
     if not explicit or handler.body_facts.has_plain_return \
@@ -437,26 +423,26 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
         success.add(annotated or "200")
 
     return_type = unwrap_response_wrapper(handler.return_type)
-    schema: Optional[SchemaNode] = None
-    if return_type.raw_name not in ("void", "Void"):
-        schema = schema_for_type(return_type, model, reg, ctx)
-        if schema is UNSPECIFIED and return_type.simple_name == "Object":
-            schema = None
+    content: Optional[dict] = None
+    if return_type.raw_name not in ("void", "Void") and not (
+            return_type.simple_name == "Object"
+            and return_type.array_depth == 0):
+        content = {"application/json": {
+            "schema": schema_for_type(return_type, model, reg, ctx)}}
 
-    responses: dict[str, ResponseDesc] = {}
-    for code in sorted(success):
-        body_schema = schema if code.startswith(("1", "2", "3")) else None
-        responses[code] = ResponseDesc(code, body_schema)
-
+    codes = set(success)
     error_sources = set(handler.declared_throws) \
         | handler.body_facts.thrown_exception_types
     for exc in sorted(error_sources):
-        code = resolve_exception_status(exc, ctx,
-                                        unit.controller_set.advices, model,
-                                        diagnostics)
-        if code not in responses:
-            responses[code] = ResponseDesc(code, None)
-    return [responses[c] for c in sorted(responses)]
+        codes.add(resolve_exception_status(exc, ctx,
+                                           unit.controller_set.advices, model,
+                                           diagnostics))
+    responses: dict[str, dict] = {}
+    for code in sorted(codes):
+        responses[code] = {"description": reason_phrase(code)}
+        if content and code in success and code.startswith(("1", "2", "3")):
+            responses[code]["content"] = content
+    return responses
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +471,11 @@ def _handlers(chain: list[ClassDecl]
 
 def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                       reg: SchemaRegistry, diagnostics: list[Diagnostic]
-                      ) -> list[EndpointMethod]:
-    endpoints: list[EndpointMethod] = []
-    seen: dict[tuple[str, str], EndpointMethod] = {}
+                      ) -> dict[tuple[str, str], dict]:
+    """The operation dict of each (path, VERB) of `unit`, in the order the
+    handlers are found; a later handler of a taken (path, VERB) is dropped
+    with DUPLICATE_METHOD."""
+    operations: dict[tuple[str, str], dict] = {}
     for controller in unit.controller_set.controllers:
         chain = supertype_chain(controller, model)
         base_paths = _class_base_paths(chain, model, diagnostics)
@@ -513,19 +501,19 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
             responses = extract_responses(handler, unit, model, reg,
                                           controller, file, diagnostics)
             for path, path_params in per_path:
+                operation: dict = {}
+                if path_params:
+                    operation["parameters"] = path_params
+                if body is not None:
+                    operation["requestBody"] = body
+                operation["responses"] = responses
                 for verb in verbs:
-                    key = (path, verb)
-                    if key in seen:
+                    if (path, verb) in operations:
                         diagnostics.append(Diagnostic(
                             DUPLICATE_METHOD,
                             f"duplicate operation {verb} {path} in "
                             f"profile {unit.profile_name!r}",
                             file, handler.line))
                         continue
-                    endpoint = EndpointMethod(
-                        path=path, verb=verb, handler=handler,
-                        controller=controller, parameters=list(path_params),
-                        request_body=body, responses=list(responses))
-                    seen[key] = endpoint
-                    endpoints.append(endpoint)
-    return endpoints
+                    operations[path, verb] = operation
+    return operations

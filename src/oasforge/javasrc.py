@@ -275,8 +275,8 @@ class SourceModel:
     does not find `app.Date`. The raw name of each `superclass` is
     resolved once, here at construction, so `supertype_chain` only follows
     fully qualified names; a superclass that does not resolve keeps its
-    source spelling and ends the chain. Its type arguments keep their
-    source spelling.
+    source spelling and ends the chain. Its type arguments are qualified
+    there too, by `qualify_arguments`.
 
     Construction builds a simple name → classes index, in `classes` order,
     so `by_simple_name` does not walk `classes`. The index is valid
@@ -291,10 +291,13 @@ class SourceModel:
             index.setdefault(cls.simple_name, []).append(cls)
         self._by_simple_name = {k: tuple(v) for k, v in index.items()}
         for cls in self.classes.values():
-            resolved = cls.superclass and self.resolve_type_name(
-                cls.superclass.raw_name, cls)
-            if resolved:
-                cls.superclass = replace(cls.superclass, raw_name=resolved)
+            parent = cls.superclass
+            if parent:
+                resolved = self.resolve_type_name(parent.raw_name, cls)
+                if resolved:
+                    parent = replace(parent, raw_name=resolved)
+                cls.superclass = self.qualify_arguments(parent, cls,
+                                                        cls.type_params)
 
     def by_simple_name(self, simple: str) -> tuple[ClassDecl, ...]:
         return self._by_simple_name.get(simple, ())
@@ -321,6 +324,22 @@ class SourceModel:
         if len(matches) == 1:
             return matches[0].qualified_name
         return None
+
+    def qualify_arguments(self, t: TypeRef, ctx: ClassDecl,
+                          type_vars: tuple[str, ...] = ()) -> TypeRef:
+        """`t` with each type argument, at any depth, that names a model
+        class in `ctx` spelled by its fully qualified name, so it keeps its
+        meaning where a generic class binds it. Names in `type_vars` are
+        type variables of `ctx` and stay as written."""
+        if not t.type_arguments:
+            return t
+        args = []
+        for arg in t.type_arguments:
+            arg = self.qualify_arguments(arg, ctx, type_vars)
+            resolved = arg.raw_name not in type_vars \
+                and self.resolve_type_name(arg.raw_name, ctx)
+            args.append(replace(arg, raw_name=resolved) if resolved else arg)
+        return replace(t, type_arguments=tuple(args))
 
     def find_class(self, name: str, ctx: ClassDecl) -> Optional[ClassDecl]:
         fq = self.resolve_type_name(name, ctx)
@@ -350,10 +369,13 @@ class _Parser:
     def next(self) -> Token:
         t = self.peek()
         if t is None:
-            last = self.toks[-1].line if self.toks else 0
-            raise JavaSyntaxError("unexpected end of file", last)
+            raise JavaSyntaxError("unexpected end of file", self.last_line())
         self.pos += 1
         return t
+
+    def last_line(self) -> int:
+        """The line of the last token, where a cut-off file ends."""
+        return self.toks[-1].line if self.toks else 0
 
     def expect(self, text: str) -> Token:
         t = self.next()
@@ -482,7 +504,8 @@ class _Parser:
     def parse_attr_term(self) -> AttributeValue:
         t = self.peek()
         if t is None:
-            raise JavaSyntaxError("unexpected end in annotation value", 0)
+            raise JavaSyntaxError("unexpected end in annotation value",
+                                  self.last_line())
         if t.text == "{":
             self.next()
             items: list[AttributeValue] = []
@@ -623,7 +646,8 @@ class _Parser:
         annos, mods = self.parse_annotations_and_modifiers()
         t = self.peek()
         if t is None:
-            raise JavaSyntaxError("unexpected end of class body", 0)
+            raise JavaSyntaxError("unexpected end of class body",
+                                  self.last_line())
         if t.text == "{":  # static or instance initializer block
             self.skip_balanced("{", "}")
             return []
@@ -726,7 +750,8 @@ class _Parser:
         while True:
             t = self.peek()
             if t is None:
-                raise JavaSyntaxError("unterminated initializer", 0)
+                raise JavaSyntaxError("unterminated initializer",
+                                      self.last_line())
             if depth == 0 and t.text in (";", ","):
                 return None
             if t.text in ("(", "{", "["):
@@ -740,7 +765,7 @@ class _Parser:
     def parse_type_ref(self) -> TypeRef:
         t = self.peek()
         if t is None:
-            raise JavaSyntaxError("expected type", 0)
+            raise JavaSyntaxError("expected type", self.last_line())
         if t.text == "?":
             self.next()
             if self.accept("extends") or self.accept("super"):

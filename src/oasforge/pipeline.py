@@ -39,9 +39,9 @@ def generate_project(root: Path | str,
     documents: dict[str, dict] = {}
     for unit in units:
         reg = SchemaRegistry()
-        endpoints = extract_endpoints(unit, model, reg, diagnostics)
+        operations = extract_endpoints(unit, model, reg, diagnostics)
         documents[unit.profile_name] = assemble_document(
-            endpoints, reg, project, unit.profile_name, version)
+            operations, reg, project, unit.profile_name, version)
     # A finding outside any profile repeats once for each profile's unit.
     diagnostics = list(dict.fromkeys(diagnostics))
     return GenerationResult(project, documents, diagnostics)

@@ -1,14 +1,12 @@
-"""Convert Java type references into OAS schema values.
+"""Convert Java type references into OAS schema dicts.
 
 Simple types map inline; custom classes become named schemas registered in a
 SchemaRegistry and referenced with $ref. Inheritance is preserved with allOf
-instead of flattening fields into one schema.
+instead of flattening fields into one schema. A schema dict may be shared by
+several operations and documents, so none is changed after it is built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, SourceModel,
                       TypeRef, UNSPECIFIED_TYPE, supertype_chain)
@@ -48,58 +46,21 @@ NONNULL_PRIMITIVES = {"int", "long", "short", "byte", "float", "double",
 UNSPECIFIED_SCHEMA_NAME = "UNSPECIFIED_TYPE"
 
 
-@dataclass(frozen=True)
-class SchemaNode:
-    kind: str  # primitive | array | enum | map | ref | all_of | object | unspecified
-    oas_type: str = ""
-    oas_format: str = ""
-    items: Optional["SchemaNode"] = None
-    enum_values: tuple[str, ...] = ()
-    value_schema: Optional["SchemaNode"] = None
-    ref_name: str = ""
-    parts: tuple["SchemaNode", ...] = ()
-    properties: tuple[tuple[str, "SchemaNode"], ...] = ()
-    required: tuple[str, ...] = ()
+def primitive(oas_type: str, oas_format: str = "") -> dict:
+    if oas_format:
+        return {"type": oas_type, "format": oas_format}
+    return {"type": oas_type}
 
 
-UNSPECIFIED = SchemaNode("unspecified")
-
-
-def primitive(oas_type: str, oas_format: str = "") -> SchemaNode:
-    return SchemaNode("primitive", oas_type=oas_type, oas_format=oas_format)
-
-
-def array_of(items: SchemaNode) -> SchemaNode:
-    return SchemaNode("array", items=items)
-
-
-def enum_of(values) -> SchemaNode:
-    return SchemaNode("enum", oas_type="string", enum_values=tuple(values))
-
-
-def map_of(value_schema: SchemaNode) -> SchemaNode:
-    return SchemaNode("map", value_schema=value_schema)
-
-
-def ref_to(name: str) -> SchemaNode:
-    return SchemaNode("ref", ref_name=name)
-
-
-def all_of(parts) -> SchemaNode:
-    return SchemaNode("all_of", parts=tuple(parts))
-
-
-def object_of(properties, required=()) -> SchemaNode:
-    return SchemaNode("object", properties=tuple(properties),
-                      required=tuple(required))
+def ref_to(name: str) -> dict:
+    return {"$ref": f"#/components/schemas/{name}"}
 
 
 class SchemaRegistry:
     """Named schemas destined for #/components/schemas, insertion-ordered."""
 
     def __init__(self):
-        self.schemas: dict[str, SchemaNode] = {}
-        self.external_notes: dict[str, str] = {}
+        self.schemas: dict[str, dict] = {}
         self._name_by_key: dict[str, str] = {}
         # Named classes whose schemas are still being built, newest last:
         # (name, class, type-parameter bindings, superclass reference,
@@ -117,18 +78,19 @@ class SchemaRegistry:
             name = f"{preferred}_{suffix}"
             suffix += 1
         self._name_by_key[key] = name
-        self.schemas[name] = UNSPECIFIED  # placeholder until built
+        self.schemas[name] = {}  # placeholder until built
         return name, True
 
 
 def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
-                    ctx: ClassDecl) -> SchemaNode:
+                    ctx: ClassDecl) -> dict:
     """Schema of `t` as named in `ctx`: simple types, collections, maps and
     enums inline; any other class as a $ref to a schema registered in `reg`.
     """
     if t.array_depth > 0:
         element = TypeRef(t.raw_name, t.type_arguments, t.array_depth - 1)
-        return array_of(schema_for_type(element, model, reg, ctx))
+        return {"type": "array",
+                "items": schema_for_type(element, model, reg, ctx)}
 
     simple = t.simple_name
     if t.raw_name == UNSPECIFIED_TYPE.raw_name:
@@ -138,22 +100,24 @@ def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
         oas_type, oas_format = PRIMITIVE_MAP[simple]
         return primitive(oas_type, oas_format)
     if simple in COLLECTION_TYPES:
-        if not t.type_arguments:
-            return array_of(UNSPECIFIED)
-        return array_of(schema_for_type(t.type_arguments[0], model, reg, ctx))
+        items = schema_for_type(t.type_arguments[0], model, reg, ctx) \
+            if t.type_arguments else {}
+        return {"type": "array", "items": items}
     if simple in MAP_TYPES:
-        if len(t.type_arguments) < 2:
-            return map_of(UNSPECIFIED)
-        return map_of(schema_for_type(t.type_arguments[1], model, reg, ctx))
+        values = schema_for_type(t.type_arguments[1], model, reg, ctx) \
+            if len(t.type_arguments) >= 2 else {}
+        return {"type": "object", "additionalProperties": values}
     if simple == "Object":
-        return UNSPECIFIED
+        return {}
 
     cls = model.find_class(t.raw_name, ctx)
     if cls is None:
         return ref_to(_register_external(t, reg, ctx))
     if cls.kind == "enum":
-        return enum_of(cls.enum_constants)
-    return ref_to(build_named_schema(t, cls, model, reg))
+        return {"type": "string", "enum": list(cls.enum_constants)}
+    # type arguments mean the classes they name where they are written
+    return ref_to(build_named_schema(model.qualify_arguments(t, ctx), cls,
+                                     model, reg))
 
 
 def required_fields(cls: ClassDecl) -> list[str]:
@@ -232,13 +196,16 @@ def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
             properties.append(
                 (f.name, schema_for_type(ftype, model, reg, top)))
             continue
-        schema = object_of(properties, required_fields(top))
+        required = required_fields(top)
+        schema = {"required": required} if required else {}
+        schema["type"] = "object"
+        schema["properties"] = dict(properties)
         chain = supertype_chain(top, model)
         if len(chain) > 1:
             # named while `top` is still pending, so this loop builds it next
             parent_name = build_named_schema(top_parent, chain[1], model,
                                              reg)
-            schema = all_of([ref_to(parent_name), schema])
+            schema = {"allOf": [ref_to(parent_name), schema]}
         reg.schemas[top_name] = schema
         del reg.pending[depth]
     return name
@@ -267,6 +234,8 @@ def _register_external(t: TypeRef, reg: SchemaRegistry,
             package = imported.rsplit(".", 1)[0]
     name, new = reg.allocate_name(f"<external>{package}.{simple}", simple)
     if new and package:
-        reg.external_notes[name] = package
+        reg.schemas[name] = {"externalDocs": {
+            "description": f"Defined in package {package}",
+            "url": "about:blank"}}
     return name
 

@@ -10,43 +10,15 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
 from oasforge.emitter import (MergeConflictError, assemble_document,
                               doc_to_dict, merge_documents,
-                              read_project_version, schema_to_dict, serialize)
+                              read_project_version, serialize)
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
-from oasforge.schemas import (SchemaRegistry, all_of, array_of, enum_of,
-                              map_of, object_of, primitive, ref_to)
+from oasforge.schemas import SchemaRegistry
 
 
 def docs_for(name):
     result = generate_project(FIXTURES_DIR / name)
     return result.documents
-
-
-# -- schema rendering -------------------------------------------------------
-
-def test_object_renders_required_type_properties_in_order():
-    node = object_of([("a", primitive("integer", "int32"))], required=["a"])
-    assert list(schema_to_dict(node)) == ["required", "type", "properties"]
-
-
-def test_map_renders_additional_properties():
-    assert schema_to_dict(map_of(primitive("number"))) == {
-        "type": "object", "additionalProperties": {"type": "number"}}
-
-
-def test_ref_and_allof_render():
-    node = all_of([ref_to("Base"), object_of([])])
-    assert schema_to_dict(node) == {"allOf": [
-        {"$ref": "#/components/schemas/Base"},
-        {"type": "object", "properties": {}},
-    ]}
-
-
-def test_enum_and_array_render():
-    assert schema_to_dict(enum_of(["A", "B"])) == {
-        "type": "string", "enum": ["A", "B"]}
-    assert schema_to_dict(array_of(primitive("string"))) == {
-        "type": "array", "items": {"type": "string"}}
 
 
 # -- serialization ----------------------------------------------------------
@@ -68,6 +40,18 @@ def test_yaml_round_trips():
     doc = docs_for("allof_inheritance")["default"]
     parsed = yaml.safe_load(serialize(doc, format="yaml"))
     assert parsed == doc
+
+
+@pytest.mark.parametrize("name", GOLDEN_FIXTURES)
+def test_yaml_writes_shared_dicts_in_full(name):
+    # the operations of one handler share their dicts (all_verbs: seven
+    # operations of one handler); YAML must not write them as anchors
+    for doc in docs_for(name).values():
+        text = serialize(doc, format="yaml").decode("utf-8")
+        # an anchor and each of its aliases are events with an `anchor`
+        assert not any(getattr(event, "anchor", None)
+                       for event in yaml.parse(text))
+        assert yaml.safe_load(text) == json.loads(serialize(doc))
 
 
 def test_serialize_rejects_unknown_format():
@@ -174,7 +158,7 @@ def test_merge_conflict_raises_with_location():
 
 @pytest.mark.parametrize("first_profile", ["default", "eu"])
 def test_merged_title_is_the_project_name(first_profile):
-    docs = {profile: assemble_document([], SchemaRegistry(), "shop (v2)",
+    docs = {profile: assemble_document({}, SchemaRegistry(), "shop (v2)",
                                        profile, "1.2")
             for profile in (first_profile, "us")}
     assert docs["us"]["info"]["title"] == "shop (v2) (us)"

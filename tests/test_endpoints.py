@@ -17,13 +17,23 @@ from oasforge.spring import HTTP_VERBS
 
 
 def analyze(*sources):
+    """The model, first profile unit, registry, operations by (path, VERB)
+    and diagnostics of a tree."""
     model = model_from(*sources)
     cs = discover_rest_classes(model)
     units = group_by_profile(cs, model, [])
     reg = SchemaRegistry()
     diags = []
-    eps = extract_endpoints(units[0], model, reg, diags)
-    return model, units[0], reg, eps, diags
+    ops = extract_endpoints(units[0], model, reg, diags)
+    return model, units[0], reg, ops, diags
+
+
+def params_of(op):
+    return op.get("parameters", [])
+
+
+def statuses(op):
+    return list(op["responses"])
 
 
 # -- paths ------------------------------------------------------------------
@@ -103,9 +113,8 @@ class C {
 
 
 def test_mapping_without_verb_expands_to_all_seven():
-    _, _, _, eps, _ = analyze(BARE_MAPPING)
-    assert {e.verb for e in eps} == set(HTTP_VERBS)
-    assert all(e.path == "/x" for e in eps)
+    _, _, _, ops, _ = analyze(BARE_MAPPING)
+    assert list(ops) == [("/x", verb) for verb in HTTP_VERBS]
 
 
 def test_declared_verbs_expand_exactly():
@@ -121,8 +130,8 @@ class C {
     void two() {}
 }
 """
-    _, _, _, eps, _ = analyze(src)
-    assert {e.verb for e in eps} == {"GET", "POST"}
+    _, _, _, ops, _ = analyze(src)
+    assert set(ops) == {("/y", "GET"), ("/y", "POST")}
 
 
 def test_multiple_paths_cross_verbs():
@@ -137,8 +146,8 @@ class C {
     void h() {}
 }
 """
-    _, _, _, eps, _ = analyze(src)
-    assert {(e.path, e.verb) for e in eps} == {("/a", "GET"), ("/b", "GET")}
+    _, _, _, ops, _ = analyze(src)
+    assert set(ops) == {("/a", "GET"), ("/b", "GET")}
 
 
 TWO_ANNOTATIONS = """
@@ -159,8 +168,8 @@ class C {
 ], ids=["get-first", "post-first"])
 def test_first_declared_mapping_annotation_wins(first, second, operation):
     src = TWO_ANNOTATIONS % (first, second, '@RequestParam("q")', "")
-    _, _, _, eps, _ = analyze(src)
-    assert [(e.path, e.verb) for e in eps] == [operation]
+    _, _, _, ops, _ = analyze(src)
+    assert list(ops) == [operation]
 
 
 @pytest.mark.parametrize("first, second, parameter", [
@@ -169,9 +178,9 @@ def test_first_declared_mapping_annotation_wins(first, second, operation):
 ], ids=["header-first", "param-first"])
 def test_first_declared_binding_annotation_wins(first, second, parameter):
     src = TWO_ANNOTATIONS % ('@GetMapping("/a")', "", first, second)
-    _, _, _, eps, _ = analyze(src)
-    (ep,) = eps
-    assert [(p.name, p.location) for p in ep.parameters] == [parameter]
+    _, _, _, ops, _ = analyze(src)
+    (op,) = ops.values()
+    assert [(p["name"], p["in"]) for p in params_of(op)] == [parameter]
 
 
 def test_same_arity_overloads_both_emitted():
@@ -187,8 +196,8 @@ class C {
     String get(@RequestParam int n) { return ""; }
 }
 """
-    _, _, _, eps, diags = analyze(src)
-    assert {(e.path, e.verb) for e in eps} == {("/a", "GET"), ("/b", "POST")}
+    _, _, _, ops, diags = analyze(src)
+    assert set(ops) == {("/a", "GET"), ("/b", "POST")}
     assert diags == []
 
 
@@ -208,8 +217,8 @@ class Sub extends Base {
     String get(@RequestParam java.lang.String q) { return q; }
 }
 """
-    _, _, _, eps, _ = analyze(src)
-    assert [(e.path, e.verb) for e in eps] == [("/sub", "GET")]
+    _, _, _, ops, _ = analyze(src)
+    assert list(ops) == [("/sub", "GET")]
 
 
 def test_class_base_path_joined_with_method_path():
@@ -229,8 +238,9 @@ class C {
     String root() { return "{}"; }
 }
 """
-    _, _, _, eps, _ = analyze(src)
-    assert {e.path for e in eps} == {"/config/scoring.project", "/config"}
+    _, _, _, ops, _ = analyze(src)
+    assert {path for path, _ in ops} == {"/config/scoring.project",
+                                         "/config"}
 
 
 def test_duplicate_path_verb_is_diagnostic():
@@ -248,8 +258,8 @@ class C {
     void two() {}
 }
 """
-    _, _, _, eps, diags = analyze(src)
-    assert len(eps) == 1
+    _, _, _, ops, diags = analyze(src)
+    assert len(ops) == 1
     assert any(d.code == "DUPLICATE_METHOD" for d in diags)
 
 
@@ -285,40 +295,42 @@ class ScoringConfig {
 
 
 def params_for(name):
-    model, unit, reg, eps, diags = analyze(PARAMS)
-    ep = next(e for e in eps if e.path == name)
-    return ep, diags
+    model, unit, reg, ops, diags = analyze(PARAMS)
+    op = next(op for (path, _), op in ops.items() if path == name)
+    return op, diags
 
 
 def test_request_param_name_attribute_wins():
-    ep, _ = params_for("/q")
-    names = {p.name: p for p in ep.parameters}
+    op, _ = params_for("/q")
+    names = {p["name"]: p for p in params_of(op)}
     assert "sort_by" in names and "sortBy" not in names
-    assert names["sort_by"].location == "query"
+    assert names["sort_by"]["in"] == "query"
 
 
 def test_required_attribute_honored():
-    ep, _ = params_for("/q")
-    by_name = {p.name: p for p in ep.parameters}
-    assert by_name["sort_by"].required is True
-    assert by_name["limit"].required is False
-    assert by_name["X-Org"].location == "header"
+    op, _ = params_for("/q")
+    by_name = {p["name"]: p for p in params_of(op)}
+    assert by_name["sort_by"]["required"] is True
+    assert by_name["limit"]["required"] is False
+    assert by_name["X-Org"]["in"] == "header"
 
 
 def test_servlet_and_unannotated_parameters_skipped_with_diagnostics():
-    ep, diags = params_for("/q")
-    assert {p.name for p in ep.parameters} == {"sort_by", "limit", "X-Org"}
+    op, diags = params_for("/q")
+    assert {p["name"] for p in params_of(op)} == {"sort_by", "limit",
+                                                   "X-Org"}
     codes = [d.code for d in diags]
     assert "SERVLET_PARAMETER" in codes
     assert "SKIPPED_PARAMETER" in codes
 
 
 def test_request_body_is_not_a_parameter():
-    ep, _ = params_for("/scoring")
-    assert ep.parameters == []
-    assert ep.request_body is not None
-    assert ep.request_body.schema.kind == "ref"
-    assert ep.request_body.schema.ref_name == "ScoringConfig"
+    op, _ = params_for("/scoring")
+    assert params_of(op) == []
+    assert op["requestBody"] == {
+        "content": {"application/json": {
+            "schema": {"$ref": "#/components/schemas/ScoringConfig"}}},
+        "required": True}
 
 
 MODEL_ATTR = """
@@ -344,9 +356,9 @@ def test_model_attribute_expands_fields_subclass_first():
     reg = SchemaRegistry()
     ctx = model.classes["app.Filter"]
     params = expand_model_attribute(TypeRef("Filter"), model, reg, ctx, [])
-    assert [(p.name, p.location) for p in params] == \
-        [("a", "query"), ("b", "query"), ("c", "query")]
-    assert params[0].schema.oas_type == "integer"
+    assert [(p["name"], p["in"], p["required"]) for p in params] == \
+        [("a", "query", False), ("b", "query", False), ("c", "query", False)]
+    assert params[0]["schema"] == {"type": "integer", "format": "int32"}
 
 
 def test_model_attribute_empty_class():
@@ -386,15 +398,15 @@ class Filter {
 
 
 def test_template_binding_fills_in_unbound_variables_and_drops_repeats():
-    _, _, _, eps, diags = analyze(TEMPLATE)
-    [ep] = eps
-    assert ep.path == "/shops/{shop}/items/{item}/{shop}"
-    assert [(p.name, p.location, p.required, p.schema.oas_type, p.pattern)
-            for p in ep.parameters] == [
-        ("q", "query", True, "string", None),
-        ("owner", "query", False, "string", None),
-        ("shop", "path", True, "string", "[a-z]+"),
-        ("item", "path", True, "string", None)]
+    _, _, _, ops, diags = analyze(TEMPLATE)
+    [(path, _)] = ops
+    assert path == "/shops/{shop}/items/{item}/{shop}"
+    assert [(p["name"], p["in"], p["required"], p["schema"])
+            for p in params_of(ops[path, "GET"])] == [
+        ("q", "query", True, {"type": "string"}),
+        ("owner", "query", False, {"type": "string"}),
+        ("shop", "path", True, {"type": "string", "pattern": "[a-z]+"}),
+        ("item", "path", True, {"type": "string"})]
     assert [(d.code, d.message) for d in diags] == [
         ("SKIPPED_PARAMETER",
          "query parameter 'q' of get repeats an earlier parameter"),
@@ -466,28 +478,28 @@ class SubNotHereException extends NotHereException {}
 
 
 def endpoint(path):
-    model, unit, reg, eps, diags = analyze(RESPONSES)
-    return model, unit, next(e for e in eps if e.path == path)
+    model, unit, reg, ops, diags = analyze(RESPONSES)
+    return model, unit, next(op for (p, _), op in ops.items() if p == path)
 
 
 def test_void_handler_defaults_to_200_without_schema():
-    _, _, ep = endpoint("/void")
-    assert [(r.status, r.schema) for r in ep.responses] == [("200", None)]
+    _, _, op = endpoint("/void")
+    assert op["responses"] == {"200": {"description": "OK"}}
 
 
 def test_explicit_and_default_statuses_union():
-    _, _, ep = endpoint("/mixed")
-    assert [r.status for r in ep.responses] == ["200", "201"]
+    _, _, op = endpoint("/mixed")
+    assert statuses(op) == ["200", "201"]
 
 
 def test_thrown_exception_translated_via_advice():
-    _, _, ep = endpoint("/forbidden")
-    assert [r.status for r in ep.responses] == ["200", "403"]
+    _, _, op = endpoint("/forbidden")
+    assert statuses(op) == ["200", "403"]
 
 
 def test_response_status_annotation_replaces_200():
-    _, _, ep = endpoint("/annotated")
-    assert [r.status for r in ep.responses] == [("202")]
+    _, _, op = endpoint("/annotated")
+    assert statuses(op) == ["202"]
 
 
 def test_local_handler_beats_global():
@@ -630,9 +642,9 @@ def test_nearest_handler_wins_over_an_earlier_broader_one(thrown, status):
 
 
 def test_every_endpoint_has_a_response():
-    _, _, _, eps, _ = analyze(RESPONSES)
-    assert eps
-    assert all(e.responses for e in eps)
+    _, _, _, ops, _ = analyze(RESPONSES)
+    assert ops
+    assert all(op["responses"] for op in ops.values())
 
 
 UNMAPPED_STATUS = """
@@ -656,8 +668,8 @@ class C {
 
 
 def test_unmapped_status_is_diagnosed_once_and_200_applies():
-    _, _, _, eps, diags = analyze(UNMAPPED_STATUS)
-    assert [(e.path, [r.status for r in e.responses]) for e in eps] == [
+    _, _, _, ops, diags = analyze(UNMAPPED_STATUS)
+    assert [(path, statuses(op)) for (path, _), op in ops.items()] == [
         ("/a", ["200"]), ("/b", ["200"]), ("/c", ["200"])]
     assert [(d.code, d.message) for d in diags] == [
         ("UNRESOLVED_STATUS",
@@ -689,9 +701,10 @@ class C {
 
 
 def test_each_variable_of_a_segment_keeps_its_pattern():
-    _, _, _, eps, diags = analyze(TWO_VARIABLE_SEGMENT)
-    assert [(e.path, [(p.name, p.pattern) for p in e.parameters])
-            for e in eps] == [
+    _, _, _, ops, diags = analyze(TWO_VARIABLE_SEGMENT)
+    assert [(path, [(p["name"], p["schema"].get("pattern"))
+                    for p in params_of(op)])
+            for (path, _), op in ops.items()] == [
         ("/f/{name}.{ext}", [("name", None), ("ext", "[a-z]+")]),
         ("/p/{id}", [("id", "[0-9]+")]),
         ("/q/{id}", [("id", None)])]
@@ -761,7 +774,7 @@ class Advice {
 
 
 def test_handler_returning_object_has_a_response_without_schema():
-    _, _, _, eps, diags = analyze("""
+    _, _, reg, ops, diags = analyze("""
 package app;
 import org.springframework.web.bind.annotation.*;
 
@@ -769,9 +782,18 @@ import org.springframework.web.bind.annotation.*;
 class C {
     @GetMapping("/any")
     Object any() { return lookup(); }
+
+    @GetMapping("/all")
+    Object[] all() { return lookup(); }
 }
 """)
-    assert [(r.status, r.schema) for r in eps[0].responses] == [("200", None)]
+    # an array of Object still has a body: an array of anything
+    assert {path: op["responses"] for (path, _), op in ops.items()} == {
+        "/any": {"200": {"description": "OK"}},
+        "/all": {"200": {"description": "OK", "content": {
+            "application/json": {"schema": {"type": "array",
+                                            "items": {}}}}}}}
+    assert reg.schemas == {}
     assert diags == []
 
 
@@ -797,9 +819,10 @@ class C {
 
 
 def test_unresolved_names_and_bad_segments_carry_the_handler_line():
-    model, _, _, eps, diags = analyze(UNRESOLVED_NAMES)
+    model, _, _, ops, diags = analyze(UNRESOLVED_NAMES)
     lines = {m.name: m.line for m in model.classes["app.C"].methods}
-    assert [(e.path, [p.name for p in e.parameters]) for e in eps] == [
+    assert [(path, [p["name"] for p in params_of(op)])
+            for (path, _), op in ops.items()] == [
         ("/Missing.PATH", ["q"]), ("/a", []), ("/b/{id:[0-9]+", []),
         ("/Missing.BASE/x", []), ("/rMissing.BASE/x", [])]
     assert [(d.code, d.message, d.file, d.line) for d in diags] == [
@@ -856,7 +879,7 @@ class Api extends Base {
 
 
 def test_inherited_handler_diagnostics_name_the_declaring_file():
-    model, _, _, eps, diags = analyze(INHERITED_BASE, INHERITED_API)
+    model, _, _, ops, diags = analyze(INHERITED_BASE, INHERITED_API)
     base = model.classes["app.Base"]
     lines = {m.name + str(len(m.parameters)): m.line for m in base.methods}
     assert base.source_file == "<test-0>"
@@ -868,8 +891,10 @@ def test_inherited_handler_diagnostics_name_the_declaring_file():
         ("UNBOUND_PATH_VARIABLE", "<test-0>", lines["servlet3"]),
         ("UNRESOLVED_STATUS", "<test-0>", lines["servlet3"]),
         ("DUPLICATE_METHOD", "<test-0>", lines["dup1"])]
-    assert [(e.path, e.handler.name) for e in eps] == [
-        ("/dup", "dup"), ("/s/{id}", "servlet")]
+    # the subclass's own handler comes first and keeps GET /dup; the
+    # inherited one follows
+    assert list(ops) == [("/dup", "GET"), ("/s/{id}", "GET")]
+    assert params_of(ops["/dup", "GET"]) == []
 
 
 NON_STRING_PATHS = """
@@ -891,8 +916,8 @@ class C {
 
 
 def test_non_string_path_values_are_spelled_as_in_the_source():
-    _, _, _, eps, diags = analyze(NON_STRING_PATHS)
-    assert sorted(e.path for e in eps) == [
+    _, _, _, ops, diags = analyze(NON_STRING_PATHS)
+    assert sorted(path for path, _ in ops) == [
         "/5", "/@Deprecated", "/Api.class", "/true"]
     assert [(d.code, d.message) for d in diags] == [
         ("UNRESOLVED_CONSTANT", f"cannot resolve path constant {value!r} in "

@@ -166,12 +166,17 @@ def test_chain_follows_superclass_imported_from_another_package():
 
 
 def test_superclass_is_resolved_and_keeps_its_type_arguments():
+    # a type argument naming a model class is spelled by its qualified
+    # name, at any depth; a type variable of the subclass stays as written
     model = model_from(
         "package app.base;\npublic class Page<T> {}\n",
         "package app.web;\nimport app.base.Page;\n"
-        "class Sub extends Page<List<Item>> {}\nclass Item {}\n")
+        "class Sub extends Page<List<Item>> {}\nclass Item {}\n"
+        "class Wrapped<Item> extends Page<Item> {}\n")
     assert model.classes["app.web.Sub"].superclass == TypeRef(
-        "app.base.Page", (TypeRef("List", (TypeRef("Item"),)),))
+        "app.base.Page", (TypeRef("List", (TypeRef("app.web.Item"),)),))
+    assert model.classes["app.web.Wrapped"].superclass == TypeRef(
+        "app.base.Page", (TypeRef("Item"),))
 
 
 def test_class_extending_itself_in_a_package_raises():
@@ -447,8 +452,25 @@ def test_file_cut_off_mid_class_is_one_parse_error(tmp_path):
     (tmp_path / "Z.java").write_text("package app;\nclass Z {}\n")
     model = parse_project(tmp_path)
     assert sorted(model.classes) == ["app.A", "app.Z"]
-    assert [(d.code, d.file) for d in model.parse_diagnostics] == \
-        [("PARSE_ERROR", "Cut.java")]
+    # the error names the line of the last token, not line 0
+    assert [(d.code, d.file, d.line, d.message)
+            for d in model.parse_diagnostics] == \
+        [("PARSE_ERROR", "Cut.java", 3,
+          "unexpected end of class body (line 3)")]
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("    @GetMapping(value =\n", "unexpected end in annotation value"),
+    ("    int n = 5\n", "unterminated initializer"),
+    ("    List<\n", "expected type"),
+], ids=["annotation", "initializer", "type"])
+def test_file_cut_off_mid_member_names_the_last_line(tmp_path, tail,
+                                                     message):
+    (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
+    (tmp_path / "Cut.java").write_text("package app;\nclass Cut {\n" + tail)
+    model = parse_project(tmp_path)
+    assert [(d.file, d.line, d.message) for d in model.parse_diagnostics] \
+        == [("Cut.java", 3, f"{message} (line 3)")]
 
 
 def test_interface_method_without_a_body_and_an_unbounded_wildcard():

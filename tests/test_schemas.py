@@ -1,14 +1,16 @@
 """Type-to-schema mapping, named-schema registration, response unwrapping."""
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import model_from
 from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
-from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, UNSPECIFIED,
-                              array_of, ref_to, required_fields,
-                              schema_for_type, unwrap_response_wrapper)
+from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, primitive,
+                              ref_to, required_fields, schema_for_type,
+                              unwrap_response_wrapper)
 
 DOMAIN = """
 package app;
@@ -39,16 +41,17 @@ def test_integer_widths():
     model, ctx = ctx_model()
     assert schema_of(t("int"), model, ctx) == \
         schema_of(t("Integer"), model, ctx)
-    assert schema_of(t("int"), model, ctx).oas_format == "int32"
-    assert schema_of(t("long"), model, ctx).oas_format == "int64"
-    assert schema_of(t("double"), model, ctx).oas_type == "number"
+    assert schema_of(t("int"), model, ctx) == \
+        {"type": "integer", "format": "int32"}
+    assert schema_of(t("long"), model, ctx) == \
+        {"type": "integer", "format": "int64"}
+    assert schema_of(t("double"), model, ctx) == {"type": "number"}
 
 
 def test_string_family():
     model, ctx = ctx_model()
     for name in ("String", "char", "UUID", "LocalDate"):
-        node = schema_of(t(name), model, ctx)
-        assert node.oas_type == "string"
+        assert schema_of(t(name), model, ctx) == {"type": "string"}
 
 
 def test_array_and_collection_both_become_array():
@@ -56,35 +59,39 @@ def test_array_and_collection_both_become_array():
     from_array = schema_of(t("String", depth=1), model, ctx)
     from_list = schema_of(t("List", t("String")), model, ctx)
     assert from_array == from_list
-    assert from_array.kind == "array"
-    assert from_array.items.oas_type == "string"
+    assert from_array == {"type": "array", "items": {"type": "string"}}
 
 
 def test_map_becomes_additional_properties():
     model, ctx = ctx_model()
     node = schema_of(t("Map", t("String"), t("Double")), model, ctx)
-    assert node.kind == "map"
-    assert node.value_schema.oas_type == "number"
+    assert node == {"type": "object",
+                    "additionalProperties": {"type": "number"}}
+    assert list(node) == ["type", "additionalProperties"]
 
 
 def test_raw_collection_and_object_are_unspecified():
     model, ctx = ctx_model()
-    assert schema_of(t("List"), model, ctx).items == UNSPECIFIED
-    assert schema_of(t("Object"), model, ctx) == UNSPECIFIED
+    assert schema_of(t("List"), model, ctx) == {"type": "array", "items": {}}
+    assert schema_of(t("Map"), model, ctx) == \
+        {"type": "object", "additionalProperties": {}}
+    assert schema_of(t("Object"), model, ctx) == {}
 
 
 def test_custom_class_needs_registry():
     model, ctx = ctx_model()
-    node = schema_for_type(t("Account"), model, SchemaRegistry(), ctx)
-    assert node.kind == "ref" and node.ref_name == "Account"
+    reg = SchemaRegistry()
+    node = schema_for_type(t("Account"), model, reg, ctx)
+    assert node == {"$ref": "#/components/schemas/Account"}
+    assert list(reg.schemas) == ["Account"]
 
 
 @given(st.sampled_from(sorted(PRIMITIVE_MAP)))
 def test_primitive_mapping_total_and_stable(name):
     model, ctx = ctx_model()
     node = schema_of(t(name), model, ctx)
-    assert node.kind == "primitive"
-    assert node.oas_type in {"integer", "number", "boolean", "string"}
+    assert node == primitive(*PRIMITIVE_MAP[name])
+    assert node["type"] in {"integer", "number", "boolean", "string"}
     assert node == schema_of(t(name), model, ctx)
 
 
@@ -107,11 +114,20 @@ def test_unwrap_passes_plain_types_through():
 
 # -- named schemas ----------------------------------------------------------
 
+REF = "#/components/schemas/"
+
+
+def ref_name(schema):
+    """The schema name a $ref schema refers to."""
+    assert schema["$ref"].startswith(REF)
+    return schema["$ref"][len(REF):]
+
+
 def named(model, reg, qualified_name):
     """Register the model class `qualified_name` by referring to it from
     itself; return its schema name."""
     cls = model.classes[qualified_name]
-    return schema_for_type(t(cls.simple_name), model, reg, cls).ref_name
+    return ref_name(schema_for_type(t(cls.simple_name), model, reg, cls))
 
 
 INHERIT = """
@@ -134,11 +150,68 @@ def test_inheritance_becomes_all_of():
     reg = SchemaRegistry()
     name = named(model, reg, "app.Derived")
     node = reg.schemas[name]
-    assert node.kind == "all_of"
-    assert node.parts[0].ref_name == "Base"
-    own = node.parts[1]
-    assert [p[0] for p in own.properties] == ["rank", "note"]
-    assert reg.schemas["Base"].kind == "object"
+    assert list(node) == ["allOf"]
+    assert node["allOf"][0] == ref_to("Base")
+    own = node["allOf"][1]
+    assert list(own) == ["required", "type", "properties"]
+    assert list(own["properties"]) == ["rank", "note"]
+    assert reg.schemas["Base"] == {
+        "required": ["serial"], "type": "object",
+        "properties": {"serial": {"type": "integer", "format": "int64"},
+                       "active": {"type": "boolean"}}}
+
+
+def test_object_keys_are_required_type_properties_in_order():
+    src = """
+package app;
+
+class Point {
+    private int x;
+    private Integer y;
+}
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    named(model, reg, "app.Point")
+    assert reg.schemas["Point"] == {
+        "required": ["x"], "type": "object",
+        "properties": {"x": {"type": "integer", "format": "int32"},
+                       "y": {"type": "integer", "format": "int32"}}}
+    assert list(reg.schemas["Point"]) == ["required", "type", "properties"]
+
+
+def test_map_field_has_additional_properties():
+    src = """
+package app;
+
+class Prices {
+    private Map<String, Double> byCurrency;
+}
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    named(model, reg, "app.Prices")
+    assert reg.schemas["Prices"]["properties"]["byCurrency"] == {
+        "type": "object", "additionalProperties": {"type": "number"}}
+
+
+def test_subclass_without_fields_is_all_of_a_ref_and_an_empty_object():
+    src = """
+package app;
+
+class Leaf extends Base {}
+
+class Base {
+    private String id;
+}
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    named(model, reg, "app.Leaf")
+    assert reg.schemas["Leaf"] == {"allOf": [
+        {"$ref": "#/components/schemas/Base"},
+        {"type": "object", "properties": {}},
+    ]}
 
 
 def test_required_nonnull_primitives_and_markers():
@@ -170,7 +243,7 @@ class S {
     model = model_from(src)
     reg = SchemaRegistry()
     named(model, reg, "app.S")
-    assert [p[0] for p in reg.schemas["S"].properties] == ["name"]
+    assert list(reg.schemas["S"]["properties"]) == ["name"]
 
 
 def test_simple_name_collision_gets_suffix():
@@ -187,7 +260,8 @@ def test_registration_is_idempotent():
     model = model_from(INHERIT)
     reg = SchemaRegistry()
     first = named(model, reg, "app.Derived")
-    snapshot = dict(reg.schemas)
+    # deep: a shallow copy shares the schema dicts, so it shows no change
+    snapshot = copy.deepcopy(reg.schemas)
     second = named(model, reg, "app.Derived")
     assert first == second
     assert reg.schemas == snapshot
@@ -209,17 +283,15 @@ class Item {
     model = model_from(src)
     reg = SchemaRegistry()
     page = model.classes["app.Page"]
-    name = schema_for_type(t("Page", t("Item")), model, reg, page).ref_name
+    name = ref_name(schema_for_type(t("Page", t("Item")), model, reg, page))
     assert name == "PageOfItem"
-    node = reg.schemas[name]
-    props = dict(node.properties)
-    assert props["items"].kind == "array"
-    assert props["items"].items.ref_name == "Item"
+    props = reg.schemas[name]["properties"]
+    assert props["items"] == {"type": "array", "items": ref_to("Item")}
 
 
 @pytest.mark.parametrize("raw, parent, item", [
     # a raw reference binds T to Object
-    ("Page", "Page", UNSPECIFIED),
+    ("Page", "Page", {}),
     # `extends Page<Item>` binds T to Item
     ("Sub", "PageOfItem", ref_to("Item")),
 ], ids=["Page", "Sub"])
@@ -240,8 +312,9 @@ class Item {}
     model = model_from(src)
     reg = SchemaRegistry()
     named(model, reg, f"app.{raw}")
-    props = dict(reg.schemas[parent].properties)
-    assert props == {"items": array_of(item), "first": item}
+    props = reg.schemas[parent]["properties"]
+    assert props == {"items": {"type": "array", "items": item},
+                     "first": item}
     assert "T" not in reg.schemas
     assert ("Page" in reg.schemas) == (parent == "Page")
 
@@ -249,7 +322,7 @@ class Item {}
 @pytest.mark.parametrize("ref, name, parent, extra", [
     (t("Wrapped", t("Item")), "WrappedOfItem", "PageOfItem", ref_to("Item")),
     # the superclass of a raw reference is raw
-    (t("Wrapped"), "Wrapped", "Page", UNSPECIFIED),
+    (t("Wrapped"), "Wrapped", "Page", {}),
 ], ids=["instantiated", "raw"])
 def test_generic_subclass_binds_its_superclass_arguments(ref, name, parent,
                                                          extra):
@@ -269,12 +342,53 @@ class Item {}
     model = model_from(src)
     reg = SchemaRegistry()
     wrapped = model.classes["app.Wrapped"]
-    assert schema_for_type(ref, model, reg, wrapped).ref_name == name
-    own = reg.schemas[name].parts
+    assert ref_name(schema_for_type(ref, model, reg, wrapped)) == name
+    own = reg.schemas[name]["allOf"]
     assert own[0] == ref_to(parent)
-    assert dict(own[1].properties) == {"extra": extra}
-    assert dict(reg.schemas[parent].properties) == \
-        {"items": array_of(extra)}
+    assert own[1]["properties"] == {"extra": extra}
+    assert reg.schemas[parent]["properties"] == \
+        {"items": {"type": "array", "items": extra}}
+
+
+# `Item` names two classes, so it means `app.dto.Item` only where that is
+# imported, not in `app.base`, where `Page` binds its type variable.
+TWO_ITEMS = (
+    "package app.base;\nimport java.util.List;\n"
+    "public class Page<T> {\n    private List<T> items;\n}\n",
+    "package app.dto;\npublic class Item {\n    private String sku;\n}\n",
+    "package app.other;\npublic class Item {\n    private int code;\n}\n",
+)
+DTO_ITEM = {"type": "object", "properties": {"sku": {"type": "string"}}}
+
+
+@pytest.mark.parametrize("ref, name, items", [
+    (t("app.base.Page", t("Item")), "PageOfItem", ref_to("Item")),
+    (t("app.base.Page", t("List", t("Item"))), "PageOfListOfItem",
+     {"type": "array", "items": ref_to("Item")}),
+], ids=["direct", "nested"])
+def test_type_argument_means_the_class_named_where_it_is_written(ref, name,
+                                                                 items):
+    model = model_from(*TWO_ITEMS,
+                       "package app.web;\nimport app.dto.Item;\nclass C {}\n")
+    reg = SchemaRegistry()
+    c = model.classes["app.web.C"]
+    assert ref_name(schema_for_type(ref, model, reg, c)) == name
+    assert reg.schemas[name]["properties"] == {
+        "items": {"type": "array", "items": items}}
+    assert reg.schemas["Item"] == DTO_ITEM
+
+
+def test_superclass_type_argument_means_the_class_named_in_the_subclass():
+    model = model_from(*TWO_ITEMS,
+                       "package app.web;\nimport app.base.Page;\n"
+                       "import app.dto.Item;\n"
+                       "class Sub extends Page<Item> {}\n")
+    reg = SchemaRegistry()
+    named(model, reg, "app.web.Sub")
+    assert reg.schemas["Sub"]["allOf"][0] == ref_to("PageOfItem")
+    assert reg.schemas["PageOfItem"]["properties"] == {
+        "items": {"type": "array", "items": ref_to("Item")}}
+    assert reg.schemas["Item"] == DTO_ITEM
 
 
 def test_external_class_noted_with_package():
@@ -289,8 +403,9 @@ class Holder {
     model = model_from(src)
     reg = SchemaRegistry()
     named(model, reg, "app.Holder")
-    assert reg.schemas["Widget"] == UNSPECIFIED
-    assert reg.external_notes["Widget"] == "com.vendor.sdk"
+    assert reg.schemas["Widget"] == {"externalDocs": {
+        "description": "Defined in package com.vendor.sdk",
+        "url": "about:blank"}}
 
 
 def test_field_closure_is_registered():
@@ -327,8 +442,8 @@ class Node {
     model = model_from(src)
     reg = SchemaRegistry()
     named(model, reg, "app.Node")
-    props = dict(reg.schemas["Node"].properties)
-    assert props["children"].items.ref_name == "Node"
+    props = reg.schemas["Node"]["properties"]
+    assert props["children"] == {"type": "array", "items": ref_to("Node")}
 
 
 def test_enum_schema_preserves_declaration_order():
@@ -336,6 +451,25 @@ def test_enum_schema_preserves_declaration_order():
     model = model_from(src)
     reg = SchemaRegistry()
     node = schema_for_type(t("Level"), model, reg, model.classes["app.Level"])
-    assert node.kind == "enum"
-    assert node.enum_values == ("LOW", "HIGH", "MEDIUM")
+    assert node == {"type": "string", "enum": ["LOW", "HIGH", "MEDIUM"]}
+    assert list(node) == ["type", "enum"]
     assert reg.schemas == {}
+
+
+def test_enum_and_array_field_schemas():
+    src = """
+package app;
+
+class Tagged {
+    private Level level;
+    private String[] tags;
+}
+
+enum Level { LOW, HIGH }
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    named(model, reg, "app.Tagged")
+    assert reg.schemas["Tagged"]["properties"] == {
+        "level": {"type": "string", "enum": ["LOW", "HIGH"]},
+        "tags": {"type": "array", "items": {"type": "string"}}}
