@@ -296,8 +296,7 @@ class SourceModel:
                 resolved = self.resolve_type_name(parent.raw_name, cls)
                 if resolved:
                     parent = replace(parent, raw_name=resolved)
-                cls.superclass = self.qualify_arguments(parent, cls,
-                                                        cls.type_params)
+                cls.superclass = self.qualify_arguments(parent, cls)
 
     def by_simple_name(self, simple: str) -> tuple[ClassDecl, ...]:
         return self._by_simple_name.get(simple, ())
@@ -325,18 +324,17 @@ class SourceModel:
             return matches[0].qualified_name
         return None
 
-    def qualify_arguments(self, t: TypeRef, ctx: ClassDecl,
-                          type_vars: tuple[str, ...] = ()) -> TypeRef:
+    def qualify_arguments(self, t: TypeRef, ctx: ClassDecl) -> TypeRef:
         """`t` with each type argument, at any depth, that names a model
         class in `ctx` spelled by its fully qualified name, so it keeps its
-        meaning where a generic class binds it. Names in `type_vars` are
-        type variables of `ctx` and stay as written."""
+        meaning where a generic class binds it. Type variables of `ctx`
+        stay as written."""
         if not t.type_arguments:
             return t
         args = []
         for arg in t.type_arguments:
-            arg = self.qualify_arguments(arg, ctx, type_vars)
-            resolved = arg.raw_name not in type_vars \
+            arg = self.qualify_arguments(arg, ctx)
+            resolved = arg.raw_name not in ctx.type_params \
                 and self.resolve_type_name(arg.raw_name, ctx)
             args.append(replace(arg, raw_name=resolved) if resolved else arg)
         return replace(t, type_arguments=tuple(args))

@@ -152,6 +152,12 @@ def _mangled_name(t: TypeRef) -> str:
     return base + "Of" + "Of".join(parts)
 
 
+def _spelling(t: TypeRef) -> str:
+    """`t` written out in full: raw name, type arguments and array depth."""
+    args = ",".join(map(_spelling, t.type_arguments))
+    return t.raw_name + (f"<{args}>" if args else "") + "[]" * t.array_depth
+
+
 def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
                        reg: SchemaRegistry) -> str:
     """Name of the schema registered for `t`, a (possibly generic) reference
@@ -173,8 +179,7 @@ def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
     if t.type_arguments and cls.type_params:
         # generic instantiation: one schema per argument combination
         bindings = dict(zip(cls.type_params, t.type_arguments))
-        key += "<" + ",".join(
-            a.raw_name + "[]" * a.array_depth for a in t.type_arguments) + ">"
+        key += "<" + ",".join(map(_spelling, t.type_arguments)) + ">"
         preferred = _mangled_name(t)
         parent = parent and _substitute(parent, bindings)
     elif cls.type_params and parent:

@@ -391,6 +391,31 @@ def test_superclass_type_argument_means_the_class_named_in_the_subclass():
     assert reg.schemas["Item"] == DTO_ITEM
 
 
+def test_nested_type_arguments_key_their_own_schemas():
+    src = """
+package app;
+import java.util.List;
+
+class Page<T> {
+    private List<T> items;
+}
+
+class Item {}
+
+class Order {}
+"""
+    model = model_from(src)
+    reg = SchemaRegistry()
+    page = model.classes["app.Page"]
+    for arg, name in (("Item", "PageOfListOfItem"),
+                      ("Order", "PageOfListOfOrder")):
+        ref = t("app.Page", t("List", t(arg)))
+        assert ref_name(schema_for_type(ref, model, reg, page)) == name
+        assert reg.schemas[name]["properties"] == {"items": {
+            "type": "array",
+            "items": {"type": "array", "items": ref_to(arg)}}}
+
+
 def test_external_class_noted_with_package():
     src = """
 package app;
