@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, PROFILE_NEGATION, UNRESOLVED_CONSTANT
-from .javasrc import (ArrayVal, AttributeValue, ClassDecl, SourceModel,
-                      resolve_string_constant, spelling, supertype_chain)
+from .javasrc import (ClassDecl, SourceModel, resolve_string_constant,
+                      spelling)
 from .spring import (ADVICE_MARKERS, CONTROLLER_MARKERS, PROFILE_MARKER,
                      find_annotation)
 
@@ -37,25 +37,29 @@ class ProfileUnit:
 
 def discover_rest_classes(model: SourceModel) -> ControllerSet:
     result = ControllerSet()
+    # Whether a class or one of its superclasses carries a controller
+    # marker, decided once per class from its superclass's answer.
+    marked: dict[str, bool] = {}
     for cls in model.classes.values():
         if cls.kind not in ("class", "record"):
             continue
-        chain = supertype_chain(cls, model)
-        if any(find_annotation(c.annotations, m, c)
-               for c in chain for m in CONTROLLER_MARKERS):
+        undecided = []
+        cur = cls
+        while cur is not None and cur.qualified_name not in marked:
+            undecided.append(cur)
+            cur = model.superclass_of(cur)
+        answer = cur is not None and marked[cur.qualified_name]
+        for c in reversed(undecided):
+            answer = answer or find_annotation(
+                c.annotations, CONTROLLER_MARKERS, c) is not None
+            marked[c.qualified_name] = answer
+        if answer:
             # only concrete leaf controllers expose endpoints; a superclass
             # carrying the marker makes every subclass a controller too
             result.controllers.append(cls)
-        if any(find_annotation(cls.annotations, m, cls)
-               for m in ADVICE_MARKERS):
+        if find_annotation(cls.annotations, ADVICE_MARKERS, cls) is not None:
             result.advices.append(cls)
     return result
-
-
-def _profile_values(value: AttributeValue) -> list[AttributeValue]:
-    if isinstance(value, ArrayVal):
-        return list(value.items)
-    return [value]
 
 
 def assign_profiles(cls: ClassDecl, model: SourceModel,
@@ -63,10 +67,10 @@ def assign_profiles(cls: ClassDecl, model: SourceModel,
     """Profile names from @Profile; absent/empty annotation means ALL. A
     name that does not resolve is reported and left out."""
     anno = find_annotation(cls.annotations, PROFILE_MARKER, cls)
-    if anno is None or "value" not in anno.attributes:
+    if anno is None:
         return ALL
     names: set[str] = set()
-    for item in _profile_values(anno.attributes["value"]):
+    for item in anno.items("value"):
         text = resolve_string_constant(item, cls, model)
         if text is None:
             diagnostics.append(Diagnostic(

@@ -14,7 +14,7 @@ from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
                           UNBOUND_PATH_VARIABLE, UNRESOLVED_CONSTANT,
                           UNRESOLVED_STATUS, UNRESOLVED_TYPE)
 from .discovery import ProfileUnit
-from .javasrc import (AnnotationUse, ArrayVal, AttributeValue, ClassDecl,
+from .javasrc import (AnnotationUse, AttributeValue, BoolLit, ClassDecl,
                       ClassRef, Concat, MethodDecl, NameRef, SourceModel,
                       TypeRef, resolve_string_constant, spelling,
                       supertype_chain)
@@ -22,8 +22,8 @@ from .schemas import (SchemaRegistry, primitive, schema_for_type,
                       unwrap_response_wrapper)
 from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
                      PARAM_ANNOTATIONS, REQUEST_MAPPING, SERVLET_TYPES,
-                     VERB_MAPPINGS, find_annotation,
-                     is_framework_annotation, reason_phrase, status_code_for)
+                     VERB_MAPPINGS, find_annotation, reason_phrase,
+                     status_code_for)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +81,6 @@ def split_template(path: str, file: str, line: int,
 # Annotation attributes
 # ---------------------------------------------------------------------------
 
-def _items(anno: AnnotationUse, attr: str) -> tuple[AttributeValue, ...]:
-    """An attribute's elements: an array's items, or its one value."""
-    value = anno.attributes.get(attr)
-    if value is None:
-        return ()
-    return value.items if isinstance(value, ArrayVal) else (value,)
-
-
 def _partial_string(value: AttributeValue, ctx: ClassDecl,
                     model: SourceModel) -> str:
     """`value` as a string, each part that does not resolve spelled as in
@@ -109,7 +101,7 @@ def _attr_strings(anno: AnnotationUse, names: tuple[str, ...], what: str,
     named in `ctx`. An element that does not resolve is reported as
     UNRESOLVED_CONSTANT at `file`:`line` and read as `fallback`, or as its
     partial string without one."""
-    items = next(filter(None, (_items(anno, attr) for attr in names)), ())
+    items = next(filter(None, map(anno.items, names)), ())
     out: list[str] = []
     for item in items:
         resolved = resolve_string_constant(item, ctx, model)
@@ -138,18 +130,9 @@ def _mapping_paths(anno: AnnotationUse, ctx: ClassDecl, line: int,
 def _mapping_verbs(anno: AnnotationUse) -> list[str]:
     if anno.simple_name in VERB_MAPPINGS:
         return [VERB_MAPPINGS[anno.simple_name]]
-    return [item.parts[-1] for item in _items(anno, "method")
+    return [item.parts[-1] for item in anno.items("method")
             if isinstance(item, NameRef) and item.parts[-1] in HTTP_VERBS] \
         or list(HTTP_VERBS)
-
-
-def _first_annotation(annotations: tuple[AnnotationUse, ...],
-                      names: set[str], cls: ClassDecl
-                      ) -> Optional[AnnotationUse]:
-    """The first of `annotations`, in declaration order, that is a
-    framework annotation named in `names`."""
-    return next((anno for anno in annotations if anno.simple_name in names
-                 and is_framework_annotation(anno, cls)), None)
 
 
 def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
@@ -167,12 +150,7 @@ def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
 
 def _attr_bool(anno: AnnotationUse, attr: str, default: bool) -> bool:
     value = anno.attributes.get(attr)
-    if value is None:
-        return default
-    from .javasrc import BoolLit
-    if isinstance(value, BoolLit):
-        return value.value
-    return default
+    return value.value if isinstance(value, BoolLit) else default
 
 
 def _parameter(name: str, location: str, required: bool,
@@ -222,7 +200,7 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                 "encapsulated parameters are not statically visible",
                 file, handler.line))
             continue
-        anno = _first_annotation(p.annotations, PARAM_ANNOTATIONS, ctx)
+        anno = find_annotation(p.annotations, PARAM_ANNOTATIONS, ctx)
         if anno is None:
             diagnostics.append(Diagnostic(
                 SKIPPED_PARAMETER,
@@ -323,7 +301,7 @@ def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
                 "status code; ignored", file, method.line))
         else:
             codes.add(code)
-    anno = find_annotation(method.annotations, "ResponseStatus", ctx)
+    anno = find_annotation(method.annotations, {"ResponseStatus"}, ctx)
     if anno is None:
         return codes, None
     annotated = None
@@ -342,10 +320,10 @@ def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
 
 def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
                                ) -> list[str]:
-    anno = find_annotation(method.annotations, "ExceptionHandler", cls)
+    anno = find_annotation(method.annotations, {"ExceptionHandler"}, cls)
     if anno is None:
         return []
-    return [item.name for item in _items(anno, "value")
+    return [item.name for item in anno.items("value")
             if isinstance(item, ClassRef)] \
         or [p.type.raw_name for p in method.parameters]
 
@@ -462,8 +440,8 @@ def _handlers(chain: list[ClassDecl]
             if sig in seen:
                 continue
             seen.add(sig)
-            anno = _first_annotation(method.annotations, MAPPING_ANNOTATIONS,
-                                     cls)
+            anno = find_annotation(method.annotations, MAPPING_ANNOTATIONS,
+                                   cls)
             if anno is not None:
                 out.append((cls, method, anno))
     return out

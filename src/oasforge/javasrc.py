@@ -160,6 +160,14 @@ class AnnotationUse:
     def __hash__(self):  # attributes dict excluded; identity by rendering
         return hash((self.simple_name, tuple(sorted(self.attributes))))
 
+    def items(self, attr: str) -> tuple["AttributeValue", ...]:
+        """The elements of attribute `attr`: an array's items, its one
+        value, or none when it is not set."""
+        value = self.attributes.get(attr)
+        if value is None:
+            return ()
+        return value.items if isinstance(value, ArrayVal) else (value,)
+
 
 AttributeValue = Union[StrLit, NameRef, ClassRef, BoolLit, IntLit, ArrayVal,
                        Concat, AnnotationUse]
@@ -273,10 +281,12 @@ class SourceModel:
     only matches a class whose fully qualified name ends with "." plus the
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
     does not find `app.Date`. The raw name of each `superclass` is
-    resolved once, here at construction, so `supertype_chain` only follows
+    resolved once, here at construction, so `superclass_of` only looks up
     fully qualified names; a superclass that does not resolve keeps its
     source spelling and ends the chain. Its type arguments are qualified
-    there too, by `qualify_arguments`.
+    there too, by `qualify_arguments`. Construction then raises
+    SupertypeCycleError if a chain of superclasses comes back to one of its
+    classes, so every later walk up a chain ends.
 
     Construction builds a simple name → classes index, in `classes` order,
     so `by_simple_name` does not walk `classes`. The index is valid
@@ -297,6 +307,22 @@ class SourceModel:
                 if resolved:
                     parent = replace(parent, raw_name=resolved)
                 cls.superclass = self.qualify_arguments(parent, cls)
+        checked: set[str] = set()
+        for cls in self.classes.values():
+            chain: dict[str, None] = {}  # ordered, with constant-time `in`
+            cur: Optional[ClassDecl] = cls
+            while cur is not None and cur.qualified_name not in checked:
+                if cur.qualified_name in chain:
+                    cycle = " -> ".join([*chain, cur.qualified_name])
+                    raise SupertypeCycleError(f"inheritance cycle: {cycle}")
+                chain[cur.qualified_name] = None
+                cur = self.superclass_of(cur)
+            checked.update(chain)
+
+    def superclass_of(self, cls: ClassDecl) -> Optional[ClassDecl]:
+        """The model class `cls` extends; None at the top of the chain or
+        where the superclass is outside the model."""
+        return cls.superclass and self.classes.get(cls.superclass.raw_name)
 
     def by_simple_name(self, simple: str) -> tuple[ClassDecl, ...]:
         return self._by_simple_name.get(simple, ())
@@ -326,16 +352,18 @@ class SourceModel:
 
     def qualify_arguments(self, t: TypeRef, ctx: ClassDecl) -> TypeRef:
         """`t` with each type argument, at any depth, that names a model
-        class in `ctx` spelled by its fully qualified name, so it keeps its
-        meaning where a generic class binds it. Type variables of `ctx`
-        stay as written."""
+        class in `ctx`, or another class by a single-type import of `ctx`,
+        spelled by its fully qualified name, so it keeps its meaning where
+        a generic class binds it. Type variables of `ctx`, and names that
+        only a wildcard import can give, stay as written."""
         if not t.type_arguments:
             return t
         args = []
         for arg in t.type_arguments:
             arg = self.qualify_arguments(arg, ctx)
-            resolved = arg.raw_name not in ctx.type_params \
-                and self.resolve_type_name(arg.raw_name, ctx)
+            resolved = arg.raw_name not in ctx.type_params and (
+                self.resolve_type_name(arg.raw_name, ctx)
+                or ctx.imports.get(arg.raw_name))
             args.append(replace(arg, raw_name=resolved) if resolved else arg)
         return replace(t, type_arguments=tuple(args))
 
@@ -958,20 +986,10 @@ def parse_project(root_dir: os.PathLike | str) -> SourceModel:
 
 
 def supertype_chain(cls: ClassDecl, model: SourceModel) -> list[ClassDecl]:
+    """`cls` and its superclasses in the model, nearest first."""
     chain = [cls]
-    seen = {cls.qualified_name}
-    cur = cls
-    while cur.superclass:
-        nxt = model.classes.get(cur.superclass.raw_name)
-        if nxt is None:
-            break
-        if nxt.qualified_name in seen:
-            cycle = " -> ".join(c.qualified_name for c in chain)
-            raise SupertypeCycleError(
-                f"inheritance cycle: {cycle} -> {nxt.qualified_name}")
-        chain.append(nxt)
-        seen.add(nxt.qualified_name)
-        cur = nxt
+    while (parent := model.superclass_of(chain[-1])) is not None:
+        chain.append(parent)
     return chain
 
 

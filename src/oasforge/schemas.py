@@ -9,7 +9,7 @@ several operations and documents, so none is changed after it is built.
 from __future__ import annotations
 
 from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, SourceModel,
-                      TypeRef, UNSPECIFIED_TYPE, supertype_chain)
+                      TypeRef, UNSPECIFIED_TYPE)
 from .spring import REQUIRED_MARKERS, find_annotation
 
 PRIMITIVE_MAP = {
@@ -125,8 +125,7 @@ def required_fields(cls: ClassDecl) -> list[str]:
     for f in _instance_fields(cls):
         if f.type.array_depth == 0 and f.type.raw_name in NONNULL_PRIMITIVES:
             names.append(f.name)
-        elif any(find_annotation([a], marker, cls)
-                 for a in f.annotations for marker in REQUIRED_MARKERS):
+        elif find_annotation(f.annotations, REQUIRED_MARKERS, cls):
             names.append(f.name)
     return names
 
@@ -152,10 +151,17 @@ def _mangled_name(t: TypeRef) -> str:
     return base + "Of" + "Of".join(parts)
 
 
+# Types whose schema `schema_for_type` reads from the simple name alone.
+_SIMPLE_NAMED = {*PRIMITIVE_MAP, *COLLECTION_TYPES, *MAP_TYPES, "Object"}
+
+
 def _spelling(t: TypeRef) -> str:
-    """`t` written out in full: raw name, type arguments and array depth."""
+    """`t` written out in full: raw name, type arguments and array depth.
+    A type of _SIMPLE_NAMED is spelled by its simple name, so `List` and
+    an imported `java.util.List` give one key."""
+    name = t.simple_name if t.simple_name in _SIMPLE_NAMED else t.raw_name
     args = ",".join(map(_spelling, t.type_arguments))
-    return t.raw_name + (f"<{args}>" if args else "") + "[]" * t.array_depth
+    return name + (f"<{args}>" if args else "") + "[]" * t.array_depth
 
 
 def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
@@ -205,10 +211,10 @@ def build_named_schema(t: TypeRef, cls: ClassDecl, model: SourceModel,
         schema = {"required": required} if required else {}
         schema["type"] = "object"
         schema["properties"] = dict(properties)
-        chain = supertype_chain(top, model)
-        if len(chain) > 1:
+        parent_cls = model.superclass_of(top)
+        if parent_cls is not None:
             # named while `top` is still pending, so this loop builds it next
-            parent_name = build_named_schema(top_parent, chain[1], model,
+            parent_name = build_named_schema(top_parent, parent_cls, model,
                                              reg)
             schema = {"allOf": [ref_to(parent_name), schema]}
         reg.schemas[top_name] = schema

@@ -4,15 +4,17 @@ servlet-parameter types."""
 from __future__ import annotations
 
 from http import HTTPStatus
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .javasrc import AnnotationUse, ClassDecl
 
 HTTP_VERBS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
 
-CONTROLLER_MARKERS = {"RestController", "Controller"}
-ADVICE_MARKERS = {"ControllerAdvice", "RestControllerAdvice"}
-PROFILE_MARKER = "Profile"
+# Sets of annotation names: `find_annotation` would read a string as a set
+# of substrings.
+CONTROLLER_MARKERS = frozenset({"RestController", "Controller"})
+ADVICE_MARKERS = frozenset({"ControllerAdvice", "RestControllerAdvice"})
+PROFILE_MARKER = frozenset({"Profile"})
 
 VERB_MAPPINGS = {
     "GetMapping": "GET",
@@ -21,13 +23,13 @@ VERB_MAPPINGS = {
     "DeleteMapping": "DELETE",
     "PatchMapping": "PATCH",
 }
-REQUEST_MAPPING = "RequestMapping"
-MAPPING_ANNOTATIONS = set(VERB_MAPPINGS) | {REQUEST_MAPPING}
+REQUEST_MAPPING = frozenset({"RequestMapping"})
+MAPPING_ANNOTATIONS = frozenset(VERB_MAPPINGS) | REQUEST_MAPPING
 
-PARAM_ANNOTATIONS = {"PathVariable", "RequestParam", "RequestHeader",
-                     "RequestBody", "ModelAttribute"}
+PARAM_ANNOTATIONS = frozenset({"PathVariable", "RequestParam", "RequestHeader",
+                               "RequestBody", "ModelAttribute"})
 
-REQUIRED_MARKERS = {"NotNull", "NotEmpty"}
+REQUIRED_MARKERS = frozenset({"NotNull", "NotEmpty"})
 
 SERVLET_TYPES = {
     "HttpServletRequest", "HttpServletResponse", "ServletRequest",
@@ -105,9 +107,9 @@ def is_framework_annotation(anno: AnnotationUse, cls: ClassDecl) -> bool:
     return imported.startswith(FRAMEWORK_PACKAGE_PREFIXES)
 
 
-def find_annotation(annotations, name: str, cls: ClassDecl
+def find_annotation(annotations, names: AbstractSet[str], cls: ClassDecl
                     ) -> Optional[AnnotationUse]:
-    for anno in annotations:
-        if anno.simple_name == name and is_framework_annotation(anno, cls):
-            return anno
-    return None
+    """The first of `annotations`, in declaration order, that is a
+    framework annotation named in `names`."""
+    return next((anno for anno in annotations if anno.simple_name in names
+                 and is_framework_annotation(anno, cls)), None)

@@ -3,6 +3,9 @@
 from conftest import model_from
 from oasforge.discovery import (ALL, assign_profiles, discover_rest_classes,
                                 group_by_profile)
+from oasforge.endpoints import extract_endpoints
+from oasforge.javasrc import SourceModel, parse_source
+from oasforge.schemas import SchemaRegistry
 
 PLAIN = """
 package app;
@@ -60,6 +63,74 @@ def test_controller_marker_inherited_from_superclass():
     cs = discover_rest_classes(model_from(INHERITED))
     assert {c.simple_name for c in cs.controllers} == \
         {"AbstractApi", "ConcreteApi"}
+
+
+LAYERED = """
+package app;
+
+import org.springframework.web.bind.annotation.RestController;
+
+class Leaf extends Mid {}
+class Mid extends Base {}
+@RestController
+class Base extends Root {}
+class Root {}
+class Other extends Root {}
+"""
+
+
+def test_controller_marker_reaches_subclasses_declared_before_it():
+    cs = discover_rest_classes(model_from(LAYERED))
+    assert [c.simple_name for c in cs.controllers] == ["Leaf", "Mid", "Base"]
+
+
+class _CountingClasses(dict):
+    """Classes by name that count the lookups made in them."""
+
+    reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.reads += 1
+        return super().get(name, default)
+
+    def __contains__(self, name):
+        self.reads += 1
+        return super().__contains__(name)
+
+
+def _chain_reads(depth: int) -> int:
+    """Lookups in `classes` by discovery, grouping and extraction on
+    `D{i} extends D{i-1}`, `depth` classes, and a controller that returns
+    the deepest."""
+    source = (
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        f'    @GetMapping("/d")\n    D{depth - 1} get() {{ return null; }}\n'
+        "}\nclass D0 {}\n"
+        + "".join(f"class D{i} extends D{i - 1} {{}}\n"
+                  for i in range(1, depth)))
+    classes = _CountingClasses(
+        (cls.qualified_name, cls) for cls in parse_source(source))
+    model = SourceModel(classes)
+    classes.reads = 0
+    diagnostics = []
+    for unit in group_by_profile(discover_rest_classes(model), model,
+                                 diagnostics):
+        reg = SchemaRegistry()
+        extract_endpoints(unit, model, reg, diagnostics)
+        assert len(reg.schemas) == depth
+    return classes.reads
+
+
+def test_hierarchy_walks_grow_linearly_with_chain_depth():
+    # a count, not a timing: each class's superclass is looked up a
+    # bounded number of times however deep the chain is
+    assert _chain_reads(2000) / _chain_reads(1000) <= 2.2
 
 
 PROFILED = """

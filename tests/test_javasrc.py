@@ -149,9 +149,19 @@ def test_chain_has_no_duplicates():
 
 
 def test_cycle_raises():
-    model = model_from("package app;\nclass X extends Y {}\nclass Y extends X {}\n")
-    with pytest.raises(SupertypeCycleError):
-        supertype_chain(model.classes["app.X"], model)
+    with pytest.raises(SupertypeCycleError) as exc:
+        model_from("package app;\nclass X extends Y {}\n"
+                   "class Y extends X {}\n")
+    assert str(exc.value) == "inheritance cycle: app.X -> app.Y -> app.X"
+
+
+def test_class_leading_into_a_cycle_starts_the_message():
+    # the first class in model order whose walk reaches the cycle
+    with pytest.raises(SupertypeCycleError) as exc:
+        model_from("package app;\nclass C extends A {}\n"
+                   "class A extends B {}\nclass B extends A {}\n")
+    assert str(exc.value) == \
+        "inheritance cycle: app.C -> app.A -> app.B -> app.A"
 
 
 def test_chain_follows_superclass_imported_from_another_package():
@@ -180,9 +190,9 @@ def test_superclass_is_resolved_and_keeps_its_type_arguments():
 
 
 def test_class_extending_itself_in_a_package_raises():
-    model = model_from("package app;\nclass Loop extends Loop {}\n")
-    with pytest.raises(SupertypeCycleError):
-        supertype_chain(model.classes["app.Loop"], model)
+    with pytest.raises(SupertypeCycleError) as exc:
+        model_from("package app;\nclass Loop extends Loop {}\n")
+    assert str(exc.value) == "inheritance cycle: app.Loop -> app.Loop"
 
 
 class _NoScan(Mapping):

@@ -433,6 +433,39 @@ class Holder {
         "url": "about:blank"}}
 
 
+def test_imported_external_type_argument_is_the_field_types_schema():
+    # `Widget` is imported where `Page<Widget>` is written, not in `Page`
+    model = model_from(
+        TWO_ITEMS[0],
+        "package app.web;\nimport app.base.Page;\n"
+        "import com.vendor.Widget;\n"
+        "class C {\n    private Widget widget;\n"
+        "    private Page<Widget> page;\n}\n")
+    reg = SchemaRegistry()
+    named(model, reg, "app.web.C")
+    assert list(reg.schemas) == ["C", "Widget", "PageOfWidget"]
+    assert reg.schemas["PageOfWidget"]["properties"] == {
+        "items": {"type": "array", "items": ref_to("Widget")}}
+    assert reg.schemas["Widget"] == {"externalDocs": {
+        "description": "Defined in package com.vendor",
+        "url": "about:blank"}}
+
+
+def test_type_argument_key_does_not_depend_on_how_a_jdk_type_is_imported():
+    model = model_from(
+        "package app;\nimport java.util.List;\n"
+        "public class Page<T> {\n    private List<T> items;\n}\n"
+        "class Item {}\n",
+        "package app;\nimport java.util.List;\nimport java.util.UUID;\n"
+        "class A {}\n",
+        "package app;\nimport java.util.*;\nclass B {}\n")
+    reg = SchemaRegistry()
+    for ctx in ("app.A", "app.B"):
+        for ref in (t("Page", t("List", t("Item"))), t("Page", t("UUID"))):
+            schema_for_type(ref, model, reg, model.classes[ctx])
+    assert list(reg.schemas) == ["PageOfListOfItem", "Item", "PageOfUUID"]
+
+
 def test_field_closure_is_registered():
     src = """
 package app;
