@@ -99,18 +99,15 @@ def group_by_profile(controller_set: ControllerSet, model: SourceModel,
                        if profiles is not ALL for name in profiles})
     profile_names = [DEFAULT_PROFILE] + observed
 
-    units = []
-    for profile in profile_names:
-        unit = ProfileUnit(profile, ControllerSet())
-        for cls in controller_set.controllers:
-            profiles = assignments[cls.qualified_name]
-            if profiles is ALL or profile in profiles:
-                unit.controller_set.controllers.append(cls)
-        for cls in controller_set.advices:
-            profiles = assignments[cls.qualified_name]
-            if profiles is ALL or profile in profiles:
-                unit.controller_set.advices.append(cls)
-        units.append(unit)
+    def active(classes: list[ClassDecl], profile: str) -> list[ClassDecl]:
+        return [cls for cls in classes
+                if assignments[cls.qualified_name] is ALL
+                or profile in assignments[cls.qualified_name]]
+
+    units = [ProfileUnit(profile, ControllerSet(
+        active(controller_set.controllers, profile),
+        active(controller_set.advices, profile)))
+        for profile in profile_names]
     # With explicit profiles in play, an empty "default" unit would emit an
     # empty description; keep it only when something is active in it.
     if observed and not (units[0].controller_set.controllers

@@ -52,13 +52,34 @@ def doc_to_dict(paths: dict[str, dict[str, dict]], schemas: dict[str, dict],
 def assemble_document(operations: dict[tuple[str, str], dict],
                       reg: SchemaRegistry, project: str, profile: str,
                       version: str) -> dict:
-    """The document of one profile, from its operations by (path, VERB);
-    a profile other than "default" is named in its title."""
+    """The document of one profile, from its operations by (path, VERB),
+    with the schemas of `reg` that they reach; a profile other than
+    "default" is named in its title."""
     paths: dict[str, dict[str, dict]] = {}
     for (path, verb), operation in operations.items():
         paths.setdefault(path, {})[verb.lower()] = operation
     title = project if profile == "default" else f"{project} ({profile})"
-    return doc_to_dict(paths, reg.schemas, title, version)
+    return doc_to_dict(paths, _reached_schemas(paths, reg.schemas), title,
+                       version)
+
+
+def _reached_schemas(paths: dict, schemas: dict[str, dict]
+                     ) -> dict[str, dict]:
+    """The schemas that `paths` refer to by `$ref`, directly or through
+    other schemas."""
+    reached: dict[str, dict] = {}
+    stack: list = [paths]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            ref = node.get("$ref")
+            name = ref.rpartition("/")[2] if isinstance(ref, str) else None
+            if name in schemas and name not in reached:
+                stack.append(reached.setdefault(name, schemas[name]))
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    return reached
 
 
 def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
@@ -69,31 +90,24 @@ def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
         raise ValueError("nothing to merge")
     conflicts: list[str] = []
     paths: dict[str, dict[str, dict]] = {}
-    owners: dict[tuple[str, str], str] = {}
     schemas: dict[str, dict] = {}
-    schema_owners: dict[str, str] = {}
+    owners: dict[str, str] = {}  # what is defined -> first profile with it
     for profile, doc in docs_by_profile.items():
-        for path, verbs in doc["paths"].items():
-            for verb, op in verbs.items():
-                key = (path, verb)
-                if key in owners:
-                    if paths[path][verb] != op:
-                        conflicts.append(
-                            f"operation {verb.upper()} {path} differs between "
-                            f"profiles {owners[key]!r} and {profile!r}")
-                    continue
-                owners[key] = profile
-                paths.setdefault(path, {})[verb] = op
-        doc_schemas = doc.get("components", {}).get("schemas", {})
-        for name, schema in doc_schemas.items():
-            if name in schemas:
-                if schemas[name] != schema:
-                    conflicts.append(
-                        f"schema {name!r} differs between profiles "
-                        f"{schema_owners[name]!r} and {profile!r}")
-                continue
-            schemas[name] = schema
-            schema_owners[name] = profile
+        # (what, the dict that holds it, its key there, its definition)
+        entries = [(f"operation {verb.upper()} {path}",
+                    paths.setdefault(path, {}), verb, op)
+                   for path, verbs in doc["paths"].items()
+                   for verb, op in verbs.items()]
+        entries += [(f"schema {name!r}", schemas, name, schema)
+                    for name, schema in doc.get("components", {})
+                    .get("schemas", {}).items()]
+        for what, table, key, value in entries:
+            if what not in owners:
+                owners[what] = profile
+                table[key] = value
+            elif table[key] != value:
+                conflicts.append(f"{what} differs between profiles "
+                                 f"{owners[what]!r} and {profile!r}")
     if conflicts:
         raise MergeConflictError(conflicts)
     version = next(iter(docs_by_profile.values()))["info"]["version"]

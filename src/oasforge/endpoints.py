@@ -1,8 +1,9 @@
 """Extract (path, verb) operations with parameters and responses from the
 controller classes of one profile unit, each as its OAS operation dict.
 
-The dicts of one handler are shared by its paths and verbs, so none is
-changed after it is built.
+A handler is analyzed once per project. The dicts of its analysis are
+shared by its paths, verbs and profiles, so none is changed after it is
+built.
 """
 
 from __future__ import annotations
@@ -387,13 +388,11 @@ def resolve_exception_status(exc: str, local: ClassDecl,
     return "500"
 
 
-def extract_responses(handler: MethodDecl, unit: ProfileUnit,
-                      model: SourceModel, reg: SchemaRegistry,
-                      ctx: ClassDecl, file: str,
-                      diagnostics: list[Diagnostic]) -> dict[str, dict]:
-    """The `responses` dict of `handler`, in code order: its success codes,
-    with a body schema on each 1xx-3xx one, and the codes its exceptions
-    map to."""
+def _success_responses(handler: MethodDecl, model: SourceModel,
+                       reg: SchemaRegistry, ctx: ClassDecl, file: str,
+                       diagnostics: list[Diagnostic]) -> dict[str, dict]:
+    """The response of each success code of `handler`, with a body schema
+    on each 1xx-3xx one."""
     explicit, annotated = _statuses(handler, ctx, file, diagnostics)
     success = set(explicit)
     if not explicit or handler.body_facts.has_plain_return \
@@ -408,6 +407,20 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
         content = {"application/json": {
             "schema": schema_for_type(return_type, model, reg, ctx)}}
 
+    responses: dict[str, dict] = {}
+    for code in sorted(success):
+        responses[code] = {"description": reason_phrase(code)}
+        if content and code.startswith(("1", "2", "3")):
+            responses[code]["content"] = content
+    return responses
+
+
+def extract_responses(handler: MethodDecl, success: dict[str, dict],
+                      unit: ProfileUnit, model: SourceModel, ctx: ClassDecl,
+                      diagnostics: list[Diagnostic]) -> dict[str, dict]:
+    """The `responses` dict of `handler` in `unit`, in code order: its
+    `success` responses and the codes its exceptions map to, as named in
+    `ctx`, through `ctx`'s and then `unit`'s exception handlers."""
     codes = set(success)
     error_sources = set(handler.declared_throws) \
         | handler.body_facts.thrown_exception_types
@@ -415,12 +428,8 @@ def extract_responses(handler: MethodDecl, unit: ProfileUnit,
         codes.add(resolve_exception_status(exc, ctx,
                                            unit.controller_set.advices, model,
                                            diagnostics))
-    responses: dict[str, dict] = {}
-    for code in sorted(codes):
-        responses[code] = {"description": reason_phrase(code)}
-        if content and code in success and code.startswith(("1", "2", "3")):
-            responses[code]["content"] = content
-    return responses
+    return {code: success.get(code) or {"description": reason_phrase(code)}
+            for code in sorted(codes)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,36 +457,50 @@ def _handlers(chain: list[ClassDecl]
 
 
 def extract_endpoints(unit: ProfileUnit, model: SourceModel,
-                      reg: SchemaRegistry, diagnostics: list[Diagnostic]
+                      reg: SchemaRegistry, analyses: dict[str, tuple],
+                      diagnostics: list[Diagnostic]
                       ) -> dict[tuple[str, str], dict]:
     """The operation dict of each (path, VERB) of `unit`, in the order the
     handlers are found; a later handler of a taken (path, VERB) is dropped
-    with DUPLICATE_METHOD."""
+    with DUPLICATE_METHOD. `analyses` keeps, by controller, what it gives
+    every profile: base paths, handlers, and each handler's analysis, made
+    when the controller's first visit reaches it, so diagnostics keep their
+    order."""
     operations: dict[tuple[str, str], dict] = {}
     for controller in unit.controller_set.controllers:
-        chain = supertype_chain(controller, model)
-        base_paths = _class_base_paths(chain, model, diagnostics)
-        for owner, handler, anno in _handlers(chain):
-            method_paths = _mapping_paths(anno, owner, handler.line, model,
-                                          diagnostics)
-            verbs = _mapping_verbs(anno)
+        if controller.qualified_name not in analyses:
+            chain = supertype_chain(controller, model)
+            analyses[controller.qualified_name] = (
+                _class_base_paths(chain, model, diagnostics),
+                _handlers(chain), [])
+        base_paths, handlers, analyzed = analyses[controller.qualified_name]
+        for position, (owner, handler, anno) in enumerate(handlers):
             # Types resolve in the controller; diagnostics point at the
             # class that declares the handler.
             file = owner.source_file
-            params, body = extract_parameters(handler, model, reg, controller,
-                                              file, diagnostics)
-            per_path = []
-            for base in base_paths:
-                for raw_path in method_paths:
-                    path, variables = split_template(
-                        normalize_path(base, raw_path), file, handler.line,
-                        diagnostics)
-                    per_path.append((path, _bind_to_template(
-                        params, path, variables, handler, file, diagnostics)))
-            # After the parameters, so schema names are allocated in the
-            # order the golden corpus fixes.
-            responses = extract_responses(handler, unit, model, reg,
-                                          controller, file, diagnostics)
+            if position == len(analyzed):
+                method_paths = _mapping_paths(anno, owner, handler.line,
+                                              model, diagnostics)
+                params, body = extract_parameters(
+                    handler, model, reg, controller, file, diagnostics)
+                per_path = []
+                for base in base_paths:
+                    for raw_path in method_paths:
+                        path, variables = split_template(
+                            normalize_path(base, raw_path), file,
+                            handler.line, diagnostics)
+                        per_path.append((path, _bind_to_template(
+                            params, path, variables, handler, file,
+                            diagnostics)))
+                # After the parameters, so schema names are allocated in
+                # the order the golden corpus fixes.
+                analyzed.append((_mapping_verbs(anno), per_path, body,
+                                 _success_responses(handler, model, reg,
+                                                    controller, file,
+                                                    diagnostics)))
+            verbs, per_path, body, success = analyzed[position]
+            responses = extract_responses(handler, success, unit, model,
+                                          controller, diagnostics)
             for path, path_params in per_path:
                 operation: dict = {}
                 if path_params:

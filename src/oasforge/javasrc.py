@@ -644,21 +644,14 @@ class _Parser:
 
     def parse_enum_constants(self) -> list[str]:
         constants: list[str] = []
-        while True:
-            if self.at(";"):
-                self.next()
-                break
-            if self.at("}"):
-                break
+        while not self.accept(";") and not self.at("}"):
             self.parse_annotations_and_modifiers()
             constants.append(self.expect_ident())
             if self.at("("):
                 self.skip_balanced("(", ")")
             if self.at("{"):
                 self.skip_balanced("{", "}")
-            if not self.accept(","):
-                if self.accept(";"):
-                    break
+            self.accept(",")
         return constants
 
     def parse_member(self, simple_class_name: str, package: str, outer: str
@@ -874,11 +867,7 @@ def _split_statements(body: list[Token]) -> Iterable[list[Token]]:
             paren += 1
         elif tok.text == ")":
             paren = max(0, paren - 1)
-        if tok.text == ";" and paren == 0:
-            if current:
-                yield current
-            current = []
-        elif tok.text in ("{", "}") and paren == 0:
+        if tok.text in (";", "{", "}") and paren == 0:
             if current:
                 yield current
             current = []
@@ -1000,8 +989,6 @@ def resolve_string_constant(value: Optional[AttributeValue], ctx: ClassDecl,
 
     Returns None when the value cannot be resolved statically.
     """
-    if value is None:
-        return None
     if _active is None:
         _active = set()
     if isinstance(value, StrLit):

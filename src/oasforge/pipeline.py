@@ -37,11 +37,12 @@ def generate_project(root: Path | str,
     project = root.resolve().name
     version = read_project_version(root)
     documents: dict[str, dict] = {}
+    reg = SchemaRegistry()  # one schema name per class for the project
+    analyses: dict = {}
     for unit in units:
-        reg = SchemaRegistry()
-        operations = extract_endpoints(unit, model, reg, diagnostics)
+        operations = extract_endpoints(unit, model, reg, analyses, diagnostics)
         documents[unit.profile_name] = assemble_document(
             operations, reg, project, unit.profile_name, version)
-    # A finding outside any profile repeats once for each profile's unit.
+    # An exception handler's finding repeats in each unit that reaches it.
     diagnostics = list(dict.fromkeys(diagnostics))
     return GenerationResult(project, documents, diagnostics)

@@ -93,10 +93,8 @@ def status_code_for(identifier: str) -> Optional[str]:
 
 
 def reason_phrase(code: str) -> str:
-    try:
-        return _PHRASE_BY_CODE.get(int(code), f"Status {code}")
-    except ValueError:
-        return f"Status {code}"
+    """The reason phrase of a code from `status_code_for`."""
+    return _PHRASE_BY_CODE.get(int(code), f"Status {code}")
 
 
 def is_framework_annotation(anno: AnnotationUse, cls: ClassDecl) -> bool:

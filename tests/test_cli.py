@@ -80,6 +80,39 @@ def test_generate_merge_single_profile(runner, tmp_path):
                                   "/api/settings/flags"}
 
 
+def test_same_named_classes_of_different_profiles_merge(runner, tmp_path):
+    # one schema name per class for the whole project, so `a.Item` and
+    # `b.Item` cannot both be `Item`
+    head = ("import org.springframework.context.annotation.Profile;\n"
+            "import org.springframework.web.bind.annotation.*;\n")
+    for pkg, profile, field in (("a", "dev", "String name;"),
+                                ("b", "prod", "long id;")):
+        (tmp_path / f"{pkg.upper()}.java").write_text(
+            f"package {pkg};\n{head}"
+            f'@RestController\n@Profile("{profile}")\n'
+            f"class {pkg.upper()}Api {{\n"
+            f'    @GetMapping("/{profile}")\n'
+            "    Item get() { return null; }\n}\n"
+            f"class Item {{ {field} }}\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(out), "--merge")
+    assert result.exit_code == 0, result.output
+    docs = {name: json.loads((out / f"{tmp_path.name}-{name}.openapi.json")
+                             .read_text())
+            for name in ("dev", "prod", "merged")}
+    ref = "#/components/schemas/"
+    for profile, name in (("dev", "Item"), ("prod", "Item_2")):
+        op = docs[profile]["paths"][f"/{profile}"]["get"]
+        assert op["responses"]["200"]["content"]["application/json"][
+            "schema"] == {"$ref": ref + name}
+        assert list(docs[profile]["components"]["schemas"]) == [name]
+    assert docs["merged"]["components"]["schemas"] == {
+        "Item": docs["dev"]["components"]["schemas"]["Item"],
+        "Item_2": docs["prod"]["components"]["schemas"]["Item_2"]}
+    assert set(docs["merged"]["paths"]) == {"/dev", "/prod"}
+
+
 def test_generate_diagnostics_reported_on_stderr(runner, tmp_path):
     result = run(runner, "generate",
                  "--input", str(FIXTURES_DIR / "parse_error"),

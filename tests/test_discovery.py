@@ -122,7 +122,7 @@ def _chain_reads(depth: int) -> int:
     for unit in group_by_profile(discover_rest_classes(model), model,
                                  diagnostics):
         reg = SchemaRegistry()
-        extract_endpoints(unit, model, reg, diagnostics)
+        extract_endpoints(unit, model, reg, {}, diagnostics)
         assert len(reg.schemas) == depth
     return classes.reads
 

@@ -156,6 +156,38 @@ def test_merge_conflict_raises_with_location():
         "'internal'" in str(err.value)
 
 
+def test_merge_checks_schemas_of_documents_from_different_runs():
+    # within one run a name means one schema; documents from two runs can
+    # give one name two schemas
+    docs = {profile: doc_to_dict({}, {"Item": {"type": kind}}, "shop", "1")
+            for profile, kind in (("old", "object"), ("new", "string"))}
+    with pytest.raises(MergeConflictError) as err:
+        merge_documents(docs, "shop")
+    assert err.value.conflicts == [
+        "schema 'Item' differs between profiles 'old' and 'new'"]
+
+
+def test_components_hold_only_the_schemas_operations_reach(tmp_path):
+    # `Other` is named by a handler dropped as a duplicate and `Third` by a
+    # dropped parameter; `Item` reaches `Part` through a field
+    (tmp_path / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        '    @GetMapping("/x")\n    Item first() { return null; }\n'
+        '    @GetMapping("/x")\n    Other second() { return null; }\n'
+        '    @GetMapping("/y/{id}")\n'
+        '    String third(@PathVariable("zz") Third t) { return ""; }\n'
+        "}\n"
+        "class Item { Part part; }\nclass Part { int n; }\n"
+        "class Other { int n; }\nclass Third { int n; }\n")
+    result = generate_project(tmp_path)
+    assert list(result.documents["default"]["components"]["schemas"]) == \
+        ["Item", "Part"]
+    assert [d.code for d in result.diagnostics] == [
+        "DUPLICATE_METHOD", "SKIPPED_PARAMETER", "UNBOUND_PATH_VARIABLE"]
+
+
 @pytest.mark.parametrize("first_profile", ["default", "eu"])
 def test_merged_title_is_the_project_name(first_profile):
     docs = {profile: assemble_document({}, SchemaRegistry(), "shop (v2)",

@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import model_from
+from oasforge import endpoints
 from oasforge.discovery import discover_rest_classes, group_by_profile
 from oasforge.endpoints import (expand_model_attribute, extract_endpoints,
                                 extract_parameters, extract_responses,
                                 normalize_path, resolve_exception_status,
                                 split_template)
+from oasforge.pipeline import generate_project
 from oasforge.schemas import SchemaRegistry
 from oasforge.spring import HTTP_VERBS
 
@@ -24,7 +26,7 @@ def analyze(*sources):
     units = group_by_profile(cs, model, [])
     reg = SchemaRegistry()
     diags = []
-    ops = extract_endpoints(units[0], model, reg, diags)
+    ops = extract_endpoints(units[0], model, reg, {}, diags)
     return model, units[0], reg, ops, diags
 
 
@@ -923,3 +925,39 @@ def test_non_string_path_values_are_spelled_as_in_the_source():
         ("UNRESOLVED_CONSTANT", f"cannot resolve path constant {value!r} in "
                                 "app.C")
         for value in ("5", "Api.class", "true", "@Deprecated")]
+
+
+def test_handlers_are_analyzed_once_and_linked_per_profile(tmp_path,
+                                                          monkeypatch):
+    head = ("package app;\n"
+            "import org.springframework.context.annotation.Profile;\n"
+            "import org.springframework.http.HttpStatus;\n"
+            "import org.springframework.web.bind.annotation.*;\n")
+    (tmp_path / "Api.java").write_text(
+        head + "@RestController\nclass Api {\n"
+        '    @GetMapping("/a")\n    String a() { throw new NotFound(); }\n'
+        '    @GetMapping("/b")\n'
+        '    String b(@RequestParam String q) { return ""; }\n}\n'
+        "class NotFound extends RuntimeException {}\n")
+    (tmp_path / "Dev.java").write_text(
+        head + '@RestControllerAdvice\n@Profile("dev")\nclass DevAdvice {\n'
+        "    @ExceptionHandler(NotFound.class)\n"
+        "    @ResponseStatus(HttpStatus.NOT_FOUND)\n    void gone() {}\n}\n")
+    (tmp_path / "Prod.java").write_text(
+        head + '@RestController\n@Profile("prod")\nclass ProdApi {\n'
+        '    @GetMapping("/p")\n    String p() { return ""; }\n}\n')
+    analyzed = []
+    original = endpoints.extract_parameters
+
+    def counting(handler, *args):
+        analyzed.append(handler.name)
+        return original(handler, *args)
+
+    monkeypatch.setattr(endpoints, "extract_parameters", counting)
+    docs = generate_project(tmp_path).documents
+    assert list(docs) == ["default", "dev", "prod"]
+    assert sorted(analyzed) == ["a", "b", "p"]
+    assert {profile: list(doc["paths"]["/a"]["get"]["responses"])
+            for profile, doc in docs.items()} == {
+        "default": ["200", "500"], "dev": ["200", "404"],
+        "prod": ["200", "500"]}

@@ -1,6 +1,10 @@
 """Property: any small Spring-like tree gives documents that both
-`validate_document` and openapi-spec-validator accept."""
+`validate_document` and openapi-spec-validator accept, whose components are
+the schemas their operations reach, and whose schema names mean one schema
+across profiles."""
 
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oasforge.emitter import MergeConflictError, merge_documents
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
 
@@ -46,9 +51,11 @@ BODIES = (
 
 # A plain DTO, a generic wrapper, the wrapper used raw, a DTO that refers
 # to itself, one that extends a base class, a record with a varargs
-# component and a class that extends the generic wrapper.
+# component, a class that extends the generic wrapper, and two classes
+# named like ones of package `app` (so a profile's `Filter` may be another
+# profile's `Filter_2`).
 RETURNS = ["Filter", "Page<Filter>", "Page", "TreeNode", "Order", "Tag",
-           "FilterPage"]
+           "FilterPage", "app.other.Filter", "Page<app.other.Order>"]
 
 MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
             '@RequestMapping(path = "{}", method = RequestMethod.PUT)']
@@ -109,6 +116,34 @@ class Advice {
 }
 """
 
+OTHER = """package app.other;
+
+class Filter {
+    private int rank;
+}
+
+class Order {
+    private Filter filter;
+}
+"""
+
+# An advice active in one profile only, so an operation's statuses may
+# differ between profiles.
+DEV_ADVICE = """package app;
+
+import org.springframework.context.annotation.Profile;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+@RestControllerAdvice
+@Profile("dev")
+class DevAdvice {
+    @ExceptionHandler(IllegalArgumentException.class)
+    @ResponseStatus(HttpStatus.BAD_REQUEST)
+    void invalid() {}
+}
+"""
+
 paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
     lambda segments: "/" + "/".join(segments))
 
@@ -152,7 +187,27 @@ def trees(draw) -> dict[str, str]:
     count = draw(st.integers(1, 4))
     files = {f"C{i}.java": draw(controllers(i)) for i in range(count)}
     files["Shared.java"] = SHARED
+    files["Other.java"] = OTHER
+    if draw(st.booleans()):
+        files["DevAdvice.java"] = DEV_ADVICE
     return files
+
+
+_REF = re.compile(r'"\$ref": "#/components/schemas/([^"]+)"')
+
+
+def reached(doc: dict) -> set[str]:
+    """The component names that the operations of `doc` refer to, directly
+    or through the schemas they refer to."""
+    schemas = doc.get("components", {}).get("schemas", {})
+    names: set[str] = set()
+    todo = _REF.findall(json.dumps(doc["paths"]))
+    while todo:
+        name = todo.pop()
+        if name not in names:
+            names.add(name)
+            todo += _REF.findall(json.dumps(schemas.get(name, {})))
+    return names
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,3 +223,14 @@ def test_generated_documents_pass_both_validators(files):
         assert validate_document(doc) == [], profile
         errors = oracle.OpenAPIV30SpecValidator(doc).iter_errors()
         assert [e.message for e in errors] == [], profile
+        assert set(doc.get("components", {}).get("schemas", {})) == \
+            reached(doc), profile
+    named: dict[str, dict] = {}
+    for doc in result.documents.values():
+        for name, schema in doc.get("components", {}).get("schemas",
+                                                          {}).items():
+            assert named.setdefault(name, schema) == schema, name
+    try:
+        merge_documents(result.documents, result.project)
+    except MergeConflictError as exc:
+        assert all(c.startswith("operation ") for c in exc.conflicts)
