@@ -286,12 +286,35 @@ def _bind_to_template(params: list[dict], path: str,
 # Responses
 # ---------------------------------------------------------------------------
 
+def _annotated_status(annotations: tuple[AnnotationUse, ...], ctx: ClassDecl,
+                      what: str, file: str, line: int,
+                      diagnostics: list[Diagnostic]) -> Optional[str]:
+    """The code of the @ResponseStatus among `annotations` of `what`, as
+    named in `ctx`: None without one, "" when it gives none. A value that
+    maps to no code is reported at `file`:`line` and gives ""."""
+    anno = find_annotation(annotations, {"ResponseStatus"}, ctx)
+    if anno is None:
+        return None
+    annotated = None
+    for attr in ("value", "code"):
+        value = anno.attributes.get(attr)
+        if isinstance(value, NameRef):
+            annotated = status_code_for(value.parts[-1])
+            break
+    if annotated is None and anno.attributes.keys() & {"value", "code"}:
+        diagnostics.append(Diagnostic(
+            UNRESOLVED_STATUS,
+            f"@ResponseStatus of {what} maps to no HTTP status code; "
+            "ignored", file, line))
+    return annotated or ""
+
+
 def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
               diagnostics: list[Diagnostic]) -> tuple[set[str], Optional[str]]:
     """The codes of the status literals in `method`'s body, and the code of
-    its @ResponseStatus as named in `ctx`: None without one, "" when it
-    gives none. Each literal or annotation value that maps to no code is
-    reported at the method's line in `file` and ignored."""
+    its @ResponseStatus as named in `ctx` (see `_annotated_status`). Each
+    literal that maps to no code is reported at the method's line in
+    `file` and ignored."""
     codes: set[str] = set()
     for literal in sorted(method.body_facts.returned_status_literals):
         code = status_code_for(literal)
@@ -302,21 +325,8 @@ def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
                 "status code; ignored", file, method.line))
         else:
             codes.add(code)
-    anno = find_annotation(method.annotations, {"ResponseStatus"}, ctx)
-    if anno is None:
-        return codes, None
-    annotated = None
-    for attr in ("value", "code"):
-        value = anno.attributes.get(attr)
-        if isinstance(value, NameRef):
-            annotated = status_code_for(value.parts[-1])
-            break
-    if annotated is None and anno.attributes.keys() & {"value", "code"}:
-        diagnostics.append(Diagnostic(
-            UNRESOLVED_STATUS,
-            f"@ResponseStatus of {method.name} maps to no HTTP status code; "
-            "ignored", file, method.line))
-    return codes, annotated or ""
+    return codes, _annotated_status(method.annotations, ctx, method.name,
+                                    file, method.line, diagnostics)
 
 
 def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
@@ -329,51 +339,46 @@ def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
         or [p.type.raw_name for p in method.parameters]
 
 
-def _exception_distance(declared: str, thrown: str, ctx: ClassDecl,
-                        model: SourceModel) -> Optional[int]:
-    """How many superclass steps lead from `thrown` up to `declared`, both
-    as named in `ctx`; None when a handler for `declared` does not catch
-    `thrown`. Where the chain leaves the model it goes on through
-    EXCEPTION_SUPERCLASSES, and a name outside the model is compared by its
-    simple name."""
-    d_simple = declared.rsplit(".", 1)[-1]
-    declared_fq = model.resolve_type_name(declared, ctx)
-    thrown_cls = model.find_class(thrown, ctx)
-    chain = supertype_chain(thrown_cls, model) if thrown_cls else []
-    for distance, cls in enumerate(chain):
-        if (cls.qualified_name == declared_fq if declared_fq
-                else cls.simple_name == d_simple):
-            return distance
-    if declared_fq and chain:  # a class of the model is never outside it
-        return None
-    distance = len(chain)
-    parent = chain[-1].superclass if chain else TypeRef(thrown)
-    outside = parent.raw_name if parent else ""
+def _ancestry(exc: str, local: ClassDecl, model: SourceModel
+              ) -> list[tuple[str, str]]:
+    """`exc`, as named in `local`, and its superclasses, nearest first, as
+    (qualified name, simple name) pairs; past the model's edge the chain
+    goes on through EXCEPTION_SUPERCLASSES, with no qualified name."""
+    cls = model.find_class(exc, local)
+    chain = supertype_chain(cls, model) if cls else []
+    ancestry = [(c.qualified_name, c.simple_name) for c in chain]
+    parent = chain[-1].superclass if chain else TypeRef(exc)
+    outside = parent.simple_name if parent else ""
     while outside:
-        simple = outside.rsplit(".", 1)[-1]
-        if simple == d_simple:
-            return distance
-        outside = EXCEPTION_SUPERCLASSES.get(simple)
-        distance += 1
-    return None
+        ancestry.append(("", outside))
+        outside = EXCEPTION_SUPERCLASSES.get(outside)
+    return ancestry
 
 
 def resolve_exception_status(exc: str, local: ClassDecl,
                              advices: list[ClassDecl], model: SourceModel,
                              diagnostics: list[Diagnostic]) -> str:
-    """Local @ExceptionHandler methods win over advice handlers; no match
-    means 500. Within a class, as in Spring, the handler whose target is
-    nearest `exc` in its superclass chain wins, and of equally near ones
-    the first declared. A handler's @ResponseStatus wins over its body's
-    status, which must be unique."""
+    """The status `exc`, named in `local`, maps to. `local`, then each
+    advice, with its superclasses, is a scope; the first that handles `exc`
+    decides. In it, as in Spring, the handler whose target is nearest in
+    `exc`'s ancestry wins, then the first declared, subclass first. A
+    target that resolves where it is declared matches a model class by
+    qualified name, any other a class by simple name. A handler's
+    @ResponseStatus wins over its body's status, which must be unique.
+    Unhandled, the nearest @ResponseStatus on a model class of the
+    ancestry applies, else 500."""
+    ancestry = _ancestry(exc, local, model)
     for scope in [local, *advices]:
-        hits = [(distance, i) for i, method in enumerate(scope.methods)
-                for t in _exception_handler_targets(method, scope)
-                if (distance := _exception_distance(t, exc, scope, model))
-                is not None]
+        methods = [(cls, method) for cls in supertype_chain(scope, model)
+                   for method in cls.methods]
+        hits = [(distance, i) for i, (cls, method) in enumerate(methods)
+                for name in _exception_handler_targets(method, cls)
+                for fq in [model.resolve_type_name(name, cls)]
+                for distance, (q, s) in enumerate(ancestry)
+                if (q == fq if fq else s == name.rsplit(".", 1)[-1])]
         if hits:
-            method = scope.methods[min(hits)[1]]
-            codes, annotated = _statuses(method, scope, scope.source_file,
+            cls, method = methods[min(hits)[1]]
+            codes, annotated = _statuses(method, cls, cls.source_file,
                                          diagnostics)
             if annotated:
                 return annotated
@@ -383,8 +388,16 @@ def resolve_exception_status(exc: str, local: ClassDecl,
                 UNRESOLVED_STATUS,
                 f"exception handler {method.name} for {exc} has no "
                 "statically readable status; assuming 500",
-                scope.source_file, method.line))
+                cls.source_file, method.line))
             return "500"
+    for qualified, _ in ancestry:
+        cls = model.classes.get(qualified)
+        if cls is None:
+            break
+        annotated = _annotated_status(cls.annotations, cls, qualified,
+                                      cls.source_file, 0, diagnostics)
+        if annotated is not None:
+            return annotated or "500"
     return "500"
 
 

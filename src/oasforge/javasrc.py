@@ -850,7 +850,8 @@ _BUILDER_STATUS = {
     "internalServerError": "INTERNAL_SERVER_ERROR",
 }
 
-_RESPONSE_WRAPPERS = {"ResponseEntity", "DeferredResult"}
+# Return types whose first type argument is the response body.
+RESPONSE_WRAPPERS = frozenset({"ResponseEntity", "DeferredResult"})
 
 
 def _split_statements(body: list[Token]) -> Iterable[list[Token]]:
@@ -883,7 +884,7 @@ def _statement_statuses(stmt: list[Token]) -> set[str]:
         if tok.text == "HttpStatus" and i + 2 < len(stmt) \
                 and stmt[i + 1].text == "." and stmt[i + 2].kind == "ident":
             statuses.add(stmt[i + 2].text)
-        if tok.text in _RESPONSE_WRAPPERS and i + 2 < len(stmt) \
+        if tok.text in RESPONSE_WRAPPERS and i + 2 < len(stmt) \
                 and stmt[i + 1].text == ".":
             member = stmt[i + 2].text
             if member == "status" and i + 4 < len(stmt) \
@@ -902,11 +903,11 @@ def extract_body_facts(body: list[Token]) -> BodyFacts:
     for stmt in _split_statements(body):
         stmt_statuses = _statement_statuses(stmt)
         statuses |= stmt_statuses
-        head = stmt[0].text if stmt else ""
-        if head == "throw":
-            if len(stmt) >= 3 and stmt[1].text == "new":
+        at = next((i for i, t in enumerate(stmt) if t.text == "throw"), None)
+        if at is not None:  # also `if (c) throw ...`, `case A -> throw ...`
+            if at + 2 < len(stmt) and stmt[at + 1].text == "new":
                 name_parts = []
-                j = 2
+                j = at + 2
                 while j < len(stmt) and (stmt[j].kind == "ident"
                                          or stmt[j].text == "."):
                     if stmt[j].kind == "ident":

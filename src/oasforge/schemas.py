@@ -8,8 +8,8 @@ several operations and documents, so none is changed after it is built.
 
 from __future__ import annotations
 
-from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, SourceModel,
-                      TypeRef, UNSPECIFIED_TYPE)
+from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, RESPONSE_WRAPPERS,
+                      SourceModel, TypeRef, UNSPECIFIED_TYPE)
 from .spring import REQUIRED_MARKERS, find_annotation
 
 PRIMITIVE_MAP = {
@@ -135,8 +135,7 @@ def _instance_fields(cls: ClassDecl) -> list[FieldDecl]:
 
 
 def unwrap_response_wrapper(t: TypeRef) -> TypeRef:
-    wrappers = {"ResponseEntity", "DeferredResult"}
-    while t.simple_name in wrappers and t.array_depth == 0:
+    while t.simple_name in RESPONSE_WRAPPERS and t.array_depth == 0:
         if not t.type_arguments:
             return UNSPECIFIED_TYPE
         t = t.type_arguments[0]

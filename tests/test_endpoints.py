@@ -643,6 +643,144 @@ def test_nearest_handler_wins_over_an_earlier_broader_one(thrown, status):
     assert resolve_exception_status(thrown, handlers, [], model, []) == status
 
 
+SPRING_HEAD = ("import org.springframework.http.HttpStatus;\n"
+               "import org.springframework.web.bind.annotation.*;\n")
+
+
+def test_thrown_name_is_read_with_the_controllers_imports():
+    # `NotFound` is ambiguous where the advice is declared; the controller
+    # imports `app.err.NotFound`, which extends the advice's `Base`
+    _, _, _, ops, diags = analyze(
+        "package app.err;\npublic class Base extends RuntimeException {}\n",
+        "package app.err;\npublic class NotFound extends Base {}\n",
+        "package app.other;\n"
+        "public class NotFound extends RuntimeException {}\n",
+        "package app.web;\nimport app.err.NotFound;\n" + SPRING_HEAD
+        + '@RestController\nclass C {\n    @GetMapping("/x")\n'
+        "    String get() { throw new NotFound(); }\n}\n",
+        "package app.advice;\nimport app.err.Base;\n" + SPRING_HEAD
+        + "@RestControllerAdvice\nclass Advice {\n"
+        "    @ExceptionHandler(Base.class)\n"
+        "    @ResponseStatus(HttpStatus.NOT_FOUND)\n    void base() {}\n}\n")
+    assert statuses(ops["/x", "GET"]) == ["200", "404"]
+    assert diags == []
+
+
+INHERITED_HANDLERS = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+class Gone extends RuntimeException {}
+
+abstract class BaseController {
+    @ExceptionHandler(IllegalStateException.class)
+    @ResponseStatus(HttpStatus.CONFLICT)
+    void conflict() {}
+
+    @ExceptionHandler(Gone.class)
+    @ResponseStatus(HttpStatus.GONE)
+    void gone() {}
+}
+
+@RestController
+class C extends BaseController {
+    @GetMapping("/state")
+    String state() { throw new IllegalStateException(); }
+
+    @GetMapping("/argument")
+    String argument() { throw new IllegalArgumentException(); }
+
+    @GetMapping("/gone")
+    String vanished() { throw new Gone(); }
+
+    @GetMapping("/io")
+    String io() throws java.io.IOException { return ""; }
+
+    @ExceptionHandler(RuntimeException.class)
+    @ResponseStatus(HttpStatus.BAD_REQUEST)
+    void runtime() {}
+}
+
+abstract class BaseAdvice {
+    @ExceptionHandler(Exception.class)
+    @ResponseStatus(HttpStatus.SERVICE_UNAVAILABLE)
+    void any() {}
+}
+
+@RestControllerAdvice
+class Advice extends BaseAdvice {}
+"""
+
+
+# As Spring's ExceptionHandlerMethodResolver does, a class's handlers
+# include those of its superclasses, and the nearest target wins across
+# the hierarchy: the base class's IllegalStateException handler beats the
+# subclass's RuntimeException one. An advice's superclass handlers count
+# too.
+@pytest.mark.parametrize("path, codes", [
+    ("/state", ["200", "409"]),
+    ("/argument", ["200", "400"]),
+    ("/gone", ["200", "410"]),
+    ("/io", ["200", "503"]),
+])
+def test_handlers_of_superclasses_count(path, codes):
+    _, _, _, ops, diags = analyze(INHERITED_HANDLERS)
+    assert statuses(ops[path, "GET"]) == codes
+    assert diags == []
+
+
+ANNOTATED_EXCEPTIONS = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+@ResponseStatus(HttpStatus.NOT_FOUND)
+class NotFound extends RuntimeException {}
+
+class Missing extends NotFound {}
+
+@ResponseStatus(code = HttpStatus.NO_SUCH, reason = "odd")
+class Odd extends NotFound {}
+
+@ResponseStatus(HttpStatus.GONE)
+class Handled extends RuntimeException {}
+
+@RestController
+class C {
+    @GetMapping("/nf")
+    String nf() { throw new NotFound(); }
+
+    @GetMapping("/missing")
+    String missing() { throw new Missing(); }
+
+    @GetMapping("/odd")
+    String odd() { throw new Odd(); }
+
+    @GetMapping("/handled")
+    String handled() { throw new Handled(); }
+
+    @ExceptionHandler(Handled.class)
+    @ResponseStatus(HttpStatus.CONFLICT)
+    void conflict() {}
+}
+"""
+
+
+# As Spring's ResponseStatusExceptionResolver does after the handler
+# resolvers: the @ResponseStatus of the nearest annotated class of the
+# exception's chain, unless a handler catches it; an unmappable value is
+# reported and gives 500.
+def test_response_status_of_an_unhandled_exception_class_applies():
+    _, _, _, ops, diags = analyze(ANNOTATED_EXCEPTIONS)
+    assert {path: statuses(op) for (path, _), op in ops.items()} == {
+        "/nf": ["200", "404"], "/missing": ["200", "404"],
+        "/odd": ["200", "500"], "/handled": ["200", "409"]}
+    assert [(d.code, d.message, d.file) for d in diags] == [
+        ("UNRESOLVED_STATUS", "@ResponseStatus of app.Odd maps to no HTTP "
+         "status code; ignored", "<test-0>")]
+
+
 def test_every_endpoint_has_a_response():
     _, _, _, ops, _ = analyze(RESPONSES)
     assert ops
@@ -961,3 +1099,22 @@ def test_handlers_are_analyzed_once_and_linked_per_profile(tmp_path,
             for profile, doc in docs.items()} == {
         "default": ["200", "500"], "dev": ["200", "404"],
         "prod": ["200", "500"]}
+
+
+def test_constants_defined_by_each_other_are_unresolved_not_recursive():
+    model, _, _, ops, diags = analyze("""
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    static final String A = B + "/x";
+    static final String B = A;
+
+    @GetMapping(A)
+    String get() { return ""; }
+}
+""")
+    assert list(ops) == [("/A", "GET")]
+    assert [(d.code, d.message) for d in diags] == [
+        ("UNRESOLVED_CONSTANT", "cannot resolve path constant 'A' in app.C")]

@@ -287,6 +287,18 @@ class H {
     assert not methods["nullOnly"].body_facts.has_plain_return
 
 
+@pytest.mark.parametrize("statement", [
+    "if (flag) throw new IllegalStateException();",
+    "if (flag) { return; } else throw new IllegalStateException();",
+    "switch (flag) { case A -> throw new IllegalStateException(); }",
+])
+def test_body_facts_read_a_throw_anywhere_in_a_statement(statement):
+    model = model_from("package app;\nclass H { void h() { "
+                       + statement + " } }\n")
+    facts = model.classes["app.H"].methods[0].body_facts
+    assert facts.thrown_exception_types == {"IllegalStateException"}
+
+
 def test_enum_constants_in_declaration_order():
     model = model_from("package app;\nenum Color { RED, GREEN, BLUE }\n")
     assert model.classes["app.Color"].enum_constants == ("RED", "GREEN", "BLUE")

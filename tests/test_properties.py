@@ -47,6 +47,7 @@ BODIES = (
     + ["return new ResponseEntity<>(HttpStatus.NO_SUCH_STATUS);",
        "throw new MissingException();",
        "throw new IllegalArgumentException();",
+       "if (page < 0) throw new IllegalStateException();",
        "return null;"])
 
 # A plain DTO, a generic wrapper, the wrapper used raw, a DTO that refers
@@ -144,6 +145,19 @@ class DevAdvice {
 }
 """
 
+# A base class whose exception handler its subclasses inherit.
+BASE_CONTROLLER = """package app;
+
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+abstract class BaseController {
+    @ExceptionHandler(IllegalStateException.class)
+    @ResponseStatus(HttpStatus.SERVICE_UNAVAILABLE)
+    void unavailable() {}
+}
+"""
+
 paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
     lambda segments: "/" + "/".join(segments))
 
@@ -164,7 +178,7 @@ def handlers(draw, index: int) -> str:
 
 
 @st.composite
-def controllers(draw, index: int) -> str:
+def controllers(draw, index: int, parent: str) -> str:
     profile = draw(st.sampled_from([None, "dev", "prod"]))
     base = draw(st.one_of(st.none(), paths))
     annotations = "@RestController\n"
@@ -179,13 +193,17 @@ def controllers(draw, index: int) -> str:
             "import org.springframework.context.annotation.Profile;\n"
             "import org.springframework.http.*;\n"
             "import org.springframework.web.bind.annotation.*;\n\n"
-            f"{annotations}class C{index} {{\n{body}}}\n")
+            f"{annotations}class C{index}{parent} {{\n{body}}}\n")
 
 
 @st.composite
 def trees(draw) -> dict[str, str]:
     count = draw(st.integers(1, 4))
-    files = {f"C{i}.java": draw(controllers(i)) for i in range(count)}
+    parent = draw(st.sampled_from(["", " extends BaseController"]))
+    files = {f"C{i}.java": draw(controllers(i, parent))
+             for i in range(count)}
+    if parent:
+        files["BaseController.java"] = BASE_CONTROLLER
     files["Shared.java"] = SHARED
     files["Other.java"] = OTHER
     if draw(st.booleans()):
