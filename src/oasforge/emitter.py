@@ -14,11 +14,11 @@ from pathlib import Path
 import yaml
 
 from .schemas import SchemaRegistry
-from .spring import HTTP_VERBS
+from .spring import REQUEST_METHODS
 
 OAS_VERSION = "3.0.3"
 
-VERB_ORDER = {verb.lower(): i for i, verb in enumerate(HTTP_VERBS)}
+VERB_ORDER = {verb.lower(): i for i, verb in enumerate(REQUEST_METHODS)}
 
 
 class MergeConflictError(Exception):

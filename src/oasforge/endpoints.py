@@ -22,9 +22,9 @@ from .javasrc import (AnnotationUse, AttributeValue, BoolLit, ClassDecl,
 from .schemas import (SchemaRegistry, primitive, schema_for_type,
                       unwrap_response_wrapper)
 from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
-                     PARAM_ANNOTATIONS, REQUEST_MAPPING, SERVLET_TYPES,
-                     VERB_MAPPINGS, find_annotation, reason_phrase,
-                     status_code_for)
+                     PARAM_ANNOTATIONS, REQUEST_MAPPING, REQUEST_METHODS,
+                     SERVLET_TYPES, VERB_MAPPINGS, find_annotation,
+                     reason_phrase, status_code_for)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,25 @@ def _mapping_paths(anno: AnnotationUse, ctx: ClassDecl, line: int,
                          model, ctx.source_file, line, diagnostics) or [""]
 
 
-def _mapping_verbs(anno: AnnotationUse) -> list[str]:
+def _mapping_verbs(anno: AnnotationUse, ctx: ClassDecl, line: int,
+                   diagnostics: list[Diagnostic]) -> list[str]:
+    """The verbs of a mapping: exactly the request methods its `method`
+    names, or all of HTTP_VERBS when `method` is unset or `{}`. An element
+    of `method` that names no request method is UNRESOLVED_CONSTANT and
+    left out."""
     if anno.simple_name in VERB_MAPPINGS:
         return [VERB_MAPPINGS[anno.simple_name]]
-    return [item.parts[-1] for item in anno.items("method")
-            if isinstance(item, NameRef) and item.parts[-1] in HTTP_VERBS] \
-        or list(HTTP_VERBS)
+    items = anno.items("method")
+    verbs = []
+    for item in items:
+        if isinstance(item, NameRef) and item.parts[-1] in REQUEST_METHODS:
+            verbs.append(item.parts[-1])
+        else:
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_CONSTANT, f"cannot resolve request method "
+                f"{spelling(item)!r} in {ctx.qualified_name}",
+                ctx.source_file, line))
+    return verbs if items else list(HTTP_VERBS)
 
 
 def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
@@ -494,6 +507,8 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
             if position == len(analyzed):
                 method_paths = _mapping_paths(anno, owner, handler.line,
                                               model, diagnostics)
+                verbs = _mapping_verbs(anno, owner, handler.line,
+                                       diagnostics)
                 params, body = extract_parameters(
                     handler, model, reg, controller, file, diagnostics)
                 per_path = []
@@ -507,7 +522,7 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                             diagnostics)))
                 # After the parameters, so schema names are allocated in
                 # the order the golden corpus fixes.
-                analyzed.append((_mapping_verbs(anno), per_path, body,
+                analyzed.append((verbs, per_path, body,
                                  _success_responses(handler, model, reg,
                                                     controller, file,
                                                     diagnostics)))

@@ -1,8 +1,8 @@
 """Parse Java source trees into an immutable, queryable source model.
 
 The parser is a hand-rolled tokenizer plus a recursive-descent pass over
-declarations only. Method bodies are kept as token streams and reduced to
-BodyFacts (thrown exceptions, response-entity status literals, null-only
+declarations only. Each method body is read once, statement by statement,
+into BodyFacts (thrown exceptions, response-entity status literals, plain
 returns); no expression-level AST is built. This covers everything the
 downstream Spring analysis needs without a full Java grammar.
 """
@@ -14,8 +14,9 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import takewhile
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 
@@ -280,13 +281,15 @@ class SourceModel:
     model whose simple name is unique. In that last step a qualified name
     only matches a class whose fully qualified name ends with "." plus the
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
-    does not find `app.Date`. The raw name of each `superclass` is
-    resolved once, here at construction, so `superclass_of` only looks up
-    fully qualified names; a superclass that does not resolve keeps its
-    source spelling and ends the chain. Its type arguments are qualified
-    there too, by `qualify_arguments`. Construction then raises
-    SupertypeCycleError if a chain of superclasses comes back to one of its
-    classes, so every later walk up a chain ends.
+    does not find `app.Date`. A single-type import decides alone, as it
+    shadows every other class of its simple name: a name imported from
+    outside the model resolves to nothing. The raw name of each
+    `superclass` is resolved once, here at construction, so
+    `superclass_of` only looks up fully qualified names; a superclass that
+    does not resolve keeps its source spelling and ends the chain. Its type
+    arguments are qualified there too, by `qualify_arguments`.
+    Construction then raises SupertypeCycleError if a chain of superclasses
+    comes back to one of its classes, so every later walk up a chain ends.
 
     Construction builds a simple name → classes index, in `classes` order,
     so `by_simple_name` does not walk `classes`. The index is valid
@@ -336,8 +339,8 @@ class SourceModel:
                        if c.qualified_name.endswith("." + name)]
         else:
             imported = ctx.imports.get(name)
-            if imported and imported in self.classes:
-                return imported
+            if imported:  # shadows every class of the same simple name
+                return imported if imported in self.classes else None
             same_pkg = f"{ctx.package}.{name}" if ctx.package else name
             if same_pkg in self.classes:
                 return same_pkg
@@ -417,17 +420,16 @@ class _Parser:
 
     def skip_balanced(self, open_: str, close: str) -> list[Token]:
         """Consume from the current open_ token to its matching close."""
-        start = self.expect(open_)
+        start = self.pos
+        self.expect(open_)
         depth = 1
-        out: list[Token] = [start]
         while depth > 0:
             t = self.next()
-            out.append(t)
             if t.text == open_:
                 depth += 1
             elif t.text == close:
                 depth -= 1
-        return out
+        return self.toks[start:self.pos]
 
     # -- compilation unit ---------------------------------------------------
 
@@ -854,30 +856,6 @@ _BUILDER_STATUS = {
 RESPONSE_WRAPPERS = frozenset({"ResponseEntity", "DeferredResult"})
 
 
-def _split_statements(body: list[Token]) -> Iterable[list[Token]]:
-    """Split a `{...}` token stream into ;-terminated statements.
-
-    Semicolons inside parentheses (for-headers, lambdas in calls) do not
-    terminate a statement. Block braces are passed through, so statements in
-    nested blocks appear as ordinary statements.
-    """
-    current: list[Token] = []
-    paren = 0
-    for tok in body[1:-1]:
-        if tok.text == "(":
-            paren += 1
-        elif tok.text == ")":
-            paren = max(0, paren - 1)
-        if tok.text in (";", "{", "}") and paren == 0:
-            if current:
-                yield current
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        yield current
-
-
 def _statement_statuses(stmt: list[Token]) -> set[str]:
     statuses: set[str] = set()
     for i, tok in enumerate(stmt):
@@ -897,29 +875,38 @@ def _statement_statuses(stmt: list[Token]) -> set[str]:
 
 
 def extract_body_facts(body: list[Token]) -> BodyFacts:
+    """Read a `{...}` body in one pass. A statement is the slice between two
+    `;`, `{` or `}` outside parentheses, so the `;` of a for-header or of a
+    lambda block in a call ends none; text after a `(` that never closes
+    is not read."""
     thrown: set[str] = set()
     statuses: set[str] = set()
     plain_return = False
-    for stmt in _split_statements(body):
-        stmt_statuses = _statement_statuses(stmt)
-        statuses |= stmt_statuses
-        at = next((i for i, t in enumerate(stmt) if t.text == "throw"), None)
-        if at is not None:  # also `if (c) throw ...`, `case A -> throw ...`
-            if at + 2 < len(stmt) and stmt[at + 1].text == "new":
-                name_parts = []
-                j = at + 2
-                while j < len(stmt) and (stmt[j].kind == "ident"
-                                         or stmt[j].text == "."):
-                    if stmt[j].kind == "ident":
-                        name_parts.append(stmt[j].text)
-                    j += 1
-                if name_parts:
-                    thrown.add(".".join(name_parts))
-            continue
-        ret_idx = next((i for i, t in enumerate(stmt) if t.text == "return"), None)
-        if ret_idx is not None and not stmt_statuses \
-                and [t.text for t in stmt[ret_idx + 1:]] != ["null"]:
-            plain_return = True
+    paren = start = 0  # `start`: the token before the current statement
+    first: dict[str, int] = {}  # the statement's first `throw` and `return`
+    for end, tok in enumerate(body):
+        text = tok.text
+        if text == "(":
+            paren += 1
+        elif text == ")":
+            paren = max(0, paren - 1)
+        elif text == "throw" or text == "return":
+            first.setdefault(text, end)
+        elif text in (";", "{", "}") and not paren:
+            stmt_statuses = _statement_statuses(body[start + 1:end])
+            statuses |= stmt_statuses
+            at = first.get("throw")  # also `if (c) throw`, `case A -> throw`
+            if at is not None and body[at + 1].text == "new":
+                name = ".".join(t.text for t in takewhile(
+                    lambda t: t.kind == "ident" or t.text == ".",
+                    body[at + 2:end]) if t.kind == "ident")
+                if name:
+                    thrown.add(name)
+            elif at is None and "return" in first and not stmt_statuses and [
+                    t.text for t in body[first["return"] + 1:end]] != ["null"]:
+                plain_return = True
+            start = end
+            first = {}
     return BodyFacts(
         thrown_exception_types=frozenset(thrown),
         returned_status_literals=frozenset(statuses),

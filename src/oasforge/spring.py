@@ -8,7 +8,9 @@ from typing import AbstractSet, Optional
 
 from .javasrc import AnnotationUse, ClassDecl
 
+# The verbs of a mapping without a `method`; a `method` may also name TRACE.
 HTTP_VERBS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
+REQUEST_METHODS = HTTP_VERBS + ("TRACE",)
 
 # Sets of annotation names: `find_annotation` would read a string as a set
 # of substrings.

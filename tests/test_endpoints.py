@@ -136,6 +136,41 @@ class C {
     assert set(ops) == {("/y", "GET"), ("/y", "POST")}
 
 
+def _method_mapping(method):
+    return ("package app;\n"
+            "import org.springframework.web.bind.annotation.*;\n"
+            "@RestController\nclass C {\n"
+            f'    @RequestMapping(value = "/t", method = {method})\n'
+            "    void t() {}\n}\n")
+
+
+@pytest.mark.parametrize("method, verbs", [
+    ("RequestMethod.TRACE", ["TRACE"]),
+    ("{RequestMethod.GET, RequestMethod.TRACE}", ["GET", "TRACE"]),
+    ("{}", HTTP_VERBS),  # Spring's default: no method named
+])
+def test_explicit_method_gives_exactly_the_methods_it_names(method, verbs):
+    _, _, _, ops, diags = analyze(_method_mapping(method))
+    assert list(ops) == [("/t", verb) for verb in verbs]
+    assert diags == []
+
+
+def test_method_element_naming_no_request_method_is_left_out():
+    _, _, _, ops, diags = analyze(
+        _method_mapping('{RequestMethod.GET, "POST", Verbs.ANY}'))
+    assert list(ops) == [("/t", "GET")]
+    assert [(d.code, d.message, d.line) for d in diags] == [
+        ("UNRESOLVED_CONSTANT", f"cannot resolve request method {m!r} in "
+         "app.C", 6) for m in ('"POST"', "Verbs.ANY")]
+
+
+def test_trace_is_written_after_the_other_verbs(tmp_path):
+    (tmp_path / "C.java").write_text(_method_mapping(
+        "{RequestMethod.TRACE, RequestMethod.OPTIONS, RequestMethod.GET}"))
+    doc = generate_project(tmp_path).documents["default"]
+    assert list(doc["paths"]["/t"]) == ["get", "options", "trace"]
+
+
 def test_multiple_paths_cross_verbs():
     src = """
 package app;
@@ -664,6 +699,21 @@ def test_thrown_name_is_read_with_the_controllers_imports():
         "    @ResponseStatus(HttpStatus.NOT_FOUND)\n    void base() {}\n}\n")
     assert statuses(ops["/x", "GET"]) == ["200", "404"]
     assert diags == []
+
+
+def test_thrown_name_imported_from_outside_the_tree_is_not_a_tree_class():
+    # `C` throws `com.lib.Err`; the advice handles `app.err.Err`, the only
+    # tree class of that simple name, which the import shadows in `C`
+    _, _, _, ops, _ = analyze(
+        "package app.err;\npublic class Err extends RuntimeException {}\n",
+        "package app.web;\nimport com.lib.Err;\n" + SPRING_HEAD
+        + '@RestController\nclass C {\n    @GetMapping("/x")\n'
+        "    String get() { throw new Err(); }\n}\n",
+        "package app.advice;\nimport app.err.Err;\n" + SPRING_HEAD
+        + "@RestControllerAdvice\nclass Advice {\n"
+        "    @ExceptionHandler(Err.class)\n"
+        "    @ResponseStatus(HttpStatus.GONE)\n    void gone() {}\n}\n")
+    assert statuses(ops["/x", "GET"]) == ["200", "500"]
 
 
 INHERITED_HANDLERS = """

@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
-from oasforge.javasrc import (AnnotationUse, ArrayVal, BoolLit, ClassRef,
-                              Concat, IntLit, NameRef, ProjectParseError,
-                              StrLit, SupertypeCycleError, TypeRef,
-                              parse_project, parse_source,
-                              resolve_string_constant, spelling,
-                              supertype_chain)
+from oasforge.javasrc import (AnnotationUse, ArrayVal, BodyFacts, BoolLit,
+                              ClassRef, Concat, IntLit, NameRef,
+                              ProjectParseError, StrLit, SupertypeCycleError,
+                              TypeRef, extract_body_facts, parse_project,
+                              parse_source, resolve_string_constant,
+                              spelling, supertype_chain, tokenize)
 
 SIMPLE_CONTROLLER = """
 package app;
@@ -246,6 +246,15 @@ def test_qualified_name_resolves_only_to_a_class_ending_with_it():
     assert model.classes["app.Date"].superclass == TypeRef("java.util.Date")
 
 
+def test_single_type_import_from_outside_the_tree_shadows_a_tree_class():
+    model = model_from(
+        "package app.err;\nclass Err extends RuntimeException {}\n",
+        "package app.web;\nimport com.lib.Err;\nclass C {}\n")
+    ctx = model.classes["app.web.C"]
+    assert model.resolve_type_name("Err", ctx) is None
+    assert model.find_class("Err", ctx) is None
+
+
 def test_duplicate_class_found_by_simple_name_is_the_later_file(tmp_path):
     for module in ("a", "b"):
         (tmp_path / module).mkdir()
@@ -297,6 +306,27 @@ def test_body_facts_read_a_throw_anywhere_in_a_statement(statement):
                        + statement + " } }\n")
     facts = model.classes["app.H"].methods[0].body_facts
     assert facts.thrown_exception_types == {"IllegalStateException"}
+
+
+@pytest.mark.parametrize("body, thrown, statuses, plain_return", [
+    # a lambda block inside a call is part of that call's statement
+    ("{ list.forEach(x -> { throw new A(); }); }", {"A"}, set(), False),
+    ("{ if (ok) { return x; } return null; }", set(), set(), True),
+    ("{ return null; }", set(), set(), False),
+    ("{ return ResponseEntity.ok(x); }", set(), {"OK"}, False),
+    ("{ throw e; }", set(), set(), False),
+    ('{ throw new app.err.Gone("x"); }', {"app.err.Gone"}, set(), False),
+    # the `;` of a for-header ends no statement
+    ("{ for (int i = 0; i < n; i++) { sum += i; } return sum; }",
+     set(), set(), True),
+    ('{ String s = "return"; }', set(), set(), False),
+    ("{ if (x == null) throw new NotFound(); "
+     "else return ResponseEntity.status(201).build(); }",
+     {"NotFound"}, {"201"}, False),
+])
+def test_body_reading_rules(body, thrown, statuses, plain_return):
+    assert extract_body_facts(tokenize(body)) == BodyFacts(
+        frozenset(thrown), frozenset(statuses), plain_return)
 
 
 def test_enum_constants_in_declaration_order():

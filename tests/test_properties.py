@@ -59,7 +59,9 @@ RETURNS = ["Filter", "Page<Filter>", "Page", "TreeNode", "Order", "Tag",
            "FilterPage", "app.other.Filter", "Page<app.other.Order>"]
 
 MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
-            '@RequestMapping(path = "{}", method = RequestMethod.PUT)']
+            '@RequestMapping(path = "{}", method = RequestMethod.PUT)',
+            '@RequestMapping(path = "{}", method = {{RequestMethod.GET, '
+            'RequestMethod.TRACE}})']
 
 SHARED = """package app;
 
