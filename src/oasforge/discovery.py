@@ -96,7 +96,8 @@ def group_by_profile(controller_set: ControllerSet, model: SourceModel,
         assignments[cls.qualified_name] = assign_profiles(cls, model,
                                                           diagnostics)
     observed = sorted({name for profiles in assignments.values()
-                       if profiles is not ALL for name in profiles})
+                       if profiles is not ALL for name in profiles}
+                      - {DEFAULT_PROFILE})
     profile_names = [DEFAULT_PROFILE] + observed
 
     def active(classes: list[ClassDecl], profile: str) -> list[ClassDecl]:

@@ -8,6 +8,7 @@ built.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
@@ -121,21 +122,18 @@ def _attr_strings(anno: AnnotationUse, names: tuple[str, ...], what: str,
 # Mapping annotations
 # ---------------------------------------------------------------------------
 
-def _mapping_paths(anno: AnnotationUse, ctx: ClassDecl, line: int,
-                   model: SourceModel, diagnostics: list[Diagnostic]
-                   ) -> list[str]:
-    return _attr_strings(anno, ("value", "path"), "path constant", ctx,
-                         model, ctx.source_file, line, diagnostics) or [""]
-
-
-def _mapping_verbs(anno: AnnotationUse, ctx: ClassDecl, line: int,
-                   diagnostics: list[Diagnostic]) -> list[str]:
-    """The verbs of a mapping: exactly the request methods its `method`
-    names, or all of HTTP_VERBS when `method` is unset or `{}`. An element
-    of `method` that names no request method is UNRESOLVED_CONSTANT and
-    left out."""
+def _mapping(anno: AnnotationUse, ctx: ClassDecl, line: int,
+             model: SourceModel, diagnostics: list[Diagnostic]
+             ) -> tuple[list[str], Optional[list[str]]]:
+    """The paths ([""] when none is set) and verbs of a type- or method-level
+    mapping, named in `ctx`, with diagnostics at `line` of its file. The
+    verbs are a `@GetMapping`-style mapping's one, else the request methods
+    `method` names, less each element naming none (UNRESOLVED_CONSTANT), or
+    None when `method` is unset or `{}`."""
+    paths = _attr_strings(anno, ("value", "path"), "path constant", ctx,
+                          model, ctx.source_file, line, diagnostics) or [""]
     if anno.simple_name in VERB_MAPPINGS:
-        return [VERB_MAPPINGS[anno.simple_name]]
+        return paths, [VERB_MAPPINGS[anno.simple_name]]
     items = anno.items("method")
     verbs = []
     for item in items:
@@ -146,16 +144,7 @@ def _mapping_verbs(anno: AnnotationUse, ctx: ClassDecl, line: int,
                 UNRESOLVED_CONSTANT, f"cannot resolve request method "
                 f"{spelling(item)!r} in {ctx.qualified_name}",
                 ctx.source_file, line))
-    return verbs if items else list(HTTP_VERBS)
-
-
-def _class_base_paths(chain: list[ClassDecl], model: SourceModel,
-                      diagnostics: list[Diagnostic]) -> list[str]:
-    for cls in chain:  # nearest class in the hierarchy wins
-        anno = find_annotation(cls.annotations, REQUEST_MAPPING, cls)
-        if anno is not None:
-            return _mapping_paths(anno, cls, 0, model, diagnostics)
-    return [""]
+    return paths, verbs if items else None
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +452,30 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 # ---------------------------------------------------------------------------
 
 def _handlers(chain: list[ClassDecl]
-              ) -> list[tuple[ClassDecl, MethodDecl, AnnotationUse]]:
-    """Mapped methods across the hierarchy, with their mapping annotation;
-    overriding subclass wins."""
-    out: list[tuple[ClassDecl, MethodDecl, AnnotationUse]] = []
-    seen: set[tuple] = set()
+              ) -> list[tuple[ClassDecl, MethodDecl, tuple]]:
+    """The handler of each mapped method signature of the hierarchy, the
+    nearest declaration, with its class and the (annotation, class, line)
+    of its mapping, that of the nearest declaration with one: Spring finds
+    a handler's mapping on the methods it overrides too. A parameter of the
+    handler with no annotations takes those of the mapped declaration."""
+    out: list[tuple[ClassDecl, MethodDecl, tuple]] = []
+    nearest: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
+    mapped: set[tuple] = set()
     for cls in chain:
         for method in cls.methods:
             sig = (method.name, tuple((p.type.simple_name, p.type.array_depth)
                                       for p in method.parameters))
-            if sig in seen:
+            owner, handler = nearest.setdefault(sig, (cls, method))
+            anno = None if sig in mapped else find_annotation(
+                method.annotations, MAPPING_ANNOTATIONS, cls)
+            if anno is None:
                 continue
-            seen.add(sig)
-            anno = find_annotation(method.annotations, MAPPING_ANNOTATIONS,
-                                   cls)
-            if anno is not None:
-                out.append((cls, method, anno))
+            mapped.add(sig)
+            if handler is not method:
+                handler = replace(handler, parameters=tuple(
+                    replace(p, annotations=p.annotations or q.annotations)
+                    for p, q in zip(handler.parameters, method.parameters)))
+            out.append((owner, handler, (anno, cls, method.line)))
     return out
 
 
@@ -489,26 +486,29 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
     """The operation dict of each (path, VERB) of `unit`, in the order the
     handlers are found; a later handler of a taken (path, VERB) is dropped
     with DUPLICATE_METHOD. `analyses` keeps, by controller, what it gives
-    every profile: base paths, handlers, and each handler's analysis, made
-    when the controller's first visit reaches it, so diagnostics keep their
-    order."""
+    every profile: the type-level mapping of the nearest class that has one,
+    handlers, and each handler's analysis, made when the controller's first
+    visit reaches it, so diagnostics keep their order."""
     operations: dict[tuple[str, str], dict] = {}
     for controller in unit.controller_set.controllers:
-        if controller.qualified_name not in analyses:
+        key = controller.qualified_name
+        if key not in analyses:
             chain = supertype_chain(controller, model)
-            analyses[controller.qualified_name] = (
-                _class_base_paths(chain, model, diagnostics),
-                _handlers(chain), [])
-        base_paths, handlers, analyzed = analyses[controller.qualified_name]
-        for position, (owner, handler, anno) in enumerate(handlers):
+            type_level = next((_mapping(anno, cls, 0, model, diagnostics)
+                               for cls in chain if (anno := find_annotation(
+                                   cls.annotations, REQUEST_MAPPING, cls))),
+                              ([""], None))
+            analyses[key] = (type_level, _handlers(chain), [])
+        (base_paths, base_verbs), handlers, analyzed = analyses[key]
+        for position, (owner, handler, mapping) in enumerate(handlers):
             # Types resolve in the controller; diagnostics point at the
-            # class that declares the handler.
+            # class that declares the handler, or its mapping.
             file = owner.source_file
             if position == len(analyzed):
-                method_paths = _mapping_paths(anno, owner, handler.line,
-                                              model, diagnostics)
-                verbs = _mapping_verbs(anno, owner, handler.line,
-                                       diagnostics)
+                method_paths, verbs = _mapping(*mapping, model, diagnostics)
+                # as in Spring: paths by product, verbs by union
+                verbs = list(HTTP_VERBS) if base_verbs is verbs is None else \
+                    list(dict.fromkeys((base_verbs or []) + (verbs or [])))
                 params, body = extract_parameters(
                     handler, model, reg, controller, file, diagnostics)
                 per_path = []

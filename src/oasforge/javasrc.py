@@ -158,9 +158,6 @@ class AnnotationUse:
     simple_name: str
     attributes: dict[str, "AttributeValue"] = field(default_factory=dict)
 
-    def __hash__(self):  # attributes dict excluded; identity by rendering
-        return hash((self.simple_name, tuple(sorted(self.attributes))))
-
     def items(self, attr: str) -> tuple["AttributeValue", ...]:
         """The elements of attribute `attr`: an array's items, its one
         value, or none when it is not set."""
@@ -860,7 +857,8 @@ def _statement_statuses(stmt: list[Token]) -> set[str]:
     statuses: set[str] = set()
     for i, tok in enumerate(stmt):
         if tok.text == "HttpStatus" and i + 2 < len(stmt) \
-                and stmt[i + 1].text == "." and stmt[i + 2].kind == "ident":
+                and stmt[i + 1].text == "." and stmt[i + 2].kind == "ident" \
+                and (i + 3 == len(stmt) or stmt[i + 3].text != "("):
             statuses.add(stmt[i + 2].text)
         if tok.text in RESPONSE_WRAPPERS and i + 2 < len(stmt) \
                 and stmt[i + 1].text == ".":

@@ -5,6 +5,7 @@ from oasforge.discovery import (ALL, assign_profiles, discover_rest_classes,
                                 group_by_profile)
 from oasforge.endpoints import extract_endpoints
 from oasforge.javasrc import SourceModel, parse_source
+from oasforge.pipeline import generate_project
 from oasforge.schemas import SchemaRegistry
 
 PLAIN = """
@@ -228,3 +229,22 @@ class Api {}
     assert [(d.code, d.message, d.file) for d in diags] == [
         ("UNRESOLVED_CONSTANT",
          "cannot resolve profile name 'Missing.EU' in app.Api", "<test-0>")]
+
+
+def test_default_profile_named_explicitly_is_the_one_default_unit(tmp_path):
+    sources = {name: "package app;\n"
+               "import org.springframework.context.annotation.Profile;\n"
+               "import org.springframework.web.bind.annotation.*;\n"
+               f'@Profile("{profile}")\n@RestController\nclass {name} {{\n'
+               f'    @GetMapping("{path}")\n'
+               '    String get() { return ""; }\n}\n'
+               for name, profile, path in (("D", "default", "/d"),
+                                           ("Dev", "dev", "/dev"))}
+    model = model_from(*sources.values())
+    units = group_by_profile(discover_rest_classes(model), model, [])
+    assert [u.profile_name for u in units] == ["default", "dev"]
+    for name, source in sources.items():
+        (tmp_path / f"{name}.java").write_text(source)
+    docs = generate_project(tmp_path).documents
+    assert {profile: list(doc["paths"]) for profile, doc in docs.items()} == {
+        "default": ["/d"], "dev": ["/dev"]}

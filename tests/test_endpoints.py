@@ -171,6 +171,41 @@ def test_trace_is_written_after_the_other_verbs(tmp_path):
     assert list(doc["paths"]["/t"]) == ["get", "options", "trace"]
 
 
+TYPE_LEVEL_METHOD = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+@RequestMapping(path = "/a", method = RequestMethod.POST)
+class C {
+    @RequestMapping("/x")
+    String x() { return ""; }
+
+    @GetMapping("/y")
+    String y() { return ""; }
+}
+"""
+
+
+# As Spring's RequestMappingInfo.combine does: the request methods of the
+# two levels are a union, the type level's first
+def test_type_level_method_joins_the_method_levels():
+    _, _, _, ops, diags = analyze(TYPE_LEVEL_METHOD)
+    assert list(ops) == [("/a/x", "POST"), ("/a/y", "POST"), ("/a/y", "GET")]
+    assert diags == []
+
+
+# A type-level `method` that names only what resolves to no request method
+# leaves no verb to a handler without its own, as at the method level
+def test_type_level_method_is_read_once_per_controller():
+    _, _, _, ops, diags = analyze(TYPE_LEVEL_METHOD.replace(
+        "method = RequestMethod.POST", "method = {Verbs.ANY}"))
+    assert list(ops) == [("/a/y", "GET")]
+    assert [(d.code, d.message, d.line) for d in diags] == [
+        ("UNRESOLVED_CONSTANT", "cannot resolve request method 'Verbs.ANY' "
+         "in app.C", 0)]
+
+
 def test_multiple_paths_cross_verbs():
     src = """
 package app;
@@ -256,6 +291,72 @@ class Sub extends Base {
 """
     _, _, _, ops, _ = analyze(src)
     assert list(ops) == [("/sub", "GET")]
+
+
+INHERITED_MAPPING_BASE = """
+package app;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+abstract class Base {
+    @GetMapping("/items/{id}")
+    public String get(@PathVariable("id") long id) { return ""; }
+
+    @GetMapping(Missing.PATH)
+    public ResponseEntity<String> other(@RequestParam String q) {
+        return ResponseEntity.ok(q);
+    }
+}
+"""
+
+INHERITED_MAPPING_API = """
+package app;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+@RequestMapping("/api")
+class Api extends Base {
+    @Override
+    public String get(long id) { return "item " + id; }
+
+    @Override
+    public ResponseEntity<String> other(String q) {
+        return ResponseEntity.status(999).build();
+    }
+}
+"""
+
+
+# Spring finds a handler's mapping with find-semantics, which search the
+# methods it overrides too
+def test_override_without_a_mapping_inherits_the_one_it_overrides():
+    _, _, _, ops, diags = analyze(INHERITED_MAPPING_BASE.replace(
+        "\n    @GetMapping(Missing.PATH)", "\n    @Deprecated"),
+        INHERITED_MAPPING_API)
+    assert list(ops) == [("/api/items/{id}", "GET")]
+    op = ops["/api/items/{id}", "GET"]
+    assert params_of(op) == [{
+        "name": "id", "in": "path", "required": True,
+        "schema": {"type": "integer", "format": "int64"}}]
+    assert op["responses"] == {"200": {
+        "description": "OK",
+        "content": {"application/json": {"schema": {"type": "string"}}}}}
+    assert diags == []
+
+
+def test_inherited_mapping_diagnostics_name_the_mapped_declaration():
+    model, _, _, ops, diags = analyze(INHERITED_MAPPING_BASE,
+                                      INHERITED_MAPPING_API)
+    base, api = (model.classes[name] for name in ("app.Base", "app.Api"))
+    assert list(ops) == [("/api/items/{id}", "GET"),
+                         ("/api/Missing.PATH", "GET")]
+    # the mapping is read where it is declared, the body where it is
+    assert [(d.code, d.file, d.line) for d in diags] == [
+        ("UNRESOLVED_CONSTANT", "<test-0>", base.methods[1].line),
+        ("UNRESOLVED_STATUS", "<test-1>", api.methods[1].line)]
+    assert [p["name"] for p in params_of(ops["/api/Missing.PATH", "GET"])] \
+        == ["q"]
 
 
 def test_class_base_path_joined_with_method_path():
@@ -777,6 +878,43 @@ class Advice extends BaseAdvice {}
 def test_handlers_of_superclasses_count(path, codes):
     _, _, _, ops, diags = analyze(INHERITED_HANDLERS)
     assert statuses(ops[path, "GET"]) == codes
+    assert diags == []
+
+
+PARAMETER_TARGETS = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+import org.springframework.web.context.request.WebRequest;
+
+class NotFound extends RuntimeException {}
+
+class Other extends RuntimeException {}
+
+@RestControllerAdvice
+class Advice {
+    @ExceptionHandler
+    @ResponseStatus(HttpStatus.GONE)
+    String gone(WebRequest request, NotFound e) { return ""; }
+}
+
+@RestController
+class C {
+    @GetMapping("/nf")
+    String nf() { throw new NotFound(); }
+
+    @GetMapping("/other")
+    String other() { throw new Other(); }
+}
+"""
+
+
+# As in Spring, an @ExceptionHandler without a `value` handles the
+# exception types among its parameters
+def test_exception_handler_without_a_value_targets_its_parameter_types():
+    _, _, _, ops, diags = analyze(PARAMETER_TARGETS)
+    assert {path: statuses(op) for (path, _), op in ops.items()} == {
+        "/nf": ["200", "410"], "/other": ["200", "500"]}
     assert diags == []
 
 

@@ -323,6 +323,9 @@ def test_body_facts_read_a_throw_anywhere_in_a_statement(statement):
     ("{ if (x == null) throw new NotFound(); "
      "else return ResponseEntity.status(201).build(); }",
      {"NotFound"}, {"201"}, False),
+    # a name followed by `(` is a call of HttpStatus, not a constant of it
+    ("{ return ResponseEntity.status(HttpStatus.valueOf(code)).build(); }",
+     set(), set(), True),
 ])
 def test_body_reading_rules(body, thrown, statuses, plain_return):
     assert extract_body_facts(tokenize(body)) == BodyFacts(

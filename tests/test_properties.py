@@ -48,6 +48,7 @@ BODIES = (
        "throw new MissingException();",
        "throw new IllegalArgumentException();",
        "if (page < 0) throw new IllegalStateException();",
+       "return ResponseEntity.status(HttpStatus.valueOf(page)).build();",
        "return null;"])
 
 # A plain DTO, a generic wrapper, the wrapper used raw, a DTO that refers
@@ -147,7 +148,8 @@ class DevAdvice {
 }
 """
 
-# A base class whose exception handler its subclasses inherit.
+# A base class whose exception handler and handler its subclasses inherit;
+# a subclass may override the handler without a mapping.
 BASE_CONTROLLER = """package app;
 
 import org.springframework.http.HttpStatus;
@@ -157,8 +159,14 @@ abstract class BaseController {
     @ExceptionHandler(IllegalStateException.class)
     @ResponseStatus(HttpStatus.SERVICE_UNAVAILABLE)
     void unavailable() {}
+
+    @GetMapping("/shared/{id}")
+    String shared(@PathVariable Long id) { return ""; }
 }
 """
+
+OVERRIDE = ("    @Override\n    String shared(Long id) {\n"
+            "        throw new IllegalStateException();\n    }\n")
 
 paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
     lambda segments: "/" + "/".join(segments))
@@ -181,15 +189,20 @@ def handlers(draw, index: int) -> str:
 
 @st.composite
 def controllers(draw, index: int, parent: str) -> str:
-    profile = draw(st.sampled_from([None, "dev", "prod"]))
+    profile = draw(st.sampled_from([None, "default", "dev", "prod"]))
     base = draw(st.one_of(st.none(), paths))
     annotations = "@RestController\n"
     if profile:
         annotations += f'@Profile("{profile}")\n'
     if base is not None:
-        annotations += f'@RequestMapping("{base}")\n'
+        annotations += draw(st.sampled_from([
+            '@RequestMapping("{}")\n',
+            '@RequestMapping(path = "{}", method = RequestMethod.POST)\n'
+        ])).format(base)
     body = "\n".join(draw(handlers(i))
                      for i in range(draw(st.integers(1, 3))))
+    if parent and draw(st.booleans()):
+        body += OVERRIDE
     return ("package app;\n\n"
             "import javax.servlet.http.HttpServletRequest;\n"
             "import org.springframework.context.annotation.Profile;\n"
