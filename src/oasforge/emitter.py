@@ -6,9 +6,11 @@ order, schema properties in declaration order, components sorted by name.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import xml.etree.ElementTree as ET
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import yaml
@@ -122,13 +124,86 @@ class _NoAliasDumper(yaml.SafeDumper):
         return True
 
 
+@functools.cache
+def _libyaml_dumper(base: type) -> type:
+    """libyaml's `base` dumper, writing shared sub-dicts in full as
+    `_NoAliasDumper` does."""
+    return type("_CNoAliasDumper", (base,),
+                {"ignore_aliases": _NoAliasDumper.ignore_aliases})
+
+
+def _libyaml_agrees(data) -> bool:
+    """Whether libyaml writes `data` as `_NoAliasDumper` does: it is a dict
+    or list holding only dicts with printable ASCII str keys of 1-60
+    characters, lists, printable ASCII str values and bools. Past that the
+    two part ways: they fold long double-quoted scalars at different
+    places, escape non-BMP characters and NEL differently, write long or
+    empty keys as `? ` keys at different lengths, and only PyYAML ends a
+    lone scalar with `...`."""
+    if type(data) not in (dict, list):
+        return False
+    stack = [data]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is dict:
+            for key in node:
+                if not (type(key) is str and 0 < len(key) <= 60
+                        and key.isascii() and key.isprintable()):
+                    return False
+            stack.extend(node.values())
+        elif kind is list:
+            stack.extend(node)
+        elif kind is str:
+            if not (node.isascii() and node.isprintable()):
+                return False
+        elif kind is not bool:
+            return False
+    return True
+
+
+def _json_chunks(node, indent: str, out: list[str]) -> None:
+    """Append `node` to `out` as `json.dumps(indent=2, ensure_ascii=False)`
+    writes it at `indent`; dict keys are str."""
+    if isinstance(node, str):
+        out.append(encode_basestring(node))
+    elif not node or not isinstance(node, (list, tuple, dict)):
+        out.append(json.dumps(node))  # a scalar, `{}` or `[]`
+    else:
+        inner = indent + "  "
+        separator = "\n" + inner
+        if isinstance(node, dict):
+            out.append("{")
+            for key, value in node.items():
+                out.append(f"{separator}{encode_basestring(key)}: ")
+                _json_chunks(value, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[")
+            for value in node:
+                out.append(separator)
+                _json_chunks(value, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + indent + "]")
+
+
 def serialize(data: dict, format: str = "json") -> bytes:
-    """Render a document as JSON or YAML bytes."""
+    """Render a document as JSON or YAML bytes. Both are written as PyYAML's
+    pure-Python `_NoAliasDumper` and `json.dumps(indent=2)` would write
+    them, only faster: JSON by `_json_chunks`, YAML by libyaml where
+    `_libyaml_agrees`, else (or in a PyYAML built without libyaml) by
+    `_NoAliasDumper`."""
     if format == "json":
-        return (json.dumps(data, indent=2, ensure_ascii=False) + "\n"
-                ).encode("utf-8")
+        out: list[str] = []
+        _json_chunks(data, "", out)
+        out.append("\n")
+        return "".join(out).encode("utf-8")
     if format == "yaml":
-        return yaml.dump(data, Dumper=_NoAliasDumper, sort_keys=False,
+        fast = getattr(yaml, "CSafeDumper", None)
+        dumper = _libyaml_dumper(fast) if fast and _libyaml_agrees(data) \
+            else _NoAliasDumper
+        return yaml.dump(data, Dumper=dumper, sort_keys=False,
                          allow_unicode=True).encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
 

@@ -311,12 +311,11 @@ def _annotated_status(annotations: tuple[AnnotationUse, ...], ctx: ClassDecl,
     return annotated or ""
 
 
-def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
-              diagnostics: list[Diagnostic]) -> tuple[set[str], Optional[str]]:
-    """The codes of the status literals in `method`'s body, and the code of
-    its @ResponseStatus as named in `ctx` (see `_annotated_status`). Each
-    literal that maps to no code is reported at the method's line in
-    `file` and ignored."""
+def _literal_statuses(method: MethodDecl, file: str,
+                      diagnostics: list[Diagnostic]) -> set[str]:
+    """The codes of the status literals in `method`'s body. Each literal
+    that maps to no code is reported at the method's line in `file` and
+    ignored."""
     codes: set[str] = set()
     for literal in sorted(method.body_facts.returned_status_literals):
         code = status_code_for(literal)
@@ -327,8 +326,7 @@ def _statuses(method: MethodDecl, ctx: ClassDecl, file: str,
                 "status code; ignored", file, method.line))
         else:
             codes.add(code)
-    return codes, _annotated_status(method.annotations, ctx, method.name,
-                                    file, method.line, diagnostics)
+    return codes
 
 
 def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
@@ -380,8 +378,10 @@ def resolve_exception_status(exc: str, local: ClassDecl,
                 if (q == fq if fq else s == name.rsplit(".", 1)[-1])]
         if hits:
             cls, method = methods[min(hits)[1]]
-            codes, annotated = _statuses(method, cls, cls.source_file,
-                                         diagnostics)
+            codes = _literal_statuses(method, cls.source_file, diagnostics)
+            annotated = _annotated_status(method.annotations, cls,
+                                          method.name, cls.source_file,
+                                          method.line, diagnostics)
             if annotated:
                 return annotated
             if len(codes) == 1:
@@ -403,12 +403,21 @@ def resolve_exception_status(exc: str, local: ClassDecl,
     return "500"
 
 
-def _success_responses(handler: MethodDecl, model: SourceModel,
-                       reg: SchemaRegistry, ctx: ClassDecl, file: str,
+def _success_responses(handler: MethodDecl,
+                       status: Optional[tuple[ClassDecl, MethodDecl]],
+                       model: SourceModel, reg: SchemaRegistry,
+                       ctx: ClassDecl, file: str,
                        diagnostics: list[Diagnostic]) -> dict[str, dict]:
     """The response of each success code of `handler`, with a body schema
-    on each 1xx-3xx one."""
-    explicit, annotated = _statuses(handler, ctx, file, diagnostics)
+    on each 1xx-3xx one; `status` is the declaration of its @ResponseStatus
+    (see `_handlers`), with its class."""
+    explicit = _literal_statuses(handler, file, diagnostics)
+    annotated = None
+    if status is not None:
+        cls, method = status
+        annotated = _annotated_status(method.annotations, cls, method.name,
+                                      cls.source_file, method.line,
+                                      diagnostics)
     success = set(explicit)
     if not explicit or handler.body_facts.has_plain_return \
             or annotated is not None:
@@ -451,21 +460,24 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 # Endpoint extraction
 # ---------------------------------------------------------------------------
 
-def _handlers(chain: list[ClassDecl]
-              ) -> list[tuple[ClassDecl, MethodDecl, tuple]]:
+def _handlers(chain: list[ClassDecl]) -> list[tuple]:
     """The handler of each mapped method signature of the hierarchy, the
-    nearest declaration, with its class and the (annotation, class, line)
-    of its mapping, that of the nearest declaration with one: Spring finds
-    a handler's mapping on the methods it overrides too. A parameter of the
+    nearest declaration, with its class, the (annotation, class, line) of
+    its mapping and the (class, method) of its @ResponseStatus: those of
+    the nearest declarations with one, each named in its class, as Spring
+    finds them on the methods a handler overrides too. A parameter of the
     handler with no annotations takes those of the mapped declaration."""
-    out: list[tuple[ClassDecl, MethodDecl, tuple]] = []
+    out: list[tuple] = []
     nearest: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
+    statuses: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
     mapped: set[tuple] = set()
     for cls in chain:
         for method in cls.methods:
             sig = (method.name, tuple((p.type.simple_name, p.type.array_depth)
                                       for p in method.parameters))
             owner, handler = nearest.setdefault(sig, (cls, method))
+            if find_annotation(method.annotations, {"ResponseStatus"}, cls):
+                statuses.setdefault(sig, (cls, method))
             anno = None if sig in mapped else find_annotation(
                 method.annotations, MAPPING_ANNOTATIONS, cls)
             if anno is None:
@@ -475,8 +487,9 @@ def _handlers(chain: list[ClassDecl]
                 handler = replace(handler, parameters=tuple(
                     replace(p, annotations=p.annotations or q.annotations)
                     for p, q in zip(handler.parameters, method.parameters)))
-            out.append((owner, handler, (anno, cls, method.line)))
-    return out
+            out.append((owner, handler, (anno, cls, method.line), sig))
+    return [(owner, handler, mapping, statuses.get(sig))
+            for owner, handler, mapping, sig in out]
 
 
 def extract_endpoints(unit: ProfileUnit, model: SourceModel,
@@ -500,7 +513,8 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                               ([""], None))
             analyses[key] = (type_level, _handlers(chain), [])
         (base_paths, base_verbs), handlers, analyzed = analyses[key]
-        for position, (owner, handler, mapping) in enumerate(handlers):
+        for position, (owner, handler, mapping, status) in \
+                enumerate(handlers):
             # Types resolve in the controller; diagnostics point at the
             # class that declares the handler, or its mapping.
             file = owner.source_file
@@ -523,8 +537,8 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                 # After the parameters, so schema names are allocated in
                 # the order the golden corpus fixes.
                 analyzed.append((verbs, per_path, body,
-                                 _success_responses(handler, model, reg,
-                                                    controller, file,
+                                 _success_responses(handler, status, model,
+                                                    reg, controller, file,
                                                     diagnostics)))
             verbs, per_path, body, success = analyzed[position]
             responses = extract_responses(handler, success, unit, model,

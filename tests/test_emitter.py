@@ -1,16 +1,18 @@
 """Document assembly, merging, serialization, structural validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
-from oasforge.emitter import (MergeConflictError, assemble_document,
-                              doc_to_dict, merge_documents,
-                              read_project_version, serialize)
+from oasforge.emitter import (MergeConflictError, _libyaml_agrees,
+                              _NoAliasDumper, assemble_document, doc_to_dict,
+                              merge_documents, read_project_version,
+                              serialize)
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
 from oasforge.schemas import SchemaRegistry
@@ -52,6 +54,106 @@ def test_yaml_writes_shared_dicts_in_full(name):
         assert not any(getattr(event, "anchor", None)
                        for event in yaml.parse(text))
         assert yaml.safe_load(text) == json.loads(serialize(doc))
+
+
+def _reference_yaml(data):
+    return yaml.dump(data, Dumper=_NoAliasDumper, sort_keys=False,
+                     allow_unicode=True).encode("utf-8")
+
+
+# Characters on which YAML dumpers choose styles and escapes: controls, NEL,
+# line and paragraph separators, BOM, a non-BMP emoji, quotes, indicators.
+_TRICKY = "\x00\x07\t\n\r\x1b\x7f\x85\xa0\u2028\u2029\ufeff\U0001F600" \
+    "'\"\\:#-?&*!|>%@`{}[], ab"
+_PRINTABLE_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7e)
+_texts = st.one_of(
+    st.text(),  # full Unicode
+    st.text(st.sampled_from(_TRICKY), max_size=30),
+    st.text(_PRINTABLE_ASCII),
+    # past the 80-column width and the ~128-character simple-key limit
+    st.text(_PRINTABLE_ASCII, min_size=78, max_size=160),
+    st.text(st.sampled_from(" ab'\"\\\x01\xe9\U0001F600"), min_size=78,
+            max_size=160),
+)
+_documents = st.recursive(
+    st.one_of(_texts, st.booleans()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=24)
+
+_SHARED = {"type": "string"}
+# Where libyaml and PyYAML part ways: a double-quoted value past the line
+# width folds at different places, a non-BMP character is escaped by one
+# only, NEL gets different styles, and empty or long keys become `? ` keys
+# at different lengths.
+_LIBYAML_DIVERGES = [
+    {"a": "\x01 " * 60},
+    {"smile": "\U0001F600"},
+    {"nel": "x\x85y"},
+    {"": "empty key"},
+    {"k" * 127: "long key"},
+    {"\xe9" * 70: "long key as UTF-8"},
+]
+
+
+@settings(max_examples=300)
+@given(_documents)
+@example({"paths": {"/a": _SHARED, "/b": [_SHARED, {"s": _SHARED}]}})
+@example(True)
+@example("a lone scalar")
+@example({})
+@example([])
+def test_serialize_writes_the_reference_bytes(data):
+    assert serialize(data) == (json.dumps(data, indent=2, ensure_ascii=False)
+                               + "\n").encode("utf-8")
+    assert serialize(data, "yaml") == _reference_yaml(data)
+
+
+@pytest.mark.parametrize("data", _LIBYAML_DIVERGES)
+def test_serialize_falls_back_where_libyaml_diverges(data):
+    assert not _libyaml_agrees(data)
+    assert serialize(data, "yaml") == _reference_yaml(data)
+    fast = getattr(yaml, "CSafeDumper", None)
+    if fast is not None:  # the guard is needed: libyaml writes other bytes
+        assert yaml.dump(data, Dumper=fast, sort_keys=False,
+                         allow_unicode=True).encode("utf-8") \
+            != _reference_yaml(data)
+
+
+def _perfbench_documents(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import corpus
+    tiny = {"profile-fanout": 3, "model-graph": 200, "monorepo-sparse": 12}
+    for workload, scale in tiny.items():
+        tree = corpus.build(workload, 1, scale)
+        tree.write(tmp_path / workload)
+        yield workload, generate_project(tmp_path / workload).documents
+
+
+def test_fixture_and_benchmark_documents_take_the_libyaml_path(
+        monkeypatch, tmp_path):
+    # a guard that rejected them would keep the bytes and lose the speed
+    trees = [(p.name, generate_project(p).documents)
+             for p in sorted(FIXTURES_DIR.iterdir()) if p.is_dir()]
+    trees += list(_perfbench_documents(monkeypatch, tmp_path))
+    for name, docs in trees:
+        try:
+            docs = {**docs, "merged": merge_documents(docs, name)}
+        except (MergeConflictError, ValueError):
+            pass
+        for profile, doc in docs.items():
+            assert _libyaml_agrees(doc), (name, profile)
+
+
+def test_serialize_without_libyaml_writes_the_same_bytes(monkeypatch):
+    docs = [doc for name in GOLDEN_FIXTURES for doc in docs_for(name).values()]
+    docs += _LIBYAML_DIVERGES
+    fast = [serialize(doc, "yaml") for doc in docs]
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    assert [serialize(doc, "yaml") for doc in docs] == fast
+    assert [serialize(doc, "yaml") for doc in docs] == \
+        [_reference_yaml(doc) for doc in docs]
 
 
 def test_serialize_rejects_unknown_format():

@@ -345,6 +345,39 @@ def test_override_without_a_mapping_inherits_the_one_it_overrides():
     assert diags == []
 
 
+@pytest.mark.parametrize("own, middle, mapped, code", [
+    ("", "", "@ResponseStatus(HttpStatus.CREATED)", "201"),
+    ("", "@ResponseStatus(HttpStatus.ACCEPTED)",
+     "@ResponseStatus(HttpStatus.CREATED)", "202"),
+    ("@ResponseStatus(HttpStatus.NO_CONTENT)", "",
+     "@ResponseStatus(HttpStatus.CREATED)", "204"),
+    ("", "@ResponseStatus(HttpStatus.ACCEPTED)", "", "202"),
+    ("", "", "", "200"),
+], ids=["mapped", "nearest-override", "own", "unmapped-override", "none"])
+def test_override_takes_the_nearest_response_status(own, middle, mapped,
+                                                    code):
+    # Spring's HandlerMethod finds @ResponseStatus on the methods a handler
+    # overrides too; the name resolves where it is declared, so the
+    # controller's own `ResponseStatus` import does not hide Base's
+    spring = ("import org.springframework.http.HttpStatus;\n"
+              "import org.springframework.web.bind.annotation.*;\n")
+    base = ("package app;\n" + spring + "abstract class Base {\n"
+            f'    @PostMapping("/items") {mapped}\n'
+            "    String create(@RequestBody String body) { return body; }\n}\n"
+            "abstract class Middle extends Base {\n"
+            f"    @Override {middle}\n"
+            "    String create(String body) { return body; }\n}\n")
+    api = ("package app;\n"
+           + (spring if own else "import com.acme.ResponseStatus;\n")
+           + "@org.springframework.web.bind.annotation.RestController\n"
+           f"class Api extends Middle {{\n    @Override {own}\n"
+           "    String create(String body) { return body; }\n}\n")
+    _, _, _, ops, diags = analyze(base, api)
+    assert list(ops) == [("/items", "POST")]
+    assert statuses(ops["/items", "POST"]) == [code]
+    assert diags == []
+
+
 def test_inherited_mapping_diagnostics_name_the_mapped_declaration():
     model, _, _, ops, diags = analyze(INHERITED_MAPPING_BASE,
                                       INHERITED_MAPPING_API)
