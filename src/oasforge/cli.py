@@ -10,7 +10,7 @@ import click
 import yaml
 
 from .emitter import MergeConflictError, merge_documents, serialize
-from .evaluation import (EMPTY_FLAT, GroundTruthError, evaluate,
+from .evaluation import (CATEGORIES, GroundTruthError, evaluate,
                          flatten_for_eval, format_report, load_ground_truth)
 from .javasrc import ProjectParseError
 from .oasvalidate import validate_document
@@ -99,7 +99,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
 
 def _load_description(path: Path) -> dict:
     text = path.read_text(encoding="utf-8")
-    if path.suffix in (".yaml", ".yml") or path.name.endswith(".openapi.yaml"):
+    if path.suffix in (".yaml", ".yml"):
         data = yaml.load(text,
                          Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     else:
@@ -137,19 +137,22 @@ def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
     else:
         files = [oas_path]
 
-    flat = EMPTY_FLAT
+    flat: dict[str, set] = {category: set() for category in CATEGORIES}
     for path in files:
         try:
-            flat = flat.union(flatten_for_eval(_load_description(path)))
+            doc_flat = flatten_for_eval(_load_description(path))
         # The JSON and YAML parsers recurse once per nested value.
         except (ValueError, yaml.YAMLError, KeyError, RecursionError) as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             sys.exit(EXIT_FATAL)
+        for category, keys in doc_flat.items():
+            flat[category] |= keys
 
     report = evaluate(flat, gt)
     click.echo(format_report(report))
     if report_json is not None:
-        report_json.write_text(json.dumps(report.as_dict(), indent=2) + "\n",
+        rows = {name: score.as_dict() for name, score in report.items()}
+        report_json.write_text(json.dumps(rows, indent=2) + "\n",
                                encoding="utf-8")
         click.echo(f"wrote {report_json}")
     sys.exit(EXIT_OK)

@@ -1,9 +1,13 @@
 """Score generated descriptions against a ground-truth file.
 
-The ground truth is one JSON document per project-profile with three arrays:
-methods [{path, verb}], parameters [{path, verb, name}], and responses
-[{path, verb, status}]. Matching is exact on normalized keys; precision with
-no TP and no FP is defined as 0 to penalize empty predictions.
+`CATEGORIES` is the one table of scoring categories: each names the keys of
+its entries. The ground truth is one JSON document per project-profile with
+an array per category: methods [{path, verb}], parameters [{path, verb,
+name}], and responses [{path, verb, status}]. `load_ground_truth` and
+`flatten_for_eval` both give a set of key tuples per category, `evaluate` a
+`CategoryScore` per category. Matching is exact on normalized keys;
+precision with no TP and no FP is defined as 0 to penalize empty
+predictions.
 """
 
 from __future__ import annotations
@@ -12,11 +16,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-MethodKey = tuple[str, str]
-ParameterKey = tuple[str, str, str]
-ResponseKey = tuple[str, str, str]
-
-CATEGORIES = ("methods", "parameters", "responses")
+CATEGORIES = {"methods": ("path", "verb"),
+              "parameters": ("path", "verb", "name"),
+              "responses": ("path", "verb", "status")}
 
 # the keys of an OAS 3.0 path item that hold operations
 OPERATION_KEYS = ("get", "put", "post", "delete", "options", "head", "patch",
@@ -25,24 +27,6 @@ OPERATION_KEYS = ("get", "put", "post", "delete", "options", "head", "patch",
 
 class GroundTruthError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class FlatSets:
-    """The (path, verb[, name|status]) keys of a description, from
-    `flatten_for_eval`, or of a ground-truth file, from
-    `load_ground_truth`."""
-    methods: frozenset[MethodKey]
-    parameters: frozenset[ParameterKey]
-    responses: frozenset[ResponseKey]
-
-    def union(self, other: "FlatSets") -> "FlatSets":
-        return FlatSets(self.methods | other.methods,
-                        self.parameters | other.parameters,
-                        self.responses | other.responses)
-
-
-EMPTY_FLAT = FlatSets(frozenset(), frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -59,23 +43,11 @@ class CategoryScore:
     def recall(self) -> float:
         return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
 
-
-@dataclass(frozen=True)
-class EvalReport:
-    methods: CategoryScore
-    parameters: CategoryScore
-    responses: CategoryScore
-
     def as_dict(self) -> dict:
-        out = {}
-        for category in CATEGORIES:
-            score: CategoryScore = getattr(self, category)
-            out[category] = {
-                "tp": score.tp, "fp": score.fp, "fn": score.fn,
-                "precision": round(score.precision, 4),
-                "recall": round(score.recall, 4),
-            }
-        return out
+        """This category's row of the JSON report."""
+        return {"tp": self.tp, "fp": self.fp, "fn": self.fn,
+                "precision": round(self.precision, 4),
+                "recall": round(self.recall, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +76,8 @@ def _entry(row: dict, keys: tuple[str, ...], index: int, category: str
     return tuple(values)
 
 
-def load_ground_truth(file: Path | str) -> FlatSets:
+def load_ground_truth(file: Path | str) -> dict[str, frozenset]:
+    """The entries of a ground-truth file as key tuples, by category."""
     path = Path(file)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -118,23 +91,20 @@ def load_ground_truth(file: Path | str) -> FlatSets:
     if not isinstance(data, dict):
         raise GroundTruthError(f"{path}: top level must be an object")
 
-    keys = {"methods": ("path", "verb"),
-            "parameters": ("path", "verb", "name"),
-            "responses": ("path", "verb", "status")}
     sets: dict[str, frozenset] = {}
-    for category in CATEGORIES:
+    for category, keys in CATEGORIES.items():
         rows = data.get(category, [])
         if not isinstance(rows, list):
             raise GroundTruthError(f"{path}: {category} must be an array")
         entries = set()
         for i, row in enumerate(rows):
-            entry = _entry(row, keys[category], i, category)
+            entry = _entry(row, keys, i, category)
             if entry in entries:
                 raise GroundTruthError(
                     f"{path}: duplicate {category} entry at index {i}: {entry}")
             entries.add(entry)
         sets[category] = frozenset(entries)
-    return FlatSets(sets["methods"], sets["parameters"], sets["responses"])
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +151,9 @@ def _expect(value, kind: type, where: str, key: str = ""):
     return value
 
 
-def flatten_for_eval(doc: dict) -> FlatSets:
-    """Flat (path, verb[, name|status]) sets of a serialized description.
+def flatten_for_eval(doc: dict) -> dict[str, frozenset]:
+    """The (path, verb[, name|status]) keys of a serialized description, by
+    category.
 
     Raises ValueError when an entry that scoring reads (paths, path items,
     operations, their parameters, request bodies and responses, the body
@@ -190,9 +161,7 @@ def flatten_for_eval(doc: dict) -> FlatSets:
     components = _expect(_expect(doc.get("components", {}), dict,
                                  "components").get("schemas", {}),
                          dict, "components.schemas")
-    methods: set[MethodKey] = set()
-    parameters: set[ParameterKey] = set()
-    responses: set[ResponseKey] = set()
+    flat: dict[str, set] = {category: set() for category in CATEGORIES}
     for path, item in _expect(doc.get("paths", {}), dict, "paths").items():
         norm = _normalize_path(path)
         for verb, op in _expect(item, dict, "paths.", path).items():
@@ -201,14 +170,14 @@ def flatten_for_eval(doc: dict) -> FlatSets:
             where = f"paths.{path}.{verb}"
             _expect(op, dict, where)
             verb_u = verb.upper()
-            methods.add((norm, verb_u))
+            flat["methods"].add((norm, verb_u))
             params = _expect(op.get("parameters", []), list, where,
                              ".parameters")
             for i, param in enumerate(params):
                 name = _expect(param, dict,
                                f"{where}.parameters[{i}]").get("name")
                 if name:
-                    parameters.add((norm, verb_u, str(name)))
+                    flat["parameters"].add((norm, verb_u, str(name)))
             body = _expect(op.get("requestBody", {}), dict, where,
                            ".requestBody")
             content = _expect(body.get("content", {}), dict, where,
@@ -219,37 +188,31 @@ def flatten_for_eval(doc: dict) -> FlatSets:
                 if schema:
                     for field in _schema_field_names(schema, components,
                                                      at + ".schema"):
-                        parameters.add((norm, verb_u, field))
+                        flat["parameters"].add((norm, verb_u, field))
             for status in _expect(op.get("responses", {}), dict, where,
                                   ".responses"):
-                responses.add((norm, verb_u, str(status)))
-    return FlatSets(frozenset(methods), frozenset(parameters),
-                    frozenset(responses))
+                flat["responses"].add((norm, verb_u, str(status)))
+    return {category: frozenset(keys) for category, keys in flat.items()}
 
 
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
 
-def _score(predicted: frozenset, truth: frozenset) -> CategoryScore:
-    tp = len(predicted & truth)
-    return CategoryScore(tp=tp, fp=len(predicted - truth),
-                         fn=len(truth - predicted))
+def evaluate(flat: dict[str, frozenset], gt: dict[str, frozenset]
+             ) -> dict[str, CategoryScore]:
+    """The score of the predicted keys `flat` against the truth `gt`, by
+    category."""
+    return {category: CategoryScore(tp=len(flat[category] & gt[category]),
+                                    fp=len(flat[category] - gt[category]),
+                                    fn=len(gt[category] - flat[category]))
+            for category in CATEGORIES}
 
 
-def evaluate(flat: FlatSets, gt: FlatSets) -> EvalReport:
-    return EvalReport(
-        methods=_score(flat.methods, gt.methods),
-        parameters=_score(flat.parameters, gt.parameters),
-        responses=_score(flat.responses, gt.responses),
-    )
-
-
-def format_report(report: EvalReport) -> str:
+def format_report(report: dict[str, CategoryScore]) -> str:
     lines = [f"{'category':<12} {'TP':>6} {'FP':>6} {'FN':>6} "
              f"{'precision':>10} {'recall':>8}"]
-    for category in CATEGORIES:
-        score: CategoryScore = getattr(report, category)
+    for category, score in report.items():
         lines.append(f"{category:<12} {score.tp:>6} {score.fp:>6} "
                      f"{score.fn:>6} {score.precision:>10.2f} "
                      f"{score.recall:>8.2f}")

@@ -81,34 +81,34 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
+# An escape sequence of a string literal (JLS 3.10.7): a unicode escape
+# (JLS 3.3), which may repeat its `u`, an octal escape of up to \377, or
+# one character, which stands for itself unless `_SIMPLE_ESCAPES` names it.
+_ESCAPE_RE = re.compile(r"\\(?:u+(.{0,4})|([0-3][0-7]{0,2}|[4-7][0-7]?)|(.))",
+                        re.DOTALL)
+_HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
+_SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
+                   "s": " "}
+
+
 def unescape_string(literal: str, line: int) -> str:
-    # literal includes the surrounding double quotes
-    body = literal[1:-1]
-    out: list[str] = []
-    i = 0
-    simple = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-              "'": "'", '"': '"', "\\": "\\", "0": "\0"}
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            if nxt == "u" and i + 5 < len(body):
-                digits = body[i + 2:i + 6]
-                try:
-                    out.append(chr(int(digits, 16)))
-                except ValueError:
-                    raise InvalidEscapeError(
-                        f"invalid unicode escape \\u{digits}", line) from None
-                i += 6
-                continue
-            out.append(simple.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
+    """The value of a string literal token, quotes included, as javac reads
+    it."""
+    def unescape(m: re.Match) -> str:
+        digits, octal, char = m.groups()
+        if digits is not None:
+            if not _HEX4_RE.fullmatch(digits):
+                raise InvalidEscapeError(
+                    f"invalid unicode escape \\u{digits}", line)
+            return chr(int(digits, 16))
+        if octal is not None:
+            return chr(int(octal, 8))
+        return _SIMPLE_ESCAPES.get(char, char)
+
+    text = _ESCAPE_RE.sub(unescape, literal[1:-1])
     try:
         # joins each \uD83D\uDE00-style pair into one code point
-        return "".join(out).encode("utf-16", "surrogatepass").decode("utf-16")
+        return text.encode("utf-16", "surrogatepass").decode("utf-16")
     except UnicodeDecodeError:
         raise InvalidEscapeError("unpaired surrogate escape", line) from None
 
@@ -250,6 +250,8 @@ class ClassDecl:
     package: str = ""
     imports: dict[str, str] = field(default_factory=dict)
     wildcard_imports: tuple[str, ...] = ()
+    # member name -> the type a single-static import takes it from
+    static_imports: dict[str, str] = field(default_factory=dict)
     source_file: str = ""
 
     @property
@@ -433,6 +435,7 @@ class _Parser:
     def parse_unit(self) -> list[ClassDecl]:
         package = ""
         imports: dict[str, str] = {}
+        static_imports: dict[str, str] = {}
         wildcards: list[str] = []
         classes: list[ClassDecl] = []
 
@@ -452,7 +455,10 @@ class _Parser:
                 if self.accept("."):
                     self.expect("*")
                     wildcards.append(name)
-                elif not static:
+                elif static:
+                    owner, _, member = name.rpartition(".")
+                    static_imports[member] = owner
+                else:
                     imports[name.rsplit(".", 1)[-1]] = name
                 self.expect(";")
                 continue
@@ -461,6 +467,7 @@ class _Parser:
             cls.package = package
             cls.imports = imports
             cls.wildcard_imports = tuple(wildcards)
+            cls.static_imports = static_imports
             cls.source_file = self.file
         return classes
 
@@ -624,6 +631,9 @@ class _Parser:
                 else:
                     fields.append(member)
         self.expect("}")
+        if kind == "interface":  # its fields are static and final (JLS 9.3)
+            fields = [replace(f, is_static=True, is_final=True)
+                      for f in fields]
         cls = ClassDecl(qualified, kind, tuple(annos), superclass,
                         tuple(fields), tuple(methods), tuple(enum_constants),
                         type_params)
@@ -1012,13 +1022,18 @@ def spelling(value: AttributeValue) -> str:
 
 def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
                       active: set) -> Optional[str]:
+    """A qualified name is searched in the class it names and its
+    superclasses. A simple name is searched in `ctx` and its superclasses,
+    then in the class a single-static import names and its superclasses,
+    and last in the one class of the model that declares it."""
     const = ref.parts[-1]
-    scope = ctx
     if len(ref.parts) > 1:
-        scope = model.find_class(".".join(ref.parts[:-1]), ctx)
-        if scope is None:
-            return None
-    owner = next((cls for cls in supertype_chain(scope, model)
+        scopes = [model.find_class(".".join(ref.parts[:-1]), ctx)]
+    else:
+        imported = ctx.static_imports.get(const)
+        scopes = [ctx, imported and model.find_class(imported, ctx)]
+    owner = next((cls for scope in scopes if scope
+                  for cls in supertype_chain(scope, model)
                   if const in cls.string_constants), None)
     if owner is None and len(ref.parts) == 1:
         # last resort: unique constant with this name anywhere in the model

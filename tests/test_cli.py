@@ -262,6 +262,29 @@ def test_evaluate_accepts_directory_and_writes_json_report(runner, tmp_path):
     assert data["parameters"]["tp"] == 2
 
 
+def test_evaluate_report_bytes_are_pinned(runner, tmp_path):
+    out = tmp_path / "out"
+    run(runner, "generate",
+        "--input", str(FIXTURES_DIR / "request_body"), "--output", str(out))
+    report = tmp_path / "report.json"
+    result = run(runner, "evaluate", "--oas", str(out),
+                 "--gt", str(GT_DIR / "request_body.json"),
+                 "--report-json", str(report))
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (
+        "category         TP     FP     FN  precision   recall\n"
+        "methods           1      0      0       1.00     1.00\n"
+        "parameters        2      0      0       1.00     1.00\n"
+        "responses         1      0      0       1.00     1.00\n"
+        f"wrote {report}\n")
+    row = ('{{\n    "tp": {},\n    "fp": 0,\n    "fn": 0,\n'
+           '    "precision": 1.0,\n    "recall": 1.0\n  }}')
+    assert report.read_text(encoding="utf-8") == (
+        f'{{\n  "methods": {row.format(1)},\n'
+        f'  "parameters": {row.format(2)},\n'
+        f'  "responses": {row.format(1)}\n}}\n')
+
+
 def test_evaluate_bad_ground_truth_is_fatal(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

@@ -7,10 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR
-from oasforge.evaluation import (CategoryScore, EMPTY_FLAT, FlatSets,
-                                 GroundTruthError, evaluate, flatten_for_eval,
-                                 format_report, load_ground_truth)
+from oasforge.evaluation import (CATEGORIES, CategoryScore, GroundTruthError,
+                                 evaluate, flatten_for_eval, format_report,
+                                 load_ground_truth)
 from oasforge.pipeline import generate_project
+
+
+EMPTY = {category: frozenset() for category in CATEGORIES}
+
+
+def flat_sets(**sets):
+    """Key sets by category; a category not named is empty."""
+    return {**EMPTY, **{category: frozenset(keys)
+                        for category, keys in sets.items()}}
 
 
 def write_gt(tmp_path, data):
@@ -27,20 +36,20 @@ def test_load_all_three_categories(tmp_path):
         "parameters": [{"path": "/a", "verb": "GET", "name": "q"}],
         "responses": [{"path": "/a", "verb": "GET", "status": 200}],
     }))
-    assert gt.methods == {("/a", "GET")}
-    assert gt.parameters == {("/a", "GET", "q")}
-    assert gt.responses == {("/a", "GET", "200")}
+    assert gt["methods"] == {("/a", "GET")}
+    assert gt["parameters"] == {("/a", "GET", "q")}
+    assert gt["responses"] == {("/a", "GET", "200")}
 
 
 def test_load_normalizes_paths_and_verbs(tmp_path):
     gt = load_ground_truth(write_gt(tmp_path, {
         "methods": [{"path": "a//b/", "verb": "post"}]}))
-    assert gt.methods == {("/a/b", "POST")}
+    assert gt["methods"] == {("/a/b", "POST")}
 
 
 def test_missing_categories_default_empty(tmp_path):
     gt = load_ground_truth(write_gt(tmp_path, {}))
-    assert gt.methods == gt.parameters == gt.responses == frozenset()
+    assert gt["methods"] == gt["parameters"] == gt["responses"] == frozenset()
 
 
 def test_duplicate_entry_rejected_with_index(tmp_path):
@@ -81,10 +90,10 @@ def test_flatten_collects_methods_parameters_responses():
         }}},
     }
     flat = flatten_for_eval(doc)
-    assert flat.methods == {("/items/{id}", "GET")}
-    assert flat.parameters == {("/items/{id}", "GET", "id")}
-    assert flat.responses == {("/items/{id}", "GET", "200"),
-                              ("/items/{id}", "GET", "404")}
+    assert flat["methods"] == {("/items/{id}", "GET")}
+    assert flat["parameters"] == {("/items/{id}", "GET", "id")}
+    assert flat["responses"] == {("/items/{id}", "GET", "200"),
+                                 ("/items/{id}", "GET", "404")}
 
 
 def test_flatten_expands_body_fields_through_inheritance():
@@ -106,7 +115,7 @@ def test_flatten_expands_body_fields_through_inheritance():
         }},
     }
     flat = flatten_for_eval(doc)
-    assert {name for _, _, name in flat.parameters} == {"a", "b", "c"}
+    assert {name for _, _, name in flat["parameters"]} == {"a", "b", "c"}
 
 
 def test_flatten_dangling_ref_raises():
@@ -123,17 +132,15 @@ def test_flatten_dangling_ref_raises():
 
 
 def test_flatten_empty_document():
-    assert flatten_for_eval({"openapi": "3.0.3", "paths": {}}) == EMPTY_FLAT
+    assert flatten_for_eval({"openapi": "3.0.3", "paths": {}}) == EMPTY
 
 
 # -- scoring ----------------------------------------------------------------
 
 def test_scores_count_tp_fp_fn():
-    flat = FlatSets(frozenset({("/a", "GET"), ("/b", "GET")}),
-                    frozenset(), frozenset())
-    gt = FlatSets(frozenset({("/a", "GET"), ("/c", "GET")}),
-                  frozenset(), frozenset())
-    score = evaluate(flat, gt).methods
+    flat = flat_sets(methods={("/a", "GET"), ("/b", "GET")})
+    gt = flat_sets(methods={("/a", "GET"), ("/c", "GET")})
+    score = evaluate(flat, gt)["methods"]
     assert (score.tp, score.fp, score.fn) == (1, 1, 1)
     assert score.precision == 0.5 and score.recall == 0.5
 
@@ -146,8 +153,8 @@ def test_empty_prediction_scores_zero_precision():
 
 def test_perfect_prediction_scores_one():
     keys = frozenset({("/a", "GET", "200")})
-    score = evaluate(FlatSets(frozenset(), frozenset(), keys),
-                     FlatSets(frozenset(), frozenset(), keys)).responses
+    score = evaluate(flat_sets(responses=keys),
+                     flat_sets(responses=keys))["responses"]
     assert score.precision == 1.0 and score.recall == 1.0
 
 
@@ -156,12 +163,10 @@ def test_perfect_prediction_scores_one():
        st.sets(st.tuples(st.sampled_from(["/a", "/b", "/c"]),
                          st.sampled_from(["GET", "POST"]))))
 def test_swapping_prediction_and_truth_swaps_precision_recall(pred, truth):
-    forward = evaluate(FlatSets(frozenset(pred), frozenset(), frozenset()),
-                       FlatSets(frozenset(truth), frozenset(), frozenset()))
-    backward = evaluate(FlatSets(frozenset(truth), frozenset(), frozenset()),
-                        FlatSets(frozenset(pred), frozenset(), frozenset()))
-    assert forward.methods.precision == backward.methods.recall
-    assert forward.methods.recall == backward.methods.precision
+    forward = evaluate(flat_sets(methods=pred), flat_sets(methods=truth))
+    backward = evaluate(flat_sets(methods=truth), flat_sets(methods=pred))
+    assert forward["methods"].precision == backward["methods"].recall
+    assert forward["methods"].recall == backward["methods"].precision
 
 
 def test_generated_document_matches_itself_exactly():
@@ -169,15 +174,15 @@ def test_generated_document_matches_itself_exactly():
     for doc in result.documents.values():
         flat = flatten_for_eval(doc)
         report = evaluate(flat, flat)
-        for category in (report.methods, report.parameters, report.responses):
-            assert category.fp == 0 and category.fn == 0
+        for score in report.values():
+            assert score.fp == 0 and score.fn == 0
 
 
 def test_report_formats_as_aligned_table():
-    report = evaluate(EMPTY_FLAT, EMPTY_FLAT)
+    report = evaluate(EMPTY, EMPTY)
     text = format_report(report)
     lines = text.splitlines()
     assert len(lines) == 4
     assert lines[0].split() == ["category", "TP", "FP", "FN",
                                 "precision", "recall"]
-    assert report.as_dict()["methods"]["precision"] == 0.0
+    assert report["methods"].as_dict()["precision"] == 0.0

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
 from oasforge.javasrc import (AnnotationUse, ArrayVal, BodyFacts, BoolLit,
-                              ClassRef, Concat, IntLit, NameRef,
-                              ProjectParseError, StrLit, SupertypeCycleError,
-                              TypeRef, extract_body_facts, parse_project,
+                              ClassRef, Concat, IntLit, InvalidEscapeError,
+                              NameRef, ProjectParseError, StrLit,
+                              SupertypeCycleError, TypeRef,
+                              extract_body_facts, parse_project,
                               parse_source, resolve_string_constant,
-                              spelling, supertype_chain, tokenize)
+                              spelling, supertype_chain, tokenize,
+                              unescape_string)
 
 SIMPLE_CONTROLLER = """
 package app;
@@ -231,6 +233,51 @@ def test_bare_constant_falls_back_to_the_one_class_declaring_it():
     ctx = model.classes["app.web.User"]
     assert resolve_string_constant(NameRef(("ROOT",)), ctx, model) == "/r"
     assert resolve_string_constant(NameRef(("DUP",)), ctx, model) is None
+
+
+def test_interface_fields_are_static_final_constants():
+    model = model_from(
+        "package app;\ninterface Paths { String BASE = \"/base\"; }\n"
+        "class C { static final String A = Paths.BASE + \"/a\"; }\n")
+    fields = model.classes["app.Paths"].fields
+    assert [(f.is_static, f.is_final) for f in fields] == [(True, True)]
+    ctx = model.classes["app.C"]
+    assert resolve_string_constant(ctx.string_constants["A"], ctx,
+                                   model) == "/base/a"
+
+
+def test_single_static_import_names_the_class_of_a_constant():
+    model = model_from(
+        "package app;\nclass Root { static final String BASE = \"/base\"; }\n"
+        "class Paths extends Root {}\n",
+        "package app.b;\nclass More { static final String BASE = \"/b\"; }\n",
+        "package app.web;\nimport static app.Paths.BASE;\nclass C {}\n"
+        "class D { static final String BASE = \"/own\"; }\n")
+    base = NameRef(("BASE",))
+    # found in a superclass of the imported class, though three declare it
+    assert resolve_string_constant(base, model.classes["app.web.C"],
+                                   model) == "/base"
+    # a field of the naming class shadows the import
+    assert resolve_string_constant(base, model.classes["app.web.D"],
+                                   model) == "/own"
+
+
+@pytest.mark.parametrize("literal, value", [
+    (r'"\101\377"', "A\xff"),
+    (r'"\400"', " 0"),
+    (r'"\0\12x"', "\0\nx"),
+    (r'"a\sb"', "a b"),
+    (r'"\uu0041\uuu0042"', "AB"),
+    (r'"\t\u0021\\u0041"', "\t!\\u0041"),
+    (r'"\u004"', None),
+    (r'"\u00G1"', None),
+])
+def test_string_escapes_are_read_as_javac_reads_them(literal, value):
+    if value is None:
+        with pytest.raises(InvalidEscapeError):
+            unescape_string(literal, 1)
+    else:
+        assert unescape_string(literal, 1) == value
 
 
 def test_qualified_name_resolves_only_to_a_class_ending_with_it():
