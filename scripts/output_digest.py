@@ -17,8 +17,10 @@ truth: the generator's truth for a workload, the hand-written one for a
 fixture. For each of those it records the exit code and the sha256 of
 stdout, of stderr and of the report. The input, output, truth and report
 paths are masked in stdout and stderr, so the digest does not depend on
-where the checkout or the temporary files are. The code of this checkout's
-`src/` is the code that runs.
+where the checkout or the temporary files are. For each `.java` file of
+those trees it also records the sha256 of its token stream, or of the
+error text when it does not tokenize: 5,319 files, 5,374 entries in all.
+The code of this checkout's `src/` is the code that runs.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ sys.path.insert(0, str(REPO / "perfbench"))
 sys.path.insert(0, str(REPO / "src"))
 
 import corpus  # noqa: E402
-from oasforge import cli  # noqa: E402
+from oasforge import cli, javasrc  # noqa: E402
 
 FIXTURE_FLAGS = {"plain": [], "merge": ["--merge"],
                  "yaml": ["--format", "yaml"]}
@@ -86,6 +88,22 @@ def digest_evaluate(truth: Path, scratch: Path) -> dict:
     return run
 
 
+def digest_tokens(root: Path, name: str) -> dict[str, str]:
+    """The sha256 of the token stream of each `.java` file under `root`,
+    or of its error text where it does not tokenize, keyed
+    `NAME/PATH/tokens` with the file's path under `root`."""
+    digests = {}
+    for path in sorted(root.rglob("*.java")):
+        try:
+            tokens = javasrc.tokenize(path.read_text(encoding="utf-8"))
+            stream = json.dumps([[t.kind, t.text, t.line] for t in tokens])
+        except (javasrc.JavaSyntaxError, UnicodeDecodeError) as exc:
+            stream = f"error: {exc}"
+        rel = path.relative_to(root).as_posix()
+        digests[f"{name}/{rel}/tokens"] = _sha(stream.encode("utf-8"))
+    return digests
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: output_digest.py OUT.json", file=sys.stderr)
@@ -94,6 +112,7 @@ def main(argv: list[str]) -> int:
     runs: dict[str, dict] = {}
     for fixture in sorted(p for p in fixtures.iterdir() if p.is_dir()):
         truth = REPO / "tests" / "gt" / f"{fixture.name}.json"
+        runs.update(digest_tokens(fixture, fixture.name))
         for mode, flags in FIXTURE_FLAGS.items():
             name = f"{fixture.name}/{mode}"
             with tempfile.TemporaryDirectory() as tmp:
@@ -108,13 +127,14 @@ def main(argv: list[str]) -> int:
                 root = Path(tmp) / name  # the project is named after it
                 tree = corpus.build(workload, seed)
                 tree.write(root)
+                runs.update(digest_tokens(root, name))
                 runs[name] = digest_run(root, flags, Path(tmp))
                 truth = Path(tmp) / "truth.json"
                 truth.write_bytes(tree.truth_bytes())
                 runs[f"{name}/evaluate"] = digest_evaluate(truth, Path(tmp))
     Path(argv[0]).write_text(json.dumps(runs, indent=1, sort_keys=True)
                              + "\n")
-    print(f"{len(runs)} runs digested into {argv[0]}")
+    print(f"{len(runs)} entries digested into {argv[0]}")
     return 0
 
 

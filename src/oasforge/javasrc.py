@@ -1,8 +1,11 @@
 """Parse Java source trees into an immutable, queryable source model.
 
-The parser is a hand-rolled tokenizer plus a recursive-descent pass over
-declarations only. Each method body is read once, statement by statement,
-into BodyFacts (thrown exceptions, response-entity status literals, plain
+The tokenizer is one `findall` of one regular expression over the whole
+file: each match is a run of whitespace and comments and then one token, so
+the regex engine does the scanning and Python only builds `Token` tuples.
+The parser is a recursive-descent pass over those tokens, for declarations
+only. Each method body is read once, statement by statement, into
+BodyFacts (thrown exceptions, response-entity status literals, plain
 returns); no expression-level AST is built. This covers everything the
 downstream Spring analysis needs without a full Java grammar.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import takewhile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 
@@ -25,27 +28,42 @@ from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-# Every `>` is a token of its own, so nested type arguments close one
-# level per token; a shift operator, which only bodies hold, is read as
-# several tokens.
+# One match per token: a run of whitespace and comments, then a token, or
+# else the end of the file or the one character no token starts with. That
+# last alternative matches wherever a token does not, so `findall` skips no
+# character, and the engine never backtracks into the run: a comment cannot
+# stretch over the character that stopped the token after it. Every `>` is
+# a token of its own, so nested type arguments close one level per token;
+# a shift operator, which only bodies hold, is read as several tokens.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<str>"(?:\\.|[^"\\])*")
-    | (?P<char>'(?:\\.|[^'\\])+')
-    | (?P<num>0[xX][0-9a-fA-F_]+[lL]?
-        |\d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
-        |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?)
-    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<op>\.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@])
+    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+    (?:
+      ( "(?:\\.|[^"\\])*"
+      | '(?:\\.|[^'\\])+'
+      | 0[xX][0-9a-fA-F_]+[lL]?
+      | \d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
+      | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+      | [A-Za-z_$][A-Za-z0-9_$]*
+      | \.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@]
+      )
+    | (\Z|.)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+# A token's kind by its first character. Any other token is a number when it
+# starts with a decimal digit (re's `\d`) or with `.` and a digit, else an
+# operator. The letters are spelled out: importing `string` for them takes
+# about 1 ms of each run's start-up.
+_KIND_BY_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$",
+                    "ident"),
+    '"': "str", "'": "char"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # str | char | num | ident | op
     text: str
     line: int
@@ -58,37 +76,40 @@ class JavaSyntaxError(Exception):
 
 
 class InvalidEscapeError(JavaSyntaxError):
-    """A malformed unicode escape in a string literal. javac rejects the
+    """A malformed escape sequence in a string literal. javac rejects the
     whole file, so unlike other syntax errors in a field initializer it is
     not skipped."""
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
     line = 1
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise JavaSyntaxError(f"unexpected character {source[pos]!r}", line)
-        kind = m.lastgroup or ""
-        text = m.group()
-        if kind not in ("ws", "comment"):
+    for space, text, stray in _TOKEN_RE.findall(source):
+        if space:
+            line += space.count("\n")
+        if text:
+            first = text[0]
+            kind = _KIND_BY_FIRST.get(first) or (
+                "num" if first.isdecimal()
+                or first == "." and text[1:2].isdecimal() else "op")
             tokens.append(Token(kind, text, line))
-        line += text.count("\n")
-        pos = m.end()
+            if kind == "str" or kind == "char":  # may hold a raw newline
+                line += text.count("\n")
+        elif stray:
+            raise JavaSyntaxError(f"unexpected character {stray!r}", line)
+        else:  # the end of the file
+            break
     return tokens
 
 
 # An escape sequence of a string literal (JLS 3.10.7): a unicode escape
 # (JLS 3.3), which may repeat its `u`, an octal escape of up to \377, or
-# one character, which stands for itself unless `_SIMPLE_ESCAPES` names it.
+# one character, which must be one that `_SIMPLE_ESCAPES` names.
 _ESCAPE_RE = re.compile(r"\\(?:u+(.{0,4})|([0-3][0-7]{0,2}|[4-7][0-7]?)|(.))",
                         re.DOTALL)
 _HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-                   "s": " "}
+                   "s": " ", '"': '"', "'": "'", "\\": "\\"}
 
 
 def unescape_string(literal: str, line: int) -> str:
@@ -103,7 +124,10 @@ def unescape_string(literal: str, line: int) -> str:
             return chr(int(digits, 16))
         if octal is not None:
             return chr(int(octal, 8))
-        return _SIMPLE_ESCAPES.get(char, char)
+        if char not in _SIMPLE_ESCAPES:
+            raise InvalidEscapeError(f"illegal escape character {char!r}",
+                                     line)
+        return _SIMPLE_ESCAPES[char]
 
     text = _ESCAPE_RE.sub(unescape, literal[1:-1])
     try:
@@ -252,6 +276,8 @@ class ClassDecl:
     wildcard_imports: tuple[str, ...] = ()
     # member name -> the type a single-static import takes it from
     static_imports: dict[str, str] = field(default_factory=dict)
+    # the types whose static members a static import on demand takes
+    static_wildcard_imports: tuple[str, ...] = ()
     source_file: str = ""
 
     @property
@@ -276,8 +302,9 @@ class SourceModel:
     This is the only code that decides which class a name means.
     `resolve_type_name` tries, in order: the name as a fully qualified
     name, the single-type import of the naming class, the naming class's
-    own package, its wildcard imports, and last a class anywhere in the
-    model whose simple name is unique. In that last step a qualified name
+    own package, its wildcard imports, the member types of the types its
+    static imports on demand name, and last a class anywhere in the model
+    whose simple name is unique. In that last step a qualified name
     only matches a class whose fully qualified name ends with "." plus the
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
     does not find `app.Date`. A single-type import decides alone, as it
@@ -343,8 +370,8 @@ class SourceModel:
             same_pkg = f"{ctx.package}.{name}" if ctx.package else name
             if same_pkg in self.classes:
                 return same_pkg
-            for pkg in ctx.wildcard_imports:
-                cand = f"{pkg}.{name}"
+            for owner in ctx.wildcard_imports + ctx.static_wildcard_imports:
+                cand = f"{owner}.{name}"
                 if cand in self.classes:
                     return cand
             matches = self.by_simple_name(name)
@@ -381,6 +408,7 @@ class SourceModel:
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
         self.toks = tokens
+        self.n = len(tokens)
         self.pos = 0
         self.file = file
 
@@ -388,18 +416,17 @@ class _Parser:
 
     def peek(self, offset: int = 0) -> Optional[Token]:
         i = self.pos + offset
-        return self.toks[i] if i < len(self.toks) else None
+        return self.toks[i] if i < self.n else None
 
     def at(self, text: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.text == text
+        i = self.pos + offset
+        return i < self.n and self.toks[i].text == text
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
+        if self.pos >= self.n:
             raise JavaSyntaxError("unexpected end of file", self.last_line())
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
     def last_line(self) -> int:
         """The line of the last token, where a cut-off file ends."""
@@ -422,13 +449,17 @@ class _Parser:
         start = self.pos
         self.expect(open_)
         depth = 1
-        while depth > 0:
-            t = self.next()
-            if t.text == open_:
+        toks = self.toks
+        for i in range(self.pos, self.n):
+            text = toks[i].text
+            if text == open_:
                 depth += 1
-            elif t.text == close:
+            elif text == close:
                 depth -= 1
-        return self.toks[start:self.pos]
+                if not depth:
+                    self.pos = i + 1
+                    return toks[start:self.pos]
+        raise JavaSyntaxError("unexpected end of file", self.last_line())
 
     # -- compilation unit ---------------------------------------------------
 
@@ -437,6 +468,7 @@ class _Parser:
         imports: dict[str, str] = {}
         static_imports: dict[str, str] = {}
         wildcards: list[str] = []
+        static_wildcards: list[str] = []
         classes: list[ClassDecl] = []
 
         while self.peek() is not None:
@@ -454,7 +486,7 @@ class _Parser:
                 name = self.parse_dotted_name()
                 if self.accept("."):
                     self.expect("*")
-                    wildcards.append(name)
+                    (static_wildcards if static else wildcards).append(name)
                 elif static:
                     owner, _, member = name.rpartition(".")
                     static_imports[member] = owner
@@ -468,16 +500,18 @@ class _Parser:
             cls.imports = imports
             cls.wildcard_imports = tuple(wildcards)
             cls.static_imports = static_imports
+            cls.static_wildcard_imports = tuple(static_wildcards)
             cls.source_file = self.file
         return classes
 
     def parse_dotted_name(self) -> str:
         parts = [self.expect_ident()]
-        while (self.at(".") and self.peek(1) is not None
-               and self.peek(1).kind == "ident"
-               and self.peek(1).text != "class"):
-            self.next()
-            parts.append(self.expect_ident())
+        while self.at(".") and self.pos + 1 < self.n:
+            t = self.toks[self.pos + 1]
+            if t.kind != "ident" or t.text == "class":
+                break
+            self.pos += 2
+            parts.append(t.text)
         return ".".join(parts)
 
     def expect_ident(self) -> str:
@@ -1020,18 +1054,38 @@ def spelling(value: AttributeValue) -> str:
     return "@" + value.simple_name
 
 
+def _simple_name_scopes(name: str, ctx: ClassDecl, model: SourceModel
+                        ) -> Iterator[Optional[ClassDecl]]:
+    """The classes in which a simple name used in `ctx` is looked up, in
+    the order in which they shadow each other (JLS 6.4.1, 8.1.3): `ctx`,
+    each class that lexically encloses it, innermost first, the class a
+    single-static import names, and each class a static import on demand
+    names. None stands for a class outside the model. Each is looked up
+    only when the ones before it do not declare the name."""
+    yield ctx
+    prefix = f"{ctx.package}." if ctx.package else ""
+    nested = ctx.qualified_name[len(prefix):].split(".")
+    for depth in range(len(nested) - 1, 0, -1):
+        yield model.classes.get(prefix + ".".join(nested[:depth]))
+    imported = ctx.static_imports.get(name)
+    if imported:
+        yield model.find_class(imported, ctx)
+    for owner in ctx.static_wildcard_imports:
+        yield model.find_class(owner, ctx)
+
+
 def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
                       active: set) -> Optional[str]:
     """A qualified name is searched in the class it names and its
-    superclasses. A simple name is searched in `ctx` and its superclasses,
-    then in the class a single-static import names and its superclasses,
-    and last in the one class of the model that declares it."""
+    superclasses. A simple name is searched in each class of
+    `_simple_name_scopes` and its superclasses, and last in the one class
+    of the model that declares it."""
     const = ref.parts[-1]
+    scopes: Iterable[Optional[ClassDecl]]
     if len(ref.parts) > 1:
         scopes = [model.find_class(".".join(ref.parts[:-1]), ctx)]
     else:
-        imported = ctx.static_imports.get(const)
-        scopes = [ctx, imported and model.find_class(imported, ctx)]
+        scopes = _simple_name_scopes(const, ctx, model)
     owner = next((cls for scope in scopes if scope
                   for cls in supertype_chain(scope, model)
                   if const in cls.string_constants), None)

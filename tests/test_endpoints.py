@@ -414,6 +414,50 @@ class C {
                                          "/config"}
 
 
+MORE_BASE = """
+package app.b;
+class More { static final String BASE = "/more"; }
+"""
+
+
+@pytest.mark.parametrize("controller", [
+    """
+package app.web;
+import static app.Paths.*;
+import org.springframework.web.bind.annotation.GetMapping;
+import org.springframework.web.bind.annotation.RequestMapping;
+import org.springframework.web.bind.annotation.RestController;
+
+@RestController
+@RequestMapping(BASE)
+class Api {
+    @GetMapping("/a")
+    String get() { return "{}"; }
+}
+""", """
+package app;
+import org.springframework.web.bind.annotation.GetMapping;
+import org.springframework.web.bind.annotation.RequestMapping;
+import org.springframework.web.bind.annotation.RestController;
+
+class Outer {
+    static final String BASE = "/base";
+
+    @RestController
+    @RequestMapping(BASE)
+    static class Api {
+        @GetMapping("/a")
+        String get() { return "{}"; }
+    }
+}
+"""], ids=["static-import-on-demand", "enclosing-class"])
+def test_constant_found_where_javac_finds_it(controller):
+    paths = "package app;\nclass Paths { static final String BASE = \"/base\"; }"
+    _, _, _, ops, diags = analyze(paths, MORE_BASE, controller)
+    assert list(ops) == [("/base/a", "GET")]
+    assert diags == []
+
+
 def test_duplicate_path_verb_is_diagnostic():
     src = """
 package app;

@@ -1,16 +1,17 @@
 """Source-model tests: parsing, constant resolution, supertype chains."""
 
+import re
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
 from oasforge.javasrc import (AnnotationUse, ArrayVal, BodyFacts, BoolLit,
                               ClassRef, Concat, IntLit, InvalidEscapeError,
-                              NameRef, ProjectParseError, StrLit,
-                              SupertypeCycleError, TypeRef,
+                              JavaSyntaxError, NameRef, ProjectParseError,
+                              StrLit, SupertypeCycleError, Token, TypeRef,
                               extract_body_facts, parse_project,
                               parse_source, resolve_string_constant,
                               spelling, supertype_chain, tokenize,
@@ -262,6 +263,50 @@ def test_single_static_import_names_the_class_of_a_constant():
                                    model) == "/own"
 
 
+def test_static_import_on_demand_names_the_class_of_a_constant():
+    model = model_from(
+        "package app;\nclass Paths { static final String BASE = \"/base\"; "
+        "static class Inner {} }\n",
+        "package app.b;\nclass More { static final String BASE = \"/b\"; "
+        "static final String ROOT = \"/top\"; }\nclass Inner {}\n",
+        "package app.web;\nimport static app.Paths.*;\nclass C {}\n",
+        "package app.web2;\nimport static app.b.More.BASE;\n"
+        "import static app.Paths.*;\nclass D {}\n")
+    c, d = model.classes["app.web.C"], model.classes["app.web2.D"]
+    assert (c.wildcard_imports, c.static_wildcard_imports) == \
+        ((), ("app.Paths",))
+    # found in the imported class, though two classes declare it
+    assert resolve_string_constant(NameRef(("BASE",)), c, model) == "/base"
+    # a single-static import shadows an import on demand
+    assert resolve_string_constant(NameRef(("BASE",)), d, model) == "/b"
+    # a name no import gives still falls back to the one class declaring it
+    assert resolve_string_constant(NameRef(("ROOT",)), c, model) == "/top"
+    # the import also gives the static member types of the class
+    assert model.resolve_type_name("Inner", c) == "app.Paths.Inner"
+
+
+def test_simple_name_is_searched_in_the_enclosing_classes():
+    model = model_from(
+        "package app;\n"
+        "class Root { static final String BASE = \"/inherited\"; }\n"
+        "class Outer { static final String BASE = \"/outer\";\n"
+        "  static final String TOP = \"/top\";\n"
+        "  static class Mid { static final String TOP = \"/mid\";\n"
+        "    static class Api {}\n"
+        "    static class Sub extends Root {} } }\n",
+        "package app.b;\nclass More { static final String BASE = \"/b\"; "
+        "static final String TOP = \"/t\"; }\n")
+    api = model.classes["app.Outer.Mid.Api"]
+    sub = model.classes["app.Outer.Mid.Sub"]
+    assert resolve_string_constant(NameRef(("BASE",)), api, model) == \
+        "/outer"
+    # the innermost enclosing class that declares the name wins
+    assert resolve_string_constant(NameRef(("TOP",)), api, model) == "/mid"
+    # a constant a class inherits shadows one of its enclosing classes
+    assert resolve_string_constant(NameRef(("BASE",)), sub, model) == \
+        "/inherited"
+
+
 @pytest.mark.parametrize("literal, value", [
     (r'"\101\377"', "A\xff"),
     (r'"\400"', " 0"),
@@ -271,6 +316,11 @@ def test_single_static_import_names_the_class_of_a_constant():
     (r'"\t\u0021\\u0041"', "\t!\\u0041"),
     (r'"\u004"', None),
     (r'"\u00G1"', None),
+    (r'"\"\'\\"', "\"'\\"),
+    (r'"/{year:\\d{4}}"', r"/{year:\d{4}}"),
+    (r'"\q"', None),
+    (r'"/{year:\d{4}}"', None),
+    ('"a\\\nb"', None),
 ])
 def test_string_escapes_are_read_as_javac_reads_them(literal, value):
     if value is None:
@@ -582,3 +632,93 @@ def test_interface_method_without_a_body_and_an_unbounded_wildcard():
             for m in cls.methods] == [
         ("all", TypeRef("List", (TypeRef("java.lang.Object"),)), False),
         ("n", TypeRef("int"), True)]
+
+
+# A reference tokenizer: one `re.match` per token over named groups, each
+# kind its own alternative, whitespace and comments matched and dropped.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<str>"(?:\\.|[^"\\])*")
+    | (?P<char>'(?:\\.|[^'\\])+')
+    | (?P<num>0[xX][0-9a-fA-F_]+[lL]?
+        |\d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
+        |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?)
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<op>\.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    tokens = []
+    pos, line = 0, 1
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise JavaSyntaxError(f"unexpected character {source[pos]!r}",
+                                  line)
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(Token(m.lastgroup, m.group(), line))
+        line += m.group().count("\n")
+        pos = m.end()
+    return tokens
+
+
+def tokens_or_error(tokenizer, source):
+    try:
+        return [(t.kind, t.text, t.line) for t in tokenizer(source)]
+    except JavaSyntaxError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("source, expected", [
+    # a comment does not stretch over a character no token starts with
+    ("/* a */ # /* b */x", "unexpected character '#' (line 1)"),
+    ("x //", [("ident", "x", 1)]),
+    ("'\n' y", [("char", "'\n'", 1), ("ident", "y", 2)]),
+    ('"""', "unexpected character '\"' (line 1)"),
+    (".5 ... a.b", [("num", ".5", 1), ("op", "...", 1), ("ident", "a", 1),
+                    ("op", ".", 1), ("ident", "b", 1)]),
+    ("\n\u0663 x", [("num", "\u0663", 2), ("ident", "x", 2)]),
+    ("/* a\n */ \"b\nc\" d\n\u00e9",
+     "unexpected character '\u00e9' (line 4)"),
+    ("", []),
+])
+def test_tokenize_pinned_cases(source, expected):
+    assert tokens_or_error(tokenize, source) == expected
+    assert tokens_or_error(reference_tokenize, source) == expected
+
+
+_TOKENIZER_FRAGMENTS = st.sampled_from([
+    *"ab1.5e+_$ \n\t/*\"'\\#\u00e9\u0663`xX0{}()<>=-;",
+    "/*", "*/", "//", "...", '"""', "0x1F", "class"])
+
+
+@given(st.lists(_TOKENIZER_FRAGMENTS, max_size=40).map("".join))
+@example("/* a */ # /* b */x")
+@example("'\n'")
+def test_tokenize_agrees_with_a_match_per_token(source):
+    assert tokens_or_error(tokenize, source) == \
+        tokens_or_error(reference_tokenize, source)
+
+
+def test_illegal_escape_makes_the_file_a_parse_error(tmp_path):
+    (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\n@RequestMapping(\"/a\\\\q\")\nclass Api {\n"
+        "  @GetMapping(\"/b\\q\") void get() {}\n}\n")
+    model = parse_project(tmp_path)
+    assert sorted(model.classes) == ["app.A"]
+    assert [(d.code, d.file, d.line, d.message)
+            for d in model.parse_diagnostics] == \
+        [("PARSE_ERROR", "Api.java", 4,
+          "illegal escape character 'q' (line 4)")]
+
+
+def test_body_cut_off_is_an_unexpected_end_of_file():
+    with pytest.raises(JavaSyntaxError,
+                       match=r"^unexpected end of file \(line 2\)$"):
+        parse_source("class A {\n void f() { if (x) { y(); }")
