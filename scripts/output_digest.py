@@ -20,7 +20,9 @@ paths are masked in stdout and stderr, so the digest does not depend on
 where the checkout or the temporary files are. For each `.java` file of
 those trees it also records the sha256 of its token stream, or of the
 error text when it does not tokenize: 5,319 files, 5,374 entries in all.
-The code of this checkout's `src/` is the code that runs.
+Each stream is a JSON list of [kind, text, line] triples (see
+`token_triples`). The code of this checkout's `src/` is the code that
+runs.
 """
 
 import contextlib
@@ -88,6 +90,18 @@ def digest_evaluate(truth: Path, scratch: Path) -> dict:
     return run
 
 
+def token_triples(tokens) -> list[list]:
+    """[kind, text, line] of each token `javasrc.tokenize` returned: from
+    its `texts` and `lines` columns and `javasrc.token_kind`, or, in a
+    checkout whose tokenizer still returns one `Token` tuple per token,
+    from each tuple. Both give the same list for the same tokens, so one
+    copy of this script compares the two."""
+    if hasattr(tokens, "texts"):
+        return [[javasrc.token_kind(text), text, line]
+                for text, line in zip(tokens.texts, tokens.lines)]
+    return [[t.kind, t.text, t.line] for t in tokens]
+
+
 def digest_tokens(root: Path, name: str) -> dict[str, str]:
     """The sha256 of the token stream of each `.java` file under `root`,
     or of its error text where it does not tokenize, keyed
@@ -96,7 +110,7 @@ def digest_tokens(root: Path, name: str) -> dict[str, str]:
     for path in sorted(root.rglob("*.java")):
         try:
             tokens = javasrc.tokenize(path.read_text(encoding="utf-8"))
-            stream = json.dumps([[t.kind, t.text, t.line] for t in tokens])
+            stream = json.dumps(token_triples(tokens))
         except (javasrc.JavaSyntaxError, UnicodeDecodeError) as exc:
             stream = f"error: {exc}"
         rel = path.relative_to(root).as_posix()

@@ -13,8 +13,6 @@ import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring
 from pathlib import Path
 
-import yaml
-
 from .schemas import SchemaRegistry
 from .spring import REQUEST_METHODS
 
@@ -116,25 +114,20 @@ def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
     return doc_to_dict(paths, schemas, project, version)
 
 
-class _NoAliasDumper(yaml.SafeDumper):
-    """A document shares sub-dicts between operations; write each
-    occurrence in full instead of as an anchor and its aliases."""
-
-    def ignore_aliases(self, data):
-        return True
-
-
 @functools.cache
-def _libyaml_dumper(base: type) -> type:
-    """libyaml's `base` dumper, writing shared sub-dicts in full as
-    `_NoAliasDumper` does."""
-    return type("_CNoAliasDumper", (base,),
-                {"ignore_aliases": _NoAliasDumper.ignore_aliases})
+def _no_alias_dumper(base: str = "SafeDumper") -> type:
+    """PyYAML's dumper `base`, `SafeDumper` or libyaml's `CSafeDumper`,
+    made to write each occurrence of a sub-dict in full instead of as an
+    anchor and its aliases: a document shares sub-dicts between operations.
+    Built on first use, so PyYAML is imported only where YAML is written."""
+    import yaml
+    return type(f"_NoAlias{base}", (getattr(yaml, base),),
+                {"ignore_aliases": lambda self, data: True})
 
 
 def _libyaml_agrees(data) -> bool:
-    """Whether libyaml writes `data` as `_NoAliasDumper` does: it is a dict
-    or list holding only dicts with printable ASCII str keys of 1-60
+    """Whether libyaml writes `data` as `_no_alias_dumper()` does: it is a
+    dict or list holding only dicts with printable ASCII str keys of 1-60
     characters, lists, printable ASCII str values and bools. Past that the
     two part ways: they fold long double-quoted scalars at different
     places, escape non-BMP characters and NEL differently, write long or
@@ -190,19 +183,19 @@ def _json_chunks(node, indent: str, out: list[str]) -> None:
 
 def serialize(data: dict, format: str = "json") -> bytes:
     """Render a document as JSON or YAML bytes. Both are written as PyYAML's
-    pure-Python `_NoAliasDumper` and `json.dumps(indent=2)` would write
+    pure-Python `_no_alias_dumper()` and `json.dumps(indent=2)` would write
     them, only faster: JSON by `_json_chunks`, YAML by libyaml where
     `_libyaml_agrees`, else (or in a PyYAML built without libyaml) by
-    `_NoAliasDumper`."""
+    `_no_alias_dumper()`."""
     if format == "json":
         out: list[str] = []
         _json_chunks(data, "", out)
         out.append("\n")
         return "".join(out).encode("utf-8")
     if format == "yaml":
-        fast = getattr(yaml, "CSafeDumper", None)
-        dumper = _libyaml_dumper(fast) if fast and _libyaml_agrees(data) \
-            else _NoAliasDumper
+        import yaml
+        fast = hasattr(yaml, "CSafeDumper") and _libyaml_agrees(data)
+        dumper = _no_alias_dumper("CSafeDumper" if fast else "SafeDumper")
         return yaml.dump(data, Dumper=dumper, sort_keys=False,
                          allow_unicode=True).encode("utf-8")
     raise ValueError(f"unknown format {format!r}")

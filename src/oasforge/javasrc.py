@@ -2,12 +2,16 @@
 
 The tokenizer is one `findall` of one regular expression over the whole
 file: each match is a run of whitespace and comments and then one token, so
-the regex engine does the scanning and Python only builds `Token` tuples.
-The parser is a recursive-descent pass over those tokens, for declarations
-only. Each method body is read once, statement by statement, into
-BodyFacts (thrown exceptions, response-entity status literals, plain
-returns); no expression-level AST is built. This covers everything the
-downstream Spring analysis needs without a full Java grammar.
+the regex engine does the scanning. Python only fills two columns, each
+token's text and the line it starts on, with no object per token; a token's
+kind is computed from its text when a rule asks for it. Identifiers may
+hold any Unicode letter or digit (JLS 3.8). The parser is a
+recursive-descent pass over the texts, for declarations only; it reads the
+lines only for the line of a declaration or of an error. Each method body
+is a slice of the texts, read once, statement by statement, into BodyFacts
+(thrown exceptions, response-entity status literals, plain returns); no
+expression-level AST is built. This covers everything the downstream
+Spring analysis needs without a full Java grammar.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import takewhile
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 
@@ -34,7 +38,10 @@ from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
 # character, and the engine never backtracks into the run: a comment cannot
 # stretch over the character that stopped the token after it. Every `>` is
 # a token of its own, so nested type arguments close one level per token;
-# a shift operator, which only bodies hold, is read as several tokens.
+# a shift operator, which only bodies hold, is read as several tokens. An
+# identifier may hold any Unicode letter or digit (JLS 3.8); one that starts
+# with a letter outside ASCII is the last alternative, so every token of
+# ASCII source matches before it is tried.
 _TOKEN_RE = re.compile(
     r"""
     ((?:\s+|//[^\n]*|/\*.*?\*/)*)
@@ -44,8 +51,9 @@ _TOKEN_RE = re.compile(
       | 0[xX][0-9a-fA-F_]+[lL]?
       | \d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
       | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-      | [A-Za-z_$][A-Za-z0-9_$]*
+      | [A-Za-z_$][\w$]*
       | \.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@]
+      | [^\W\d][\w$]*
       )
     | (\Z|.)
     )
@@ -53,20 +61,41 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# A token's kind by its first character. Any other token is a number when it
-# starts with a decimal digit (re's `\d`) or with `.` and a digit, else an
-# operator. The letters are spelled out: importing `string` for them takes
-# about 1 ms of each run's start-up.
+# A token's kind by its first character. The letters are spelled out:
+# importing `string` for them takes about 1 ms of each run's start-up.
 _KIND_BY_FIRST = {
     **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$",
                     "ident"),
     '"': "str", "'": "char"}
 
 
-class Token(NamedTuple):
-    kind: str  # str | char | num | ident | op
-    text: str
-    line: int
+def token_kind(text: str) -> str:
+    """The kind of a token, `str`, `char`, `num`, `ident` or `op`, by its
+    first character: a token that `_KIND_BY_FIRST` does not name is a
+    number when it starts with a decimal digit (re's `\\d`) or with `.` and
+    a digit, else an operator when it starts with an ASCII character, else
+    an identifier."""
+    first = text[0]
+    kind = _KIND_BY_FIRST.get(first)
+    if kind:
+        return kind
+    if first.isdecimal() or first == "." and text[1:2].isdecimal():
+        return "num"
+    return "op" if first.isascii() else "ident"
+
+
+class Tokens:
+    """A file's tokens as two columns, with no object per token: `texts[i]`
+    is the text of token i and `lines[i]` the line it starts on. `len()` is
+    the number of tokens."""
+    __slots__ = ("texts", "lines")
+
+    def __init__(self, texts: list[str], lines: list[int]):
+        self.texts = texts
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
 class JavaSyntaxError(Exception):
@@ -81,25 +110,24 @@ class InvalidEscapeError(JavaSyntaxError):
     not skipped."""
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(source: str) -> Tokens:
+    texts: list[str] = []
+    lines: list[int] = []
+    add_text, add_line = texts.append, lines.append
     line = 1
     for space, text, stray in _TOKEN_RE.findall(source):
-        if space:
+        if "\n" in space:
             line += space.count("\n")
         if text:
-            first = text[0]
-            kind = _KIND_BY_FIRST.get(first) or (
-                "num" if first.isdecimal()
-                or first == "." and text[1:2].isdecimal() else "op")
-            tokens.append(Token(kind, text, line))
-            if kind == "str" or kind == "char":  # may hold a raw newline
+            add_text(text)
+            add_line(line)
+            if text[0] in "\"'":  # a literal may hold a raw newline
                 line += text.count("\n")
         elif stray:
             raise JavaSyntaxError(f"unexpected character {stray!r}", line)
         else:  # the end of the file
             break
-    return tokens
+    return Tokens(texts, lines)
 
 
 # An escape sequence of a string literal (JLS 3.10.7): a unicode escape
@@ -406,37 +434,46 @@ class SourceModel:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
-        self.toks = tokens
-        self.n = len(tokens)
+    """Reads the declarations of one file from its token columns. Every
+    rule reads `texts`; `lines` is read only for the line of a declaration
+    or of an error."""
+
+    def __init__(self, tokens: Tokens, file: str):
+        self.texts = tokens.texts
+        self.lines = tokens.lines
+        self.n = len(self.texts)
         self.pos = 0
         self.file = file
 
     # -- primitives --------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Optional[Token]:
-        i = self.pos + offset
-        return self.toks[i] if i < self.n else None
+    def peek(self) -> Optional[str]:
+        return self.texts[self.pos] if self.pos < self.n else None
 
     def at(self, text: str, offset: int = 0) -> bool:
         i = self.pos + offset
-        return i < self.n and self.toks[i].text == text
+        return i < self.n and self.texts[i] == text
 
-    def next(self) -> Token:
+    def next(self) -> str:
         if self.pos >= self.n:
             raise JavaSyntaxError("unexpected end of file", self.last_line())
         self.pos += 1
-        return self.toks[self.pos - 1]
+        return self.texts[self.pos - 1]
+
+    def line(self, offset: int = 0) -> int:
+        """The line of the token at `offset` from the current one: -1 is
+        the token just read."""
+        return self.lines[self.pos + offset]
 
     def last_line(self) -> int:
         """The line of the last token, where a cut-off file ends."""
-        return self.toks[-1].line if self.toks else 0
+        return self.lines[-1] if self.lines else 0
 
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise JavaSyntaxError(f"expected {text!r}, found {t.text!r}", t.line)
-        return t
+    def expect(self, text: str) -> None:
+        found = self.next()
+        if found != text:
+            raise JavaSyntaxError(f"expected {text!r}, found {found!r}",
+                                  self.line(-1))
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -444,22 +481,25 @@ class _Parser:
             return True
         return False
 
-    def skip_balanced(self, open_: str, close: str) -> list[Token]:
-        """Consume from the current open_ token to its matching close."""
+    def skip_balanced(self, open_: str, close: str) -> list[str]:
+        """Consume from the current open_ token to its matching close, and
+        return those tokens' texts. It jumps from one `close` to the next
+        and counts the `open_` between them, so the scan runs in C."""
         start = self.pos
         self.expect(open_)
-        depth = 1
-        toks = self.toks
-        for i in range(self.pos, self.n):
-            text = toks[i].text
-            if text == open_:
-                depth += 1
-            elif text == close:
-                depth -= 1
-                if not depth:
-                    self.pos = i + 1
-                    return toks[start:self.pos]
-        raise JavaSyntaxError("unexpected end of file", self.last_line())
+        texts = self.texts
+        depth, i = 1, self.pos
+        while True:
+            try:
+                end = texts.index(close, i)
+            except ValueError:
+                raise JavaSyntaxError("unexpected end of file",
+                                      self.last_line()) from None
+            depth += texts[i:end].count(open_) - 1
+            if not depth:
+                self.pos = end + 1
+                return texts[start:self.pos]
+            i = end + 1
 
     # -- compilation unit ---------------------------------------------------
 
@@ -471,17 +511,18 @@ class _Parser:
         static_wildcards: list[str] = []
         classes: list[ClassDecl] = []
 
-        while self.peek() is not None:
-            if self.at(";"):
-                self.next()
+        while self.pos < self.n:
+            text = self.texts[self.pos]
+            if text == ";":
+                self.pos += 1
                 continue
-            if self.at("package"):
-                self.next()
+            if text == "package":
+                self.pos += 1
                 package = self.parse_dotted_name()
                 self.expect(";")
                 continue
-            if self.at("import"):
-                self.next()
+            if text == "import":
+                self.pos += 1
                 static = self.accept("static")
                 name = self.parse_dotted_name()
                 if self.accept("."):
@@ -506,35 +547,40 @@ class _Parser:
 
     def parse_dotted_name(self) -> str:
         parts = [self.expect_ident()]
-        while self.at(".") and self.pos + 1 < self.n:
-            t = self.toks[self.pos + 1]
-            if t.kind != "ident" or t.text == "class":
+        texts, pos = self.texts, self.pos
+        while pos + 1 < self.n and texts[pos] == ".":
+            text = texts[pos + 1]
+            if text == "class" or token_kind(text) != "ident":
                 break
-            self.pos += 2
-            parts.append(t.text)
+            pos += 2
+            parts.append(text)
+        self.pos = pos
         return ".".join(parts)
 
     def expect_ident(self) -> str:
-        t = self.next()
-        if t.kind != "ident":
-            raise JavaSyntaxError(f"expected identifier, found {t.text!r}", t.line)
-        return t.text
+        text = self.next()
+        if token_kind(text) != "ident":
+            raise JavaSyntaxError(f"expected identifier, found {text!r}",
+                                  self.line(-1))
+        return text
 
     # -- annotations and modifiers -----------------------------------------
 
     def parse_annotations_and_modifiers(self) -> tuple[list[AnnotationUse], set[str]]:
         annos: list[AnnotationUse] = []
         mods: set[str] = set()
-        while True:
-            t = self.peek()
-            if t is None:
-                break
-            if t.text == "@" and not self.at("interface", 1):
-                self.next()
+        while self.pos < self.n:
+            text = self.texts[self.pos]
+            if text == "@" and not self.at("interface", 1):
+                self.pos += 1
                 annos.append(self.parse_annotation_use())
-            elif t.kind == "ident" and t.text in MODIFIERS:
-                self.next()
-                mods.add(t.text)
+            elif text in MODIFIERS:
+                self.pos += 1
+                mods.add(text)
+            elif text == "non" and self.at("-", 1) and self.at("sealed", 2):
+                # `non-sealed` is three tokens (JLS 3.9)
+                self.pos += 3
+                mods.add("non-sealed")
             else:
                 break
         return annos, mods
@@ -546,8 +592,8 @@ class _Parser:
         if self.accept("("):
             if not self.at(")"):
                 # named attributes or a single implicit "value"
-                if (self.peek() is not None and self.peek().kind == "ident"
-                        and self.at("=", 1)):
+                if self.at("=", 1) and \
+                        token_kind(self.texts[self.pos]) == "ident":
                     while True:
                         attr = self.expect_ident()
                         self.expect("=")
@@ -568,11 +614,11 @@ class _Parser:
         return Concat(tuple(parts))
 
     def parse_attr_term(self) -> AttributeValue:
-        t = self.peek()
-        if t is None:
+        text = self.peek()
+        if text is None:
             raise JavaSyntaxError("unexpected end in annotation value",
                                   self.last_line())
-        if t.text == "{":
+        if text == "{":
             self.next()
             items: list[AttributeValue] = []
             while not self.at("}"):
@@ -581,54 +627,56 @@ class _Parser:
                     break
             self.expect("}")
             return ArrayVal(tuple(items))
-        if t.text == "@":
+        if text == "@":
             self.next()
             return self.parse_annotation_use()
-        if t.kind == "str":
+        kind = token_kind(text)
+        if kind == "str":
             self.next()
-            return StrLit(unescape_string(t.text, t.line))
-        if t.kind == "char":
+            return StrLit(unescape_string(text, self.line(-1)))
+        if kind == "char":
             self.next()
-            return StrLit(t.text[1:-1])
-        if t.kind == "num":
+            return StrLit(text[1:-1])
+        if kind == "num":
             self.next()
-            return IntLit(_int_value(t.text))
-        if t.text == "-" :
+            return IntLit(_int_value(text))
+        if text == "-":
             self.next()
             inner = self.next()
-            if inner.kind != "num":
-                raise JavaSyntaxError("expected number after '-'", inner.line)
-            return IntLit(-_int_value(inner.text))
-        if t.text in ("true", "false"):
+            if token_kind(inner) != "num":
+                raise JavaSyntaxError("expected number after '-'",
+                                      self.line(-1))
+            return IntLit(-_int_value(inner))
+        if text in ("true", "false"):
             self.next()
-            return BoolLit(t.text == "true")
-        if t.kind == "ident":
+            return BoolLit(text == "true")
+        if kind == "ident":
             name = self.parse_dotted_name()
             if self.at(".") and self.at("class", 1):
-                self.next()
-                self.next()
+                self.pos += 2
                 return ClassRef(name)
             return NameRef(tuple(name.split(".")))
-        raise JavaSyntaxError(f"unsupported annotation value {t.text!r}", t.line)
+        raise JavaSyntaxError(f"unsupported annotation value {text!r}",
+                              self.line())
 
     # -- type declarations ---------------------------------------------------
 
     def parse_type_decl(self, package: str,
                         outer: Optional[str] = None) -> list[ClassDecl]:
         annos, _ = self.parse_annotations_and_modifiers()
-        t = self.peek()
-        if t is None:
+        text = self.peek()
+        if text is None:
             return []
-        if t.text == "@" and self.at("interface", 1):
+        if text == "@" and self.at("interface", 1):
             # annotation type declaration: skip entirely
             while not self.at("{"):
                 self.next()
             self.skip_balanced("{", "}")
             return []
-        if t.text not in ("class", "interface", "enum", "record"):
-            raise JavaSyntaxError(f"expected type declaration, found {t.text!r}",
-                                  t.line)
-        kind = self.next().text
+        if text not in ("class", "interface", "enum", "record"):
+            raise JavaSyntaxError(
+                f"expected type declaration, found {text!r}", self.line())
+        kind = self.next()
         name = self.expect_ident()
         simple = f"{outer}.{name}" if outer else name
         qualified = f"{package}.{simple}" if package else simple
@@ -706,19 +754,19 @@ class _Parser:
             return []
         save = self.pos
         annos, mods = self.parse_annotations_and_modifiers()
-        t = self.peek()
-        if t is None:
+        text = self.peek()
+        if text is None:
             raise JavaSyntaxError("unexpected end of class body",
                                   self.last_line())
-        if t.text == "{":  # static or instance initializer block
+        if text == "{":  # static or instance initializer block
             self.skip_balanced("{", "}")
             return []
-        if t.text in ("class", "interface", "enum", "record") or (
-                t.text == "@" and self.at("interface", 1)):
+        if text in ("class", "interface", "enum", "record") or (
+                text == "@" and self.at("interface", 1)):
             self.pos = save
             return self.parse_type_decl(package, outer=outer)
 
-        if self.at("<"):  # method or constructor type parameters
+        if text == "<":  # method or constructor type parameters
             self.skip_balanced("<", ">")
         if self.at(simple_class_name) and self.at("(", 1):  # constructor
             # skipped unread: nothing is taken from a constructor
@@ -733,29 +781,29 @@ class _Parser:
             return []
 
         decl_type = self.parse_type_ref()
-        name_tok = self.next()
-        if name_tok.kind != "ident":
-            raise JavaSyntaxError(
-                f"expected member name, found {name_tok.text!r}", name_tok.line)
+        name = self.next()
+        line = self.line(-1)
+        if token_kind(name) != "ident":
+            raise JavaSyntaxError(f"expected member name, found {name!r}",
+                                  line)
 
         if self.at("("):
-            return [self.parse_method_rest(name_tok, annos, decl_type)]
-        return self.parse_field_rest(name_tok, annos, mods, decl_type)
+            return [self.parse_method_rest(name, line, annos, decl_type)]
+        return self.parse_field_rest(name, line, annos, mods, decl_type)
 
-    def parse_method_rest(self, name_tok: Token, annos, return_type: TypeRef
-                          ) -> MethodDecl:
+    def parse_method_rest(self, name: str, line: int, annos,
+                          return_type: TypeRef) -> MethodDecl:
         params = self.parse_formal_params()
         throws: list[str] = []
         if self.accept("throws"):
             throws = [t.raw_name for t in self.parse_type_list(",")]
         facts = EMPTY_BODY
         if self.at("{"):
-            body = self.skip_balanced("{", "}")
-            facts = extract_body_facts(body)
+            facts = extract_body_facts(self.skip_balanced("{", "}"))
         else:
             self.expect(";")
-        return MethodDecl(name_tok.text, tuple(annos), tuple(params),
-                          return_type, tuple(throws), facts, name_tok.line)
+        return MethodDecl(name, tuple(annos), tuple(params), return_type,
+                          tuple(throws), facts, line)
 
     def parse_formal_params(self) -> list[ParamDecl]:
         """A parenthesized parameter list: of a method or a record header.
@@ -776,10 +824,11 @@ class _Parser:
         self.expect(")")
         return params
 
-    def parse_field_rest(self, name_tok: Token, annos, mods, decl_type: TypeRef
-                         ) -> list[FieldDecl]:
+    def parse_field_rest(self, name: str, line: int, annos, mods,
+                         decl_type: TypeRef) -> list[FieldDecl]:
+        """The fields of one declaration; each has the line of the first
+        name."""
         fields: list[FieldDecl] = []
-        name = name_tok.text
         while True:
             ftype = self.parse_dims(decl_type)
             initializer: Optional[AttributeValue] = None
@@ -787,7 +836,7 @@ class _Parser:
                 initializer = self.parse_initializer_expr()
             fields.append(FieldDecl(name, ftype, tuple(annos),
                                     "static" in mods, "final" in mods,
-                                    initializer, name_tok.line))
+                                    initializer, line))
             if self.accept(","):
                 name = self.expect_ident()
                 continue
@@ -810,32 +859,32 @@ class _Parser:
         self.pos = save
         depth = 0
         while True:
-            t = self.peek()
-            if t is None:
+            text = self.peek()
+            if text is None:
                 raise JavaSyntaxError("unterminated initializer",
                                       self.last_line())
-            if depth == 0 and t.text in (";", ","):
+            if depth == 0 and text in (";", ","):
                 return None
-            if t.text in ("(", "{", "["):
+            if text in ("(", "{", "["):
                 depth += 1
-            elif t.text in (")", "}", "]"):
+            elif text in (")", "}", "]"):
                 depth -= 1
-            self.next()
+            self.pos += 1
 
     # -- types ---------------------------------------------------------------
 
     def parse_type_ref(self) -> TypeRef:
-        t = self.peek()
-        if t is None:
+        text = self.peek()
+        if text is None:
             raise JavaSyntaxError("expected type", self.last_line())
-        if t.text == "?":
+        if text == "?":
             self.next()
             if self.accept("extends") or self.accept("super"):
                 return self.parse_type_ref()
             return OBJECT_TYPE
-        if t.text in PRIMITIVES:
+        if text in PRIMITIVES:
             self.next()
-            return self.parse_dims(TypeRef(t.text))
+            return self.parse_dims(TypeRef(text))
         # a nested type like Map.Entry<K,V> is one dotted name; type
         # arguments in the middle of the name are not supported
         name = self.parse_dotted_name()
@@ -897,37 +946,36 @@ _BUILDER_STATUS = {
 RESPONSE_WRAPPERS = frozenset({"ResponseEntity", "DeferredResult"})
 
 
-def _statement_statuses(stmt: list[Token]) -> set[str]:
+def _statement_statuses(stmt: list[str]) -> set[str]:
     statuses: set[str] = set()
-    for i, tok in enumerate(stmt):
-        if tok.text == "HttpStatus" and i + 2 < len(stmt) \
-                and stmt[i + 1].text == "." and stmt[i + 2].kind == "ident" \
-                and (i + 3 == len(stmt) or stmt[i + 3].text != "("):
-            statuses.add(stmt[i + 2].text)
-        if tok.text in RESPONSE_WRAPPERS and i + 2 < len(stmt) \
-                and stmt[i + 1].text == ".":
-            member = stmt[i + 2].text
-            if member == "status" and i + 4 < len(stmt) \
-                    and stmt[i + 3].text == "(" and stmt[i + 4].kind == "num":
-                statuses.add(str(_int_value(stmt[i + 4].text)))
-            elif member in _BUILDER_STATUS and i + 3 < len(stmt) \
-                    and stmt[i + 3].text == "(":
+    n = len(stmt)
+    for i, text in enumerate(stmt):
+        if text == "HttpStatus" and i + 2 < n and stmt[i + 1] == "." \
+                and token_kind(stmt[i + 2]) == "ident" \
+                and (i + 3 == n or stmt[i + 3] != "("):
+            statuses.add(stmt[i + 2])
+        if text in RESPONSE_WRAPPERS and i + 2 < n and stmt[i + 1] == ".":
+            member = stmt[i + 2]
+            if member == "status" and i + 4 < n and stmt[i + 3] == "(" \
+                    and token_kind(stmt[i + 4]) == "num":
+                statuses.add(str(_int_value(stmt[i + 4])))
+            elif member in _BUILDER_STATUS and i + 3 < n \
+                    and stmt[i + 3] == "(":
                 statuses.add(_BUILDER_STATUS[member])
     return statuses
 
 
-def extract_body_facts(body: list[Token]) -> BodyFacts:
-    """Read a `{...}` body in one pass. A statement is the slice between two
-    `;`, `{` or `}` outside parentheses, so the `;` of a for-header or of a
-    lambda block in a call ends none; text after a `(` that never closes
-    is not read."""
+def extract_body_facts(body: list[str]) -> BodyFacts:
+    """Read the token texts of a `{...}` body in one pass. A statement is
+    the slice between two `;`, `{` or `}` outside parentheses, so the `;` of
+    a for-header or of a lambda block in a call ends none; text after a `(`
+    that never closes is not read."""
     thrown: set[str] = set()
     statuses: set[str] = set()
     plain_return = False
     paren = start = 0  # `start`: the token before the current statement
     first: dict[str, int] = {}  # the statement's first `throw` and `return`
-    for end, tok in enumerate(body):
-        text = tok.text
+    for end, text in enumerate(body):
         if text == "(":
             paren += 1
         elif text == ")":
@@ -938,14 +986,14 @@ def extract_body_facts(body: list[Token]) -> BodyFacts:
             stmt_statuses = _statement_statuses(body[start + 1:end])
             statuses |= stmt_statuses
             at = first.get("throw")  # also `if (c) throw`, `case A -> throw`
-            if at is not None and body[at + 1].text == "new":
-                name = ".".join(t.text for t in takewhile(
-                    lambda t: t.kind == "ident" or t.text == ".",
-                    body[at + 2:end]) if t.kind == "ident")
+            if at is not None and body[at + 1] == "new":
+                name = ".".join(t for t in takewhile(
+                    lambda t: t == "." or token_kind(t) == "ident",
+                    body[at + 2:end]) if t != ".")
                 if name:
                     thrown.add(name)
-            elif at is None and "return" in first and not stmt_statuses and [
-                    t.text for t in body[first["return"] + 1:end]] != ["null"]:
+            elif at is None and "return" in first and not stmt_statuses \
+                    and body[first["return"] + 1:end] != ["null"]:
                 plain_return = True
             start = end
             first = {}

@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour via click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -491,3 +495,33 @@ def test_profile_independent_diagnostic_is_printed_once(runner, tmp_path):
         "encapsulated parameters are not statically visible "
         "(Shared.java:8)"]
     assert "diagnostics: 1" in result.output
+
+
+_JSON_RUNS = """
+import sys
+from oasforge.cli import main
+fixture, truth, out = sys.argv[1:]
+for args in (["generate", "--input", fixture, "--output", out],
+             ["evaluate", "--oas", out, "--gt", truth]):
+    try:
+        main.main(args, standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+assert "yaml" not in sys.modules
+"""
+
+
+def test_json_runs_do_not_import_yaml(tmp_path):
+    # PyYAML is imported only where YAML is read or written, so a JSON
+    # `generate` and `evaluate` do not pay its import; a fresh interpreter
+    # shows what they load
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _JSON_RUNS, str(FIXTURES_DIR / "request_body"),
+         str(GT_DIR / "request_body.json"), str(out)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "request_body-default.openapi.json").is_file()

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
 from oasforge.emitter import (MergeConflictError, _libyaml_agrees,
-                              _NoAliasDumper, assemble_document, doc_to_dict,
-                              merge_documents, read_project_version,
-                              serialize)
+                              _no_alias_dumper, assemble_document,
+                              doc_to_dict, merge_documents,
+                              read_project_version, serialize)
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
 from oasforge.schemas import SchemaRegistry
@@ -57,7 +57,7 @@ def test_yaml_writes_shared_dicts_in_full(name):
 
 
 def _reference_yaml(data):
-    return yaml.dump(data, Dumper=_NoAliasDumper, sort_keys=False,
+    return yaml.dump(data, Dumper=_no_alias_dumper(), sort_keys=False,
                      allow_unicode=True).encode("utf-8")
 
 

@@ -171,6 +171,25 @@ def test_trace_is_written_after_the_other_verbs(tmp_path):
     assert list(doc["paths"]["/t"]) == ["get", "options", "trace"]
 
 
+
+def test_non_sealed_controller_endpoints_are_found(tmp_path):
+    # `non-sealed` is three tokens; read as one modifier, the file parses
+    (tmp_path / "Base.java").write_text(
+        "package app;\npublic sealed class Base permits Api {}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        "@RestController\n@RequestMapping(\"/api\")\n"
+        "public non-sealed class Api extends Base {\n"
+        "    @GetMapping(\"/items\") String items() { return \"\"; }\n"
+        "    @DeleteMapping(\"/items/{id}\") void drop(@PathVariable long id)"
+        " {}\n}\n")
+    result = generate_project(tmp_path)
+    assert result.diagnostics == []
+    assert {path: list(ops) for path, ops in
+            result.documents["default"]["paths"].items()} == {
+        "/api/items": ["get"], "/api/items/{id}": ["delete"]}
+
+
 TYPE_LEVEL_METHOD = """
 package app;
 import org.springframework.web.bind.annotation.*;
