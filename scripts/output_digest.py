@@ -91,15 +91,10 @@ def digest_evaluate(truth: Path, scratch: Path) -> dict:
 
 
 def token_triples(tokens) -> list[list]:
-    """[kind, text, line] of each token `javasrc.tokenize` returned: from
-    its `texts` and `lines` columns and `javasrc.token_kind`, or, in a
-    checkout whose tokenizer still returns one `Token` tuple per token,
-    from each tuple. Both give the same list for the same tokens, so one
-    copy of this script compares the two."""
-    if hasattr(tokens, "texts"):
-        return [[javasrc.token_kind(text), text, line]
-                for text, line in zip(tokens.texts, tokens.lines)]
-    return [[t.kind, t.text, t.line] for t in tokens]
+    """[kind, text, line] of each token `javasrc.tokenize` returned, from
+    its `texts` and `lines` columns and `javasrc.token_kind`."""
+    return [[javasrc.token_kind(text), text, line]
+            for text, line in zip(tokens.texts, tokens.lines)]
 
 
 def digest_tokens(root: Path, name: str) -> dict[str, str]:

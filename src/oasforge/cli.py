@@ -53,34 +53,39 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
         if profiles else None
     try:
         result = generate_project(input_root, profiles_filter)
+
+        output_dir.mkdir(parents=True, exist_ok=True)
+        written = []
+        for profile, doc in result.documents.items():
+            errors = validate_document(doc)
+            if errors:
+                click.echo("error: generated document failed validation:",
+                           err=True)
+                for err in errors:
+                    click.echo(f"  {err}", err=True)
+                sys.exit(EXIT_FATAL)
+            name = f"{result.project}-{profile}.openapi.{fmt}"
+            path = output_dir / name
+            path.write_bytes(serialize(doc, fmt))
+            written.append(path)
+
+        if merge and result.documents:
+            try:
+                merged = merge_documents(result.documents, result.project)
+            except MergeConflictError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_FATAL)
+            path = output_dir / f"{result.project}-merged.openapi.json"
+            path.write_bytes(serialize(merged, "json"))
+            written.append(path)
     except ProjectParseError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_FATAL)
-
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for profile, doc in result.documents.items():
-        errors = validate_document(doc)
-        if errors:
-            click.echo("error: generated document failed validation:",
-                       err=True)
-            for err in errors:
-                click.echo(f"  {err}", err=True)
-            sys.exit(EXIT_FATAL)
-        name = f"{result.project}-{profile}.openapi.{fmt}"
-        path = output_dir / name
-        path.write_bytes(serialize(doc, fmt))
-        written.append(path)
-
-    if merge and result.documents:
-        try:
-            merged = merge_documents(result.documents, result.project)
-        except MergeConflictError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_FATAL)
-        path = output_dir / f"{result.project}-merged.openapi.json"
-        path.write_bytes(serialize(merged, "json"))
-        written.append(path)
+    except RecursionError:
+        # constants, schemas and the YAML writer recurse once per level
+        click.echo("error: the input is nested too deeply to describe",
+                   err=True)
+        sys.exit(EXIT_FATAL)
 
     for diag in result.diagnostics:
         click.echo(diag.render(), err=True)

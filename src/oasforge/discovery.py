@@ -51,13 +51,13 @@ def discover_rest_classes(model: SourceModel) -> ControllerSet:
         answer = cur is not None and marked[cur.qualified_name]
         for c in reversed(undecided):
             answer = answer or find_annotation(
-                c.annotations, CONTROLLER_MARKERS, c) is not None
+                c.annotations, CONTROLLER_MARKERS) is not None
             marked[c.qualified_name] = answer
         if answer:
             # only concrete leaf controllers expose endpoints; a superclass
             # carrying the marker makes every subclass a controller too
             result.controllers.append(cls)
-        if find_annotation(cls.annotations, ADVICE_MARKERS, cls) is not None:
+        if find_annotation(cls.annotations, ADVICE_MARKERS) is not None:
             result.advices.append(cls)
     return result
 
@@ -66,7 +66,7 @@ def assign_profiles(cls: ClassDecl, model: SourceModel,
                     diagnostics: list[Diagnostic]) -> frozenset[str]:
     """Profile names from @Profile; absent/empty annotation means ALL. A
     name that does not resolve is reported and left out."""
-    anno = find_annotation(cls.annotations, PROFILE_MARKER, cls)
+    anno = find_annotation(cls.annotations, PROFILE_MARKER)
     if anno is None:
         return ALL
     names: set[str] = set()

@@ -16,10 +16,9 @@ from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
                           UNBOUND_PATH_VARIABLE, UNRESOLVED_CONSTANT,
                           UNRESOLVED_STATUS, UNRESOLVED_TYPE)
 from .discovery import ProfileUnit
-from .javasrc import (AnnotationUse, AttributeValue, BoolLit, ClassDecl,
-                      ClassRef, Concat, MethodDecl, NameRef, SourceModel,
-                      TypeRef, resolve_string_constant, spelling,
-                      supertype_chain)
+from .javasrc import (AnnotationUse, AttributeValue, ClassDecl, ClassRef,
+                      Concat, MethodDecl, NameRef, SourceModel, TypeRef,
+                      resolve_string_constant, spelling, supertype_chain)
 from .schemas import (SchemaRegistry, primitive, schema_for_type,
                       unwrap_response_wrapper)
 from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
@@ -153,7 +152,7 @@ def _mapping(anno: AnnotationUse, ctx: ClassDecl, line: int,
 
 def _attr_bool(anno: AnnotationUse, attr: str, default: bool) -> bool:
     value = anno.attributes.get(attr)
-    return value.value if isinstance(value, BoolLit) else default
+    return value if isinstance(value, bool) else default
 
 
 def _parameter(name: str, location: str, required: bool,
@@ -203,7 +202,7 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                 "encapsulated parameters are not statically visible",
                 file, handler.line))
             continue
-        anno = find_annotation(p.annotations, PARAM_ANNOTATIONS, ctx)
+        anno = find_annotation(p.annotations, PARAM_ANNOTATIONS)
         if anno is None:
             diagnostics.append(Diagnostic(
                 SKIPPED_PARAMETER,
@@ -288,13 +287,13 @@ def _bind_to_template(params: list[dict], path: str,
 # Responses
 # ---------------------------------------------------------------------------
 
-def _annotated_status(annotations: tuple[AnnotationUse, ...], ctx: ClassDecl,
-                      what: str, file: str, line: int,
-                      diagnostics: list[Diagnostic]) -> Optional[str]:
-    """The code of the @ResponseStatus among `annotations` of `what`, as
-    named in `ctx`: None without one, "" when it gives none. A value that
-    maps to no code is reported at `file`:`line` and gives ""."""
-    anno = find_annotation(annotations, {"ResponseStatus"}, ctx)
+def _annotated_status(annotations: tuple[AnnotationUse, ...], what: str,
+                      file: str, line: int, diagnostics: list[Diagnostic]
+                      ) -> Optional[str]:
+    """The code of the @ResponseStatus among `annotations` of `what`: None
+    without one, "" when it gives none. A value that maps to no code is
+    reported at `file`:`line` and gives ""."""
+    anno = find_annotation(annotations, {"ResponseStatus"})
     if anno is None:
         return None
     annotated = None
@@ -329,9 +328,8 @@ def _literal_statuses(method: MethodDecl, file: str,
     return codes
 
 
-def _exception_handler_targets(method: MethodDecl, cls: ClassDecl
-                               ) -> list[str]:
-    anno = find_annotation(method.annotations, {"ExceptionHandler"}, cls)
+def _exception_handler_targets(method: MethodDecl) -> list[str]:
+    anno = find_annotation(method.annotations, {"ExceptionHandler"})
     if anno is None:
         return []
     return [item.name for item in anno.items("value")
@@ -372,16 +370,16 @@ def resolve_exception_status(exc: str, local: ClassDecl,
         methods = [(cls, method) for cls in supertype_chain(scope, model)
                    for method in cls.methods]
         hits = [(distance, i) for i, (cls, method) in enumerate(methods)
-                for name in _exception_handler_targets(method, cls)
+                for name in _exception_handler_targets(method)
                 for fq in [model.resolve_type_name(name, cls)]
                 for distance, (q, s) in enumerate(ancestry)
                 if (q == fq if fq else s == name.rsplit(".", 1)[-1])]
         if hits:
             cls, method = methods[min(hits)[1]]
             codes = _literal_statuses(method, cls.source_file, diagnostics)
-            annotated = _annotated_status(method.annotations, cls,
-                                          method.name, cls.source_file,
-                                          method.line, diagnostics)
+            annotated = _annotated_status(method.annotations, method.name,
+                                          cls.source_file, method.line,
+                                          diagnostics)
             if annotated:
                 return annotated
             if len(codes) == 1:
@@ -396,7 +394,7 @@ def resolve_exception_status(exc: str, local: ClassDecl,
         cls = model.classes.get(qualified)
         if cls is None:
             break
-        annotated = _annotated_status(cls.annotations, cls, qualified,
+        annotated = _annotated_status(cls.annotations, qualified,
                                       cls.source_file, 0, diagnostics)
         if annotated is not None:
             return annotated or "500"
@@ -415,7 +413,7 @@ def _success_responses(handler: MethodDecl,
     annotated = None
     if status is not None:
         cls, method = status
-        annotated = _annotated_status(method.annotations, cls, method.name,
+        annotated = _annotated_status(method.annotations, method.name,
                                       cls.source_file, method.line,
                                       diagnostics)
     success = set(explicit)
@@ -476,10 +474,10 @@ def _handlers(chain: list[ClassDecl]) -> list[tuple]:
             sig = (method.name, tuple((p.type.simple_name, p.type.array_depth)
                                       for p in method.parameters))
             owner, handler = nearest.setdefault(sig, (cls, method))
-            if find_annotation(method.annotations, {"ResponseStatus"}, cls):
+            if find_annotation(method.annotations, {"ResponseStatus"}):
                 statuses.setdefault(sig, (cls, method))
             anno = None if sig in mapped else find_annotation(
-                method.annotations, MAPPING_ANNOTATIONS, cls)
+                method.annotations, MAPPING_ANNOTATIONS)
             if anno is None:
                 continue
             mapped.add(sig)
@@ -509,7 +507,7 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
             chain = supertype_chain(controller, model)
             type_level = next((_mapping(anno, cls, 0, model, diagnostics)
                                for cls in chain if (anno := find_annotation(
-                                   cls.annotations, REQUEST_MAPPING, cls))),
+                                   cls.annotations, REQUEST_MAPPING))),
                               ([""], None))
             analyses[key] = (type_level, _handlers(chain), [])
         (base_paths, base_verbs), handlers, analyzed = analyses[key]

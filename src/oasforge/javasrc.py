@@ -170,11 +170,6 @@ def unescape_string(literal: str, line: int) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StrLit:
-    value: str
-
-
-@dataclass(frozen=True)
 class NameRef:
     """A dotted name used as a value: constant reference or enum reference."""
     parts: tuple[str, ...]
@@ -186,21 +181,6 @@ class ClassRef:
 
 
 @dataclass(frozen=True)
-class BoolLit:
-    value: bool
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class ArrayVal:
-    items: tuple["AttributeValue", ...]
-
-
-@dataclass(frozen=True)
 class Concat:
     parts: tuple["AttributeValue", ...]
 
@@ -209,6 +189,9 @@ class Concat:
 class AnnotationUse:
     simple_name: str
     attributes: dict[str, "AttributeValue"] = field(default_factory=dict)
+    # the name as written when it is qualified, else the single-type import
+    # of the simple name in the annotation's file, else None
+    qualified_name: Optional[str] = None
 
     def items(self, attr: str) -> tuple["AttributeValue", ...]:
         """The elements of attribute `attr`: an array's items, its one
@@ -216,11 +199,13 @@ class AnnotationUse:
         value = self.attributes.get(attr)
         if value is None:
             return ()
-        return value.items if isinstance(value, ArrayVal) else (value,)
+        return value if isinstance(value, tuple) else (value,)
 
 
-AttributeValue = Union[StrLit, NameRef, ClassRef, BoolLit, IntLit, ArrayVal,
-                       Concat, AnnotationUse]
+# A string or char literal is a `str`, `true` or `false` a `bool`, a number
+# an `int`, and `{…}` a `tuple` of values.
+AttributeValue = Union[str, bool, int, tuple, NameRef, ClassRef, Concat,
+                       AnnotationUse]
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +429,9 @@ class _Parser:
         self.n = len(self.texts)
         self.pos = 0
         self.file = file
+        # simple name -> qualified name, by the single-type imports read so
+        # far; they precede every annotation of the file
+        self.imports: dict[str, str] = {}
 
     # -- primitives --------------------------------------------------------
 
@@ -505,7 +493,7 @@ class _Parser:
 
     def parse_unit(self) -> list[ClassDecl]:
         package = ""
-        imports: dict[str, str] = {}
+        imports = self.imports
         static_imports: dict[str, str] = {}
         wildcards: list[str] = []
         static_wildcards: list[str] = []
@@ -588,6 +576,7 @@ class _Parser:
     def parse_annotation_use(self) -> AnnotationUse:
         name = self.parse_dotted_name()
         simple = name.rsplit(".", 1)[-1]
+        qualified = name if "." in name else self.imports.get(name)
         attributes: dict[str, AttributeValue] = {}
         if self.accept("("):
             if not self.at(")"):
@@ -603,7 +592,7 @@ class _Parser:
                 else:
                     attributes["value"] = self.parse_attr_expr()
             self.expect(")")
-        return AnnotationUse(simple, attributes)
+        return AnnotationUse(simple, attributes, qualified)
 
     def parse_attr_expr(self) -> AttributeValue:
         parts = [self.parse_attr_term()]
@@ -626,30 +615,35 @@ class _Parser:
                 if not self.accept(","):
                     break
             self.expect("}")
-            return ArrayVal(tuple(items))
+            return tuple(items)
+        if text == "(":  # a parenthesized expression (JLS 15.8.5)
+            self.next()
+            value = self.parse_attr_expr()
+            self.expect(")")
+            return value
         if text == "@":
             self.next()
             return self.parse_annotation_use()
         kind = token_kind(text)
         if kind == "str":
             self.next()
-            return StrLit(unescape_string(text, self.line(-1)))
+            return unescape_string(text, self.line(-1))
         if kind == "char":
             self.next()
-            return StrLit(text[1:-1])
+            return text[1:-1]
         if kind == "num":
             self.next()
-            return IntLit(_int_value(text))
+            return _int_value(text)
         if text == "-":
             self.next()
             inner = self.next()
             if token_kind(inner) != "num":
                 raise JavaSyntaxError("expected number after '-'",
                                       self.line(-1))
-            return IntLit(-_int_value(inner))
+            return -_int_value(inner)
         if text in ("true", "false"):
             self.next()
-            return BoolLit(text == "true")
+            return text == "true"
         if kind == "ident":
             name = self.parse_dotted_name()
             if self.at(".") and self.at("class", 1):
@@ -1017,7 +1011,12 @@ class SupertypeCycleError(ProjectParseError):
 
 
 def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
-    return _Parser(tokenize(source), file).parse_unit()
+    parser = _Parser(tokenize(source), file)
+    try:
+        return parser.parse_unit()
+    except RecursionError:  # the parser recurses once per level of nesting
+        line = parser.lines[min(parser.pos, parser.n - 1)]
+        raise JavaSyntaxError("nested too deeply to parse", line) from None
 
 
 def parse_project(root_dir: os.PathLike | str) -> SourceModel:
@@ -1069,8 +1068,8 @@ def resolve_string_constant(value: Optional[AttributeValue], ctx: ClassDecl,
     """
     if _active is None:
         _active = set()
-    if isinstance(value, StrLit):
-        return value.value
+    if isinstance(value, str):
+        return value
     if isinstance(value, Concat):
         parts = [resolve_string_constant(p, ctx, model, _active)
                  for p in value.parts]
@@ -1087,18 +1086,18 @@ def spelling(value: AttributeValue) -> str:
     `Missing.BASE + "/x"`, `5`, `Api.class`, `{a, b}`."""
     if isinstance(value, NameRef):
         return ".".join(value.parts)
-    if isinstance(value, StrLit):
-        return json.dumps(value.value, ensure_ascii=False)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, Concat):
         return " + ".join(spelling(p) for p in value.parts)
-    if isinstance(value, BoolLit):
-        return "true" if value.value else "false"
-    if isinstance(value, IntLit):
-        return str(value.value)
+    if isinstance(value, bool):  # before `int`, since a bool is an int
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, ClassRef):
         return value.name + ".class"
-    if isinstance(value, ArrayVal):
-        return "{" + ", ".join(spelling(i) for i in value.items) + "}"
+    if isinstance(value, tuple):
+        return "{" + ", ".join(map(spelling, value)) + "}"
     return "@" + value.simple_name
 
 

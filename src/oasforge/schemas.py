@@ -125,7 +125,7 @@ def required_fields(cls: ClassDecl) -> list[str]:
     for f in _instance_fields(cls):
         if f.type.array_depth == 0 and f.type.raw_name in NONNULL_PRIMITIVES:
             names.append(f.name)
-        elif find_annotation(f.annotations, REQUIRED_MARKERS, cls):
+        elif find_annotation(f.annotations, REQUIRED_MARKERS):
             names.append(f.name)
     return names
 

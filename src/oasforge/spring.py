@@ -6,7 +6,7 @@ from __future__ import annotations
 from http import HTTPStatus
 from typing import AbstractSet, Optional
 
-from .javasrc import AnnotationUse, ClassDecl
+from .javasrc import AnnotationUse
 
 # The verbs of a mapping without a `method`; a `method` may also name TRACE.
 HTTP_VERBS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
@@ -39,8 +39,8 @@ SERVLET_TYPES = {
 }
 
 # Packages whose annotations we treat as framework annotations when the
-# import is resolvable; unknown imports matching these prefixes pass, any
-# other resolved import masks the simple-name match.
+# qualified name is known; an annotation with no known qualified name
+# passes, one whose qualified name lies elsewhere does not.
 FRAMEWORK_PACKAGE_PREFIXES = (
     "org.springframework",
     "javax.validation",
@@ -99,17 +99,16 @@ def reason_phrase(code: str) -> str:
     return _PHRASE_BY_CODE.get(int(code), f"Status {code}")
 
 
-def is_framework_annotation(anno: AnnotationUse, cls: ClassDecl) -> bool:
-    """Simple-name matching, gated by the import when it is resolvable."""
-    imported = cls.imports.get(anno.simple_name)
-    if imported is None:
-        return True
-    return imported.startswith(FRAMEWORK_PACKAGE_PREFIXES)
+def is_framework_annotation(anno: AnnotationUse) -> bool:
+    """Simple-name matching, gated by the qualified name when its file
+    gives one."""
+    name = anno.qualified_name
+    return name is None or name.startswith(FRAMEWORK_PACKAGE_PREFIXES)
 
 
-def find_annotation(annotations, names: AbstractSet[str], cls: ClassDecl
+def find_annotation(annotations, names: AbstractSet[str]
                     ) -> Optional[AnnotationUse]:
     """The first of `annotations`, in declaration order, that is a
     framework annotation named in `names`."""
     return next((anno for anno in annotations if anno.simple_name in names
-                 and is_framework_annotation(anno, cls)), None)
+                 and is_framework_annotation(anno)), None)

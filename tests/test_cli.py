@@ -197,6 +197,34 @@ def test_inheritance_cycle_is_fatal_without_traceback(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+CONSTANT_CHAIN = "interface P {\n    String C0 = \"/a\";\n" + "".join(
+    f"    String C{i} = C{i - 1} + \"/x\";\n" for i in range(1, 300)) + "}\n"
+
+
+# Each parses, and the analysis or the YAML writer then recurses once per
+# constant or array dimension.
+@pytest.mark.parametrize("mapping, returned, flags", [
+    ("P.C299", "String", []),
+    ('"/a"', "String" + "[]" * 990, []),
+    ('"/a"', "String" + "[]" * 500, ["--format", "yaml"]),
+], ids=["constant-chain", "array-dimensions", "array-dimensions-yaml"])
+def test_input_nested_too_deeply_is_fatal_without_traceback(
+        runner, tmp_path, mapping, returned, flags):
+    (tmp_path / "P.java").write_text("package app;\n" + CONSTANT_CHAIN)
+    (tmp_path / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        f"@RestController\nclass Api {{\n    @GetMapping({mapping})\n"
+        f"    {returned} get() {{ return null; }}\n}}\n")
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(tmp_path / "out"), *flags)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == \
+        "error: the input is nested too deeply to describe\n"
+    assert "Traceback" not in result.output
+
+
 def test_class_extending_outside_class_of_same_name_is_not_a_cycle(
         runner, tmp_path):
     (tmp_path / "Date.java").write_text(

@@ -411,6 +411,54 @@ def test_inherited_mapping_diagnostics_name_the_mapped_declaration():
         == ["q"]
 
 
+@pytest.mark.parametrize("marker, paths", [
+    ("@org.springframework.web.bind.annotation.RestController", ["/a"]),
+    ("@com.acme.web.RestController", []),
+], ids=["spring", "elsewhere"])
+def test_a_qualified_annotation_counts_by_its_written_package(marker, paths):
+    _, _, _, ops, diags = analyze(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        f"{marker}\nclass Api {{\n"
+        '    @GetMapping("/a") String get() { return ""; }\n}\n')
+    assert [path for path, _ in ops] == paths
+    assert diags == []
+
+
+def test_inherited_parameter_annotations_are_read_with_their_own_imports():
+    # `Api` imports another `RequestParam`; `q` is bound in Base's file
+    base = ("package app;\n"
+            "import org.springframework.web.bind.annotation.*;\n"
+            "abstract class Base {\n"
+            '    @GetMapping("/items") String list(@RequestParam("q") '
+            'String q) { return q; }\n}\n')
+    api = ("package app;\nimport com.acme.RequestParam;\n"
+           "import org.springframework.web.bind.annotation.*;\n"
+           "@RestController\nclass Api extends Base {}\n")
+    _, _, _, ops, diags = analyze(base, api)
+    assert params_of(ops["/items", "GET"]) == [{
+        "name": "q", "in": "query", "required": True,
+        "schema": {"type": "string"}}]
+    assert diags == []
+
+
+def test_parenthesized_annotation_values_are_read(tmp_path):
+    # a parenthesized constant expression is legal (JLS 15.8.5, 15.29)
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        '@RestController\n@RequestMapping(("/api"))\nclass Api {\n'
+        '    static final String ID = "/{id}";\n'
+        '    @GetMapping(("/x")) String x() { return ""; }\n'
+        '    @DeleteMapping(path = ("/y" + (ID))) void y(@PathVariable(("id"))'
+        " long key) {}\n}\n")
+    result = generate_project(tmp_path)
+    assert result.diagnostics == []
+    paths = result.documents["default"]["paths"]
+    assert {path: list(ops) for path, ops in paths.items()} == {
+        "/api/x": ["get"], "/api/y/{id}": ["delete"]}
+    assert [p["name"] for p in paths["/api/y/{id}"]["delete"]["parameters"]] \
+        == ["id"]
+
+
 def test_class_base_path_joined_with_method_path():
     src = """
 package app;

@@ -8,10 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
-from oasforge.javasrc import (AnnotationUse, ArrayVal, BodyFacts, BoolLit,
-                              ClassRef, Concat, IntLit, InvalidEscapeError,
-                              JavaSyntaxError, NameRef, ProjectParseError,
-                              StrLit, SupertypeCycleError, TypeRef,
+from oasforge.javasrc import (AnnotationUse, BodyFacts, ClassRef, Concat,
+                              InvalidEscapeError, JavaSyntaxError, NameRef,
+                              ProjectParseError, SupertypeCycleError, TypeRef,
                               extract_body_facts, parse_project,
                               parse_source, resolve_string_constant,
                               spelling, supertype_chain, token_kind, tokenize,
@@ -82,7 +81,7 @@ class User {
 def test_literal_resolves_to_itself():
     model = model_from(CONSTANTS)
     ctx = model.classes["app.Paths"]
-    assert resolve_string_constant(StrLit("/api"), ctx, model) == "/api"
+    assert resolve_string_constant("/api", ctx, model) == "/api"
 
 
 def test_constant_reference_resolves():
@@ -111,9 +110,8 @@ def test_unresolvable_reference_returns_none():
 def test_resolve_string_constant_is_pure(text):
     model = model_from(CONSTANTS)
     ctx = model.classes["app.Paths"]
-    lit = StrLit(text)
-    assert resolve_string_constant(lit, ctx, model) == \
-        resolve_string_constant(lit, ctx, model) == text
+    assert resolve_string_constant(text, ctx, model) == \
+        resolve_string_constant(text, ctx, model) == text
 
 
 HIERARCHY = """
@@ -444,9 +442,8 @@ class M {}
 """
     model = model_from(src)
     anno = model.classes["app.M"].annotations[0]
-    from oasforge.javasrc import ArrayVal
-    assert isinstance(anno.attributes["value"], ArrayVal)
-    assert len(anno.attributes["value"].items) == 2
+    assert anno.attributes == {"value": ("/a", "/b"),
+                               "produces": "application/json"}
 
 
 def only_class(source):
@@ -516,15 +513,21 @@ def test_shift_assignments_in_a_body():
     assert [f.name for f in cls.fields] == ["k"]
 
 
-@pytest.mark.parametrize("value, text", [
+SPELLINGS = [
     (NameRef(("Paths", "BASE")), "Paths.BASE"),
-    (Concat((NameRef(("BASE",)), StrLit("/x"))), 'BASE + "/x"'),
-    (IntLit(-5), "-5"),
-    (BoolLit(False), "false"),
+    (Concat((NameRef(("BASE",)), "/x")), 'BASE + "/x"'),
+    (-5, "-5"),
+    (False, "false"),
     (ClassRef("app.Api"), "app.Api.class"),
-    (ArrayVal((NameRef(("a",)), NameRef(("b",)))), "{a, b}"),
+    ((NameRef(("a",)), NameRef(("b",))), "{a, b}"),
     (AnnotationUse("Deprecated"), "@Deprecated"),
-])
+    (True, "true"),
+    ((1, (True, 'a"b')), '{1, {true, "a\\"b"}}'),
+]
+
+
+@pytest.mark.parametrize("value, text", SPELLINGS, ids=[
+    f"value{i}-{text}" for i, (_, text) in enumerate(SPELLINGS)])
 def test_spelling_writes_each_value_kind_as_source(value, text):
     assert spelling(value) == text
 
@@ -539,7 +542,8 @@ def test_wildcard_import_resolves_a_simple_name_used_in_two_packages():
 
 def test_negative_annotation_value_is_an_int_literal():
     (field,) = only_class("class A { @Min(-1) int n; }").fields
-    assert field.annotations[0].attributes == {"value": IntLit(-1)}
+    value = field.annotations[0].attributes["value"]
+    assert value == -1 and type(value) is int
 
 
 def test_annotation_types_are_skipped_whole():
@@ -594,7 +598,8 @@ def test_one_declaration_of_several_fields():
     cls = only_class("class A { private int a, b[], c = 3; }")
     assert [(f.name, f.type.array_depth, f.initializer)
             for f in cls.fields] == [("a", 0, None), ("b", 1, None),
-                                     ("c", 0, IntLit(3))]
+                                     ("c", 0, 3)]
+    assert type(cls.fields[2].initializer) is int
 
 
 def test_file_cut_off_mid_class_is_one_parse_error(tmp_path):
@@ -623,6 +628,56 @@ def test_file_cut_off_mid_member_names_the_last_line(tmp_path, tail,
     model = parse_project(tmp_path)
     assert [(d.file, d.line, d.message) for d in model.parse_diagnostics] \
         == [("Cut.java", 3, f"{message} (line 3)")]
+
+
+# Each level of these costs the recursive-descent parser a few Python
+# frames, so each goes past the interpreter's recursion limit.
+@pytest.mark.parametrize("deep", [
+    "class Deep { " + "java.util.List<" * 400 + "String" + ">" * 400
+    + " f; }",
+    "".join(f"class A{i} {{ " for i in range(1000)) + "}" * 1000,
+    "@X(" + "{" * 1000 + "}" * 1000 + ") class Deep {}",
+], ids=["type-arguments", "classes", "annotation-arrays"])
+def test_deep_nesting_is_a_parse_error_of_its_file(tmp_path, deep):
+    (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
+    (tmp_path / "Deep.java").write_text(
+        "package app;\n\n" + deep + "\nclass After {}\n")
+    model = parse_project(tmp_path)
+    assert sorted(model.classes) == ["app.A"]
+    assert [(d.code, d.file, d.line, d.message)
+            for d in model.parse_diagnostics] == \
+        [("PARSE_ERROR", "Deep.java", 3, "nested too deeply to parse (line 3)")]
+
+
+@pytest.mark.parametrize("value, expected", [
+    ('"/a"', "/a"), ("'c'", "c"), ("true", True), ("false", False),
+    ("7", 7), ("-7", -7), ("0x10", 16), ('{1, "x", true}', (1, "x", True)),
+    ("{}", ()), ('("/x")', "/x"), ('(("/x"))', "/x"), ("(-1)", -1),
+    ('{("/a"), {(false)}}', ("/a", (False,))),
+    ('("/a" + B)', Concat(("/a", NameRef(("B",))))),
+])
+def test_annotation_values_are_plain_python_values(value, expected):
+    (field,) = only_class(f"class A {{ @X({value}) int n; }}").fields
+    # repr tells `True` from `1`, which compare equal
+    assert repr(field.annotations[0].attributes["value"]) == repr(expected)
+
+
+@pytest.mark.parametrize("imports, written, qualified", [
+    ("import org.springframework.web.bind.annotation.GetMapping;",
+     "GetMapping", "org.springframework.web.bind.annotation.GetMapping"),
+    ("import org.springframework.web.bind.annotation.GetMapping;",
+     "com.acme.GetMapping", "com.acme.GetMapping"),
+    ("import org.springframework.web.bind.annotation.*;", "GetMapping",
+     None),
+], ids=["imported", "qualified", "no-import"])
+def test_annotation_records_the_qualified_name_its_file_gives(
+        imports, written, qualified):
+    (cls,) = parse_source(f"package app;\n{imports}\n"
+                          f"class A {{ @{written}(\"/a\") String a() "
+                          "{ return null; } }")
+    (anno,) = cls.methods[0].annotations
+    assert (anno.simple_name, anno.qualified_name) == ("GetMapping",
+                                                       qualified)
 
 
 def test_interface_method_without_a_body_and_an_unbounded_wildcard():

@@ -62,7 +62,9 @@ RETURNS = ["Filter", "Page<Filter>", "Page", "TreeNode", "Order", "Tag",
 MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
             '@RequestMapping(path = "{}", method = RequestMethod.PUT)',
             '@RequestMapping(path = "{}", method = {{RequestMethod.GET, '
-            'RequestMethod.TRACE}})']
+            'RequestMethod.TRACE}})',
+            '@org.springframework.web.bind.annotation.GetMapping("{}")',
+            '@GetMapping(("{}"))']
 
 SHARED = """package app;
 
