@@ -8,19 +8,36 @@ from pathlib import Path
 
 import click
 
-from .emitter import MergeConflictError, merge_documents, serialize
-from .evaluation import (CATEGORIES, GroundTruthError, evaluate,
-                         flatten_for_eval, format_report, load_ground_truth)
-from .javasrc import ProjectParseError
+from .diagnostics import FatalError
+from .emitter import merge_documents, serialize
+from .evaluation import (CATEGORIES, evaluate, flatten_for_eval,
+                         format_report, load_ground_truth)
 from .oasvalidate import validate_document
 from .pipeline import generate_project
 
-EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_DIAGNOSTICS = 2
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. A subcommand that raises an error that ends a
+    run prints one `error:` line and exits 1; usage errors stay click's."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click ends a run whose stdout was closed, quietly
+        except RecursionError:
+            # constants, schemas and the YAML writer recurse once per level
+            message = "the input is nested too deeply to describe"
+        except (FatalError, OSError) as exc:
+            message = str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(EXIT_FATAL)
+
+
+@click.group(cls=_Commands)
 def main():
     """Generate OpenAPI 3 descriptions from Spring Boot source trees."""
 
@@ -51,41 +68,23 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
         import yaml  # noqa: F401
     profiles_filter = [p.strip() for p in profiles.split(",") if p.strip()] \
         if profiles else None
-    try:
-        result = generate_project(input_root, profiles_filter)
+    result = generate_project(input_root, profiles_filter)
+    outputs = {}  # file name -> document; its suffix is its format
+    for profile, doc in result.documents.items():
+        errors = validate_document(doc)
+        if errors:
+            raise FatalError("generated document failed validation:"
+                             + "".join(f"\n  {err}" for err in errors))
+        outputs[f"{result.project}-{profile}.openapi.{fmt}"] = doc
+    if merge and result.documents:
+        outputs[f"{result.project}-merged.openapi.json"] = merge_documents(
+            result.documents, result.project)
 
-        output_dir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for profile, doc in result.documents.items():
-            errors = validate_document(doc)
-            if errors:
-                click.echo("error: generated document failed validation:",
-                           err=True)
-                for err in errors:
-                    click.echo(f"  {err}", err=True)
-                sys.exit(EXIT_FATAL)
-            name = f"{result.project}-{profile}.openapi.{fmt}"
-            path = output_dir / name
-            path.write_bytes(serialize(doc, fmt))
-            written.append(path)
-
-        if merge and result.documents:
-            try:
-                merged = merge_documents(result.documents, result.project)
-            except MergeConflictError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_FATAL)
-            path = output_dir / f"{result.project}-merged.openapi.json"
-            path.write_bytes(serialize(merged, "json"))
-            written.append(path)
-    except ProjectParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FATAL)
-    except RecursionError:
-        # constants, schemas and the YAML writer recurse once per level
-        click.echo("error: the input is nested too deeply to describe",
-                   err=True)
-        sys.exit(EXIT_FATAL)
+    # serialized one at a time, as written, so no two texts are held at once
+    output_dir.mkdir(parents=True, exist_ok=True)
+    for name, doc in outputs.items():
+        (output_dir / name).write_bytes(
+            serialize(doc, name.rpartition(".")[2]))
 
     for diag in result.diagnostics:
         click.echo(diag.render(), err=True)
@@ -98,12 +97,11 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     click.echo(f"operations: {endpoint_count}")
     click.echo(f"schemas: {schema_count}")
     click.echo(f"diagnostics: {len(result.diagnostics)}")
-    for path in written:
-        click.echo(f"wrote {path}")
+    for name in outputs:
+        click.echo(f"wrote {output_dir / name}")
 
     if fail_on_diagnostics and result.diagnostics:
         sys.exit(EXIT_DIAGNOSTICS)
-    sys.exit(EXIT_OK)
 
 
 def _load_description(path: Path) -> dict:
@@ -138,20 +136,12 @@ def _load_description(path: Path) -> dict:
               help="Also write the report as machine-readable JSON.")
 def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
     """Score a generated description against a ground-truth file."""
-    try:
-        gt = load_ground_truth(gt_path)
-    except GroundTruthError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FATAL)
-
-    if oas_path.is_dir():
-        files = sorted(p for p in oas_path.iterdir()
-                       if p.suffix in (".json", ".yaml", ".yml"))
-        if not files:
-            click.echo(f"error: no description files in {oas_path}", err=True)
-            sys.exit(EXIT_FATAL)
-    else:
-        files = [oas_path]
+    gt = load_ground_truth(gt_path)
+    files = sorted(p for p in oas_path.iterdir()
+                   if p.suffix in (".json", ".yaml", ".yml")) \
+        if oas_path.is_dir() else [oas_path]
+    if not files:
+        raise FatalError(f"no description files in {oas_path}")
 
     flat: dict[str, set] = {category: set() for category in CATEGORIES}
     for path in files:
@@ -159,19 +149,18 @@ def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
             doc_flat = flatten_for_eval(_load_description(path))
         # The JSON and YAML parsers recurse once per nested value.
         except (ValueError, KeyError, RecursionError) as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            sys.exit(EXIT_FATAL)
+            raise FatalError(f"{path}: {exc}") from None
         for category, keys in doc_flat.items():
             flat[category] |= keys
 
     report = evaluate(flat, gt)
-    click.echo(format_report(report))
-    if report_json is not None:
+    text = format_report(report)
+    if report_json is not None:  # written first: a failure prints no report
         rows = {name: score.as_dict() for name, score in report.items()}
         report_json.write_text(json.dumps(rows, indent=2) + "\n",
                                encoding="utf-8")
-        click.echo(f"wrote {report_json}")
-    sys.exit(EXIT_OK)
+        text += f"\nwrote {report_json}"
+    click.echo(text)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@
 
 Every non-fatal oddity (unparsable file, skipped parameter, unresolved
 constant, ...) becomes a Diagnostic instead of an exception, so analysis
-always runs to completion.
+always runs to completion. What ends a run is a FatalError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+class FatalError(Exception):
+    """An error that ends a run: the CLI prints `error: ` and its text."""
 
 
 @dataclass(frozen=True)

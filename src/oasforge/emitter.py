@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring
 from pathlib import Path
 
+from .diagnostics import FatalError
 from .schemas import SchemaRegistry
 from .spring import REQUEST_METHODS
 
@@ -21,7 +22,7 @@ OAS_VERSION = "3.0.3"
 VERB_ORDER = {verb.lower(): i for i, verb in enumerate(REQUEST_METHODS)}
 
 
-class MergeConflictError(Exception):
+class MergeConflictError(FatalError):
     def __init__(self, conflicts: list[str]):
         super().__init__("cannot merge documents:\n  " + "\n  ".join(conflicts))
         self.conflicts = conflicts

@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .diagnostics import FatalError
+
 CATEGORIES = {"methods": ("path", "verb"),
               "parameters": ("path", "verb", "name"),
               "responses": ("path", "verb", "status")}
@@ -25,7 +27,7 @@ OPERATION_KEYS = ("get", "put", "post", "delete", "options", "head", "patch",
                   "trace")
 
 
-class GroundTruthError(Exception):
+class GroundTruthError(FatalError):
     pass
 
 
@@ -86,6 +88,8 @@ def load_ground_truth(file: Path | str) -> dict[str, frozenset]:
     except json.JSONDecodeError as exc:
         raise GroundTruthError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}")
+    except UnicodeDecodeError as exc:
+        raise GroundTruthError(f"{path}: {exc}")
     except RecursionError:
         raise GroundTruthError(f"{path}: nested too deeply")
     if not isinstance(data, dict):

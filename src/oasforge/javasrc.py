@@ -25,7 +25,7 @@ from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic
+from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic, FatalError
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,7 @@ _TOKEN_RE = re.compile(
       ( "(?:\\.|[^"\\])*"
       | '(?:\\.|[^'\\])+'
       | 0[xX][0-9a-fA-F_]+[lL]?
+      | 0[bB][01_]+[lL]?
       | \d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
       | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
       | [A-Za-z_$][\w$]*
@@ -914,9 +915,13 @@ class _Parser:
 
 
 def _int_value(text: str) -> int:
-    cleaned = text.replace("_", "").rstrip("lLfFdD")
+    """The value of an integer literal (JLS 3.10.1): decimal, hex `0x…`,
+    binary `0b…` or octal `0…`, with underscores and an `l` or `L` suffix;
+    0 for any other number."""
+    digits = text.replace("_", "").rstrip("lL")
+    octal = digits[:1] == "0" and digits[1:].isdigit()
     try:
-        return int(cleaned, 0)
+        return int(digits, 8 if octal else 0)
     except ValueError:
         return 0
 
@@ -1002,7 +1007,7 @@ def extract_body_facts(body: list[str]) -> BodyFacts:
 # Project parsing and model-level operations
 # ---------------------------------------------------------------------------
 
-class ProjectParseError(Exception):
+class ProjectParseError(FatalError):
     pass
 
 
@@ -1021,8 +1026,6 @@ def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
 
 def parse_project(root_dir: os.PathLike | str) -> SourceModel:
     root = Path(root_dir)
-    if not root.is_dir():
-        raise ProjectParseError(f"project root does not exist: {root}")
     files = sorted(root.rglob("*.java"))
     if not files:
         raise ProjectParseError(f"no .java files under {root}")
@@ -1042,9 +1045,11 @@ def parse_project(root_dir: os.PathLike | str) -> SourceModel:
                         f"{earlier.source_file} and {rel}; using {rel}", rel))
                 classes[cls.qualified_name] = cls
             parsed_any = True
-        except (JavaSyntaxError, UnicodeDecodeError) as exc:
+        except (JavaSyntaxError, UnicodeDecodeError, OSError) as exc:
+            # an OSError's text would repeat the path as the OS was given it
+            message = getattr(exc, "strerror", None) or str(exc)
             line = getattr(exc, "line", 0)
-            diagnostics.append(Diagnostic(PARSE_ERROR, str(exc), rel, line))
+            diagnostics.append(Diagnostic(PARSE_ERROR, message, rel, line))
     if not parsed_any:
         details = "; ".join(d.render() for d in diagnostics)
         raise ProjectParseError(f"no parsable .java files under {root}: {details}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import FIXTURES_DIR, GT_DIR
+from oasforge import cli
 from oasforge.cli import main
 
 
@@ -255,7 +257,7 @@ def test_generate_missing_input_is_usage_error(runner, tmp_path):
     result = run(runner, "generate",
                  "--input", str(tmp_path / "nowhere"),
                  "--output", str(tmp_path))
-    assert result.exit_code != 0
+    assert result.exit_code == 2
 
 
 def test_generate_source_tree_without_java_is_fatal(runner, tmp_path):
@@ -265,6 +267,100 @@ def test_generate_source_tree_without_java_is_fatal(runner, tmp_path):
                  "--input", str(empty), "--output", str(tmp_path / "out"))
     assert result.exit_code == 1
     assert "error:" in result.stderr
+
+
+def test_unreadable_java_path_is_a_parse_error(runner, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(FIXTURES_DIR / "request_body", tree)
+    (tree / "Broken.java").symlink_to(tree / "nowhere.java")
+    (tree / "Dir.java").mkdir()
+    result = run(runner, "generate", "--input", str(tree),
+                 "--output", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    parse_errors = [line for line in result.stderr.splitlines()
+                    if line.startswith("PARSE_ERROR: ")]
+    assert [line.rpartition(" ")[2] for line in parse_errors] == \
+        ["(Broken.java:0)", "(Dir.java:0)"]
+    assert str(tree) not in result.stderr
+    assert "operations: 1" in result.stdout
+
+
+def _fatal_run(case: str, runner, tmp_path) -> list[str]:
+    """The arguments of `case`, a run that must end in one `error:` line,
+    once what it reads is made under `tmp_path`."""
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    described = tmp_path / "described"
+    run(runner, "generate", "--input", str(FIXTURES_DIR / "request_body"),
+        "--output", str(described))
+    truth = str(GT_DIR / "request_body.json")
+    if case == "merge-conflict":
+        return ["generate", "--input", str(FIXTURES_DIR / "profile_split"),
+                "--output", str(tmp_path / "out"), "--merge"]
+    if case == "output-under-file":
+        return ["generate", "--input", str(FIXTURES_DIR / "request_body"),
+                "--output", str(regular / "out")]
+    if case == "report-under-file":
+        return ["evaluate", "--oas", str(described), "--gt", truth,
+                "--report-json", str(regular / "report.json")]
+    if case == "truth-not-utf8":
+        (tmp_path / "truth.json").write_bytes(b'{"methods": "\xff"}')
+        return ["evaluate", "--oas", str(described),
+                "--gt", str(tmp_path / "truth.json")]
+    assert case == "directory-named-json"
+    (described / "sub.json").mkdir()
+    return ["evaluate", "--oas", str(described), "--gt", truth]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("merge-conflict", "cannot merge documents:"),
+    ("output-under-file", "Not a directory"),
+    ("report-under-file", "Not a directory"),
+    ("truth-not-utf8", "can't decode byte 0xff"),
+    ("directory-named-json", "Is a directory"),
+])
+def test_fatal_error_is_one_error_line_and_writes_nothing(
+        runner, tmp_path, case, message):
+    args = _fatal_run(case, runner, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    result = run(runner, *args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert [line for line in result.stderr.splitlines()
+            if line.startswith("error:")] == result.stderr.splitlines()[:1]
+    assert message in result.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_document_that_fails_validation_is_fatal_and_writes_nothing(
+        runner, tmp_path, monkeypatch):
+    validated = []
+
+    def fail_second(doc):
+        validated.append(doc)
+        return ["first fault", "second fault"] if len(validated) == 2 else []
+
+    monkeypatch.setattr(cli, "validate_document", fail_second)
+    out = tmp_path / "out"
+    result = run(runner, "generate",
+                 "--input", str(FIXTURES_DIR / "profile_split"),
+                 "--output", str(out))
+    assert result.exit_code == 1
+    assert result.stderr == ("error: generated document failed validation:\n"
+                             "  first fault\n  second fault\n")
+    assert len(validated) == 2
+    assert not out.exists()
+
+
+def test_evaluate_directory_without_descriptions_is_fatal(runner, tmp_path):
+    (tmp_path / "notes.txt").write_text("")
+    result = run(runner, "evaluate", "--oas", str(tmp_path),
+                 "--gt", str(GT_DIR / "request_body.json"))
+    assert result.exit_code == 1
+    assert result.stderr == f"error: no description files in {tmp_path}\n"
 
 
 def test_evaluate_perfect_match(runner, tmp_path):
@@ -527,6 +623,7 @@ def test_profile_independent_diagnostic_is_printed_once(runner, tmp_path):
 
 _JSON_RUNS = """
 import sys
+from oasforge import cli
 from oasforge.cli import main
 fixture, truth, out = sys.argv[1:]
 for args in (["generate", "--input", fixture, "--output", out],
@@ -553,3 +650,18 @@ def test_json_runs_do_not_import_yaml(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "request_body-default.openapi.json").is_file()
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # click ends a run whose stdout was closed with exit 1 and nothing on
+    # stderr; the handler of fatal errors leaves that to it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oasforge.cli", "generate", "--input",
+         str(FIXTURES_DIR / "request_body"), "--output", str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the interpreter has started
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

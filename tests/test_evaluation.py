@@ -77,6 +77,13 @@ def test_missing_file_rejected(tmp_path):
         load_ground_truth(tmp_path / "absent.json")
 
 
+def test_truth_that_is_not_utf8_rejected(tmp_path):
+    file = tmp_path / "truth.json"
+    file.write_bytes(b'{"methods": "\xff"}')
+    with pytest.raises(GroundTruthError, match="can't decode byte 0xff"):
+        load_ground_truth(file)
+
+
 # -- flattening -------------------------------------------------------------
 
 def test_flatten_collects_methods_parameters_responses():

@@ -1,5 +1,7 @@
 """Source-model tests: parsing, constant resolution, supertype chains."""
 
+import errno
+import os
 import re
 from collections.abc import Mapping
 
@@ -44,6 +46,20 @@ def test_no_parsable_files_is_fatal(tmp_path):
     (tmp_path / "Broken.java").write_text("class {{{")
     with pytest.raises(ProjectParseError):
         parse_project(tmp_path)
+
+
+def test_unreadable_java_path_is_a_parse_error_naming_it(tmp_path):
+    (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
+    (tmp_path / "Broken.java").symlink_to(tmp_path / "nowhere.java")
+    (tmp_path / "Dir.java").mkdir()
+    (tmp_path / "Dir.java" / "B.java").write_text(
+        "package app;\nclass B {}\n")
+    model = parse_project(tmp_path)
+    assert sorted(model.classes) == ["app.A", "app.B"]
+    assert [(d.code, d.file, d.line, d.message)
+            for d in model.parse_diagnostics] == [
+        ("PARSE_ERROR", "Broken.java", 0, os.strerror(errno.ENOENT)),
+        ("PARSE_ERROR", "Dir.java", 0, os.strerror(errno.EISDIR))]
 
 
 def test_syntax_error_recorded_and_skipped():
@@ -546,6 +562,17 @@ def test_negative_annotation_value_is_an_int_literal():
     assert value == -1 and type(value) is int
 
 
+@pytest.mark.parametrize("literal, value", [
+    ("0", 0), ("7", 7), ("1_000", 1000), ("12L", 12), ("0x1F", 31),
+    ("0x1d", 29), ("0xFF", 255), ("0X7fff_ffffL", 2147483647), ("010", 8),
+    ("0_17l", 15), ("0b101", 5), ("0B1_1L", 3),
+])
+def test_integer_literals_are_read_as_the_jls_reads_them(literal, value):
+    (field,) = only_class(f"class A {{ @Max({literal}) int n; }}").fields
+    read = field.annotations[0].attributes["value"]
+    assert read == value and type(read) is int
+
+
 def test_annotation_types_are_skipped_whole():
     classes = parse_source("""
 package app;
@@ -698,6 +725,7 @@ _REFERENCE_TOKEN_RE = re.compile(
     | (?P<str>"(?:\\.|[^"\\])*")
     | (?P<char>'(?:\\.|[^'\\])+')
     | (?P<num>0[xX][0-9a-fA-F_]+[lL]?
+        |0[bB][01_]+[lL]?
         |\d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
         |\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?)
     | (?P<ident>[A-Za-z_$][\w$]*|[^\W\d][\w$]*)
@@ -760,6 +788,8 @@ def tokens_or_error(tokenizer, source):
     ("\u03c0 x\u0663 $\u00fc", [("ident", "\u03c0", 1),
                                ("ident", "x\u0663", 1),
                                ("ident", "$\u00fc", 1)]),
+    ("0b101 0B1_0L 0b2", [("num", "0b101", 1), ("num", "0B1_0L", 1),
+                          ("num", "0", 1), ("ident", "b2", 1)]),
 ])
 def test_tokenize_pinned_cases(source, expected):
     assert tokens_or_error(columns_as_triples, source) == expected
@@ -768,7 +798,7 @@ def test_tokenize_pinned_cases(source, expected):
 
 _TOKENIZER_FRAGMENTS = st.sampled_from([
     *"ab1.5e+_$ \n\t/*\"'\\#\u00e9\u00f6\u00b2\u0663`xX0{}()<>=-;",
-    "/*", "*/", "//", "...", '"""', "0x1F", "class"])
+    "/*", "*/", "//", "...", '"""', "0x1F", "0b1_0L", "class"])
 
 
 @given(st.lists(_TOKENIZER_FRAGMENTS, max_size=40).map("".join))

@@ -1,7 +1,8 @@
-"""Property: any small Spring-like tree gives documents that both
+"""Properties: any small Spring-like tree gives documents that both
 `validate_document` and openapi-spec-validator accept, whose components are
 the schemas their operations reach, and whose schema names mean one schema
-across profiles."""
+across profiles; and `generate` on a mutated fixture tree ends either in
+documents or in one `error:` line, never in a traceback."""
 
 import json
 import re
@@ -9,9 +10,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES_DIR
+from oasforge.cli import main
 from oasforge.emitter import MergeConflictError, merge_documents
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
@@ -269,3 +273,67 @@ def test_generated_documents_pass_both_validators(files):
         merge_documents(result.documents, result.project)
     except MergeConflictError as exc:
         assert all(c.startswith("operation ") for c in exc.conflicts)
+
+
+# Each fixture's files, read once: path under the fixture -> bytes.
+FIXTURE_FILES = {fixture.name: {p.relative_to(fixture).as_posix():
+                                p.read_bytes()
+                                for p in sorted(fixture.rglob("*.java"))}
+                 for fixture in sorted(FIXTURES_DIR.iterdir())
+                 if fixture.is_dir()}
+
+JAVA_FRAGMENTS = [
+    "{", "}", "(", ")", "<", ">", ";", ",", ".", "@", "=", '"', "'", "/*",
+    "//", "\\u", "#", "\n", "class X {", "interface I {}",
+    "record R(int a) {}", "extends Missing", "@RestController",
+    '@GetMapping("/m")', '@RequestMapping(path = P.C)', '@Profile("dev")',
+    "@PathVariable", "0b101", "0x1F", "010", "-1", "\u00e9",
+    "<T extends Comparable<T>>",
+]
+
+
+@st.composite
+def mutated_trees(draw) -> tuple[dict[str, bytes], list[str]]:
+    """A fixture tree, one of whose `.java` files has had 1-3 spans of up
+    to 80 bytes cut or duplicated, or Java fragments inserted, and the
+    flags to run it with."""
+    files = dict(FIXTURE_FILES[draw(st.sampled_from(sorted(FIXTURE_FILES)))])
+    name = draw(st.sampled_from(sorted(files)))
+    data = files[name]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 80)))
+        kind = draw(st.sampled_from(["cut", "duplicate", "insert"]))
+        if kind == "cut":
+            data = data[:i] + data[j:]
+        elif kind == "duplicate":
+            data = data[:j] + data[i:j] + data[j:]
+        else:
+            data = data[:i] + draw(st.sampled_from(JAVA_FRAGMENTS)).encode(
+                "utf-8") + data[i:]
+    files[name] = data
+    flags = draw(st.sampled_from([[], ["--merge"], ["--format", "yaml"],
+                                  ["--profiles", "default"]]))
+    return files, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_trees())
+def test_mutated_tree_ends_in_documents_or_one_error_line(case):
+    files, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root, out = Path(tmp) / "tree", Path(tmp) / "out"
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        result = CliRunner().invoke(main, ["generate", "--input", str(root),
+                                           "--output", str(out), *flags])
+        assert result.exit_code in (0, 1), result.output
+        assert result.exception is None or \
+            isinstance(result.exception, SystemExit), result.exc_info
+        assert "Traceback" not in result.output
+        if result.exit_code == 1:
+            errors = [line for line in result.stderr.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == 1, result.stderr
+            assert not out.exists() or not any(out.iterdir())
