@@ -5,7 +5,7 @@ checkouts:
 
     python3 scripts/output_digest.py a.json      # in one checkout
     python3 scripts/output_digest.py b.json      # in the other
-    cmp a.json b.json
+    python3 scripts/digest_diff.py a.json b.json
 
 It makes 48 `generate` runs: each of the 14 fixtures plain, with `--merge`
 and with `--format yaml`, and seeds 1 and 2 of each workload of

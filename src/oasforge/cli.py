@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -80,11 +81,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
         outputs[f"{result.project}-merged.openapi.json"] = merge_documents(
             result.documents, result.project)
 
-    # serialized one at a time, as written, so no two texts are held at once
-    output_dir.mkdir(parents=True, exist_ok=True)
-    for name, doc in outputs.items():
-        (output_dir / name).write_bytes(
-            serialize(doc, name.rpartition(".")[2]))
+    _write_outputs(output_dir, outputs)
 
     for diag in result.diagnostics:
         click.echo(diag.render(), err=True)
@@ -102,6 +99,29 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
 
     if fail_on_diagnostics and result.diagnostics:
         sys.exit(EXIT_DIAGNOSTICS)
+
+
+def _write_outputs(output_dir: Path, outputs: dict[str, dict]) -> None:
+    """Write each document of `outputs` under `output_dir`, serialized one
+    at a time, as written, so no two texts are held at once. On any error,
+    the files this run opened and the directories it made are removed."""
+    made = [d for d in (output_dir, *output_dir.parents) if not d.exists()]
+    opened: list[Path] = []
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        for name, doc in outputs.items():
+            data = serialize(doc, name.rpartition(".")[2])
+            with open(output_dir / name, "wb") as out:
+                opened.append(output_dir / name)
+                out.write(data)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for directory in made:  # innermost first; only if left empty
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def _load_description(path: Path) -> dict:

@@ -8,7 +8,7 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
@@ -408,7 +408,7 @@ def _success_responses(handler: MethodDecl,
                        diagnostics: list[Diagnostic]) -> dict[str, dict]:
     """The response of each success code of `handler`, with a body schema
     on each 1xx-3xx one; `status` is the declaration of its @ResponseStatus
-    (see `_handlers`), with its class."""
+    (see `_analyze`), with its class."""
     explicit = _literal_statuses(handler, file, diagnostics)
     annotated = None
     if status is not None:
@@ -458,103 +458,102 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 # Endpoint extraction
 # ---------------------------------------------------------------------------
 
-def _handlers(chain: list[ClassDecl]) -> list[tuple]:
-    """The handler of each mapped method signature of the hierarchy, the
-    nearest declaration, with its class, the (annotation, class, line) of
-    its mapping and the (class, method) of its @ResponseStatus: those of
-    the nearest declarations with one, each named in its class, as Spring
-    finds them on the methods a handler overrides too. A parameter of the
-    handler with no annotations takes those of the mapped declaration."""
-    out: list[tuple] = []
+@dataclass(slots=True)
+class HandlerAnalysis:
+    """What a handler gives every profile: each path's operation less
+    `responses`."""
+    method: MethodDecl
+    file: str  # of the class that declares it, for diagnostics
+    verbs: list[str]
+    operations: list[tuple[str, dict]]
+    success: dict[str, dict]
+
+
+def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
+             diagnostics: list[Diagnostic]) -> list[HandlerAnalysis]:
+    """Each handler of the hierarchy, in the order its mapping is found, under
+    the type-level mapping of the nearest class with one. A signature's
+    handler is its nearest declaration. Its mapping and @ResponseStatus are
+    the nearest declared, each named in its class, as Spring finds them on
+    overridden methods; an unannotated parameter takes the mapped one's."""
+    type_level = None
     nearest: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
+    mapped: dict[tuple, tuple[ClassDecl, MethodDecl, AnnotationUse]] = {}
     statuses: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
-    mapped: set[tuple] = set()
-    for cls in chain:
+    for cls in supertype_chain(controller, model):
+        if type_level is None and (anno := find_annotation(
+                cls.annotations, REQUEST_MAPPING)):
+            type_level = _mapping(anno, cls, 0, model, diagnostics)
         for method in cls.methods:
             sig = (method.name, tuple((p.type.simple_name, p.type.array_depth)
                                       for p in method.parameters))
-            owner, handler = nearest.setdefault(sig, (cls, method))
+            nearest.setdefault(sig, (cls, method))
+            if sig not in mapped and (anno := find_annotation(
+                    method.annotations, MAPPING_ANNOTATIONS)):
+                mapped[sig] = (cls, method, anno)
             if find_annotation(method.annotations, {"ResponseStatus"}):
                 statuses.setdefault(sig, (cls, method))
-            anno = None if sig in mapped else find_annotation(
-                method.annotations, MAPPING_ANNOTATIONS)
-            if anno is None:
-                continue
-            mapped.add(sig)
-            if handler is not method:
-                handler = replace(handler, parameters=tuple(
-                    replace(p, annotations=p.annotations or q.annotations)
-                    for p, q in zip(handler.parameters, method.parameters)))
-            out.append((owner, handler, (anno, cls, method.line), sig))
-    return [(owner, handler, mapping, statuses.get(sig))
-            for owner, handler, mapping, sig in out]
+    base_paths, base_verbs = type_level or ([""], None)
+
+    handlers: list[HandlerAnalysis] = []
+    for sig, (cls, declaration, anno) in mapped.items():
+        owner, handler = nearest[sig]
+        if handler is not declaration:
+            handler = replace(handler, parameters=tuple(
+                replace(p, annotations=p.annotations or q.annotations)
+                for p, q in zip(handler.parameters, declaration.parameters)))
+        file = owner.source_file
+        method_paths, verbs = _mapping(anno, cls, declaration.line, model,
+                                       diagnostics)
+        # as in Spring: paths by product, verbs by union
+        verbs = list(HTTP_VERBS) if base_verbs is verbs is None else \
+            list(dict.fromkeys((base_verbs or []) + (verbs or [])))
+        params, body = extract_parameters(handler, model, reg, controller,
+                                          file, diagnostics)
+        with_body = {} if body is None else {"requestBody": body}
+        operations = []
+        for base in base_paths:
+            for raw_path in method_paths:
+                path, variables = split_template(normalize_path(
+                    base, raw_path), file, handler.line, diagnostics)
+                path_params = _bind_to_template(params, path, variables,
+                                                handler, file, diagnostics)
+                operations.append((path, {"parameters": path_params,
+                                          **with_body}
+                                   if path_params else with_body))
+        # After the parameters, so schema names are allocated in the order
+        # the golden corpus fixes.
+        handlers.append(HandlerAnalysis(handler, file, verbs, operations, (
+            _success_responses(handler, statuses.get(sig), model, reg,
+                               controller, file, diagnostics))))
+    return handlers
 
 
 def extract_endpoints(unit: ProfileUnit, model: SourceModel,
-                      reg: SchemaRegistry, analyses: dict[str, tuple],
+                      reg: SchemaRegistry,
+                      analyses: dict[str, list[HandlerAnalysis]],
                       diagnostics: list[Diagnostic]
                       ) -> dict[tuple[str, str], dict]:
     """The operation dict of each (path, VERB) of `unit`, in the order the
     handlers are found; a later handler of a taken (path, VERB) is dropped
-    with DUPLICATE_METHOD. `analyses` keeps, by controller, what it gives
-    every profile: the type-level mapping of the nearest class that has one,
-    handlers, and each handler's analysis, made when the controller's first
-    visit reaches it, so diagnostics keep their order."""
+    with DUPLICATE_METHOD. Each controller is analyzed on its first visit,
+    into `analyses` by qualified name, and here only linked to the unit."""
     operations: dict[tuple[str, str], dict] = {}
     for controller in unit.controller_set.controllers:
         key = controller.qualified_name
         if key not in analyses:
-            chain = supertype_chain(controller, model)
-            type_level = next((_mapping(anno, cls, 0, model, diagnostics)
-                               for cls in chain if (anno := find_annotation(
-                                   cls.annotations, REQUEST_MAPPING))),
-                              ([""], None))
-            analyses[key] = (type_level, _handlers(chain), [])
-        (base_paths, base_verbs), handlers, analyzed = analyses[key]
-        for position, (owner, handler, mapping, status) in \
-                enumerate(handlers):
-            # Types resolve in the controller; diagnostics point at the
-            # class that declares the handler, or its mapping.
-            file = owner.source_file
-            if position == len(analyzed):
-                method_paths, verbs = _mapping(*mapping, model, diagnostics)
-                # as in Spring: paths by product, verbs by union
-                verbs = list(HTTP_VERBS) if base_verbs is verbs is None else \
-                    list(dict.fromkeys((base_verbs or []) + (verbs or [])))
-                params, body = extract_parameters(
-                    handler, model, reg, controller, file, diagnostics)
-                per_path = []
-                for base in base_paths:
-                    for raw_path in method_paths:
-                        path, variables = split_template(
-                            normalize_path(base, raw_path), file,
-                            handler.line, diagnostics)
-                        per_path.append((path, _bind_to_template(
-                            params, path, variables, handler, file,
-                            diagnostics)))
-                # After the parameters, so schema names are allocated in
-                # the order the golden corpus fixes.
-                analyzed.append((verbs, per_path, body,
-                                 _success_responses(handler, status, model,
-                                                    reg, controller, file,
-                                                    diagnostics)))
-            verbs, per_path, body, success = analyzed[position]
-            responses = extract_responses(handler, success, unit, model,
-                                          controller, diagnostics)
-            for path, path_params in per_path:
-                operation: dict = {}
-                if path_params:
-                    operation["parameters"] = path_params
-                if body is not None:
-                    operation["requestBody"] = body
-                operation["responses"] = responses
-                for verb in verbs:
+            analyses[key] = _analyze(controller, model, reg, diagnostics)
+        for handler in analyses[key]:
+            responses = extract_responses(handler.method, handler.success,
+                                          unit, model, controller, diagnostics)
+            for path, template in handler.operations:
+                operation = {**template, "responses": responses}
+                for verb in handler.verbs:
                     if (path, verb) in operations:
                         diagnostics.append(Diagnostic(
-                            DUPLICATE_METHOD,
-                            f"duplicate operation {verb} {path} in "
-                            f"profile {unit.profile_name!r}",
-                            file, handler.line))
+                            DUPLICATE_METHOD, f"duplicate operation {verb} "
+                            f"{path} in profile {unit.profile_name!r}",
+                            handler.file, handler.method.line))
                         continue
                     operations[path, verb] = operation
     return operations

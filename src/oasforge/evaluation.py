@@ -61,14 +61,13 @@ def _normalize_path(path: str) -> str:
     return "/" + "/".join(segments)
 
 
-def _entry(row: dict, keys: tuple[str, ...], index: int, category: str
-           ) -> tuple:
+def _entry(row: dict, keys: tuple[str, ...]) -> tuple:
     if not isinstance(row, dict):
-        raise GroundTruthError(f"{category}[{index}]: entry must be an object")
+        raise GroundTruthError("entry must be an object")
     values = []
     for key in keys:
         if key not in row:
-            raise GroundTruthError(f"{category}[{index}]: missing {key!r}")
+            raise GroundTruthError(f"missing {key!r}")
         value = str(row[key])
         if key == "path":
             value = _normalize_path(value)
@@ -102,7 +101,11 @@ def load_ground_truth(file: Path | str) -> dict[str, frozenset]:
             raise GroundTruthError(f"{path}: {category} must be an array")
         entries = set()
         for i, row in enumerate(rows):
-            entry = _entry(row, keys, i, category)
+            try:
+                entry = _entry(row, keys)
+            except GroundTruthError as exc:
+                raise GroundTruthError(
+                    f"{path}: {category}[{i}]: {exc}") from None
             if entry in entries:
                 raise GroundTruthError(
                     f"{path}: duplicate {category} entry at index {i}: {entry}")

@@ -299,6 +299,15 @@ class ClassDecl:
         return self.qualified_name.rsplit(".", 1)[-1]
 
     @cached_property
+    def lexical_scopes(self) -> list[str]:
+        """The qualified names of this class and of each class that
+        lexically encloses it, innermost first."""
+        prefix = f"{self.package}." if self.package else ""
+        nested = self.qualified_name[len(prefix):].split(".")
+        return [prefix + ".".join(nested[:depth])
+                for depth in range(len(nested), 0, -1)]
+
+    @cached_property
     def string_constants(self) -> dict[str, AttributeValue]:
         """Static final fields with a constant initializer, by name. Built
         on first use, after parsing has set `fields`."""
@@ -315,10 +324,12 @@ class SourceModel:
 
     This is the only code that decides which class a name means.
     `resolve_type_name` tries, in order: the name as a fully qualified
-    name, the single-type import of the naming class, the naming class's
-    own package, its wildcard imports, the member types of the types its
-    static imports on demand name, and last a class anywhere in the model
-    whose simple name is unique. In that last step a qualified name
+    name, a member type of the naming class or of a class that lexically
+    encloses it, innermost first (JLS 6.4.1; inherited member types are
+    not searched), the single-type import of the naming class, the naming
+    class's own package, its wildcard imports, the member types of the
+    types its static imports on demand name, and last a class anywhere in
+    the model whose simple name is unique. In that last step a qualified name
     only matches a class whose fully qualified name ends with "." plus the
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
     does not find `app.Date`. A single-type import decides alone, as it
@@ -378,6 +389,9 @@ class SourceModel:
             matches = [c for c in self.by_simple_name(name.rsplit(".", 1)[1])
                        if c.qualified_name.endswith("." + name)]
         else:
+            for owner in ctx.lexical_scopes:  # member types shadow imports
+                if f"{owner}.{name}" in self.classes:
+                    return f"{owner}.{name}"
             imported = ctx.imports.get(name)
             if imported:  # shadows every class of the same simple name
                 return imported if imported in self.classes else None
@@ -1115,10 +1129,8 @@ def _simple_name_scopes(name: str, ctx: ClassDecl, model: SourceModel
     names. None stands for a class outside the model. Each is looked up
     only when the ones before it do not declare the name."""
     yield ctx
-    prefix = f"{ctx.package}." if ctx.package else ""
-    nested = ctx.qualified_name[len(prefix):].split(".")
-    for depth in range(len(nested) - 1, 0, -1):
-        yield model.classes.get(prefix + ".".join(nested[:depth]))
+    for owner in ctx.lexical_scopes[1:]:
+        yield model.classes.get(owner)
     imported = ctx.static_imports.get(name)
     if imported:
         yield model.find_class(imported, ctx)

@@ -225,6 +225,8 @@ def test_input_nested_too_deeply_is_fatal_without_traceback(
     assert result.stderr == \
         "error: the input is nested too deeply to describe\n"
     assert "Traceback" not in result.output
+    # the YAML writer fails while writing, after the directory was made
+    assert not (tmp_path / "out").exists()
 
 
 def test_class_extending_outside_class_of_same_name_is_not_a_cycle(
@@ -353,6 +355,36 @@ def test_document_that_fails_validation_is_fatal_and_writes_nothing(
                              "  first fault\n  second fault\n")
     assert len(validated) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
+                                                 monkeypatch, nested):
+    serialized = []
+    real_serialize = cli.serialize
+
+    def fail_second(doc, fmt):
+        serialized.append(fmt)
+        if len(serialized) == 2:
+            raise OSError("No space left on device")
+        return real_serialize(doc, fmt)
+
+    monkeypatch.setattr(cli, "serialize", fail_second)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    target = out / "a" / "b" if nested else out
+    result = run(runner, "generate",
+                 "--input", str(FIXTURES_DIR / "profile_split"),
+                 "--output", str(target))
+    assert result.exit_code == 1
+    assert result.stderr == "error: No space left on device\n"
+    assert len(serialized) == 2
+    # the first document was written, and is removed with the directories
+    # this run made; what was there before stays
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["notes.txt",
+                                                           "out"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_evaluate_directory_without_descriptions_is_fatal(runner, tmp_path):

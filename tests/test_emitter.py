@@ -120,6 +120,10 @@ def test_serialize_falls_back_where_libyaml_diverges(data):
             != _reference_yaml(data)
 
 
+def test_libyaml_guard_refuses_a_number():
+    assert not _libyaml_agrees({"a": 1})
+
+
 def _perfbench_documents(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -287,7 +291,7 @@ def test_components_hold_only_the_schemas_operations_reach(tmp_path):
     assert list(result.documents["default"]["components"]["schemas"]) == \
         ["Item", "Part"]
     assert [d.code for d in result.diagnostics] == [
-        "DUPLICATE_METHOD", "SKIPPED_PARAMETER", "UNBOUND_PATH_VARIABLE"]
+        "SKIPPED_PARAMETER", "UNBOUND_PATH_VARIABLE", "DUPLICATE_METHOD"]
 
 
 @pytest.mark.parametrize("first_profile", ["default", "eu"])
@@ -326,6 +330,11 @@ def test_version_from_pom(tmp_path):
 def test_version_from_gradle(tmp_path):
     (tmp_path / "build.gradle").write_text("version = '0.9.0'\n")
     assert read_project_version(tmp_path) == "0.9.0"
+
+
+def test_version_defaults_when_the_pom_is_malformed(tmp_path):
+    (tmp_path / "pom.xml").write_text("<project><version>2.4.1</project>")
+    assert read_project_version(tmp_path) == "0.0.0"
 
 
 def test_version_defaults_without_descriptor(tmp_path):

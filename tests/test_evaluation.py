@@ -65,6 +65,20 @@ def test_missing_key_rejected(tmp_path):
         load_ground_truth(file)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"methods": [1]}, "methods[0]: entry must be an object"),
+    ({"methods": [{"verb": "GET"}]}, "methods[0]: missing 'path'"),
+    ([], "top level must be an object"),
+    ({"responses": {}}, "responses must be an array"),
+])
+def test_malformed_truth_is_rejected_naming_its_file(tmp_path, data,
+                                                     message):
+    file = write_gt(tmp_path, data)
+    with pytest.raises(GroundTruthError) as exc:
+        load_ground_truth(file)
+    assert str(exc.value) == f"{file}: {message}"
+
+
 def test_malformed_json_reports_position(tmp_path):
     file = tmp_path / "bad.json"
     file.write_text("{\n  broken\n}")
@@ -136,6 +150,14 @@ def test_flatten_dangling_ref_raises():
     }
     with pytest.raises(KeyError):
         flatten_for_eval(doc)
+
+
+def test_flatten_skips_path_item_keys_that_are_not_operations():
+    doc = {"paths": {"/a": {"summary": "not an operation",
+                            "get": {"responses": {"200": {}}}}}}
+    assert flatten_for_eval(doc) == {
+        "methods": {("/a", "GET")}, "parameters": set(),
+        "responses": {("/a", "GET", "200")}}
 
 
 def test_flatten_empty_document():

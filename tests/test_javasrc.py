@@ -357,6 +357,21 @@ def test_qualified_name_resolves_only_to_a_class_ending_with_it():
     assert model.classes["app.Date"].superclass == TypeRef("java.util.Date")
 
 
+def test_member_type_shadows_imports_and_other_packages():
+    model = model_from(
+        "package app;\nimport app.other.Part;\n"
+        "class Api { static class Item { Part part; }\n"
+        "  static class Part {}\n  Item get() { return null; } }\n",
+        "package app.other;\npublic class Item { int other; }\n"
+        "public class Part {}\n")
+    api, item = model.classes["app.Api"], model.classes["app.Api.Item"]
+    # a member type of the naming class, though two classes are `Item`
+    assert model.resolve_type_name("Item", api) == "app.Api.Item"
+    # a member of the enclosing class shadows the single-type import
+    assert model.resolve_type_name("Part", item) == "app.Api.Part"
+    assert model.resolve_type_name("Part", api) == "app.Api.Part"
+
+
 def test_single_type_import_from_outside_the_tree_shadows_a_tree_class():
     model = model_from(
         "package app.err;\nclass Err extends RuntimeException {}\n",
@@ -562,10 +577,18 @@ def test_negative_annotation_value_is_an_int_literal():
     assert value == -1 and type(value) is int
 
 
+def test_minus_before_a_name_is_a_syntax_error():
+    with pytest.raises(JavaSyntaxError,
+                       match=r"^expected number after '-' \(line 1\)$"):
+        parse_source("class A { @Max(-x) int n; }")
+
+
 @pytest.mark.parametrize("literal, value", [
     ("0", 0), ("7", 7), ("1_000", 1000), ("12L", 12), ("0x1F", 31),
     ("0x1d", 29), ("0xFF", 255), ("0X7fff_ffffL", 2147483647), ("010", 8),
     ("0_17l", 15), ("0b101", 5), ("0B1_1L", 3),
+    # a floating-point literal is no integer
+    ("2f", 0), ("1.5", 0), ("1e3", 0),
 ])
 def test_integer_literals_are_read_as_the_jls_reads_them(literal, value):
     (field,) = only_class(f"class A {{ @Max({literal}) int n; }}").fields

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import model_from
 from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
+from oasforge.pipeline import generate_project
 from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, primitive,
                               ref_to, required_fields, schema_for_type,
                               unwrap_response_wrapper)
@@ -531,3 +532,22 @@ enum Level { LOW, HIGH }
     assert reg.schemas["Tagged"]["properties"] == {
         "level": {"type": "string", "enum": ["LOW", "HIGH"]},
         "tags": {"type": "array", "items": {"type": "string"}}}
+
+
+def test_member_type_is_the_schema_of_its_simple_name(tmp_path):
+    (tmp_path / "app" / "other").mkdir(parents=True)
+    (tmp_path / "app" / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        "    static class Item { String name; Part part; }\n"
+        "    static class Part { int size; }\n"
+        '    @GetMapping("/item")\n    Item get() { return null; }\n}\n')
+    (tmp_path / "app" / "other" / "Item.java").write_text(
+        "package app.other;\npublic class Item { int other; }\n"
+        "class Part { int other; }\n")
+    result = generate_project(tmp_path)
+    schemas = result.documents["default"]["components"]["schemas"]
+    assert {name: list(s["properties"]) for name, s in schemas.items()} == \
+        {"Item": ["name", "part"], "Part": ["size"]}
+    assert result.diagnostics == []
