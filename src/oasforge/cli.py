@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from .diagnostics import FatalError
-from .emitter import merge_documents, serialize
+from .emitter import RunMemo, merge_documents, serialize
 from .evaluation import (CATEGORIES, evaluate, flatten_for_eval,
                          format_report, load_ground_truth)
 from .oasvalidate import validate_document
@@ -72,7 +72,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     result = generate_project(input_root, profiles_filter)
     outputs = {}  # file name -> document; its suffix is its format
     for profile, doc in result.documents.items():
-        errors = validate_document(doc)
+        errors = validate_document(doc, result.memo)
         if errors:
             raise FatalError("generated document failed validation:"
                              + "".join(f"\n  {err}" for err in errors))
@@ -81,7 +81,7 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
         outputs[f"{result.project}-merged.openapi.json"] = merge_documents(
             result.documents, result.project)
 
-    _write_outputs(output_dir, outputs)
+    _write_outputs(output_dir, outputs, result.memo)
 
     for diag in result.diagnostics:
         click.echo(diag.render(), err=True)
@@ -101,16 +101,18 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
         sys.exit(EXIT_DIAGNOSTICS)
 
 
-def _write_outputs(output_dir: Path, outputs: dict[str, dict]) -> None:
+def _write_outputs(output_dir: Path, outputs: dict[str, dict],
+                   memo: RunMemo) -> None:
     """Write each document of `outputs` under `output_dir`, serialized one
-    at a time, as written, so no two texts are held at once. On any error,
-    the files this run opened and the directories it made are removed."""
+    at a time through the run's `memo`, as written, so no two texts are
+    held at once. On any error, the files this run opened and the
+    directories it made are removed."""
     made = [d for d in (output_dir, *output_dir.parents) if not d.exists()]
     opened: list[Path] = []
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         for name, doc in outputs.items():
-            data = serialize(doc, name.rpartition(".")[2])
+            data = serialize(doc, name.rpartition(".")[2], memo)
             with open(output_dir / name, "wb") as out:
                 opened.append(output_dir / name)
                 out.write(data)

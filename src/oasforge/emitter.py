@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-import xml.etree.ElementTree as ET
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -26,6 +25,47 @@ class MergeConflictError(FatalError):
     def __init__(self, conflicts: list[str]):
         super().__init__("cannot merge documents:\n  " + "\n  ".join(conflicts))
         self.conflicts = conflicts
+
+
+class RunMemo:
+    """What one run derives from each operation and each schema dict of its
+    documents: its `$ref`s, its checks and its text, made once however many
+    documents hold it. A part is a dict that a document holds three dicts
+    down (`paths.<path>.<verb>`, `components.schemas.<name>`), so its text
+    is the same in each. Entries are keyed by a part's identity and hold the
+    part, so no id is reused while the memo lives; a part must not change
+    once a document holds it. Also holds the YAML text of each str."""
+
+    def __init__(self):
+        self._derived: dict[tuple, tuple] = {}  # (what, id) -> (part, value)
+        self.yaml_tokens: dict[str, str] = {}
+
+    def of(self, what, part, derive):
+        """`derive(part)`, made on the first call for `what` and `part`."""
+        key = (what, id(part))
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = (part, derive(part))
+        return hit[1]
+
+    def refs(self, part) -> list[str]:
+        """Each str `$ref` under `part`, in document order."""
+        return self.of("refs", part, _refs)
+
+
+def _refs(node) -> list[str]:
+    found: list[str] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            ref = node.get("$ref")
+            if isinstance(ref, str):
+                found.append(ref)
+            stack.extend(reversed(node.values()))
+        elif isinstance(node, list):
+            stack.extend(reversed(node))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -52,34 +92,32 @@ def doc_to_dict(paths: dict[str, dict[str, dict]], schemas: dict[str, dict],
 
 def assemble_document(operations: dict[tuple[str, str], dict],
                       reg: SchemaRegistry, project: str, profile: str,
-                      version: str) -> dict:
+                      version: str, memo: RunMemo | None = None) -> dict:
     """The document of one profile, from its operations by (path, VERB),
     with the schemas of `reg` that they reach; a profile other than
-    "default" is named in its title."""
+    "default" is named in its title. The run's `memo` holds the `$ref`s of
+    each operation and schema."""
     paths: dict[str, dict[str, dict]] = {}
     for (path, verb), operation in operations.items():
         paths.setdefault(path, {})[verb.lower()] = operation
     title = project if profile == "default" else f"{project} ({profile})"
-    return doc_to_dict(paths, _reached_schemas(paths, reg.schemas), title,
-                       version)
+    reached = _reached_schemas(
+        (op for verbs in paths.values() for op in verbs.values()),
+        reg.schemas, memo or RunMemo())
+    return doc_to_dict(paths, reached, title, version)
 
 
-def _reached_schemas(paths: dict, schemas: dict[str, dict]
+def _reached_schemas(operations, schemas: dict[str, dict], memo: RunMemo
                      ) -> dict[str, dict]:
-    """The schemas that `paths` refer to by `$ref`, directly or through
-    other schemas."""
+    """The schemas that `operations` refer to by `$ref`, directly or
+    through other schemas."""
     reached: dict[str, dict] = {}
-    stack: list = [paths]
+    stack = list(operations)
     while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            ref = node.get("$ref")
-            name = ref.rpartition("/")[2] if isinstance(ref, str) else None
+        for ref in memo.refs(stack.pop()):
+            name = ref.rpartition("/")[2]
             if name in schemas and name not in reached:
                 stack.append(reached.setdefault(name, schemas[name]))
-            stack.extend(node.values())
-        elif isinstance(node, list):
-            stack.extend(node)
     return reached
 
 
@@ -106,7 +144,7 @@ def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
             if what not in owners:
                 owners[what] = profile
                 table[key] = value
-            elif table[key] != value:
+            elif table[key] is not value and table[key] != value:
                 conflicts.append(f"{what} differs between profiles "
                                  f"{owners[what]!r} and {profile!r}")
     if conflicts:
@@ -116,49 +154,69 @@ def merge_documents(docs_by_profile: dict[str, dict], project: str) -> dict:
 
 
 @functools.cache
-def _no_alias_dumper(base: str = "SafeDumper") -> type:
-    """PyYAML's dumper `base`, `SafeDumper` or libyaml's `CSafeDumper`,
-    made to write each occurrence of a sub-dict in full instead of as an
-    anchor and its aliases: a document shares sub-dicts between operations.
-    Built on first use, so PyYAML is imported only where YAML is written."""
+def _no_alias_dumper() -> type:
+    """PyYAML's pure-Python `SafeDumper`, made to write each occurrence of
+    a sub-dict in full instead of as an anchor and its aliases: a document
+    shares sub-dicts between operations. Built on first use, so PyYAML is
+    imported only where YAML is written."""
     import yaml
-    return type(f"_NoAlias{base}", (getattr(yaml, base),),
+    return type("_NoAliasSafeDumper", (yaml.SafeDumper,),
                 {"ignore_aliases": lambda self, data: True})
 
 
-def _libyaml_agrees(data) -> bool:
-    """Whether libyaml writes `data` as `_no_alias_dumper()` does: it is a
-    dict or list holding only dicts with printable ASCII str keys of 1-60
-    characters, lists, printable ASCII str values and bools. Past that the
-    two part ways: they fold long double-quoted scalars at different
-    places, escape non-BMP characters and NEL differently, write long or
-    empty keys as `? ` keys at different lengths, and only PyYAML ends a
-    lone scalar with `...`."""
+# The indent of a part in JSON, and of its keys in YAML.
+_PART_INDENT = 6
+# Past this nesting the YAML writer leaves a document to the reference
+# dumper, so that its recursion stays bounded and a document too deep for
+# PyYAML fails as it always has.
+_YAML_MAX_DEPTH = 100
+
+
+def _yaml_strings(data) -> set[str] | None:
+    """The distinct str keys and values of `data` if `serialize`'s YAML
+    writer writes it as `_no_alias_dumper()` does, else None. It does for a
+    dict or list nested at most `_YAML_MAX_DEPTH` deep holding only dicts
+    with printable ASCII str keys of 1-60 characters, lists, printable
+    ASCII str values and bools. Past that the writer would need what it
+    lacks, and libyaml, which renders its scalars where it is installed,
+    would part ways with PyYAML: they fold long double-quoted scalars at
+    different places, escape non-BMP characters and NEL differently, write
+    long or empty keys as `? ` keys at different lengths, and only PyYAML
+    ends a lone scalar with `...`."""
     if type(data) not in (dict, list):
-        return False
-    stack = [data]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is dict:
-            for key in node:
-                if not (type(key) is str and 0 < len(key) <= 60
-                        and key.isascii() and key.isprintable()):
-                    return False
-            stack.extend(node.values())
-        elif kind is list:
-            stack.extend(node)
-        elif kind is str:
-            if not (node.isascii() and node.isprintable()):
-                return False
-        elif kind is not bool:
-            return False
-    return True
+        return None
+    strings: set[str] = set()
+    level = [data]
+    for _ in range(_YAML_MAX_DEPTH):
+        below = []
+        for node in level:
+            kind = type(node)
+            if kind is dict:
+                for key in node:
+                    if not (type(key) is str and 0 < len(key) <= 60
+                            and key.isascii() and key.isprintable()):
+                        return None
+                strings.update(node)
+                below.extend(node.values())
+            elif kind is list:
+                below.extend(node)
+            elif kind is str:
+                if not (node.isascii() and node.isprintable()):
+                    return None
+                strings.add(node)
+            elif kind is not bool:
+                return None
+        if not below:
+            return strings
+        level = below
+    return None
 
 
-def _json_chunks(node, indent: str, out: list[str]) -> None:
+def _json_chunks(node, indent: str, out: list[str], memo=None) -> None:
     """Append `node` to `out` as `json.dumps(indent=2, ensure_ascii=False)`
-    writes it at `indent`; dict keys are str."""
+    writes it at `indent`; dict keys are str. The run's `memo` is passed
+    down from a document's root through dict values only, so a dict value
+    it reaches at `_PART_INDENT` is a part, written through it."""
     if isinstance(node, str):
         out.append(encode_basestring(node))
     elif not node or not isinstance(node, (list, tuple, dict)):
@@ -170,7 +228,12 @@ def _json_chunks(node, indent: str, out: list[str]) -> None:
             out.append("{")
             for key, value in node.items():
                 out.append(f"{separator}{encode_basestring(key)}: ")
-                _json_chunks(value, inner, out)
+                if memo is None or type(value) is not dict:
+                    _json_chunks(value, inner, out)
+                elif len(inner) == _PART_INDENT:
+                    out.append(memo.of("json", value, _json_part))
+                else:
+                    _json_chunks(value, inner, out, memo)
                 separator = ",\n" + inner
             out.append("\n" + indent + "}")
         else:
@@ -182,23 +245,150 @@ def _json_chunks(node, indent: str, out: list[str]) -> None:
             out.append("\n" + indent + "]")
 
 
-def serialize(data: dict, format: str = "json") -> bytes:
-    """Render a document as JSON or YAML bytes. Both are written as PyYAML's
-    pure-Python `_no_alias_dumper()` and `json.dumps(indent=2)` would write
-    them, only faster: JSON by `_json_chunks`, YAML by libyaml where
-    `_libyaml_agrees`, else (or in a PyYAML built without libyaml) by
-    `_no_alias_dumper()`."""
+def _json_part(part: dict) -> str:
+    out: list[str] = []
+    _json_chunks(part, " " * _PART_INDENT, out)
+    return "".join(out)
+
+
+def _render_yaml_tokens(strings: set[str], tokens: dict[str, str]) -> None:
+    """Add to `tokens` each str of `strings` that it lacks, as the
+    reference dumper writes it as a key or a block value before folding:
+    plain or single-quoted, on one line. libyaml renders them where it is
+    installed, in one call for all."""
+    new = [text for text in strings if text not in tokens]
+    if new:
+        import yaml
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        # a width nothing reaches, so no string is folded
+        lines = yaml.dump(new, Dumper=dumper, width=1 << 30).split("\n")
+        tokens.update(zip(new, (line[2:] for line in lines)))
+
+
+# A lone space inside a scalar, where PyYAML may fold it.
+_FOLD_POINT = re.compile(r"(?<=[^ ]) (?=[^ ])")
+_FOLD_WIDTH = 80  # PyYAML's default line width
+
+
+def _yaml_scalar(token: str, column: int, indent: int, out: list[str]
+                 ) -> None:
+    """Append ` token`, a scalar that starts at `column`, folded as PyYAML
+    folds a plain or single-quoted scalar: at each lone space past column
+    80, other than a quoted text's first or last character, onto a new line
+    at `indent`."""
+    if column + len(token) <= _FOLD_WIDTH + 1 or " " not in token:
+        out.append(" " + token)
+        return
+    quoted = token[0] == "'"
+    lines = []
+    start = 0  # of the line being written, in `token`; at `column`
+    for match in _FOLD_POINT.finditer(token):
+        at = match.start()
+        if column + at - start > _FOLD_WIDTH and not (
+                quoted and at in (1, len(token) - 2)):
+            lines.append(token[start:at])
+            start, column = at + 1, indent
+    lines.append(token[start:])
+    out.append(" " + ("\n" + " " * indent).join(lines))
+
+
+def _yaml_leaf(value, column: int, indent: int, tokens: dict[str, str],
+               out: list[str]) -> bool:
+    """Append ` value` where `value` is a str, a bool or empty, as a block
+    value at `column` that continues at `indent`; whether it was one."""
+    kind = type(value)
+    if kind is str:
+        _yaml_scalar(tokens[value], column, indent, out)
+    elif kind is bool:
+        out.append(" true" if value else " false")
+    elif not value:
+        out.append(" {}" if kind is dict else " []")
+    else:
+        return False
+    return True
+
+
+def _yaml_mapping(node: dict, indent: int, tokens: dict[str, str],
+                  out: list[str], memo=None) -> None:
+    """Append the non-empty dict `node` as a block mapping with its keys at
+    column `indent`, the first where `out` ends; `memo` as in
+    `_json_chunks`, the keys of a part being at `_PART_INDENT`."""
+    separator = ""
+    inner = indent + 2
+    for key, value in node.items():
+        key = tokens[key]
+        out.append(f"{separator}{key}:")
+        separator = "\n" + " " * indent
+        if _yaml_leaf(value, indent + len(key) + 2, inner, tokens, out):
+            continue
+        if type(value) is not dict:  # a sequence in a mapping: indentless
+            out.append(separator)
+            _yaml_sequence(value, indent, tokens, out)
+            continue
+        out.append("\n" + " " * inner)
+        if memo is None:
+            _yaml_mapping(value, inner, tokens, out)
+        elif inner == _PART_INDENT:
+            out.append(memo.of("yaml", value,
+                               lambda part: _yaml_part(part, tokens)))
+        else:
+            _yaml_mapping(value, inner, tokens, out, memo)
+
+
+def _yaml_part(part: dict, tokens: dict[str, str]) -> str:
+    out: list[str] = []
+    _yaml_mapping(part, _PART_INDENT, tokens, out)
+    return "".join(out)
+
+
+def _yaml_sequence(node: list, indent: int, tokens: dict[str, str],
+                   out: list[str]) -> None:
+    """Append the non-empty list `node` as a block sequence with its dashes
+    at column `indent`, the first where `out` ends."""
+    separator = ""
+    inner = indent + 2
+    for value in node:
+        out.append(separator + "-")
+        separator = "\n" + " " * indent
+        if not _yaml_leaf(value, inner, inner, tokens, out):
+            out.append(" ")
+            if type(value) is dict:
+                _yaml_mapping(value, inner, tokens, out)
+            else:
+                _yaml_sequence(value, inner, tokens, out)
+
+
+def serialize(data: dict, format: str = "json",
+              memo: RunMemo | None = None) -> bytes:
+    """Render a document as JSON or YAML bytes, as `json.dumps(indent=2,
+    ensure_ascii=False)` and PyYAML's pure-Python `_no_alias_dumper()` would
+    write them, only faster. JSON is written by `_json_chunks`; YAML by
+    `_yaml_mapping` where `_yaml_strings` admits the document, else by
+    `_no_alias_dumper()`. Each part of the document is written through the
+    run's `memo`, once for all the documents of the run."""
+    if memo is None:
+        memo = RunMemo()
     if format == "json":
         out: list[str] = []
-        _json_chunks(data, "", out)
+        _json_chunks(data, "", out, memo)
         out.append("\n")
         return "".join(out).encode("utf-8")
     if format == "yaml":
-        import yaml
-        fast = hasattr(yaml, "CSafeDumper") and _libyaml_agrees(data)
-        dumper = _no_alias_dumper("CSafeDumper" if fast else "SafeDumper")
-        return yaml.dump(data, Dumper=dumper, sort_keys=False,
-                         allow_unicode=True).encode("utf-8")
+        strings = _yaml_strings(data)
+        if strings is None:
+            import yaml
+            return yaml.dump(data, Dumper=_no_alias_dumper(), sort_keys=False,
+                             allow_unicode=True).encode("utf-8")
+        _render_yaml_tokens(strings, memo.yaml_tokens)
+        out = []
+        if not data:
+            out.append("{}" if type(data) is dict else "[]")
+        elif type(data) is dict:
+            _yaml_mapping(data, 0, memo.yaml_tokens, out, memo)
+        else:
+            _yaml_sequence(data, 0, memo.yaml_tokens, out)
+        out.append("\n")
+        return "".join(out).encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -210,6 +400,7 @@ def read_project_version(root: Path) -> str:
     """Service version from a build descriptor at the project root."""
     pom = root / "pom.xml"
     if pom.is_file():
+        import xml.etree.ElementTree as ET
         try:
             tree = ET.parse(pom)
             ns = ""

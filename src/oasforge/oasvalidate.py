@@ -12,48 +12,53 @@ from __future__ import annotations
 
 import re
 
+from .emitter import RunMemo
+
 _STATUS_RE = re.compile(r"[1-5]\d\d")
 _TEMPLATE_VARIABLE = re.compile(r"\{([^{}]+)\}")
 _REF_PREFIX = "#/components/schemas/"
 
 
-def validate_document(doc: dict) -> list[str]:
-    """Return a list of errors; empty means valid."""
+def validate_document(doc: dict, memo: RunMemo | None = None) -> list[str]:
+    """Return a list of errors; empty means valid. The run's `memo` holds
+    the `$ref`s of each operation and schema, and the checks of each
+    operation under each path that holds it."""
+    memo = memo or RunMemo()
     schemas = doc.get("components", {}).get("schemas", {})
-    errors: list[str] = []
-    _check_refs(schemas, "components.schemas", schemas, errors)
+
+    def dangling(where: str, part) -> list[str]:
+        return [f"{where}: dangling $ref {ref!r}" for ref in memo.refs(part)
+                if not (ref.startswith(_REF_PREFIX)
+                        and ref[len(_REF_PREFIX):] in schemas)]
+
+    errors = [error for schema in schemas.values()
+              for error in dangling("components.schemas", schema)]
     for path, item in doc.get("paths", {}).items():
-        template = set(_TEMPLATE_VARIABLE.findall(path))
         for verb, op in item.items():
             where = f"paths.{path}.{verb}"
-            _check_refs(op, where, schemas, errors)
-            seen: set[tuple[str, str]] = set()
-            for param in op.get("parameters", []):
-                key = (param["name"], param["in"])
-                if key in seen:
-                    errors.append(f"{where}: duplicate {key[1]} parameter "
-                                  f"{key[0]!r}")
-                seen.add(key)
-            bound = {name for name, loc in seen if loc == "path"}
-            errors += [f"{where}: template variable {name!r} has no path "
-                       "parameter" for name in sorted(template - bound)]
-            errors += [f"{where}: path parameter {name!r} not in template"
-                       for name in sorted(bound - template)]
-            errors += [f"{where}.responses.{status}: invalid status key"
-                       for status in op.get("responses", {})
-                       if not _STATUS_RE.fullmatch(str(status))]
+            errors += dangling(where, op)
+            errors += [where + error for error in memo.of(
+                ("checks", path), op, lambda op: _check(op, path))]
     return errors
 
 
-def _check_refs(node, where: str, schemas: dict, errors: list[str]):
-    """Report each $ref under `node` that names no component schema."""
-    if isinstance(node, dict):
-        ref = node.get("$ref")
-        if isinstance(ref, str) and not (ref.startswith(_REF_PREFIX)
-                                         and ref[len(_REF_PREFIX):] in schemas):
-            errors.append(f"{where}: dangling $ref {ref!r}")
-        for value in node.values():
-            _check_refs(value, where, schemas, errors)
-    elif isinstance(node, list):
-        for value in node:
-            _check_refs(value, where, schemas, errors)
+def _check(op: dict, path: str) -> list[str]:
+    """The errors of the parameters and statuses of `op` under `path`, each
+    to follow the operation's location."""
+    template = set(_TEMPLATE_VARIABLE.findall(path))
+    errors: list[str] = []
+    seen: set[tuple[str, str]] = set()
+    for param in op.get("parameters", []):
+        key = (param["name"], param["in"])
+        if key in seen:
+            errors.append(f": duplicate {key[1]} parameter {key[0]!r}")
+        seen.add(key)
+    bound = {name for name, loc in seen if loc == "path"}
+    errors += [f": template variable {name!r} has no path parameter"
+               for name in sorted(template - bound)]
+    errors += [f": path parameter {name!r} not in template"
+               for name in sorted(bound - template)]
+    errors += [f".responses.{status}: invalid status key"
+               for status in op.get("responses", {})
+               if not _STATUS_RE.fullmatch(str(status))]
+    return errors

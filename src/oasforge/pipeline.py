@@ -8,7 +8,7 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .discovery import discover_rest_classes, group_by_profile
-from .emitter import assemble_document, read_project_version
+from .emitter import RunMemo, assemble_document, read_project_version
 from .endpoints import extract_endpoints
 from .javasrc import parse_project
 from .schemas import SchemaRegistry
@@ -19,6 +19,8 @@ class GenerationResult:
     project: str
     documents: dict[str, dict]  # profile -> OpenAPI document
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # what the documents' shared parts give, for checking and writing them
+    memo: RunMemo = field(default_factory=RunMemo)
 
 
 def generate_project(root: Path | str,
@@ -39,10 +41,11 @@ def generate_project(root: Path | str,
     documents: dict[str, dict] = {}
     reg = SchemaRegistry()  # one schema name per class for the project
     analyses: dict = {}
+    memo = RunMemo()
     for unit in units:
         operations = extract_endpoints(unit, model, reg, analyses, diagnostics)
         documents[unit.profile_name] = assemble_document(
-            operations, reg, project, unit.profile_name, version)
+            operations, reg, project, unit.profile_name, version, memo)
     # An exception handler's finding repeats in each unit that reaches it.
     diagnostics = list(dict.fromkeys(diagnostics))
-    return GenerationResult(project, documents, diagnostics)
+    return GenerationResult(project, documents, diagnostics, memo)

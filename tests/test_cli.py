@@ -341,7 +341,7 @@ def test_document_that_fails_validation_is_fatal_and_writes_nothing(
         runner, tmp_path, monkeypatch):
     validated = []
 
-    def fail_second(doc):
+    def fail_second(doc, memo):
         validated.append(doc)
         return ["first fault", "second fault"] if len(validated) == 2 else []
 
@@ -361,13 +361,15 @@ def test_document_that_fails_validation_is_fatal_and_writes_nothing(
 def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
                                                  monkeypatch, nested):
     serialized = []
+    memos = set()
     real_serialize = cli.serialize
 
-    def fail_second(doc, fmt):
+    def fail_second(doc, fmt, memo):
         serialized.append(fmt)
+        memos.add(id(memo))
         if len(serialized) == 2:
             raise OSError("No space left on device")
-        return real_serialize(doc, fmt)
+        return real_serialize(doc, fmt, memo)
 
     monkeypatch.setattr(cli, "serialize", fail_second)
     out = tmp_path / "out"
@@ -380,6 +382,7 @@ def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
     assert result.exit_code == 1
     assert result.stderr == "error: No space left on device\n"
     assert len(serialized) == 2
+    assert len(memos) == 1  # both documents are written through one memo
     # the first document was written, and is removed with the directories
     # this run made; what was there before stays
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["notes.txt",
@@ -665,6 +668,7 @@ for args in (["generate", "--input", fixture, "--output", out],
     except SystemExit as exc:
         assert exc.code == 0, exc.code
 assert "yaml" not in sys.modules
+assert "xml.etree.ElementTree" not in sys.modules
 """
 
 

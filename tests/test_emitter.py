@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
-from oasforge.emitter import (MergeConflictError, _libyaml_agrees,
-                              _no_alias_dumper, assemble_document,
-                              doc_to_dict, merge_documents,
-                              read_project_version, serialize)
+from oasforge.emitter import (MergeConflictError, RunMemo,
+                              _no_alias_dumper, _yaml_strings,
+                              assemble_document, doc_to_dict,
+                              merge_documents, read_project_version,
+                              serialize)
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
 from oasforge.schemas import SchemaRegistry
@@ -109,9 +110,95 @@ def test_serialize_writes_the_reference_bytes(data):
     assert serialize(data, "yaml") == _reference_yaml(data)
 
 
+# What the YAML writer takes: printable ASCII keys of 1-60 characters, and
+# printable ASCII values, some that only quotes keep a str, some past the
+# 80-column width with runs of spaces and quotes where PyYAML may fold.
+_WRITABLE_KEYS = st.text(_PRINTABLE_ASCII, min_size=1, max_size=60)
+_WRITABLE_TEXTS = st.one_of(
+    st.text(_PRINTABLE_ASCII, max_size=20),
+    st.text(st.sampled_from(" ab'#:-"), min_size=60, max_size=160),
+    st.sampled_from(["", "true", "null", "1.5", "- a", "a: b", "'q'", " a",
+                     "a ", "#a"]),
+)
+_writable_documents = st.recursive(
+    st.one_of(_WRITABLE_TEXTS, st.booleans()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_WRITABLE_KEYS, inner,
+                                            max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(_writable_documents, max_size=4),
+                 st.dictionaries(_WRITABLE_KEYS, _writable_documents,
+                                 max_size=4)))
+def test_yaml_writer_writes_the_reference_bytes(data):
+    assert _yaml_strings(data) is not None
+    assert serialize(data, "yaml") == _reference_yaml(data)
+
+
+@st.composite
+def _runs(draw):
+    """The documents of one run, each to be written as JSON and as YAML, in
+    the order drawn. They share a few dicts as operations, as schemas and
+    at other depths, where YAML writes them otherwise."""
+    shared = draw(st.lists(st.one_of(
+        st.dictionaries(_texts, _documents, max_size=3),
+        st.dictionaries(_WRITABLE_KEYS, _writable_documents, max_size=3)),
+        min_size=1, max_size=3))
+    part = st.sampled_from(shared)
+    name = st.text(_PRINTABLE_ASCII, min_size=1, max_size=8)
+    document = st.fixed_dictionaries({
+        "paths": st.dictionaries(name, st.dictionaries(
+            st.sampled_from(["get", "post"]), part, max_size=2), max_size=3),
+        "components": st.fixed_dictionaries(
+            {"schemas": st.dictionaries(name, part, max_size=3)}),
+        "x-elsewhere": st.lists(
+            st.one_of(part, st.dictionaries(name, part, max_size=2)),
+            max_size=2),
+    })
+    docs = draw(st.lists(document, min_size=1, max_size=4))
+    return draw(st.permutations([(doc, fmt) for doc in docs
+                                 for fmt in ("json", "yaml")]))
+
+
+def _fanout_run():
+    # profile-fanout's shape: one operation in two profile documents and in
+    # the merged one, its description long enough to fold
+    item = {"type": "object", "properties": {"name": {"type": "string"}}}
+    op = {"description": "Lists the items of the shop " * 4, "responses": {
+        "200": {"description": "OK", "content": {"application/json": {
+            "schema": {"$ref": "#/components/schemas/Item"}}}}}}
+    docs = {profile: doc_to_dict({"/items": {"get": op}}, {"Item": item},
+                                 f"shop ({profile})", "1.0")
+            for profile in ("eu", "us")}
+    docs["merged"] = merge_documents(docs, "shop")
+    return [(doc, fmt) for fmt in ("json", "yaml") for doc in docs.values()]
+
+
+@settings(max_examples=200)
+@given(_runs())
+@example(_fanout_run())
+def test_one_memo_writes_each_document_of_a_run(run):
+    memo = RunMemo()
+    for doc, fmt in run:
+        expected = (json.dumps(doc, indent=2, ensure_ascii=False)
+                    + "\n").encode("utf-8") if fmt == "json" \
+            else _reference_yaml(doc)
+        assert serialize(doc, fmt, memo) == expected
+
+
+def test_yaml_too_deep_for_the_writer_takes_the_reference_dumper():
+    data: dict = {"a": "b"}
+    for _ in range(120):
+        data = {"k": data}
+    assert _yaml_strings(data) is None
+    assert serialize(data, "yaml") == _reference_yaml(data)
+
+
 @pytest.mark.parametrize("data", _LIBYAML_DIVERGES)
 def test_serialize_falls_back_where_libyaml_diverges(data):
-    assert not _libyaml_agrees(data)
+    assert _yaml_strings(data) is None
     assert serialize(data, "yaml") == _reference_yaml(data)
     fast = getattr(yaml, "CSafeDumper", None)
     if fast is not None:  # the guard is needed: libyaml writes other bytes
@@ -121,7 +208,7 @@ def test_serialize_falls_back_where_libyaml_diverges(data):
 
 
 def test_libyaml_guard_refuses_a_number():
-    assert not _libyaml_agrees({"a": 1})
+    assert _yaml_strings({"a": 1}) is None
 
 
 def _perfbench_documents(monkeypatch, tmp_path):
@@ -147,7 +234,7 @@ def test_fixture_and_benchmark_documents_take_the_libyaml_path(
         except (MergeConflictError, ValueError):
             pass
         for profile, doc in docs.items():
-            assert _libyaml_agrees(doc), (name, profile)
+            assert _yaml_strings(doc) is not None, (name, profile)
 
 
 def test_serialize_without_libyaml_writes_the_same_bytes(monkeypatch):
@@ -209,6 +296,48 @@ def test_validator_flags_missing_path_parameter():
     op["parameters"] = [p for p in op["parameters"]
                         if p["name"] != "year"]
     assert validate_document(doc) != []
+
+
+def test_documents_sharing_a_faulty_operation_each_give_its_errors():
+    # two profiles' documents hold one operation, under two paths and two
+    # verbs; one memo checks it once per path, and its `$ref`s against each
+    # document's schemas
+    path_id = {"name": "id", "in": "path", "required": True,
+               "schema": {"type": "string"}}
+    op = {"parameters": [path_id, dict(path_id)], "responses": {
+        "200": {"description": "OK", "content": {"application/json": {
+            "schema": {"$ref": "#/components/schemas/Ghost"}}}},
+        "99": {"description": "Status 99"}}}
+    item = {"type": "object", "properties": {
+        "ghost": {"$ref": "#/components/schemas/Ghost"},
+        "self": {"$ref": "#/components/schemas/Item"}}}
+    docs = [doc_to_dict({"/a/{id}/{b}": {"get": op, "put": op}},
+                        {"Item": item}, "shop (eu)", "1"),
+            doc_to_dict({"/a/{id}/{b}": {"get": op}, "/c": {"get": op}},
+                        {"Item": item, "Ghost": {"type": "string"}},
+                        "shop (us)", "1")]
+    expected = [[
+        "components.schemas: dangling $ref '#/components/schemas/Ghost'",
+        "paths./a/{id}/{b}.get: dangling $ref '#/components/schemas/Ghost'",
+        "paths./a/{id}/{b}.get: duplicate path parameter 'id'",
+        "paths./a/{id}/{b}.get: template variable 'b' has no path parameter",
+        "paths./a/{id}/{b}.get.responses.99: invalid status key",
+        "paths./a/{id}/{b}.put: dangling $ref '#/components/schemas/Ghost'",
+        "paths./a/{id}/{b}.put: duplicate path parameter 'id'",
+        "paths./a/{id}/{b}.put: template variable 'b' has no path parameter",
+        "paths./a/{id}/{b}.put.responses.99: invalid status key",
+    ], [
+        "paths./a/{id}/{b}.get: duplicate path parameter 'id'",
+        "paths./a/{id}/{b}.get: template variable 'b' has no path parameter",
+        "paths./a/{id}/{b}.get.responses.99: invalid status key",
+        "paths./c.get: duplicate path parameter 'id'",
+        "paths./c.get: path parameter 'id' not in template",
+        "paths./c.get.responses.99: invalid status key",
+    ]]
+    memo = RunMemo()
+    assert [validate_document(doc, memo) for doc in docs] == expected
+    assert [validate_document(doc, memo) for doc in docs] == expected
+    assert [validate_document(doc) for doc in docs] == expected
 
 
 def _repeat_first_parameter(op):
