@@ -1,4 +1,9 @@
-"""Command-line entry point: `oasforge generate` and `oasforge evaluate`."""
+"""Command-line entry point: `oasforge generate` and `oasforge evaluate`.
+
+Each command imports the modules it runs inside its own body, so importing
+this module loads only click and `diagnostics`, and `evaluate` never loads
+the parser, the analysis or the writers that only `generate` runs.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,14 @@ import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from .diagnostics import FatalError
-from .emitter import RunMemo, merge_documents, serialize
-from .evaluation import (CATEGORIES, evaluate, flatten_for_eval,
-                         format_report, load_ground_truth)
-from .oasvalidate import validate_document
-from .pipeline import generate_project
+
+if TYPE_CHECKING:
+    from .emitter import RunMemo
 
 EXIT_FATAL = 1
 EXIT_DIAGNOSTICS = 2
@@ -62,10 +66,16 @@ def main():
 def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
              profiles: str | None, fail_on_diagnostics: bool):
     """Analyze a source tree and write one description per Spring profile."""
+    from .emitter import merge_documents
+    from .oasvalidate import validate_document
+    from .pipeline import generate_project
+
     if fmt == "yaml":
-        # Loaded after the tree is parsed, PyYAML's modules land on top of
-        # the parsed model's heap, which raised the peak RSS of a 1,244-file
-        # tree by 0.5 MB. `serialize` imports it where it is used.
+        # PyYAML is loaded after the modules above and before the parse.
+        # Loaded after the parse, its modules land on top of the parsed
+        # model's heap; loaded before the modules above, under theirs. Each
+        # raised the peak RSS of a 1,244-file tree by 0.5 MB. `serialize`
+        # imports it where it is used.
         import yaml  # noqa: F401
     profiles_filter = [p.strip() for p in profiles.split(",") if p.strip()] \
         if profiles else None
@@ -107,6 +117,8 @@ def _write_outputs(output_dir: Path, outputs: dict[str, dict],
     at a time through the run's `memo`, as written, so no two texts are
     held at once. On any error, the files this run opened and the
     directories it made are removed."""
+    from .emitter import serialize
+
     made = [d for d in (output_dir, *output_dir.parents) if not d.exists()]
     opened: list[Path] = []
     try:
@@ -158,6 +170,9 @@ def _load_description(path: Path) -> dict:
               help="Also write the report as machine-readable JSON.")
 def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
     """Score a generated description against a ground-truth file."""
+    from .evaluation import (CATEGORIES, evaluate, flatten_for_eval,
+                             format_report, load_ground_truth)
+
     gt = load_ground_truth(gt_path)
     files = sorted(p for p in oas_path.iterdir()
                    if p.suffix in (".json", ".yaml", ".yml")) \

@@ -325,8 +325,9 @@ class SourceModel:
     This is the only code that decides which class a name means.
     `resolve_type_name` tries, in order: the name as a fully qualified
     name, a member type of the naming class or of a class that lexically
-    encloses it, innermost first (JLS 6.4.1; inherited member types are
-    not searched), the single-type import of the naming class, the naming
+    encloses it, innermost first (JLS 6.4.1), each class's declared member
+    types before those it inherits from its superclasses (JLS 8.5), the
+    single-type import of the naming class, the naming
     class's own package, its wildcard imports, the member types of the
     types its static imports on demand name, and last a class anywhere in
     the model whose simple name is unique. In that last step a qualified name
@@ -341,10 +342,15 @@ class SourceModel:
     arguments are qualified there too, by `qualify_arguments`.
     Construction then raises SupertypeCycleError if a chain of superclasses
     comes back to one of its classes, so every later walk up a chain ends.
+    Superclass names are resolved before inherited member types are known,
+    so an `extends` clause does not see them.
 
     Construction builds a simple name → classes index, in `classes` order,
-    so `by_simple_name` does not walk `classes`. The index is valid
-    because `classes` is not changed after construction.
+    so `by_simple_name` does not walk `classes`, and the set of classes
+    that declare a member type. The superclasses of a class that are in
+    that set are gathered on the first lookup in it and kept, so no later
+    lookup walks its superclasses. These are valid because `classes` is not
+    changed after construction.
     """
     classes: dict[str, ClassDecl]
     parse_diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -354,6 +360,12 @@ class SourceModel:
         for cls in self.classes.values():
             index.setdefault(cls.simple_name, []).append(cls)
         self._by_simple_name = {k: tuple(v) for k, v in index.items()}
+        # the classes that declare a member type; empty until the cycle
+        # check below has passed, so every walk up a chain ends
+        self._outer_classes: set[str] = set()
+        # class FQN -> its superclasses that declare a member type, nearest
+        # first, for each class a lookup has searched
+        self._member_type_owners: dict[str, tuple[str, ...]] = {}
         for cls in self.classes.values():
             parent = cls.superclass
             if parent:
@@ -372,6 +384,30 @@ class SourceModel:
                 chain[cur.qualified_name] = None
                 cur = self.superclass_of(cur)
             checked.update(chain)
+        self._outer_classes = {
+            cls.qualified_name.rpartition(".")[0]
+            for cls in self.classes.values()
+            if cls.qualified_name.find(".", len(cls.package) + 1) != -1}
+
+    def _inherited_member_type(self, owner: str, name: str) -> Optional[str]:
+        """The member type `name` that the class `owner` inherits from its
+        superclasses (JLS 8.5), where one declared nearer hides one further
+        up. Modifiers of classes are not recorded, so a private member type
+        is inherited too."""
+        owners = self._member_type_owners.get(owner)
+        if owners is None:
+            found = []
+            cur = self.classes.get(owner)
+            cur = cur and self.superclass_of(cur)
+            while cur:
+                if cur.qualified_name in self._outer_classes:
+                    found.append(cur.qualified_name)
+                cur = self.superclass_of(cur)
+            owners = self._member_type_owners[owner] = tuple(found)
+        for outer in owners:
+            if f"{outer}.{name}" in self.classes:
+                return f"{outer}.{name}"
+        return None
 
     def superclass_of(self, cls: ClassDecl) -> Optional[ClassDecl]:
         """The model class `cls` extends; None at the top of the chain or
@@ -392,6 +428,10 @@ class SourceModel:
             for owner in ctx.lexical_scopes:  # member types shadow imports
                 if f"{owner}.{name}" in self.classes:
                     return f"{owner}.{name}"
+                if self._outer_classes:
+                    inherited = self._inherited_member_type(owner, name)
+                    if inherited:
+                        return inherited
             imported = ctx.imports.get(name)
             if imported:  # shadows every class of the same simple name
                 return imported if imported in self.classes else None
@@ -514,6 +554,12 @@ class _Parser:
         static_wildcards: list[str] = []
         classes: list[ClassDecl] = []
 
+        # a package declaration may be annotated (JLS 7.4.1), as in
+        # `@NonNullApi package app;`; its annotations are read and dropped
+        start = self.pos
+        self.parse_annotations_and_modifiers()
+        if not self.at("package"):
+            self.pos = start  # they belong to the first type declaration
         while self.pos < self.n:
             text = self.texts[self.pos]
             if text == ";":
@@ -1040,7 +1086,9 @@ def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
 
 def parse_project(root_dir: os.PathLike | str) -> SourceModel:
     root = Path(root_dir)
-    files = sorted(root.rglob("*.java"))
+    # a modular compilation unit declares no type (JLS 7.7)
+    files = sorted(path for path in root.rglob("*.java")
+                   if path.name != "module-info.java")
     if not files:
         raise ProjectParseError(f"no .java files under {root}")
     classes: dict[str, ClassDecl] = {}

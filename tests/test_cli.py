@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURES_DIR, GT_DIR
-from oasforge import cli
+from conftest import FIXTURES_DIR, GOLDEN_DIR, GT_DIR
+from oasforge import emitter, oasvalidate
 from oasforge.cli import main
 
 
@@ -117,6 +117,31 @@ def test_same_named_classes_of_different_profiles_merge(runner, tmp_path):
         "Item": docs["dev"]["components"]["schemas"]["Item"],
         "Item_2": docs["prod"]["components"]["schemas"]["Item_2"]}
     assert set(docs["merged"]["paths"]) == {"/dev", "/prod"}
+
+
+def test_inherited_member_type_is_the_schema_of_a_handler(runner, tmp_path):
+    # `Item` names a member type `Api` inherits from `Base` (JLS 8.5), not
+    # the other package's `Item`
+    (tmp_path / "Base.java").write_text(
+        "package app;\nclass Base {\n"
+        "    public static class Item { public String name; }\n}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api extends Base {\n"
+        '    @GetMapping("/item")\n    Item get() { return null; }\n}\n')
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "Item.java").write_text(
+        "package app.other;\npublic class Item { public int code; }\n")
+    out = tmp_path / "out"
+    result = run(runner, "generate", "--input", str(tmp_path),
+                 "--output", str(out), "--fail-on-diagnostics")
+    assert result.exit_code == 0, result.output
+    assert "diagnostics: 0" in result.output
+    doc = json.loads((out / f"{tmp_path.name}-default.openapi.json")
+                     .read_text())
+    assert doc["components"]["schemas"] == {
+        "Item": {"type": "object",
+                 "properties": {"name": {"type": "string"}}}}
 
 
 def test_generate_diagnostics_reported_on_stderr(runner, tmp_path):
@@ -345,7 +370,7 @@ def test_document_that_fails_validation_is_fatal_and_writes_nothing(
         validated.append(doc)
         return ["first fault", "second fault"] if len(validated) == 2 else []
 
-    monkeypatch.setattr(cli, "validate_document", fail_second)
+    monkeypatch.setattr(oasvalidate, "validate_document", fail_second)
     out = tmp_path / "out"
     result = run(runner, "generate",
                  "--input", str(FIXTURES_DIR / "profile_split"),
@@ -362,7 +387,7 @@ def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
                                                  monkeypatch, nested):
     serialized = []
     memos = set()
-    real_serialize = cli.serialize
+    real_serialize = emitter.serialize
 
     def fail_second(doc, fmt, memo):
         serialized.append(fmt)
@@ -371,7 +396,7 @@ def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
             raise OSError("No space left on device")
         return real_serialize(doc, fmt, memo)
 
-    monkeypatch.setattr(cli, "serialize", fail_second)
+    monkeypatch.setattr(emitter, "serialize", fail_second)
     out = tmp_path / "out"
     out.mkdir()
     (out / "notes.txt").write_text("kept")
@@ -686,6 +711,61 @@ def test_json_runs_do_not_import_yaml(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "request_body-default.openapi.json").is_file()
+
+
+_LOADED_BY_STEP = """
+import json, sys
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name.startswith("oasforge") or name == "yaml")
+import oasforge.cli
+seen = {"import": loaded()}
+json_dir, yaml_file, truth, source, out = sys.argv[1:]
+for step, args in (
+        ("evaluate-json", ["evaluate", "--oas", json_dir, "--gt", truth]),
+        ("evaluate-yaml", ["evaluate", "--oas", yaml_file, "--gt", truth]),
+        ("generate", ["generate", "--input", source, "--output", out])):
+    try:
+        oasforge.cli.main.main(args, standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, (step, exc.code)
+    seen[step] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # `import oasforge.cli` loads click and `diagnostics` only; `evaluate`
+    # adds `evaluation`, and PyYAML only when it reads YAML; `generate`
+    # loads the parser, the analysis and the writers. A fresh interpreter
+    # shows what each step loads.
+    import yaml
+    golden = GOLDEN_DIR / "request_body-default.openapi.json"
+    json_dir = tmp_path / "json"
+    json_dir.mkdir()
+    shutil.copy(golden, json_dir)
+    yaml_file = tmp_path / "request_body-default.openapi.yaml"
+    yaml_file.write_text(yaml.safe_dump(json.loads(golden.read_text())))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_STEP, str(json_dir), str(yaml_file),
+         str(GT_DIR / "request_body.json"),
+         str(FIXTURES_DIR / "request_body"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    base = ["oasforge", "oasforge.cli", "oasforge.diagnostics"]
+    evaluating = sorted(base + ["oasforge.evaluation"])
+    generating = {f"oasforge.{name}" for name in (
+        "pipeline", "emitter", "oasvalidate", "javasrc", "endpoints",
+        "schemas", "discovery", "spring")}
+    assert seen["import"] == base
+    assert seen["evaluate-json"] == evaluating
+    assert seen["evaluate-yaml"] == sorted(evaluating + ["yaml"])
+    assert generating <= set(seen["generate"])
+    assert (tmp_path / "out" / "request_body-default.openapi.json").is_file()
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

@@ -62,6 +62,33 @@ def test_unreadable_java_path_is_a_parse_error_naming_it(tmp_path):
         ("PARSE_ERROR", "Dir.java", 0, os.strerror(errno.EISDIR))]
 
 
+def test_annotated_package_declaration_is_read(tmp_path):
+    # JLS 7.4.1: `package-info.java` may annotate its package
+    (tmp_path / "package-info.java").write_text(
+        "@NonNullApi\n@Deprecated(since = \"2\")\npackage app;\n\n"
+        "import org.springframework.lang.NonNullApi;\n")
+    (tmp_path / "A.java").write_text("package app;\n@Deprecated class A {}\n")
+    model = parse_project(tmp_path)
+    assert model.parse_diagnostics == []
+    assert list(model.classes) == ["app.A"]
+    [a] = parse_source("@Foo package app;\n@Bar class A {}\n")
+    assert (a.qualified_name, a.package) == ("app.A", "app")
+    assert [anno.simple_name for anno in a.annotations] == ["Bar"]
+
+
+def test_module_info_declares_no_type_and_is_skipped(tmp_path):
+    # JLS 7.7: a modular compilation unit declares no type
+    (tmp_path / "module-info.java").write_text(
+        "module app {\n    requires spring.web;\n    exports app;\n}\n")
+    (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
+    model = parse_project(tmp_path)
+    assert model.parse_diagnostics == []
+    assert list(model.classes) == ["app.A"]
+    (tmp_path / "A.java").unlink()
+    with pytest.raises(ProjectParseError, match="no .java files under"):
+        parse_project(tmp_path)
+
+
 def test_syntax_error_recorded_and_skipped():
     # fixture: 3 files, 1 with a syntax error -> 2 classes + 1 diagnostic
     model = parse_project(FIXTURES_DIR / "parse_error")
@@ -370,6 +397,36 @@ def test_member_type_shadows_imports_and_other_packages():
     # a member of the enclosing class shadows the single-type import
     assert model.resolve_type_name("Part", item) == "app.Api.Part"
     assert model.resolve_type_name("Part", api) == "app.Api.Part"
+
+
+def test_inherited_member_types_are_searched_before_imports(tmp_path):
+    # JLS 8.5: a class inherits the member types of its superclasses
+    (tmp_path / "Base.java").write_text(
+        "package app;\nclass Base {\n"
+        "  public static class Item { public String name; }\n"
+        "  public static class Part {}\n}\n")
+    (tmp_path / "Mid.java").write_text(
+        "package app;\nclass Mid extends Base {\n"
+        "  public static class Part {}\n}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport app.other.Part;\n"
+        "class Api extends Mid {\n  static class Inner {}\n}\n")
+    (tmp_path / "other").mkdir()
+    for simple in ("Item", "Part"):
+        (tmp_path / "other" / f"{simple}.java").write_text(
+            f"package app.other;\npublic class {simple} {{}}\n")
+    model = parse_project(tmp_path)
+    api, inner = model.classes["app.Api"], model.classes["app.Api.Inner"]
+    # inherited through a chain, though another package declares `Item`
+    assert model.resolve_type_name("Item", api) == "app.Base.Item"
+    # the nearer superclass's member hides the further one, and shadows
+    # the single-type import
+    assert model.resolve_type_name("Part", api) == "app.Mid.Part"
+    # a class nested in the naming class sees what its encloser inherits
+    assert model.resolve_type_name("Item", inner) == "app.Base.Item"
+    # a class outside the hierarchy finds its own package's `Part`
+    other = model.classes["app.other.Item"]
+    assert model.resolve_type_name("Part", other) == "app.other.Part"
 
 
 def test_single_type_import_from_outside_the_tree_shadows_a_tree_class():
