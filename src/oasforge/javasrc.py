@@ -293,6 +293,8 @@ class ClassDecl:
     # the types whose static members a static import on demand takes
     static_wildcard_imports: tuple[str, ...] = ()
     source_file: str = ""
+    # "public", "protected", "private", or "" for package access
+    access: str = ""
 
     @property
     def simple_name(self) -> str:
@@ -347,9 +349,8 @@ class SourceModel:
 
     Construction builds a simple name → classes index, in `classes` order,
     so `by_simple_name` does not walk `classes`, and the set of classes
-    that declare a member type. The superclasses of a class that are in
-    that set are gathered on the first lookup in it and kept, so no later
-    lookup walks its superclasses. These are valid because `classes` is not
+    that declare a member type, so a tree without member types skips the
+    search of inherited ones. Both are valid because `classes` is not
     changed after construction.
     """
     classes: dict[str, ClassDecl]
@@ -363,9 +364,6 @@ class SourceModel:
         # the classes that declare a member type; empty until the cycle
         # check below has passed, so every walk up a chain ends
         self._outer_classes: set[str] = set()
-        # class FQN -> its superclasses that declare a member type, nearest
-        # first, for each class a lookup has searched
-        self._member_type_owners: dict[str, tuple[str, ...]] = {}
         for cls in self.classes.values():
             parent = cls.superclass
             if parent:
@@ -391,22 +389,21 @@ class SourceModel:
 
     def _inherited_member_type(self, owner: str, name: str) -> Optional[str]:
         """The member type `name` that the class `owner` inherits from its
-        superclasses (JLS 8.5), where one declared nearer hides one further
-        up. Modifiers of classes are not recorded, so a private member type
-        is inherited too."""
-        owners = self._member_type_owners.get(owner)
-        if owners is None:
-            found = []
-            cur = self.classes.get(owner)
-            cur = cur and self.superclass_of(cur)
-            while cur:
-                if cur.qualified_name in self._outer_classes:
-                    found.append(cur.qualified_name)
-                cur = self.superclass_of(cur)
-            owners = self._member_type_owners[owner] = tuple(found)
-        for outer in owners:
-            if f"{outer}.{name}" in self.classes:
-                return f"{outer}.{name}"
+        superclasses (JLS 8.5). The nearest superclass that declares a type
+        of that name hides those further up, and its type is inherited
+        unless it is private, or package-private while `owner` or a class
+        between them lies in another package."""
+        cur = self.classes.get(owner)
+        packages: set[str] = set()
+        while cur:
+            packages.add(cur.package)
+            cur = self.superclass_of(cur)
+            member = cur and self.classes.get(f"{cur.qualified_name}.{name}")
+            if member:
+                if member.access == "private" or (
+                        not member.access and packages != {cur.package}):
+                    return None
+                return member.qualified_name
         return None
 
     def superclass_of(self, cls: ClassDecl) -> Optional[ClassDecl]:
@@ -718,7 +715,7 @@ class _Parser:
 
     def parse_type_decl(self, package: str,
                         outer: Optional[str] = None) -> list[ClassDecl]:
-        annos, _ = self.parse_annotations_and_modifiers()
+        annos, mods = self.parse_annotations_and_modifiers()
         text = self.peek()
         if text is None:
             return []
@@ -771,9 +768,11 @@ class _Parser:
         if kind == "interface":  # its fields are static and final (JLS 9.3)
             fields = [replace(f, is_static=True, is_final=True)
                       for f in fields]
+        access = next((m for m in ("public", "protected", "private")
+                       if m in mods), "")
         cls = ClassDecl(qualified, kind, tuple(annos), superclass,
                         tuple(fields), tuple(methods), tuple(enum_constants),
-                        type_params)
+                        type_params, access=access)
         return [cls] + nested
 
     def parse_type_param_names(self) -> tuple[str, ...]:

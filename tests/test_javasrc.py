@@ -429,6 +429,45 @@ def test_inherited_member_types_are_searched_before_imports(tmp_path):
     assert model.resolve_type_name("Part", other) == "app.other.Part"
 
 
+def test_private_and_foreign_package_private_member_types_are_not_inherited(
+        tmp_path):
+    # JLS 8.5 inherits only the member types that are not private and are
+    # accessible to the inheriting class; a nearer one hides the rest
+    (tmp_path / "Base.java").write_text(
+        "package app;\npublic class Base {\n"
+        "  private static class Item {}\n"
+        "  static class Part {}\n"
+        "  protected static class Tag {}\n"
+        "  public static class Note {}\n}\n")
+    (tmp_path / "Mid.java").write_text(
+        "package app;\npublic class Mid extends Base {\n"
+        "  private static class Note {}\n}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport app.other.Item;\nimport app.other.Note;\n"
+        "class Api extends Mid {}\n")
+    (tmp_path / "web").mkdir()
+    (tmp_path / "web" / "Far.java").write_text(
+        "package app.web;\nimport app.other.Part;\n"
+        "class Far extends app.Base {}\n")
+    (tmp_path / "other").mkdir()
+    for simple in ("Item", "Part", "Note"):
+        (tmp_path / "other" / f"{simple}.java").write_text(
+            f"package app.other;\npublic class {simple} {{}}\n")
+    model = parse_project(tmp_path)
+    api, far = model.classes["app.Api"], model.classes["app.web.Far"]
+    assert model.classes["app.Base.Item"].access == "private"
+    assert model.classes["app.Base.Part"].access == ""
+    # a private member type is not inherited, so the import decides
+    assert model.resolve_type_name("Item", api) == "app.other.Item"
+    # package-private: inherited in its own package only
+    assert model.resolve_type_name("Part", api) == "app.Base.Part"
+    assert model.resolve_type_name("Part", far) == "app.other.Part"
+    # protected: inherited in any package
+    assert model.resolve_type_name("Tag", far) == "app.Base.Tag"
+    # Mid's private `Note` is not inherited, and it hides Base's
+    assert model.resolve_type_name("Note", api) == "app.other.Note"
+
+
 def test_single_type_import_from_outside_the_tree_shadows_a_tree_class():
     model = model_from(
         "package app.err;\nclass Err extends RuntimeException {}\n",
