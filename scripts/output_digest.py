@@ -56,7 +56,7 @@ def _invoke(args: list[str], masks: dict[Path, str]) -> dict:
     code = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            cli.main.main(args, prog_name="oasforge", standalone_mode=False)
+            cli.main(args)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
 

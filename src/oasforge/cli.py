@@ -1,19 +1,20 @@
 """Command-line entry point: `oasforge generate` and `oasforge evaluate`.
 
 Each command imports the modules it runs inside its own body, so importing
-this module loads only click and `diagnostics`, and `evaluate` never loads
-the parser, the analysis or the writers that only `generate` runs.
+this module loads only `argparse`, `diagnostics` and `values`, and
+`evaluate` never loads the parser, the analysis or the writers that only
+`generate` runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable
 
 from .diagnostics import FatalError
 
@@ -24,48 +25,108 @@ EXIT_FATAL = 1
 EXIT_DIAGNOSTICS = 2
 
 
-class _Commands(click.Group):
-    """The command group. A subcommand that raises an error that ends a
-    run prints one `error:` line and exits 1; usage errors stay click's."""
+def main(argv: list[str] | None = None) -> None:
+    """Run the command `argv` names (default: the process's arguments).
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BrokenPipeError:
-            raise  # click ends a run whose stdout was closed, quietly
-        except RecursionError:
-            # constants, schemas and the YAML writer recurse once per level
-            message = "the input is nested too deeply to describe"
-        except (FatalError, OSError) as exc:
-            message = str(exc)
-        click.echo(f"error: {message}", err=True)
+    Returns when the command succeeds, and raises SystemExit with its exit
+    code otherwise: 2 for a usage error, printed by argparse; 1 for an error
+    that ends a run, printed as one `error:` line; 2 for diagnostics under
+    `--fail-on-diagnostics`. A closed stdout ends the run with exit code 1
+    and nothing on stderr."""
+    try:
+        options = vars(_parser().parse_args(argv))
+        code = options.pop("command")(**options)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone; keep the interpreter's last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(EXIT_FATAL)
+    except RecursionError:
+        # constants, schemas and the writers recurse once per level
+        message = "the input is nested too deeply to describe"
+    except (FatalError, OSError) as exc:
+        message = str(exc)
+    else:
+        if code:
+            sys.exit(code)
+        return
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(EXIT_FATAL)
 
 
-@click.group(cls=_Commands)
-def main():
-    """Generate OpenAPI 3 descriptions from Spring Boot source trees."""
+# `perfbench/layers.run_cli` calls `main.main(args, prog_name=...,
+# standalone_mode=False)`; this keeps that call working.
+main.main = lambda args, **_: main(args)
 
 
-@main.command()
-@click.option("--input", "input_root", required=True,
-              type=click.Path(exists=True, file_okay=False, path_type=Path),
-              help="Project root containing .java sources.")
-@click.option("--output", "output_dir", required=True,
-              type=click.Path(file_okay=False, path_type=Path),
-              help="Directory for the generated descriptions.")
-@click.option("--format", "fmt", type=click.Choice(["json", "yaml"]),
-              default="json", show_default=True)
-@click.option("--merge", is_flag=True,
-              help="Additionally write a merged description of all profiles.")
-@click.option("--profiles", default=None,
-              help="Comma-separated list restricting generation to these "
-                   "profiles.")
-@click.option("--fail-on-diagnostics", is_flag=True,
-              help="Exit with code 2 when any diagnostic was emitted.")
+def _path(must_exist: bool, not_a: str = "") -> Callable[[str], Path]:
+    """An argparse type: the path given, which must exist if `must_exist`
+    and, where it exists, must not be a `not_a` ("file" or "directory")."""
+    def check(text: str) -> Path:
+        path = Path(text)
+        if must_exist and not path.exists():
+            raise argparse.ArgumentTypeError(f"'{text}' does not exist")
+        if not_a == "file" and path.is_file() or \
+                not_a == "directory" and path.is_dir():
+            raise argparse.ArgumentTypeError(f"'{text}' is a {not_a}")
+        return path
+    return check
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of both commands. Each command's `command` default is
+    the function that runs it, called with the other options by name."""
+    parser = argparse.ArgumentParser(
+        prog="oasforge", allow_abbrev=False,
+        description="Generate OpenAPI 3 descriptions from Spring Boot source "
+                    "trees.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    gen = commands.add_parser(
+        "generate", allow_abbrev=False,
+        help="Analyze a source tree and write one description per Spring "
+             "profile.")
+    gen.set_defaults(command=generate)
+    gen.add_argument("--input", dest="input_root", required=True,
+                     metavar="DIR",
+                     type=_path(must_exist=True, not_a="file"),
+                     help="Project root containing .java sources.")
+    gen.add_argument("--output", dest="output_dir", required=True,
+                     metavar="DIR",
+                     type=_path(must_exist=False, not_a="file"),
+                     help="Directory for the generated descriptions.")
+    gen.add_argument("--format", dest="fmt", choices=("json", "yaml"),
+                     default="json", help="default: json")
+    gen.add_argument("--merge", action="store_true",
+                     help="Additionally write a merged description of all "
+                          "profiles.")
+    gen.add_argument("--profiles", default=None,
+                     help="Comma-separated list restricting generation to "
+                          "these profiles.")
+    gen.add_argument("--fail-on-diagnostics", action="store_true",
+                     help="Exit with code 2 when any diagnostic was emitted.")
+
+    ev = commands.add_parser(
+        "evaluate", allow_abbrev=False,
+        help="Score a generated description against a ground-truth file.")
+    ev.set_defaults(command=evaluate_cmd)
+    ev.add_argument("--oas", dest="oas_path", required=True, metavar="PATH",
+                    type=_path(must_exist=True),
+                    help="A generated description file, or a directory of "
+                         "them.")
+    ev.add_argument("--gt", dest="gt_path", required=True, metavar="FILE",
+                    type=_path(must_exist=True, not_a="directory"),
+                    help="Ground truth JSON file.")
+    ev.add_argument("--report-json", dest="report_json", metavar="FILE",
+                    type=_path(must_exist=False, not_a="directory"),
+                    help="Also write the report as machine-readable JSON.")
+    return parser
+
+
 def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
-             profiles: str | None, fail_on_diagnostics: bool):
-    """Analyze a source tree and write one description per Spring profile."""
+             profiles: str | None, fail_on_diagnostics: bool) -> int:
+    """Analyze a source tree and write one description per Spring profile;
+    return the exit code."""
     from .emitter import merge_documents
     from .oasvalidate import validate_document
     from .pipeline import generate_project
@@ -94,21 +155,20 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     _write_outputs(output_dir, outputs, result.memo)
 
     for diag in result.diagnostics:
-        click.echo(diag.render(), err=True)
+        print(diag.render(), file=sys.stderr)
 
     endpoint_count = sum(len(ops) for doc in result.documents.values()
                          for ops in doc["paths"].values())
     schema_count = sum(len(doc.get("components", {}).get("schemas", {}))
                        for doc in result.documents.values())
-    click.echo(f"profiles: {', '.join(result.documents) or '(none)'}")
-    click.echo(f"operations: {endpoint_count}")
-    click.echo(f"schemas: {schema_count}")
-    click.echo(f"diagnostics: {len(result.diagnostics)}")
+    print(f"profiles: {', '.join(result.documents) or '(none)'}")
+    print(f"operations: {endpoint_count}")
+    print(f"schemas: {schema_count}")
+    print(f"diagnostics: {len(result.diagnostics)}")
     for name in outputs:
-        click.echo(f"wrote {output_dir / name}")
-
-    if fail_on_diagnostics and result.diagnostics:
-        sys.exit(EXIT_DIAGNOSTICS)
+        print(f"wrote {output_dir / name}")
+    return EXIT_DIAGNOSTICS if fail_on_diagnostics and result.diagnostics \
+        else 0
 
 
 def _write_outputs(output_dir: Path, outputs: dict[str, dict],
@@ -158,17 +218,8 @@ def _load_description(path: Path) -> dict:
     return data
 
 
-@main.command("evaluate")
-@click.option("--oas", "oas_path", required=True,
-              type=click.Path(exists=True, path_type=Path),
-              help="A generated description file, or a directory of them.")
-@click.option("--gt", "gt_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help="Ground truth JSON file.")
-@click.option("--report-json", "report_json", default=None,
-              type=click.Path(dir_okay=False, path_type=Path),
-              help="Also write the report as machine-readable JSON.")
-def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
+def evaluate_cmd(oas_path: Path, gt_path: Path,
+                 report_json: Path | None) -> int:
     """Score a generated description against a ground-truth file."""
     from .evaluation import (CATEGORIES, evaluate, flatten_for_eval,
                              format_report, load_ground_truth)
@@ -197,7 +248,8 @@ def evaluate_cmd(oas_path: Path, gt_path: Path, report_json: Path | None):
         report_json.write_text(json.dumps(rows, indent=2) + "\n",
                                encoding="utf-8")
         text += f"\nwrote {report_json}"
-    click.echo(text)
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

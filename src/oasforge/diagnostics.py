@@ -7,19 +7,22 @@ always runs to completion. What ends a run is a FatalError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Value, set_field
 
 
 class FatalError(Exception):
     """An error that ends a run: the CLI prints `error: ` and its text."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    file: str = ""
-    line: int = 0
+class Diagnostic(Value):
+    __slots__ = ("code", "message", "file", "line")
+
+    def __init__(self, code: str, message: str, file: str = "",
+                 line: int = 0):
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "file", file)
+        set_field(self, "line", line)
 
     def render(self) -> str:
         loc = f" ({self.file}:{self.line})" if self.file else ""

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .diagnostics import Diagnostic, PROFILE_NEGATION, UNRESOLVED_CONSTANT
 from .javasrc import (ClassDecl, SourceModel, resolve_string_constant,
                       spelling)
 from .spring import (ADVICE_MARKERS, CONTROLLER_MARKERS, PROFILE_MARKER,
                      find_annotation)
+from .values import Record
 
 
 class _AllProfiles(frozenset):
@@ -23,16 +24,21 @@ ALL = _AllProfiles()
 DEFAULT_PROFILE = "default"
 
 
-@dataclass
-class ControllerSet:
-    controllers: list[ClassDecl] = field(default_factory=list)
-    advices: list[ClassDecl] = field(default_factory=list)
+class ControllerSet(Record):
+    __slots__ = ("controllers", "advices")
+
+    def __init__(self, controllers: Optional[list[ClassDecl]] = None,
+                 advices: Optional[list[ClassDecl]] = None):
+        self.controllers = [] if controllers is None else controllers
+        self.advices = [] if advices is None else advices
 
 
-@dataclass
-class ProfileUnit:
-    profile_name: str
-    controller_set: ControllerSet
+class ProfileUnit(Record):
+    __slots__ = ("profile_name", "controller_set")
+
+    def __init__(self, profile_name: str, controller_set: ControllerSet):
+        self.profile_name = profile_name
+        self.controller_set = controller_set
 
 
 def discover_rest_classes(model: SourceModel) -> ControllerSet:

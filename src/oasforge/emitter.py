@@ -166,18 +166,15 @@ def _no_alias_dumper() -> type:
 
 # The indent of a part in JSON, and of its keys in YAML.
 _PART_INDENT = 6
-# Past this nesting the YAML writer leaves a document to the reference
-# dumper, so that its recursion stays bounded and a document too deep for
-# PyYAML fails as it always has.
-_YAML_MAX_DEPTH = 100
 
 
 def _yaml_strings(data) -> set[str] | None:
     """The distinct str keys and values of `data` if `serialize`'s YAML
     writer writes it as `_no_alias_dumper()` does, else None. It does for a
-    dict or list nested at most `_YAML_MAX_DEPTH` deep holding only dicts
-    with printable ASCII str keys of 1-60 characters, lists, printable
-    ASCII str values and bools. Past that the writer would need what it
+    dict or list at any depth holding only dicts with printable ASCII str
+    keys of 1-60 characters, lists, printable ASCII str values and bools;
+    the writer recurses once per level, as the JSON writer does, so it fails
+    only where that one fails. Past that set the writer would need what it
     lacks, and libyaml, which renders its scalars where it is installed,
     would part ways with PyYAML: they fold long double-quoted scalars at
     different places, escape non-BMP characters and NEL differently, write
@@ -187,7 +184,7 @@ def _yaml_strings(data) -> set[str] | None:
         return None
     strings: set[str] = set()
     level = [data]
-    for _ in range(_YAML_MAX_DEPTH):
+    while level:
         below = []
         for node in level:
             kind = type(node)
@@ -206,10 +203,8 @@ def _yaml_strings(data) -> set[str] | None:
                 strings.add(node)
             elif kind is not bool:
                 return None
-        if not below:
-            return strings
         level = below
-    return None
+    return strings
 
 
 def _json_chunks(node, indent: str, out: list[str], memo=None) -> None:

@@ -8,7 +8,6 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
@@ -25,6 +24,7 @@ from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
                      PARAM_ANNOTATIONS, REQUEST_MAPPING, REQUEST_METHODS,
                      SERVLET_TYPES, VERB_MAPPINGS, find_annotation,
                      reason_phrase, status_code_for)
+from .values import Record, replace
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +458,19 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 # Endpoint extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class HandlerAnalysis:
+class HandlerAnalysis(Record):
     """What a handler gives every profile: each path's operation less
     `responses`."""
-    method: MethodDecl
-    file: str  # of the class that declares it, for diagnostics
-    verbs: list[str]
-    operations: list[tuple[str, dict]]
-    success: dict[str, dict]
+    __slots__ = ("method", "file", "verbs", "operations", "success")
+
+    def __init__(self, method: MethodDecl, file: str, verbs: list[str],
+                 operations: list[tuple[str, dict]],
+                 success: dict[str, dict]):
+        self.method = method
+        self.file = file  # of the class that declares it, for diagnostics
+        self.verbs = verbs
+        self.operations = operations
+        self.success = success
 
 
 def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,

@@ -13,10 +13,10 @@ predictions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import FatalError
+from .values import Value, set_field
 
 CATEGORIES = {"methods": ("path", "verb"),
               "parameters": ("path", "verb", "name"),
@@ -31,11 +31,13 @@ class GroundTruthError(FatalError):
     pass
 
 
-@dataclass(frozen=True)
-class CategoryScore:
-    tp: int
-    fp: int
-    fn: int
+class CategoryScore(Value):
+    __slots__ = ("tp", "fp", "fn")
+
+    def __init__(self, tp: int, fp: int, fn: int):
+        set_field(self, "tp", tp)
+        set_field(self, "fp", fp)
+        set_field(self, "fn", fn)
 
     @property
     def precision(self) -> float:

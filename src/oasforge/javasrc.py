@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic, FatalError
+from .values import Record, Value, replace, set_field
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +170,39 @@ def unescape_string(literal: str, line: int) -> str:
 # Annotation attribute values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(Value):
     """A dotted name used as a value: constant reference or enum reference."""
-    parts: tuple[str, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[str, ...]):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class ClassRef:
-    name: str  # dotted, without the trailing .class
+class ClassRef(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)  # dotted, without the trailing .class
 
 
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple["AttributeValue", ...]
+class Concat(Value):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[AttributeValue, ...]):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class AnnotationUse:
-    simple_name: str
-    attributes: dict[str, "AttributeValue"] = field(default_factory=dict)
-    # the name as written when it is qualified, else the single-type import
-    # of the simple name in the annotation's file, else None
-    qualified_name: Optional[str] = None
+class AnnotationUse(Value):
+    __slots__ = ("simple_name", "attributes", "qualified_name")
+
+    def __init__(self, simple_name: str,
+                 attributes: Optional[dict[str, AttributeValue]] = None,
+                 qualified_name: Optional[str] = None):
+        set_field(self, "simple_name", simple_name)
+        set_field(self, "attributes", {} if attributes is None else attributes)
+        # the name as written when it is qualified, else the single-type
+        # import of the simple name in the annotation's file, else None
+        set_field(self, "qualified_name", qualified_name)
 
     def items(self, attr: str) -> tuple["AttributeValue", ...]:
         """The elements of attribute `attr`: an array's items, its one
@@ -221,11 +231,14 @@ MODIFIERS = {"public", "protected", "private", "static", "final", "abstract",
              "default", "sealed"}
 
 
-@dataclass(frozen=True)
-class TypeRef:
-    raw_name: str
-    type_arguments: tuple["TypeRef", ...] = ()
-    array_depth: int = 0
+class TypeRef(Value):
+    __slots__ = ("raw_name", "type_arguments", "array_depth")
+
+    def __init__(self, raw_name: str, type_arguments: tuple[TypeRef, ...] = (),
+                 array_depth: int = 0):
+        set_field(self, "raw_name", raw_name)
+        set_field(self, "type_arguments", type_arguments)
+        set_field(self, "array_depth", array_depth)
 
     @property
     def simple_name(self) -> str:
@@ -236,65 +249,104 @@ UNSPECIFIED_TYPE = TypeRef("UNSPECIFIED_TYPE")
 OBJECT_TYPE = TypeRef("java.lang.Object")
 
 
-@dataclass(frozen=True)
-class BodyFacts:
-    thrown_exception_types: frozenset[str] = frozenset()
-    returned_status_literals: frozenset[str] = frozenset()
-    has_plain_return: bool = False
+class BodyFacts(Value):
+    __slots__ = ("thrown_exception_types", "returned_status_literals",
+                 "has_plain_return")
+
+    def __init__(self, thrown_exception_types: frozenset[str] = frozenset(),
+                 returned_status_literals: frozenset[str] = frozenset(),
+                 has_plain_return: bool = False):
+        set_field(self, "thrown_exception_types", thrown_exception_types)
+        set_field(self, "returned_status_literals", returned_status_literals)
+        set_field(self, "has_plain_return", has_plain_return)
 
 
 EMPTY_BODY = BodyFacts()
 
 
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    type: TypeRef
-    annotations: tuple[AnnotationUse, ...] = ()
+class ParamDecl(Value):
+    __slots__ = ("name", "type", "annotations")
+
+    def __init__(self, name: str, type: TypeRef,
+                 annotations: tuple[AnnotationUse, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "type", type)
+        set_field(self, "annotations", annotations)
 
 
-@dataclass(frozen=True)
-class MethodDecl:
-    name: str
-    annotations: tuple[AnnotationUse, ...]
-    parameters: tuple[ParamDecl, ...]
-    return_type: TypeRef
-    declared_throws: tuple[str, ...]
-    body_facts: BodyFacts
-    line: int = 0
+class MethodDecl(Value):
+    __slots__ = ("name", "annotations", "parameters", "return_type",
+                 "declared_throws", "body_facts", "line")
+
+    def __init__(self, name: str, annotations: tuple[AnnotationUse, ...],
+                 parameters: tuple[ParamDecl, ...], return_type: TypeRef,
+                 declared_throws: tuple[str, ...], body_facts: BodyFacts,
+                 line: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "annotations", annotations)
+        set_field(self, "parameters", parameters)
+        set_field(self, "return_type", return_type)
+        set_field(self, "declared_throws", declared_throws)
+        set_field(self, "body_facts", body_facts)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
-class FieldDecl:
-    name: str
-    type: TypeRef
-    annotations: tuple[AnnotationUse, ...] = ()
-    is_static: bool = False
-    is_final: bool = False
-    initializer: Optional[AttributeValue] = None
-    line: int = 0
+class FieldDecl(Value):
+    __slots__ = ("name", "type", "annotations", "is_static", "is_final",
+                 "initializer", "line")
+
+    def __init__(self, name: str, type: TypeRef,
+                 annotations: tuple[AnnotationUse, ...] = (),
+                 is_static: bool = False, is_final: bool = False,
+                 initializer: Optional[AttributeValue] = None, line: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "type", type)
+        set_field(self, "annotations", annotations)
+        set_field(self, "is_static", is_static)
+        set_field(self, "is_final", is_final)
+        set_field(self, "initializer", initializer)
+        set_field(self, "line", line)
 
 
-@dataclass
-class ClassDecl:
-    qualified_name: str
-    kind: str  # class | interface | enum | record
-    annotations: tuple[AnnotationUse, ...] = ()
-    superclass: Optional[TypeRef] = None
-    fields: tuple[FieldDecl, ...] = ()
-    methods: tuple[MethodDecl, ...] = ()
-    enum_constants: tuple[str, ...] = ()
-    type_params: tuple[str, ...] = ()
-    package: str = ""
-    imports: dict[str, str] = field(default_factory=dict)
-    wildcard_imports: tuple[str, ...] = ()
-    # member name -> the type a single-static import takes it from
-    static_imports: dict[str, str] = field(default_factory=dict)
-    # the types whose static members a static import on demand takes
-    static_wildcard_imports: tuple[str, ...] = ()
-    source_file: str = ""
-    # "public", "protected", "private", or "" for package access
-    access: str = ""
+class ClassDecl(Record):
+    """A class, interface, enum or record. Parsing sets the fields its
+    file's header gives, and `SourceModel` qualifies `superclass`."""
+    __slots__ = ("qualified_name", "kind", "annotations", "superclass",
+                 "fields", "methods", "enum_constants", "type_params",
+                 "package", "imports", "wildcard_imports", "static_imports",
+                 "static_wildcard_imports", "source_file", "access",
+                 "__dict__")  # for the cached properties
+
+    def __init__(self, qualified_name: str, kind: str,
+                 annotations: tuple[AnnotationUse, ...] = (),
+                 superclass: Optional[TypeRef] = None,
+                 fields: tuple[FieldDecl, ...] = (),
+                 methods: tuple[MethodDecl, ...] = (),
+                 enum_constants: tuple[str, ...] = (),
+                 type_params: tuple[str, ...] = (), package: str = "",
+                 imports: Optional[dict[str, str]] = None,
+                 wildcard_imports: tuple[str, ...] = (),
+                 static_imports: Optional[dict[str, str]] = None,
+                 static_wildcard_imports: tuple[str, ...] = (),
+                 source_file: str = "", access: str = ""):
+        self.qualified_name = qualified_name
+        self.kind = kind  # class | interface | enum | record
+        self.annotations = annotations
+        self.superclass = superclass
+        self.fields = fields
+        self.methods = methods
+        self.enum_constants = enum_constants
+        self.type_params = type_params
+        self.package = package
+        self.imports = {} if imports is None else imports
+        self.wildcard_imports = wildcard_imports
+        # member name -> the type a single-static import takes it from
+        self.static_imports = {} if static_imports is None else static_imports
+        # the types whose static members a static import on demand takes
+        self.static_wildcard_imports = static_wildcard_imports
+        self.source_file = source_file
+        # "public", "protected", "private", or "" for package access
+        self.access = access
 
     @property
     def simple_name(self) -> str:
@@ -320,8 +372,7 @@ class ClassDecl:
         }
 
 
-@dataclass
-class SourceModel:
+class SourceModel(Record):
     """The parsed classes of a tree, by fully qualified name.
 
     This is the only code that decides which class a name means.
@@ -353,10 +404,14 @@ class SourceModel:
     search of inherited ones. Both are valid because `classes` is not
     changed after construction.
     """
-    classes: dict[str, ClassDecl]
-    parse_diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("classes", "parse_diagnostics", "_by_simple_name",
+                 "_outer_classes")
 
-    def __post_init__(self):
+    def __init__(self, classes: dict[str, ClassDecl],
+                 parse_diagnostics: Optional[list[Diagnostic]] = None):
+        self.classes = classes
+        self.parse_diagnostics = [] if parse_diagnostics is None \
+            else parse_diagnostics
         index: dict[str, list[ClassDecl]] = {}
         for cls in self.classes.values():
             index.setdefault(cls.simple_name, []).append(cls)
@@ -803,7 +858,7 @@ class _Parser:
                      ) -> list[Union[ClassDecl, MethodDecl, FieldDecl]]:
         """The declarations of one class member: nested classes, one method
         or the fields of one declaration; none for an initializer or a
-        constructor."""
+        constructor, a record's compact one included."""
         if self.accept(";"):
             return []
         save = self.pos
@@ -822,10 +877,12 @@ class _Parser:
 
         if text == "<":  # method or constructor type parameters
             self.skip_balanced("<", ">")
-        if self.at(simple_class_name) and self.at("(", 1):  # constructor
-            # skipped unread: nothing is taken from a constructor
+        if self.at(simple_class_name) and (self.at("(", 1) or self.at("{", 1)):
+            # a constructor, or a record's compact one (`R { … }`, JLS
+            # 8.10.4), skipped unread: nothing is taken from a constructor
             self.next()
-            self.skip_balanced("(", ")")
+            if self.at("("):
+                self.skip_balanced("(", ")")
             if self.accept("throws"):
                 self.parse_type_list(",")
             if self.at("{"):
@@ -929,6 +986,9 @@ class _Parser:
 
     def parse_type_ref(self) -> TypeRef:
         text = self.peek()
+        if text == "@":  # as in `List<@NotNull String>`
+            self.drop_type_annotations()
+            text = self.peek()
         if text is None:
             raise JavaSyntaxError("expected type", self.last_line())
         if text == "?":
@@ -947,6 +1007,12 @@ class _Parser:
             args = self.parse_type_arguments()
         return self.parse_dims(TypeRef(name, args))
 
+    def drop_type_annotations(self) -> None:
+        """Read the type-use annotations (JLS 9.7.4) that start here, and
+        drop them: no rule reads them yet."""
+        while self.accept("@"):
+            self.parse_annotation_use()
+
     def parse_type_arguments(self) -> tuple[TypeRef, ...]:
         self.expect("<")
         args = self.parse_type_list(",")
@@ -963,11 +1029,17 @@ class _Parser:
 
     def parse_dims(self, type_: TypeRef) -> TypeRef:
         """`type_` with one more array dimension for each `[]` that
-        follows."""
+        follows, each possibly annotated, as in `String @NotNull []`."""
         depth = type_.array_depth
-        while self.at("[") and self.at("]", 1):
-            self.pos += 2
-            depth += 1
+        while True:
+            text = self.peek()
+            if text == "@":
+                self.drop_type_annotations()
+            elif text == "[" and self.at("]", 1):
+                self.pos += 2
+                depth += 1
+            else:
+                break
         if depth == type_.array_depth:
             return type_
         return replace(type_, array_depth=depth)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -12,15 +11,19 @@ from .emitter import RunMemo, assemble_document, read_project_version
 from .endpoints import extract_endpoints
 from .javasrc import parse_project
 from .schemas import SchemaRegistry
+from .values import Record
 
 
-@dataclass
-class GenerationResult:
-    project: str
-    documents: dict[str, dict]  # profile -> OpenAPI document
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    # what the documents' shared parts give, for checking and writing them
-    memo: RunMemo = field(default_factory=RunMemo)
+class GenerationResult(Record):
+    __slots__ = ("project", "documents", "diagnostics", "memo")
+
+    def __init__(self, project: str, documents: dict[str, dict],
+                 diagnostics: list[Diagnostic], memo: RunMemo):
+        self.project = project
+        self.documents = documents  # profile -> OpenAPI document
+        self.diagnostics = diagnostics
+        # what the documents' shared parts give, for checking and writing
+        self.memo = memo
 
 
 def generate_project(root: Path | str,

@@ -1,5 +1,7 @@
-"""End-to-end CLI behaviour via click's test runner."""
+"""End-to-end CLI behaviour, run in-process through `conftest.run_cli`."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -8,24 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR, GT_DIR
-from oasforge import emitter, oasvalidate
-from oasforge.cli import main
+from conftest import FIXTURES_DIR, GOLDEN_DIR, GT_DIR, run_cli as run
+from oasforge import cli, emitter, oasvalidate
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run(runner, *args):
-    return runner.invoke(main, list(args))
-
-
-def test_generate_writes_one_file_per_profile(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_writes_one_file_per_profile(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "request_body"),
                  "--output", str(tmp_path))
     assert result.exit_code == 0, result.output
@@ -35,8 +26,8 @@ def test_generate_writes_one_file_per_profile(runner, tmp_path):
     assert "operations: 1" in result.output
 
 
-def test_generate_two_profiles_two_files(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_two_profiles_two_files(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "profile_split"),
                  "--output", str(tmp_path))
     assert result.exit_code == 0, result.output
@@ -45,8 +36,8 @@ def test_generate_two_profiles_two_files(runner, tmp_path):
                      "profile_split-internal.openapi.json"]
 
 
-def test_generate_profiles_filter(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_profiles_filter(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "profile_split"),
                  "--output", str(tmp_path),
                  "--profiles", "external")
@@ -55,8 +46,8 @@ def test_generate_profiles_filter(runner, tmp_path):
         ["profile_split-external.openapi.json"]
 
 
-def test_generate_yaml_format(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_yaml_format(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "void_default"),
                  "--output", str(tmp_path), "--format", "yaml")
     assert result.exit_code == 0, result.output
@@ -66,16 +57,16 @@ def test_generate_yaml_format(runner, tmp_path):
     assert data["openapi"] == "3.0.3"
 
 
-def test_generate_merge_conflict_is_fatal(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_merge_conflict_is_fatal(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "profile_split"),
                  "--output", str(tmp_path), "--merge")
     assert result.exit_code == 1
     assert "cannot merge" in result.stderr
 
 
-def test_generate_merge_single_profile(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_merge_single_profile(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "constant_paths"),
                  "--output", str(tmp_path), "--merge")
     assert result.exit_code == 0, result.output
@@ -86,7 +77,7 @@ def test_generate_merge_single_profile(runner, tmp_path):
                                   "/api/settings/flags"}
 
 
-def test_same_named_classes_of_different_profiles_merge(runner, tmp_path):
+def test_same_named_classes_of_different_profiles_merge(tmp_path):
     # one schema name per class for the whole project, so `a.Item` and
     # `b.Item` cannot both be `Item`
     head = ("import org.springframework.context.annotation.Profile;\n"
@@ -101,7 +92,7 @@ def test_same_named_classes_of_different_profiles_merge(runner, tmp_path):
             "    Item get() { return null; }\n}\n"
             f"class Item {{ {field} }}\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(out), "--merge")
     assert result.exit_code == 0, result.output
     docs = {name: json.loads((out / f"{tmp_path.name}-{name}.openapi.json")
@@ -119,7 +110,7 @@ def test_same_named_classes_of_different_profiles_merge(runner, tmp_path):
     assert set(docs["merged"]["paths"]) == {"/dev", "/prod"}
 
 
-def test_inherited_member_type_is_the_schema_of_a_handler(runner, tmp_path):
+def test_inherited_member_type_is_the_schema_of_a_handler(tmp_path):
     # `Item` names a member type `Api` inherits from `Base` (JLS 8.5), not
     # the other package's `Item`
     (tmp_path / "Base.java").write_text(
@@ -133,7 +124,7 @@ def test_inherited_member_type_is_the_schema_of_a_handler(runner, tmp_path):
     (tmp_path / "other" / "Item.java").write_text(
         "package app.other;\npublic class Item { public int code; }\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(out), "--fail-on-diagnostics")
     assert result.exit_code == 0, result.output
     assert "diagnostics: 0" in result.output
@@ -144,8 +135,61 @@ def test_inherited_member_type_is_the_schema_of_a_handler(runner, tmp_path):
                  "properties": {"name": {"type": "string"}}}}
 
 
-def test_generate_diagnostics_reported_on_stderr(runner, tmp_path):
-    result = run(runner, "generate",
+def test_record_with_a_compact_constructor_is_a_schema(tmp_path):
+    (tmp_path / "R.java").write_text(
+        "package app;\npublic record R(int a, String b) {\n"
+        "    public R { if (a < 0) throw new IllegalArgumentException(); }\n"
+        "}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        '    @GetMapping("/r")\n    R get() { return null; }\n}\n')
+    out = tmp_path / "out"
+    result = run("generate", "--input", str(tmp_path),
+                 "--output", str(out), "--fail-on-diagnostics")
+    assert result.exit_code == 0, result.output
+    assert "diagnostics: 0" in result.output
+    doc = json.loads((out / f"{tmp_path.name}-default.openapi.json")
+                     .read_text())
+    assert list(doc["components"]["schemas"]["R"]["properties"]) == \
+        ["a", "b"]
+
+
+def test_type_use_annotations_are_read_and_dropped(tmp_path):
+    (tmp_path / "Item.java").write_text(
+        "package app;\npublic class Item {\n"
+        "    public List<@NotNull String> tags;\n"
+        "    public String @NotNull [] names;\n}\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport java.util.*;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        '    @PostMapping("/items")\n'
+        "    List<@NotNull String> post(\n"
+        "            @RequestBody Map<@NotBlank String, @Valid Item> items,\n"
+        "            @RequestParam List<@NotNull String> q) {\n"
+        "        return null;\n    }\n}\n")
+    out = tmp_path / "out"
+    result = run("generate", "--input", str(tmp_path),
+                 "--output", str(out), "--fail-on-diagnostics")
+    assert result.exit_code == 0, result.output
+    assert "diagnostics: 0" in result.output
+    doc = json.loads((out / f"{tmp_path.name}-default.openapi.json")
+                     .read_text())
+    strings = {"type": "array", "items": {"type": "string"}}
+    assert doc["components"]["schemas"]["Item"]["properties"] == {
+        "tags": strings, "names": strings}
+    post = doc["paths"]["/items"]["post"]
+    assert post["parameters"][0]["schema"] == strings
+    assert post["requestBody"]["content"]["application/json"]["schema"] == {
+        "type": "object",
+        "additionalProperties": {"$ref": "#/components/schemas/Item"}}
+    assert post["responses"]["200"]["content"]["application/json"][
+        "schema"] == strings
+
+
+def test_generate_diagnostics_reported_on_stderr(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "parse_error"),
                  "--output", str(tmp_path))
     assert result.exit_code == 0
@@ -153,7 +197,7 @@ def test_generate_diagnostics_reported_on_stderr(runner, tmp_path):
     assert "Broken.java" in result.stderr
 
 
-def test_bad_unicode_escape_is_parse_error_not_crash(runner, tmp_path):
+def test_bad_unicode_escape_is_parse_error_not_crash(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
     (src / "Bad.java").write_text(
@@ -166,14 +210,14 @@ def test_bad_unicode_escape_is_parse_error_not_crash(runner, tmp_path):
         "    @GetMapping(\"/ok\")\n"
         "    String ok() { return \"x\"; }\n}\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(src), "--output", str(out))
+    result = run("generate", "--input", str(src), "--output", str(out))
     assert result.exit_code == 0, result.output
     assert "PARSE_ERROR" in result.stderr and "Bad.java:3" in result.stderr
     data = json.loads((out / "src-default.openapi.json").read_text())
     assert list(data["paths"]) == ["/ok"]
 
 
-def test_surrogate_pair_escape_is_one_character(runner, tmp_path):
+def test_surrogate_pair_escape_is_one_character(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
     (src / "Lone.java").write_text(
@@ -186,14 +230,14 @@ def test_surrogate_pair_escape_is_one_character(runner, tmp_path):
         "    @GetMapping(\"/smile\\uD83D\\uDE00\")\n"
         "    String smile() { return \"x\"; }\n}\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(src), "--output", str(out))
+    result = run("generate", "--input", str(src), "--output", str(out))
     assert result.exit_code == 0, result.output
     assert "PARSE_ERROR" in result.stderr and "Lone.java:3" in result.stderr
     data = json.loads((out / "src-default.openapi.json").read_text())
     assert list(data["paths"]) == ["/smile\U0001F600"]
 
 
-def test_duplicate_class_is_reported_and_later_file_wins(runner, tmp_path):
+def test_duplicate_class_is_reported_and_later_file_wins(tmp_path):
     src = tmp_path / "src"
     for module, path in (("a", "/one"), ("b", "/two")):
         (src / module).mkdir(parents=True)
@@ -204,7 +248,7 @@ def test_duplicate_class_is_reported_and_later_file_wins(runner, tmp_path):
             f"    @GetMapping(\"{path}\")\n"
             "    String get() { return \"x\"; }\n}\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(src), "--output", str(out))
+    result = run("generate", "--input", str(src), "--output", str(out))
     assert result.exit_code == 0, result.output
     assert ("DUPLICATE_CLASS: app.Api is declared in a/Api.java and "
             "b/Api.java; using b/Api.java") in result.stderr
@@ -212,10 +256,10 @@ def test_duplicate_class_is_reported_and_later_file_wins(runner, tmp_path):
     assert list(data["paths"]) == ["/two"]
 
 
-def test_inheritance_cycle_is_fatal_without_traceback(runner, tmp_path):
+def test_inheritance_cycle_is_fatal_without_traceback(tmp_path):
     (tmp_path / "A.java").write_text("package app;\nclass A extends B {}\n")
     (tmp_path / "B.java").write_text("package app;\nclass B extends A {}\n")
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(tmp_path / "out"))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -228,34 +272,32 @@ CONSTANT_CHAIN = "interface P {\n    String C0 = \"/a\";\n" + "".join(
     f"    String C{i} = C{i - 1} + \"/x\";\n" for i in range(1, 300)) + "}\n"
 
 
-# Each parses, and the analysis or the YAML writer then recurses once per
-# constant or array dimension.
+# Each parses, and the analysis then recurses once per constant or array
+# dimension; YAML fails where JSON does.
 @pytest.mark.parametrize("mapping, returned, flags", [
     ("P.C299", "String", []),
     ('"/a"', "String" + "[]" * 990, []),
-    ('"/a"', "String" + "[]" * 500, ["--format", "yaml"]),
+    ('"/a"', "String" + "[]" * 990, ["--format", "yaml"]),
 ], ids=["constant-chain", "array-dimensions", "array-dimensions-yaml"])
 def test_input_nested_too_deeply_is_fatal_without_traceback(
-        runner, tmp_path, mapping, returned, flags):
+        tmp_path, mapping, returned, flags):
     (tmp_path / "P.java").write_text("package app;\n" + CONSTANT_CHAIN)
     (tmp_path / "Api.java").write_text(
         "package app;\n"
         "import org.springframework.web.bind.annotation.*;\n"
         f"@RestController\nclass Api {{\n    @GetMapping({mapping})\n"
         f"    {returned} get() {{ return null; }}\n}}\n")
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(tmp_path / "out"), *flags)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == \
         "error: the input is nested too deeply to describe\n"
     assert "Traceback" not in result.output
-    # the YAML writer fails while writing, after the directory was made
     assert not (tmp_path / "out").exists()
 
 
-def test_class_extending_outside_class_of_same_name_is_not_a_cycle(
-        runner, tmp_path):
+def test_class_extending_outside_class_of_same_name_is_not_a_cycle(tmp_path):
     (tmp_path / "Date.java").write_text(
         "package app;\nclass Date extends java.util.Date {}\n")
     (tmp_path / "Api.java").write_text(
@@ -265,7 +307,7 @@ def test_class_extending_outside_class_of_same_name_is_not_a_cycle(
         "    @GetMapping(\"/now\")\n"
         "    Date now() { return null; }\n}\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(out))
     assert result.exit_code == 0, result.output
     data = json.loads((out / f"{tmp_path.name}-default.openapi.json")
@@ -273,35 +315,103 @@ def test_class_extending_outside_class_of_same_name_is_not_a_cycle(
     assert list(data["paths"]) == ["/now"]
 
 
-def test_fail_on_diagnostics_exits_2(runner, tmp_path):
-    result = run(runner, "generate",
+def test_fail_on_diagnostics_exits_2(tmp_path):
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "parse_error"),
                  "--output", str(tmp_path), "--fail-on-diagnostics")
     assert result.exit_code == 2
 
 
-def test_generate_missing_input_is_usage_error(runner, tmp_path):
-    result = run(runner, "generate",
+def test_generate_missing_input_is_usage_error(tmp_path):
+    result = run("generate",
                  "--input", str(tmp_path / "nowhere"),
                  "--output", str(tmp_path))
     assert result.exit_code == 2
 
 
-def test_generate_source_tree_without_java_is_fatal(runner, tmp_path):
+# Each usage error: the arguments, with {absent}, {file} and {dir} standing
+# for paths made under tmp_path, and what stderr must name.
+USAGE_ERRORS = {
+    "no-command": ([], ["COMMAND"]),
+    "unknown-command": (["frob"], ["frob"]),
+    "unknown-option": (["generate", "--input", "{dir}", "--output", "{out}",
+                        "--bogus"], ["--bogus"]),
+    "input-missing": (["generate", "--output", "{out}"], ["--input"]),
+    "input-absent": (["generate", "--input", "{absent}", "--output", "{out}"],
+                     ["--input", "{absent}", "does not exist"]),
+    "input-file": (["generate", "--input", "{file}", "--output", "{out}"],
+                   ["--input", "{file}", "is a file"]),
+    "output-file": (["generate", "--input", "{dir}", "--output", "{file}"],
+                    ["--output", "{file}", "is a file"]),
+    "format-xml": (["generate", "--input", "{dir}", "--output", "{out}",
+                    "--format", "xml"], ["--format", "xml"]),
+    "oas-absent": (["evaluate", "--oas", "{absent}", "--gt", "{gt}"],
+                   ["--oas", "{absent}", "does not exist"]),
+    "gt-absent": (["evaluate", "--oas", "{golden}", "--gt", "{absent}"],
+                  ["--gt", "{absent}", "does not exist"]),
+    "gt-directory": (["evaluate", "--oas", "{golden}", "--gt", "{dir}"],
+                     ["--gt", "{dir}", "is a directory"]),
+    "report-json-directory": (["evaluate", "--oas", "{golden}", "--gt",
+                               "{gt}", "--report-json", "{dir}"],
+                              ["--report-json", "{dir}", "is a directory"]),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_exits_2_and_names_the_option(tmp_path, case):
+    paths = {"absent": tmp_path / "absent", "file": tmp_path / "file",
+             "dir": FIXTURES_DIR / "request_body", "out": tmp_path / "out",
+             "gt": GT_DIR / "request_body.json",
+             "golden": GOLDEN_DIR / "request_body-default.openapi.json"}
+    paths["file"].write_text("")
+    args, named = USAGE_ERRORS[case]
+    result = run(*(arg.format(**paths) for arg in args))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    for text in named:
+        assert text.format(**paths) in result.stderr
+    assert "Traceback" not in result.output
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--input", str(FIXTURES_DIR / "request_body")], None),
+    (["--input", str(FIXTURES_DIR / "parse_error"), "--fail-on-diagnostics"],
+     2),
+    (["--input", str(FIXTURES_DIR / "profile_split"), "--merge"], 1),
+], ids=["success", "diagnostics", "fatal"])
+def test_perfbench_call_returns_on_success_and_raises_exit_code(
+        tmp_path, args, code):
+    # `perfbench/layers.run_cli` and `scripts/output_digest.py` make this
+    # call: it returns on exit code 0 and raises SystemExit otherwise
+    call = ["generate", *args, "--output", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if code is None:
+            cli.main.main(call, prog_name="oasforge", standalone_mode=False)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main.main(call, prog_name="oasforge",
+                              standalone_mode=False)
+            assert exc.value.code == code
+
+
+def test_generate_source_tree_without_java_is_fatal(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
-    result = run(runner, "generate",
+    result = run("generate",
                  "--input", str(empty), "--output", str(tmp_path / "out"))
     assert result.exit_code == 1
     assert "error:" in result.stderr
 
 
-def test_unreadable_java_path_is_a_parse_error(runner, tmp_path):
+def test_unreadable_java_path_is_a_parse_error(tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(FIXTURES_DIR / "request_body", tree)
     (tree / "Broken.java").symlink_to(tree / "nowhere.java")
     (tree / "Dir.java").mkdir()
-    result = run(runner, "generate", "--input", str(tree),
+    result = run("generate", "--input", str(tree),
                  "--output", str(tmp_path / "out"))
     assert result.exit_code == 0, result.output
     parse_errors = [line for line in result.stderr.splitlines()
@@ -312,13 +422,13 @@ def test_unreadable_java_path_is_a_parse_error(runner, tmp_path):
     assert "operations: 1" in result.stdout
 
 
-def _fatal_run(case: str, runner, tmp_path) -> list[str]:
+def _fatal_run(case: str, tmp_path) -> list[str]:
     """The arguments of `case`, a run that must end in one `error:` line,
     once what it reads is made under `tmp_path`."""
     regular = tmp_path / "regular"
     regular.write_text("")
     described = tmp_path / "described"
-    run(runner, "generate", "--input", str(FIXTURES_DIR / "request_body"),
+    run("generate", "--input", str(FIXTURES_DIR / "request_body"),
         "--output", str(described))
     truth = str(GT_DIR / "request_body.json")
     if case == "merge-conflict":
@@ -347,10 +457,10 @@ def _fatal_run(case: str, runner, tmp_path) -> list[str]:
     ("directory-named-json", "Is a directory"),
 ])
 def test_fatal_error_is_one_error_line_and_writes_nothing(
-        runner, tmp_path, case, message):
-    args = _fatal_run(case, runner, tmp_path)
+        tmp_path, case, message):
+    args = _fatal_run(case, tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    result = run(runner, *args)
+    result = run(*args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
@@ -363,7 +473,7 @@ def test_fatal_error_is_one_error_line_and_writes_nothing(
 
 
 def test_document_that_fails_validation_is_fatal_and_writes_nothing(
-        runner, tmp_path, monkeypatch):
+        tmp_path, monkeypatch):
     validated = []
 
     def fail_second(doc, memo):
@@ -372,7 +482,7 @@ def test_document_that_fails_validation_is_fatal_and_writes_nothing(
 
     monkeypatch.setattr(oasvalidate, "validate_document", fail_second)
     out = tmp_path / "out"
-    result = run(runner, "generate",
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "profile_split"),
                  "--output", str(out))
     assert result.exit_code == 1
@@ -383,7 +493,7 @@ def test_document_that_fails_validation_is_fatal_and_writes_nothing(
 
 
 @pytest.mark.parametrize("nested", [False, True])
-def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
+def test_failed_write_removes_what_the_run_wrote(tmp_path,
                                                  monkeypatch, nested):
     serialized = []
     memos = set()
@@ -401,7 +511,7 @@ def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
     out.mkdir()
     (out / "notes.txt").write_text("kept")
     target = out / "a" / "b" if nested else out
-    result = run(runner, "generate",
+    result = run("generate",
                  "--input", str(FIXTURES_DIR / "profile_split"),
                  "--output", str(target))
     assert result.exit_code == 1
@@ -415,19 +525,19 @@ def test_failed_write_removes_what_the_run_wrote(runner, tmp_path,
     assert (out / "notes.txt").read_text() == "kept"
 
 
-def test_evaluate_directory_without_descriptions_is_fatal(runner, tmp_path):
+def test_evaluate_directory_without_descriptions_is_fatal(tmp_path):
     (tmp_path / "notes.txt").write_text("")
-    result = run(runner, "evaluate", "--oas", str(tmp_path),
+    result = run("evaluate", "--oas", str(tmp_path),
                  "--gt", str(GT_DIR / "request_body.json"))
     assert result.exit_code == 1
     assert result.stderr == f"error: no description files in {tmp_path}\n"
 
 
-def test_evaluate_perfect_match(runner, tmp_path):
+def test_evaluate_perfect_match(tmp_path):
     out = tmp_path / "out"
-    run(runner, "generate",
+    run("generate",
         "--input", str(FIXTURES_DIR / "request_body"), "--output", str(out))
-    result = run(runner, "evaluate",
+    result = run("evaluate",
                  "--oas", str(out / "request_body-default.openapi.json"),
                  "--gt", str(GT_DIR / "request_body.json"))
     assert result.exit_code == 0, result.output
@@ -435,12 +545,12 @@ def test_evaluate_perfect_match(runner, tmp_path):
         assert line.split()[-2:] == ["1.00", "1.00"]
 
 
-def test_evaluate_accepts_directory_and_writes_json_report(runner, tmp_path):
+def test_evaluate_accepts_directory_and_writes_json_report(tmp_path):
     out = tmp_path / "out"
-    run(runner, "generate",
+    run("generate",
         "--input", str(FIXTURES_DIR / "request_body"), "--output", str(out))
     report = tmp_path / "report.json"
-    result = run(runner, "evaluate", "--oas", str(out),
+    result = run("evaluate", "--oas", str(out),
                  "--gt", str(GT_DIR / "request_body.json"),
                  "--report-json", str(report))
     assert result.exit_code == 0, result.output
@@ -450,12 +560,12 @@ def test_evaluate_accepts_directory_and_writes_json_report(runner, tmp_path):
     assert data["parameters"]["tp"] == 2
 
 
-def test_evaluate_report_bytes_are_pinned(runner, tmp_path):
+def test_evaluate_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "out"
-    run(runner, "generate",
+    run("generate",
         "--input", str(FIXTURES_DIR / "request_body"), "--output", str(out))
     report = tmp_path / "report.json"
-    result = run(runner, "evaluate", "--oas", str(out),
+    result = run("evaluate", "--oas", str(out),
                  "--gt", str(GT_DIR / "request_body.json"),
                  "--report-json", str(report))
     assert result.exit_code == 0, result.output
@@ -473,27 +583,27 @@ def test_evaluate_report_bytes_are_pinned(runner, tmp_path):
         f'  "responses": {row.format(1)}\n}}\n')
 
 
-def test_evaluate_bad_ground_truth_is_fatal(runner, tmp_path):
+def test_evaluate_bad_ground_truth_is_fatal(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")
     out = tmp_path / "out"
-    run(runner, "generate",
+    run("generate",
         "--input", str(FIXTURES_DIR / "void_default"), "--output", str(out))
-    result = run(runner, "evaluate",
+    result = run("evaluate",
                  "--oas", str(out / "void_default-default.openapi.json"),
                  "--gt", str(bad))
     assert result.exit_code == 1
     assert "error:" in result.stderr
 
 
-def test_evaluate_yaml_output_scores_like_json_output(runner, tmp_path):
+def test_evaluate_yaml_output_scores_like_json_output(tmp_path):
     reports = {}
     for fmt in ("json", "yaml"):
         out = tmp_path / fmt
-        run(runner, "generate", "--input", str(FIXTURES_DIR / "request_body"),
+        run("generate", "--input", str(FIXTURES_DIR / "request_body"),
             "--output", str(out), "--format", fmt)
         report = tmp_path / f"{fmt}-report.json"
-        result = run(runner, "evaluate",
+        result = run("evaluate",
                      "--oas", str(out / f"request_body-default.openapi.{fmt}"),
                      "--gt", str(GT_DIR / "request_body.json"),
                      "--report-json", str(report))
@@ -502,10 +612,10 @@ def test_evaluate_yaml_output_scores_like_json_output(runner, tmp_path):
     assert reports["yaml"] == reports["json"]
 
 
-def test_evaluate_malformed_yaml_is_fatal_without_traceback(runner, tmp_path):
+def test_evaluate_malformed_yaml_is_fatal_without_traceback(tmp_path):
     bad = tmp_path / "bad.openapi.yaml"
     bad.write_text("paths: [unclosed\n")
-    result = run(runner, "evaluate", "--oas", str(bad),
+    result = run("evaluate", "--oas", str(bad),
                  "--gt", str(GT_DIR / "request_body.json"))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -513,15 +623,14 @@ def test_evaluate_malformed_yaml_is_fatal_without_traceback(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
-def test_evaluate_deeply_nested_json_is_fatal_without_traceback(runner,
-                                                                tmp_path):
+def test_evaluate_deeply_nested_json_is_fatal_without_traceback(tmp_path):
     deep = "[" * 100_000 + "]" * 100_000
     description = tmp_path / "deep.openapi.json"
     description.write_text('{"paths": ' + deep + "}")
     truth = tmp_path / "truth.json"
     truth.write_text('{"methods": ' + deep + "}")
     for gt in (GT_DIR / "request_body.json", truth):
-        result = run(runner, "evaluate", "--oas", str(description),
+        result = run("evaluate", "--oas", str(description),
                      "--gt", str(gt))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -556,10 +665,10 @@ OPERATION = "paths:\n  /a:\n    get:\n"
         "operation-str", "schemas-list", "parameter-int", "request-body-list",
         "ref-int", "responses-list"])
 def test_evaluate_description_that_is_not_a_mapping_is_fatal(
-        runner, tmp_path, content, suffix, message):
+        tmp_path, content, suffix, message):
     bad = tmp_path / f"bad{suffix}"
     bad.write_text(content)
-    result = run(runner, "evaluate", "--oas", str(bad),
+    result = run("evaluate", "--oas", str(bad),
                  "--gt", str(GT_DIR / "request_body.json"))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -571,7 +680,7 @@ DEPTH = 1000
 
 
 @pytest.mark.parametrize("chain", ["field", "inheritance"])
-def test_thousand_class_chain_generates_and_evaluates(runner, tmp_path, chain):
+def test_thousand_class_chain_generates_and_evaluates(tmp_path, chain):
     """C0 -> C1 -> ... -> C999, linked by a field or by `extends`; each
     class is one more level of schema references."""
     classes = []
@@ -601,11 +710,11 @@ def test_thousand_class_chain_generates_and_evaluates(runner, tmp_path, chain):
                        for f in fields],
         "responses": [{"path": "/c", "verb": "POST", "status": "200"}]}))
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(src),
+    result = run("generate", "--input", str(src),
                  "--output", str(out))
     assert result.exit_code == 0, result.output
     assert f"schemas: {DEPTH}" in result.output
-    result = run(runner, "evaluate", "--oas", str(out), "--gt", str(gt))
+    result = run("evaluate", "--oas", str(out), "--gt", str(gt))
     assert result.exit_code == 0, result.output
     for line in result.output.splitlines()[1:4]:
         assert line.split()[-2:] == ["1.00", "1.00"]
@@ -634,7 +743,7 @@ def test_thousand_class_chain_generates_and_evaluates(runner, tmp_path, chain):
           "schema": {"type": "string"}}], "responses": ["200"]}),
 ], ids=["path-variable-not-in-template", "status-999", "repeated-query"])
 def test_invalid_binding_is_diagnosed_and_document_is_valid(
-        runner, tmp_path, handler, diagnostic, operation):
+        tmp_path, handler, diagnostic, operation):
     oracle = pytest.importorskip("openapi_spec_validator")
     (tmp_path / "Api.java").write_text(
         "package app;\n"
@@ -642,7 +751,7 @@ def test_invalid_binding_is_diagnosed_and_document_is_valid(
         "import org.springframework.web.bind.annotation.*;\n"
         f"@RestController\nclass Api {{\n    {handler}\n}}\n")
     out = tmp_path / "out"
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(out))
     assert result.exit_code == 0, result.output
     assert diagnostic in result.stderr
@@ -655,7 +764,7 @@ def test_invalid_binding_is_diagnosed_and_document_is_valid(
             oracle.OpenAPIV30SpecValidator(data).iter_errors()] == []
 
 
-def test_profile_independent_diagnostic_is_printed_once(runner, tmp_path):
+def test_profile_independent_diagnostic_is_printed_once(tmp_path):
     head = ("package app;\n"
             "import javax.servlet.http.HttpServletRequest;\n"
             "import org.springframework.context.annotation.Profile;\n"
@@ -670,7 +779,7 @@ def test_profile_independent_diagnostic_is_printed_once(runner, tmp_path):
             f"class {profile.title()} {{\n"
             f'    @GetMapping("/{profile}")\n'
             '    String get() { return ""; }\n}\n')
-    result = run(runner, "generate", "--input", str(tmp_path),
+    result = run("generate", "--input", str(tmp_path),
                  "--output", str(tmp_path / "out"))
     assert result.exit_code == 0, result.output
     assert "profiles: default, dev, prod" in result.output
@@ -689,7 +798,7 @@ fixture, truth, out = sys.argv[1:]
 for args in (["generate", "--input", fixture, "--output", out],
              ["evaluate", "--oas", out, "--gt", truth]):
     try:
-        main.main(args, standalone_mode=False)
+        main(args)
     except SystemExit as exc:
         assert exc.code == 0, exc.code
 assert "yaml" not in sys.modules
@@ -716,8 +825,8 @@ def test_json_runs_do_not_import_yaml(tmp_path):
 _LOADED_BY_STEP = """
 import json, sys
 def loaded():
-    return sorted(name for name in sys.modules
-                  if name.startswith("oasforge") or name == "yaml")
+    return sorted(name for name in sys.modules if name.startswith("oasforge")
+                  or name in ("yaml", "click", "dataclasses", "inspect"))
 import oasforge.cli
 seen = {"import": loaded()}
 json_dir, yaml_file, truth, source, out = sys.argv[1:]
@@ -726,7 +835,7 @@ for step, args in (
         ("evaluate-yaml", ["evaluate", "--oas", yaml_file, "--gt", truth]),
         ("generate", ["generate", "--input", source, "--output", out])):
     try:
-        oasforge.cli.main.main(args, standalone_mode=False)
+        oasforge.cli.main(args)
     except SystemExit as exc:
         assert exc.code == 0, (step, exc.code)
     seen[step] = loaded()
@@ -735,10 +844,11 @@ print(json.dumps(seen))
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # `import oasforge.cli` loads click and `diagnostics` only; `evaluate`
-    # adds `evaluation`, and PyYAML only when it reads YAML; `generate`
-    # loads the parser, the analysis and the writers. A fresh interpreter
-    # shows what each step loads.
+    # `import oasforge.cli` loads `diagnostics` and `values` only;
+    # `evaluate` adds `evaluation`, and PyYAML only when it reads YAML;
+    # `generate` loads the parser, the analysis and the writers. No step
+    # loads click, `dataclasses` or `inspect`. A fresh interpreter shows
+    # what each step loads.
     import yaml
     golden = GOLDEN_DIR / "request_body-default.openapi.json"
     json_dir = tmp_path / "json"
@@ -756,7 +866,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    base = ["oasforge", "oasforge.cli", "oasforge.diagnostics"]
+    base = ["oasforge", "oasforge.cli", "oasforge.diagnostics",
+            "oasforge.values"]
     evaluating = sorted(base + ["oasforge.evaluation"])
     generating = {f"oasforge.{name}" for name in (
         "pipeline", "emitter", "oasvalidate", "javasrc", "endpoints",
@@ -765,12 +876,46 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert seen["evaluate-json"] == evaluating
     assert seen["evaluate-yaml"] == sorted(evaluating + ["yaml"])
     assert generating <= set(seen["generate"])
+    assert not {"click", "dataclasses", "inspect"} & set(seen["generate"])
     assert (tmp_path / "out" / "request_body-default.openapi.json").is_file()
 
 
+_WITHOUT_CLICK = """
+import sys
+sys.modules["click"] = None  # any import of click now raises ImportError
+from oasforge.cli import main
+fixture, truth, out = sys.argv[1:]
+for args in (["generate", "--input", fixture, "--output", out + "/json"],
+             ["generate", "--input", fixture, "--output", out + "/yaml",
+              "--format", "yaml"],
+             ["generate", "--input", fixture, "--output", out + "/merged",
+              "--merge"],
+             ["evaluate", "--oas", out + "/json", "--gt", truth]):
+    main(args)
+"""
+
+
+def test_no_command_needs_click(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_CLICK,
+         str(FIXTURES_DIR / "request_body"),
+         str(GT_DIR / "request_body.json"), str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "methods" in proc.stdout  # the evaluation report
+    for name in ("json/request_body-default.openapi.json",
+                 "yaml/request_body-default.openapi.yaml",
+                 "merged/request_body-merged.openapi.json"):
+        assert (tmp_path / name).is_file(), name
+
+
 def test_closed_stdout_ends_quietly(tmp_path):
-    # click ends a run whose stdout was closed with exit 1 and nothing on
-    # stderr; the handler of fatal errors leaves that to it
+    # a run whose stdout was closed ends with exit 1 and nothing on stderr,
+    # not with the interpreter's report of a failed flush
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

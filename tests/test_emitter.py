@@ -1,6 +1,7 @@
 """Document assembly, merging, serialization, structural validation."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,11 +190,32 @@ def test_one_memo_writes_each_document_of_a_run(run):
 
 
 def test_yaml_too_deep_for_the_writer_takes_the_reference_dumper():
+    # deeper than the 100 levels the writer once took; it now takes any
     data: dict = {"a": "b"}
     for _ in range(120):
         data = {"k": data}
-    assert _yaml_strings(data) is None
     assert serialize(data, "yaml") == _reference_yaml(data)
+
+
+def test_yaml_writer_goes_as_deep_as_the_json_writer(tmp_path):
+    # a handler returning `String` with 500 `[]`: both writers take it at
+    # the default recursion limit, and PyYAML's dumper, which needs several
+    # frames per level, only under a raised one
+    (tmp_path / "Api.java").write_text(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n    @GetMapping(\"/a\")\n"
+        f"    String{'[]' * 500} get() {{ return null; }}\n}}\n")
+    (doc,) = generate_project(tmp_path).documents.values()
+    assert _yaml_strings(doc) is not None
+    written = serialize(doc, "yaml")
+    assert json.loads(serialize(doc)) == doc
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        assert written == _reference_yaml(doc)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("data", _LIBYAML_DIVERGES)

@@ -618,6 +618,34 @@ def test_record_implements_several_interfaces():
     assert cls.superclass is None
 
 
+def test_type_use_annotations_are_dropped_from_types():
+    cls = only_class(
+        "class H {\n"
+        "    List<@NotNull String> a;\n"
+        "    String @NotNull [] @A [] b;\n"
+        "    Map<@NotBlank String, @Valid Item> c;\n"
+        "    List<? extends @A Item> d;\n"
+        "    List<@NotNull String> m(List<@NotNull String> p, "
+        "String @A ... q) { return null; }\n}")
+    a, b, c, d = cls.fields
+    assert a.type == TypeRef("List", (TypeRef("String"),))
+    assert b.type == TypeRef("String", array_depth=2)
+    assert c.type == TypeRef("Map", (TypeRef("String"), TypeRef("Item")))
+    assert d.type == TypeRef("List", (TypeRef("Item"),))
+    (m,) = cls.methods
+    assert m.return_type == a.type
+    assert [(p.name, p.type) for p in m.parameters] == [
+        ("p", a.type), ("q", TypeRef("String", array_depth=1))]
+
+
+def test_compact_record_constructor_is_skipped():
+    cls = only_class("record R(int a, String b) {\n"
+                     "    public R { if (a < 0) throw new E(); }\n"
+                     "    int twice() { return 2 * a; }\n}")
+    assert [f.name for f in cls.fields] == ["a", "b"]
+    assert [m.name for m in cls.methods] == ["twice"]
+
+
 def test_nested_type_arguments_close_one_level_per_token():
     cls = only_class("class H { A<B<C<D>>> deep; int after; }")
     deep, after = cls.fields

@@ -10,12 +10,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR
-from oasforge.cli import main
+from conftest import FIXTURES_DIR, run_cli
 from oasforge.emitter import MergeConflictError, merge_documents
 from oasforge.oasvalidate import validate_document
 from oasforge.pipeline import generate_project
@@ -326,8 +324,8 @@ def test_mutated_tree_ends_in_documents_or_one_error_line(case):
         for name, data in files.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(data)
-        result = CliRunner().invoke(main, ["generate", "--input", str(root),
-                                           "--output", str(out), *flags])
+        result = run_cli("generate", "--input", str(root),
+                         "--output", str(out), *flags)
         assert result.exit_code in (0, 1), result.output
         assert result.exception is None or \
             isinstance(result.exception, SystemExit), result.exc_info
