@@ -198,31 +198,12 @@ def _write_outputs(output_dir: Path, outputs: dict[str, dict],
         raise
 
 
-def _load_description(path: Path) -> dict:
-    """The description in `path`, JSON or YAML by its suffix. PyYAML is
-    imported here, so a run that reads no YAML does not load it; its
-    parse errors become ValueError with the same text."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix in (".yaml", ".yml"):
-        import yaml
-        try:
-            data = yaml.load(
-                text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            raise ValueError(str(exc)) from exc
-    else:
-        data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"top level is a {type(data).__name__}, not a "
-                         "mapping")
-    return data
-
-
 def evaluate_cmd(oas_path: Path, gt_path: Path,
                  report_json: Path | None) -> int:
     """Score a generated description against a ground-truth file."""
     from .evaluation import (CATEGORIES, evaluate, flatten_for_eval,
-                             format_report, load_ground_truth)
+                             format_report, load_description,
+                             load_ground_truth)
 
     gt = load_ground_truth(gt_path)
     files = sorted(p for p in oas_path.iterdir()
@@ -234,8 +215,9 @@ def evaluate_cmd(oas_path: Path, gt_path: Path,
     flat: dict[str, set] = {category: set() for category in CATEGORIES}
     for path in files:
         try:
-            doc_flat = flatten_for_eval(_load_description(path))
-        # The JSON and YAML parsers recurse once per nested value.
+            doc_flat = flatten_for_eval(load_description(path))
+        # json.loads recurses once per nested value, and so does yaml.load
+        # on the input that the YAML reader hands it
         except (ValueError, KeyError, RecursionError) as exc:
             raise FatalError(f"{path}: {exc}") from None
         for category, keys in doc_flat.items():

@@ -13,6 +13,7 @@ predictions.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .diagnostics import FatalError
@@ -114,6 +115,167 @@ def load_ground_truth(file: Path | str) -> dict[str, frozenset]:
             entries.add(entry)
         sets[category] = frozenset(entries)
     return sets
+
+
+# ---------------------------------------------------------------------------
+# Description loading
+# ---------------------------------------------------------------------------
+
+def load_description(path: Path) -> dict:
+    """The description in `path`, JSON or YAML by its suffix. PyYAML is
+    imported here, so a run that reads no YAML does not load it; its
+    errors become ValueError with the same text."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix in (".yaml", ".yml"):
+        import yaml
+        try:
+            data = read_yaml(text)
+        # PyYAML's scalar constructors raise these on a malformed tagged
+        # scalar, as `!!int ""` or `!!timestamp x`
+        except (yaml.YAMLError, IndexError, AttributeError) as exc:
+            raise ValueError(str(exc)) from exc
+    else:
+        data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"top level is a {type(data).__name__}, not a "
+                         "mapping")
+    return data
+
+
+class _HandOver(Exception):
+    """Input that `read_yaml`'s walk does not build."""
+
+
+_TAG = "tag:yaml.org,2002:"
+# the scalar tags the walk builds with the loader's own constructors; a str
+# is the event's value
+_CONSTRUCTED = {_TAG + name for name in
+                ("bool", "int", "float", "null", "timestamp")}
+
+
+def read_yaml(text: str, loader_class: type | None = None):
+    """What `yaml.load(text, Loader=loader_class)` gives (default: libyaml's
+    `CSafeLoader` where PyYAML has it, else `SafeLoader`): an equal value,
+    or the same error.
+
+    The value is built from the loader's event stream with an explicit
+    stack, with no node graph in between. Scalars are resolved and
+    constructed as PyYAML does, and an anchored value is shared by its
+    aliases. Input the walk does not build (a tag other than str, seq, map
+    and the tags of `_CONSTRUCTED`, a merge `<<` or value `=` key, a second
+    document, a duplicate or undefined anchor, an unhashable key, or any
+    error) is handed to `yaml.load` whole. Before that the walk reads the
+    rest of the stream, up to its end or first error: input more than
+    `sys.getrecursionlimit()` levels deep raises ValueError instead, as
+    `yaml.load`'s composer recurses once per level (in C with libyaml,
+    where it can overflow the stack)."""
+    import yaml
+    from yaml.events import (AliasEvent, DocumentStartEvent,
+                             MappingEndEvent, MappingStartEvent, ScalarEvent,
+                             SequenceEndEvent, SequenceStartEvent,
+                             StreamEndEvent)
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
+    if loader_class is None:
+        loader_class = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    str_tag, seq_tag, map_tag = _TAG + "str", _TAG + "seq", _TAG + "map"
+    key_next = object()  # a mapping's `key` when its next event is a key
+    doc: list = []  # the document's value, once read
+    top, key = doc, key_next  # the collection being read
+    stack: list = []  # (top, key) of each collection around `top`
+    deepest = 0
+    loader = event = None
+    try:
+        loader = loader_class(text)
+        get_event, resolve = loader.get_event, loader.resolve
+        constructors = loader.yaml_constructors
+        if loader.yaml_path_resolvers:  # they follow the composer's path
+            raise _HandOver
+        anchors: dict = {}
+        resolved: dict = {}  # (value, implicit) -> tag
+        while True:
+            event = get_event()
+            kind = event.__class__
+            if kind is ScalarEvent:
+                tag = event.tag
+                if tag is None or tag == "!":
+                    # `resolve` depends only on its arguments, and a
+                    # description repeats its keys and values
+                    resolving = event.value, event.implicit
+                    tag = resolved.get(resolving)
+                    if tag is None:
+                        tag = resolved[resolving] = resolve(ScalarNode,
+                                                            *resolving)
+                if tag == str_tag:
+                    value = event.value
+                elif tag in _CONSTRUCTED:
+                    value = constructors[tag](loader,
+                                              ScalarNode(tag, event.value))
+                else:
+                    raise _HandOver
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                node, built, value = \
+                    (MappingNode, map_tag, {}) if kind is MappingStartEvent \
+                    else (SequenceNode, seq_tag, [])
+                tag = event.tag
+                if tag is None or tag == "!":
+                    tag = resolve(node, None, event.implicit)
+                if tag != built:
+                    raise _HandOver
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                top, key = stack.pop()
+                continue
+            elif kind is AliasEvent:
+                value = anchors[event.anchor]
+            elif kind is StreamEndEvent:
+                return doc[0] if doc else None
+            elif kind is DocumentStartEvent and doc:
+                raise _HandOver  # a second document
+            else:  # the stream's start, a document's start or end
+                continue
+            anchor = event.anchor
+            if anchor is not None and kind is not AliasEvent:
+                if anchor in anchors:
+                    raise _HandOver
+                anchors[anchor] = value
+            if top.__class__ is list:
+                top.append(value)
+            elif key is key_next:
+                key = value
+            else:
+                top[key] = value  # a TypeError for an unhashable key
+                key = key_next
+            if kind is MappingStartEvent or kind is SequenceStartEvent:
+                stack.append((top, key))
+                top, key = value, key_next
+                if len(stack) > deepest:
+                    deepest = len(stack)
+    except yaml.YAMLError:  # from the stream: it ends here
+        pass
+    # anything else: input the walk does not build, or an error of PyYAML's
+    # constructors, which yaml.load raises again; read on, for the depth
+    except Exception:
+        starts = (MappingStartEvent, SequenceStartEvent)
+        # a collection handed over at its start event is not on the stack
+        depth = len(stack) + isinstance(event, starts)
+        deepest = max(deepest, depth)
+        try:
+            while loader is not None and \
+                    not isinstance(event, StreamEndEvent):
+                event = loader.get_event()
+                if isinstance(event, starts):
+                    depth += 1
+                    deepest = max(deepest, depth)
+                elif isinstance(event, (MappingEndEvent, SequenceEndEvent)):
+                    depth -= 1
+        except yaml.YAMLError:
+            pass
+    finally:
+        if loader is not None:
+            loader.dispose()
+    if deepest > sys.getrecursionlimit():
+        raise ValueError("nested too deeply")
+    return yaml.load(text, Loader=loader_class)
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,19 @@ from .values import Record, Value, replace, set_field
 # character, and the engine never backtracks into the run: a comment cannot
 # stretch over the character that stopped the token after it. Every `>` is
 # a token of its own, so nested type arguments close one level per token;
-# a shift operator, which only bodies hold, is read as several tokens. An
-# identifier may hold any Unicode letter or digit (JLS 3.8); one that starts
-# with a letter outside ASCII is the last alternative, so every token of
-# ASCII source matches before it is tried.
+# a shift operator, which only bodies hold, is read as several tokens. A
+# text block (JLS 3.10.6) is tried ahead of a string, which would read its
+# `"""` as an empty string and the start of another, and ends at the first
+# `"""` that no backslash escapes. An identifier may hold any Unicode letter
+# or digit (JLS 3.8); one that starts with a letter outside ASCII is the
+# last alternative, so every token of ASCII source matches before it is
+# tried.
 _TOKEN_RE = re.compile(
     r"""
     ((?:\s+|//[^\n]*|/\*.*?\*/)*)
     (?:
-      ( "(?:\\.|[^"\\])*"
+      ( \"\"\"[ \t\f]*(?:\r\n|\r|\n)(?:\\.|[^"\\]|"(?!""))*\"\"\"
+      | "(?:\\.|[^"\\])*"
       | '(?:\\.|[^'\\])+'
       | 0[xX][0-9a-fA-F_]+[lL]?
       | 0[bB][01_]+[lL]?
@@ -133,17 +137,44 @@ def tokenize(source: str) -> Tokens:
 
 # An escape sequence of a string literal (JLS 3.10.7): a unicode escape
 # (JLS 3.3), which may repeat its `u`, an octal escape of up to \377, or
-# one character, which must be one that `_SIMPLE_ESCAPES` names.
+# one character, which must be one that `_SIMPLE_ESCAPES` names (or, in a
+# text block, `_TEXT_BLOCK_ESCAPES`).
 _ESCAPE_RE = re.compile(r"\\(?:u+(.{0,4})|([0-3][0-7]{0,2}|[4-7][0-7]?)|(.))",
                         re.DOTALL)
 _HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
 _SIMPLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
                    "s": " ", '"': '"', "'": "'", "\\": "\\"}
+_TEXT_BLOCK_ESCAPES = {**_SIMPLE_ESCAPES, "\n": ""}
+_SPACE = " \t\f"  # white space (JLS 3.6) other than line terminators
+
+
+def _strip_incidental_space(body: str) -> str:
+    """The content of a text block whose delimiters are cut off, with its
+    line terminators made `\\n` and its incidental white space stripped as
+    `String.stripIndent` does (JLS 3.10.6): the opening line is dropped,
+    every line loses the indentation that the non-blank lines and the
+    closing delimiter's line share, and its trailing white space; a blank
+    line becomes empty."""
+    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
+    indent = min([len(text) - len(text.lstrip(_SPACE))
+                  for text in lines if text.strip(_SPACE)]
+                 + [len(lines[-1]) - len(lines[-1].lstrip(_SPACE))])
+    return "\n".join(text[indent:].rstrip(_SPACE) for text in lines)
 
 
 def unescape_string(literal: str, line: int) -> str:
-    """The value of a string literal token, quotes included, as javac reads
-    it."""
+    """The value of a string literal or text block token, quotes included,
+    as javac reads it. A text block's line terminators are normalized and
+    its incidental white space is stripped before its escapes are read,
+    among them `\\` at the end of a line, which joins it to the next
+    (JLS 3.10.6)."""
+    escapes = _SIMPLE_ESCAPES
+    if literal.startswith('"""'):
+        body = _strip_incidental_space(literal[3:-3])
+        escapes = _TEXT_BLOCK_ESCAPES
+    else:
+        body = literal[1:-1]
+
     def unescape(m: re.Match) -> str:
         digits, octal, char = m.groups()
         if digits is not None:
@@ -153,12 +184,12 @@ def unescape_string(literal: str, line: int) -> str:
             return chr(int(digits, 16))
         if octal is not None:
             return chr(int(octal, 8))
-        if char not in _SIMPLE_ESCAPES:
+        if char not in escapes:
             raise InvalidEscapeError(f"illegal escape character {char!r}",
                                      line)
-        return _SIMPLE_ESCAPES[char]
+        return escapes[char]
 
-    text = _ESCAPE_RE.sub(unescape, literal[1:-1])
+    text = _ESCAPE_RE.sub(unescape, body)
     try:
         # joins each \uD83D\uDE00-style pair into one code point
         return text.encode("utf-16", "surrogatepass").decode("utf-16")
@@ -1002,6 +1033,12 @@ class _Parser:
         # a nested type like Map.Entry<K,V> is one dotted name; type
         # arguments in the middle of the name are not supported
         name = self.parse_dotted_name()
+        while self.at(".") and self.at("@", 1):
+            # a type-use annotation inside the name, as in
+            # `java.util.@NotNull List` (JLS 9.7.4), is dropped
+            self.pos += 1
+            self.drop_type_annotations()
+            name += "." + self.parse_dotted_name()
         args: tuple[TypeRef, ...] = ()
         if self.at("<"):
             args = self.parse_type_arguments()

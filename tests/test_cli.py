@@ -188,6 +188,28 @@ def test_type_use_annotations_are_read_and_dropped(tmp_path):
         "schema"] == strings
 
 
+def test_text_blocks_are_read_as_strings(tmp_path):
+    (tmp_path / "P.java").write_text(
+        'package app;\ninterface P {\n'
+        '    String Y = """\n        /tb2""";\n}\n')
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nclass Api {\n"
+        '    @Operation(description = """\n'
+        "      Lists the users.\n"
+        '      """)\n'
+        "    @GetMapping(P.Y)\n"
+        '    String get() { return ""; }\n}\n')
+    out = tmp_path / "out"
+    result = run("generate", "--input", str(tmp_path),
+                 "--output", str(out), "--fail-on-diagnostics")
+    assert result.exit_code == 0, result.output
+    assert "diagnostics: 0" in result.output
+    doc = json.loads((out / f"{tmp_path.name}-default.openapi.json")
+                     .read_text())
+    assert list(doc["paths"]) == ["/tb2"]
+
+
 def test_generate_diagnostics_reported_on_stderr(tmp_path):
     result = run("generate",
                  "--input", str(FIXTURES_DIR / "parse_error"),
@@ -636,6 +658,48 @@ def test_evaluate_deeply_nested_json_is_fatal_without_traceback(tmp_path):
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.stderr
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("tag, message", [
+    ("", "paths is a list, not a mapping"),
+    # the tag hands the text to yaml.load, whose composer recurses once per
+    # level; the reader refuses it first
+    ("!custom", "nested too deeply"),
+], ids=["walked", "handed-over"])
+def test_evaluate_deeply_nested_yaml_is_fatal_without_traceback(
+        tmp_path, tag, message):
+    # in a fresh interpreter, as libyaml's composer, which recurses in C,
+    # ended this with a segmentation fault
+    # block sequences, `- - - x`: the scanner's time is quadratic in the
+    # depth of flow sequences, `[[[x]]]`
+    description = tmp_path / "deep.openapi.yaml"
+    description.write_text(f"paths: {tag}\n" + "- " * 100_000 + "x\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oasforge.cli", "evaluate",
+         "--oas", str(description), "--gt", str(GT_DIR / "request_body.json")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {description}: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ('paths: !!int ""\n', "string index out of range"),
+    ("paths: !!timestamp x\n",
+     "'NoneType' object has no attribute 'groupdict'"),
+    ("paths: !!float x\n", "could not convert string to float: 'x'"),
+], ids=["int", "timestamp", "float"])
+def test_evaluate_malformed_tagged_scalar_is_fatal_without_traceback(
+        tmp_path, content, message):
+    bad = tmp_path / "bad.openapi.yaml"
+    bad.write_text(content)
+    result = run("evaluate", "--oas", str(bad),
+                 "--gt", str(GT_DIR / "request_body.json"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {bad}: {message}\n"
 
 
 OPERATION = "paths:\n  /a:\n    get:\n"

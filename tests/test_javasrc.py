@@ -371,6 +371,43 @@ def test_string_escapes_are_read_as_javac_reads_them(literal, value):
         assert unescape_string(literal, 1) == value
 
 
+@pytest.mark.parametrize("literal, value", [
+    ('"""\n      Lists the users.\n      """', "Lists the users.\n"),
+    ('"""\n    /tb2"""', "/tb2"),
+    # escapes are read after the white space is stripped
+    ('"""\n  a  \n    b\\s\n  c \\\n  d"""', "a\n  b \nc d"),
+    ('"""\r\n  x\r  y\r\n  """', "x\ny\n"),
+    ('"""\n  a\n\n   \n  b\n"""', "  a\n\n\n  b\n"),
+    ('"""\n    a\n  """', "  a\n"),
+    ('"""\t\n\tsay \\"""hi\\""" "\n\t"""', 'say """hi""" "\n'),
+    ('"""\n  \\q"""', None),
+], ids=["annotation", "constant", "escapes", "line-terminators",
+        "blank-lines", "closing-indent", "quotes", "illegal-escape"])
+def test_text_blocks_are_read_as_javac_reads_them(literal, value):
+    (text,) = tokenize(literal).texts
+    if value is None:
+        with pytest.raises(InvalidEscapeError):
+            unescape_string(text, 1)
+    else:
+        assert unescape_string(text, 1) == value
+
+
+def test_text_block_constant_and_annotation_value_resolve():
+    model = model_from(
+        'package app;\ninterface P {\n'
+        '    String Y = """\n        /tb2""";\n}\n',
+        'package app;\nclass Api {\n'
+        '    @Operation(description = """\n'
+        '      Lists the users.\n      """)\n'
+        "    @GetMapping(P.Y)\n    String get() { return null; }\n}\n")
+    api = model.classes["app.Api"]
+    (get,) = api.methods
+    operation, mapping = get.annotations
+    assert operation.attributes["description"] == "Lists the users.\n"
+    assert resolve_string_constant(mapping.attributes["value"], api,
+                                   model) == "/tb2"
+
+
 def test_qualified_name_resolves_only_to_a_class_ending_with_it():
     model = model_from(
         "package app;\nclass Outer { static class Inner {} }\n"
@@ -638,6 +675,24 @@ def test_type_use_annotations_are_dropped_from_types():
         ("p", a.type), ("q", TypeRef("String", array_depth=1))]
 
 
+def test_type_use_annotations_inside_a_qualified_name_are_dropped():
+    cls = only_class(
+        "class H {\n"
+        "    java.util.@NotNull List<String> a;\n"
+        "    Outer.@A Inner b;\n"
+        "    a.@X b.@Y(1) @Z c.D<java.lang.@N String> @Q [] c;\n"
+        "    java.util.@NotNull List<String> m(Outer.@A Inner p) "
+        "{ return null; }\n}")
+    a, b, c = cls.fields
+    assert a.type == TypeRef("java.util.List", (TypeRef("String"),))
+    assert b.type == TypeRef("Outer.Inner")
+    assert c.type == TypeRef("a.b.c.D", (TypeRef("java.lang.String"),),
+                             array_depth=1)
+    (m,) = cls.methods
+    assert m.return_type == a.type
+    assert [(p.name, p.type) for p in m.parameters] == [("p", b.type)]
+
+
 def test_compact_record_constructor_is_skipped():
     cls = only_class("record R(int a, String b) {\n"
                      "    public R { if (a < 0) throw new E(); }\n"
@@ -869,7 +924,8 @@ _REFERENCE_TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<str>"(?:\\.|[^"\\])*")
+    | (?P<str>\"\"\"[ \t\f]*(?:\r\n|\r|\n)(?:[^"\\]|\\.|""?(?!"))*\"\"\"
+        |"(?:\\.|[^"\\])*")
     | (?P<char>'(?:\\.|[^'\\])+')
     | (?P<num>0[xX][0-9a-fA-F_]+[lL]?
         |0[bB][01_]+[lL]?
@@ -937,6 +993,10 @@ def tokens_or_error(tokenizer, source):
                                ("ident", "$\u00fc", 1)]),
     ("0b101 0B1_0L 0b2", [("num", "0b101", 1), ("num", "0B1_0L", 1),
                           ("num", "0", 1), ("ident", "b2", 1)]),
+    # a text block ends at the first `"""` no backslash escapes
+    ('""" \n a "" \\""" b"""""x', [("str", '""" \n a "" \\""" b"""', 1),
+                                  ("str", '""', 2), ("ident", "x", 2)]),
+    ('"""x"""', [("str", '""', 1), ("str", '"x"', 1), ("str", '""', 1)]),
 ])
 def test_tokenize_pinned_cases(source, expected):
     assert tokens_or_error(columns_as_triples, source) == expected
