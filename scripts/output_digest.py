@@ -7,7 +7,7 @@ checkouts:
     python3 scripts/output_digest.py b.json      # in the other
     python3 scripts/digest_diff.py a.json b.json
 
-It makes 48 `generate` runs: each of the 14 fixtures plain, with `--merge`
+It makes 51 `generate` runs: each of the 15 fixtures plain, with `--merge`
 and with `--format yaml`, and seeds 1 and 2 of each workload of
 `perfbench/corpus.py` with that workload's flags. For each run it records
 the exit code and the sha256 of stderr, of stdout and of each output file.
@@ -19,7 +19,7 @@ stdout, of stderr and of the report. The input, output, truth and report
 paths are masked in stdout and stderr, so the digest does not depend on
 where the checkout or the temporary files are. For each `.java` file of
 those trees it also records the sha256 of its token stream, or of the
-error text when it does not tokenize: 5,319 files, 5,374 entries in all.
+error text when it does not tokenize: 5,328 files, 5,387 entries in all.
 Each stream is a JSON list of [kind, text, line] triples (see
 `token_triples`). The code of this checkout's `src/` is the code that
 runs.

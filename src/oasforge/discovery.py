@@ -42,12 +42,17 @@ class ProfileUnit(Record):
 
 
 def discover_rest_classes(model: SourceModel) -> ControllerSet:
+    """The classes Spring's component scan registers, which are concrete,
+    as controllers and advices. A controller marker on a class or on one
+    of its superclasses makes it a controller, so an abstract base class
+    that carries it is not one, but each concrete subclass is."""
     result = ControllerSet()
     # Whether a class or one of its superclasses carries a controller
-    # marker, decided once per class from its superclass's answer.
+    # marker, decided once per class from its superclass's answer, so a
+    # chain of any depth is walked once.
     marked: dict[str, bool] = {}
     for cls in model.classes.values():
-        if cls.kind not in ("class", "record"):
+        if cls.kind not in ("class", "record") or cls.is_abstract:
             continue
         undecided = []
         cur = cls
@@ -60,8 +65,6 @@ def discover_rest_classes(model: SourceModel) -> ControllerSet:
                 c.annotations, CONTROLLER_MARKERS) is not None
             marked[c.qualified_name] = answer
         if answer:
-            # only concrete leaf controllers expose endpoints; a superclass
-            # carrying the marker makes every subclass a controller too
             result.controllers.append(cls)
         if find_annotation(cls.annotations, ADVICE_MARKERS) is not None:
             result.advices.append(cls)

@@ -341,11 +341,13 @@ class FieldDecl(Value):
 
 class ClassDecl(Record):
     """A class, interface, enum or record. Parsing sets the fields its
-    file's header gives, and `SourceModel` qualifies `superclass`."""
+    file's header gives, and `SourceModel` qualifies `superclass` and
+    `interfaces`."""
     __slots__ = ("qualified_name", "kind", "annotations", "superclass",
-                 "fields", "methods", "enum_constants", "type_params",
-                 "package", "imports", "wildcard_imports", "static_imports",
-                 "static_wildcard_imports", "source_file", "access",
+                 "interfaces", "fields", "methods", "enum_constants",
+                 "type_params", "package", "imports", "wildcard_imports",
+                 "static_imports", "static_wildcard_imports", "source_file",
+                 "access", "is_abstract",
                  "__dict__")  # for the cached properties
 
     def __init__(self, qualified_name: str, kind: str,
@@ -359,11 +361,16 @@ class ClassDecl(Record):
                  wildcard_imports: tuple[str, ...] = (),
                  static_imports: Optional[dict[str, str]] = None,
                  static_wildcard_imports: tuple[str, ...] = (),
-                 source_file: str = "", access: str = ""):
+                 source_file: str = "", access: str = "",
+                 interfaces: tuple[TypeRef, ...] = (),
+                 is_abstract: bool = False):
         self.qualified_name = qualified_name
         self.kind = kind  # class | interface | enum | record
         self.annotations = annotations
         self.superclass = superclass
+        # the `implements` list of a class, enum or record; the `extends`
+        # list of an interface
+        self.interfaces = interfaces
         self.fields = fields
         self.methods = methods
         self.enum_constants = enum_constants
@@ -378,6 +385,7 @@ class ClassDecl(Record):
         self.source_file = source_file
         # "public", "protected", "private", or "" for package access
         self.access = access
+        self.is_abstract = is_abstract  # declared `abstract`
 
     @property
     def simple_name(self) -> str:
@@ -410,7 +418,7 @@ class SourceModel(Record):
     `resolve_type_name` tries, in order: the name as a fully qualified
     name, a member type of the naming class or of a class that lexically
     encloses it, innermost first (JLS 6.4.1), each class's declared member
-    types before those it inherits from its superclasses (JLS 8.5), the
+    types before those it inherits from its supertypes (JLS 8.5), the
     single-type import of the naming class, the naming
     class's own package, its wildcard imports, the member types of the
     types its static imports on demand name, and last a class anywhere in
@@ -419,15 +427,16 @@ class SourceModel(Record):
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
     does not find `app.Date`. A single-type import decides alone, as it
     shadows every other class of its simple name: a name imported from
-    outside the model resolves to nothing. The raw name of each
-    `superclass` is resolved once, here at construction, so
-    `superclass_of` only looks up fully qualified names; a superclass that
-    does not resolve keeps its source spelling and ends the chain. Its type
-    arguments are qualified there too, by `qualify_arguments`.
-    Construction then raises SupertypeCycleError if a chain of superclasses
-    comes back to one of its classes, so every later walk up a chain ends.
-    Superclass names are resolved before inherited member types are known,
-    so an `extends` clause does not see them.
+    outside the model resolves to nothing. The raw names of each class's
+    `superclass` and `interfaces` are resolved once, here at construction,
+    so a walk up the hierarchy only looks up fully qualified names; a
+    supertype that does not resolve keeps its source spelling and ends its
+    branch of the walk. Their type arguments are qualified there too, by
+    `qualify_arguments`. Construction then raises SupertypeCycleError if a
+    path of superclass or interface links comes back to one of its
+    classes, so every later walk ends. Supertype names are resolved before
+    inherited member types are known, so an `extends` or `implements`
+    clause does not see them.
 
     Construction builds a simple name → classes index, in `classes` order,
     so `by_simple_name` does not walk `classes`, and the set of classes
@@ -448,48 +457,102 @@ class SourceModel(Record):
             index.setdefault(cls.simple_name, []).append(cls)
         self._by_simple_name = {k: tuple(v) for k, v in index.items()}
         # the classes that declare a member type; empty until the cycle
-        # check below has passed, so every walk up a chain ends
+        # check below has passed, so every walk up a hierarchy ends
         self._outer_classes: set[str] = set()
         for cls in self.classes.values():
-            parent = cls.superclass
-            if parent:
-                resolved = self.resolve_type_name(parent.raw_name, cls)
-                if resolved:
-                    parent = replace(parent, raw_name=resolved)
-                cls.superclass = self.qualify_arguments(parent, cls)
-        checked: set[str] = set()
-        for cls in self.classes.values():
-            chain: dict[str, None] = {}  # ordered, with constant-time `in`
-            cur: Optional[ClassDecl] = cls
-            while cur is not None and cur.qualified_name not in checked:
-                if cur.qualified_name in chain:
-                    cycle = " -> ".join([*chain, cur.qualified_name])
-                    raise SupertypeCycleError(f"inheritance cycle: {cycle}")
-                chain[cur.qualified_name] = None
-                cur = self.superclass_of(cur)
-            checked.update(chain)
+            if cls.superclass:
+                cls.superclass = self._qualify_supertype(cls.superclass, cls)
+            if cls.interfaces:
+                cls.interfaces = tuple(self._qualify_supertype(t, cls)
+                                       for t in cls.interfaces)
+        self._check_cycles()
         self._outer_classes = {
             cls.qualified_name.rpartition(".")[0]
             for cls in self.classes.values()
             if cls.qualified_name.find(".", len(cls.package) + 1) != -1}
 
+    def _qualify_supertype(self, t: TypeRef, cls: ClassDecl) -> TypeRef:
+        """`t`, named in the header of `cls`, by its fully qualified name
+        when it names a model class, with its arguments qualified."""
+        resolved = self.resolve_type_name(t.raw_name, cls)
+        if resolved:
+            t = replace(t, raw_name=resolved)
+        return self.qualify_arguments(t, cls)
+
+    def _check_cycles(self) -> None:
+        """Raise SupertypeCycleError if a path of superclass or interface
+        links leads from a class back to itself. A depth-first search from
+        each class in model order, which visits each class once: the
+        message names the path from the class it started at, so a diamond
+        (two supertypes that share one) is no cycle."""
+        checked: set[str] = set()
+        for cls in self.classes.values():
+            if cls.qualified_name in checked:
+                continue
+            path = {cls.qualified_name: None}  # ordered; popitem is LIFO
+            pending = [iter(self._direct_supertypes(cls))]
+            while pending:
+                cur = next(pending[-1], None)
+                if cur is None:
+                    pending.pop()
+                    checked.add(path.popitem()[0])
+                elif cur.qualified_name in path:
+                    cycle = " -> ".join([*path, cur.qualified_name])
+                    raise SupertypeCycleError(f"inheritance cycle: {cycle}")
+                elif cur.qualified_name not in checked:
+                    path[cur.qualified_name] = None
+                    pending.append(iter(self._direct_supertypes(cur)))
+
+    def _direct_supertypes(self, cls: ClassDecl) -> list[ClassDecl]:
+        """The model classes `cls` names as its interfaces, in order, and
+        then its superclass."""
+        return [c for c in (*self._interfaces_of(cls), self.superclass_of(cls))
+                if c]
+
+    def _interfaces_of(self, cls: ClassDecl) -> list[ClassDecl]:
+        return [iface for t in cls.interfaces
+                if (iface := self.classes.get(t.raw_name))]
+
+    def type_hierarchy(self, cls: ClassDecl) -> Iterator[ClassDecl]:
+        """`cls` and its supertypes in the model, each once: `cls`, then
+        the hierarchy of each of its interfaces in declaration order,
+        depth-first, then the same for its superclass. This is the order
+        in which Spring's `TYPE_HIERARCHY` annotation search visits them;
+        each level of `supertype_chain` is followed by its interfaces."""
+        seen: set[str] = set()
+        for level in supertype_chain(cls, self):
+            pending = [level]
+            while pending:
+                cur = pending.pop()
+                if cur.qualified_name not in seen:
+                    seen.add(cur.qualified_name)
+                    yield cur
+                    if cur.interfaces:
+                        pending += reversed(self._interfaces_of(cur))
+
     def _inherited_member_type(self, owner: str, name: str) -> Optional[str]:
         """The member type `name` that the class `owner` inherits from its
-        superclasses (JLS 8.5). The nearest superclass that declares a type
-        of that name hides those further up, and its type is inherited
-        unless it is private, or package-private while `owner` or a class
-        between them lies in another package."""
-        cur = self.classes.get(owner)
+        supertypes (JLS 8.5). The first class after `owner` in
+        `type_hierarchy` that declares a type of that name hides the
+        others, and its type is inherited unless it is private, or
+        package-private while `owner` or a class between them lies in
+        another package. Only a superclass can declare such a type, as an
+        interface's member types are public, so the classes between are
+        the superclasses walked so far."""
+        cls = self.classes.get(owner)
+        if cls is None:
+            return None
         packages: set[str] = set()
-        while cur:
-            packages.add(cur.package)
-            cur = self.superclass_of(cur)
-            member = cur and self.classes.get(f"{cur.qualified_name}.{name}")
+        for cur in self.type_hierarchy(cls):
+            member = cur is not cls and self.classes.get(
+                f"{cur.qualified_name}.{name}")
             if member:
                 if member.access == "private" or (
                         not member.access and packages != {cur.package}):
                     return None
                 return member.qualified_name
+            if cur.kind != "interface":
+                packages.add(cur.package)
         return None
 
     def superclass_of(self, cls: ClassDecl) -> Optional[ClassDecl]:
@@ -827,12 +890,15 @@ class _Parser:
             fields = [FieldDecl(p.name, p.type, p.annotations)
                       for p in self.parse_formal_params()]
         superclass: Optional[TypeRef] = None
+        interfaces: list[TypeRef] = []
         if self.accept("extends"):
             extended = self.parse_type_list(",")
-            if kind != "interface":
+            if kind == "interface":
+                interfaces = extended
+            else:
                 superclass = extended[0]
         if self.accept("implements"):
-            self.parse_type_list(",")
+            interfaces = self.parse_type_list(",")
         if self.accept("permits"):
             self.parse_type_list(",")
 
@@ -851,14 +917,21 @@ class _Parser:
                 else:
                     fields.append(member)
         self.expect("}")
-        if kind == "interface":  # its fields are static and final (JLS 9.3)
+        if kind == "interface":
+            # its fields are static and final (JLS 9.3), its member types
+            # public (JLS 9.5)
             fields = [replace(f, is_static=True, is_final=True)
                       for f in fields]
+            for member in nested:
+                if member.qualified_name.rpartition(".")[0] == qualified:
+                    member.access = "public"
         access = next((m for m in ("public", "protected", "private")
                        if m in mods), "")
         cls = ClassDecl(qualified, kind, tuple(annos), superclass,
                         tuple(fields), tuple(methods), tuple(enum_constants),
-                        type_params, access=access)
+                        type_params, access=access,
+                        interfaces=tuple(interfaces),
+                        is_abstract="abstract" in mods)
         return [cls] + nested
 
     def parse_type_param_names(self) -> tuple[str, ...]:
@@ -1296,10 +1369,10 @@ def _simple_name_scopes(name: str, ctx: ClassDecl, model: SourceModel
 
 def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
                       active: set) -> Optional[str]:
-    """A qualified name is searched in the class it names and its
-    superclasses. A simple name is searched in each class of
-    `_simple_name_scopes` and its superclasses, and last in the one class
-    of the model that declares it."""
+    """A qualified name is searched in the class it names, a simple name in
+    each class of `_simple_name_scopes`; each class with the fields it
+    inherits from its superclasses and interfaces (JLS 8.3, 9.3), in the
+    order of `SourceModel.type_hierarchy`."""
     const = ref.parts[-1]
     scopes: Iterable[Optional[ClassDecl]]
     if len(ref.parts) > 1:
@@ -1307,13 +1380,8 @@ def _resolve_name_ref(ref: NameRef, ctx: ClassDecl, model: SourceModel,
     else:
         scopes = _simple_name_scopes(const, ctx, model)
     owner = next((cls for scope in scopes if scope
-                  for cls in supertype_chain(scope, model)
+                  for cls in model.type_hierarchy(scope)
                   if const in cls.string_constants), None)
-    if owner is None and len(ref.parts) == 1:
-        # last resort: unique constant with this name anywhere in the model
-        hits = [cls for cls in model.classes.values()
-                if const in cls.string_constants]
-        owner = hits[0] if len(hits) == 1 else None
     if owner is None:
         return None
     key = (owner.qualified_name, const)

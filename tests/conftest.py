@@ -18,7 +18,7 @@ GOLDEN_FIXTURES = [
     "profile_split", "constant_paths", "path_regex", "all_verbs",
     "model_attribute", "request_body", "void_default",
     "exception_precedence", "unresolved_exception", "allof_inheritance",
-    "required_fields", "map_schema", "raw_wrapper",
+    "required_fields", "map_schema", "raw_wrapper", "interface_inheritance",
 ]
 
 

@@ -290,6 +290,78 @@ def test_inheritance_cycle_is_fatal_without_traceback(tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_interface_inheritance_cycle_is_fatal_without_traceback(tmp_path):
+    (tmp_path / "A.java").write_text(
+        "package app;\ninterface A extends B {}\n")
+    (tmp_path / "B.java").write_text(
+        "package app;\ninterface B extends A {}\n")
+    result = run("generate", "--input", str(tmp_path),
+                 "--output", str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == \
+        "error: inheritance cycle: app.A -> app.B -> app.A\n"
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def _paths(tmp_path, sources: dict[str, str]) -> list[str]:
+    """The paths `generate` documents for a tree of `sources`, which must
+    give no diagnostic."""
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    for name, text in sources.items():
+        (src / name).write_text(text)
+    result = run("generate", "--input", str(src), "--output", str(out))
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    return list(json.loads((out / "src-default.openapi.json").read_text())
+                ["paths"])
+
+
+WEB = "import org.springframework.web.bind.annotation.*;\n"
+
+
+def test_constant_inherited_from_an_interface_gives_the_path(tmp_path):
+    # javac and Spring read BASE as Paths.BASE, not as the O.BASE that the
+    # static import on demand names
+    assert _paths(tmp_path, {
+        "O.java": "package app.o;\n"
+                  "public class O { public static final String BASE = "
+                  "\"/other\"; }\n",
+        "Paths.java": "package app;\ninterface Paths { String BASE = "
+                      "\"/k\"; }\n",
+        "C.java": "package app;\nimport static app.o.O.*;\n" + WEB
+                  + "@RestController\nclass C implements Paths {\n"
+                  "    @GetMapping(BASE + \"/x\")\n"
+                  "    String x() { return \"\"; }\n}\n"}) == ["/k/x"]
+
+
+def test_abstract_controller_is_not_documented(tmp_path):
+    # component scanning registers concrete classes only; the subclass is
+    # a controller through the marker it inherits
+    assert _paths(tmp_path, {
+        "Base.java": "package app;\n" + WEB
+                     + "@RestController\n@RequestMapping(\"/base\")\n"
+                     "abstract class Base {\n    @GetMapping(\"/x\")\n"
+                     "    String x() { return \"\"; }\n}\n",
+        "Sub.java": "package app;\n" + WEB
+                    + "@RequestMapping(\"/sub\")\n"
+                    "class Sub extends Base {}\n"}) == ["/sub/x"]
+
+
+def test_interface_inheritance_fixture_scores_perfectly(tmp_path):
+    # its truth is written by hand from the Java source
+    out = tmp_path / "out"
+    run("generate", "--input", str(FIXTURES_DIR / "interface_inheritance"),
+        "--output", str(out))
+    result = run("evaluate", "--oas", str(out),
+                 "--gt", str(GT_DIR / "interface_inheritance.json"))
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-2:] for line in result.stdout.splitlines()[1:]] \
+        == [["1.00", "1.00"], ["0.00", "0.00"], ["1.00", "1.00"]]
+
+
 CONSTANT_CHAIN = "interface P {\n    String C0 = \"/a\";\n" + "".join(
     f"    String C{i} = C{i - 1} + \"/x\";\n" for i in range(1, 300)) + "}\n"
 

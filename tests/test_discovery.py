@@ -61,9 +61,21 @@ def test_advice_discovered_alongside_controller():
 
 
 def test_controller_marker_inherited_from_superclass():
+    # the abstract class that carries the marker is not registered itself
     cs = discover_rest_classes(model_from(INHERITED))
-    assert {c.simple_name for c in cs.controllers} == \
-        {"AbstractApi", "ConcreteApi"}
+    assert [c.simple_name for c in cs.controllers] == ["ConcreteApi"]
+
+
+def test_abstract_classes_are_neither_controllers_nor_advices():
+    cs = discover_rest_classes(model_from(
+        "package app;\n"
+        "import org.springframework.web.bind.annotation.*;\n"
+        "@RestController\nabstract class Api {}\n"
+        "@RestControllerAdvice\nabstract class Advice {}\n"
+        "abstract class Mid extends Api {}\nclass Leaf extends Mid {}\n"
+        "@RestControllerAdvice\nclass Concrete extends Advice {}\n"))
+    assert [c.simple_name for c in cs.controllers] == ["Leaf"]
+    assert [a.simple_name for a in cs.advices] == ["Concrete"]
 
 
 LAYERED = """

@@ -239,6 +239,142 @@ def test_class_extending_itself_in_a_package_raises():
     assert str(exc.value) == "inheritance cycle: app.Loop -> app.Loop"
 
 
+def test_supertype_lists_are_kept_and_qualified():
+    # the `implements` list of a class, enum or record and the `extends`
+    # list of an interface, each name resolved as a superclass's is
+    model = model_from(
+        "package app.base;\npublic interface Named<T> {}\n",
+        "package app.web;\nimport app.base.Named;\n"
+        "interface Tagged extends Named<Item>, Missing {}\n"
+        "class C extends Base implements Tagged, Comparable<C> {}\n"
+        "enum E implements Tagged { A }\n"
+        "record R(int a) implements Tagged {}\nclass Item {}\nclass Base {}\n")
+    tagged = model.classes["app.web.Tagged"]
+    assert tagged.superclass is None
+    assert tagged.interfaces == (
+        TypeRef("app.base.Named", (TypeRef("app.web.Item"),)),
+        TypeRef("Missing"))
+    c = model.classes["app.web.C"]
+    assert c.superclass == TypeRef("app.web.Base")
+    assert c.interfaces == (TypeRef("app.web.Tagged"),
+                            TypeRef("Comparable", (TypeRef("app.web.C"),)))
+    for name in ("app.web.E", "app.web.R"):
+        assert model.classes[name].interfaces == (TypeRef("app.web.Tagged"),)
+
+
+def test_type_hierarchy_visits_interfaces_before_the_superclass():
+    # as Spring's TYPE_HIERARCHY search: the class, then each interface's
+    # hierarchy depth-first, then the same for the superclass; a class
+    # reached twice is visited the first time only
+    model = model_from(
+        "package app;\ninterface I1 extends I3 {}\n"
+        "interface I2 extends I3 {}\ninterface I3 {}\ninterface J {}\nclass Top {}\n"
+        "class S extends Top implements J, I3 {}\n"
+        "class C extends S implements I1, Outside, I2 {}\n")
+    walk = model.type_hierarchy(model.classes["app.C"])
+    assert [c.simple_name for c in walk] == \
+        ["C", "I1", "I3", "I2", "S", "J", "Top"]
+    top = model.classes["app.Top"]
+    assert list(model.type_hierarchy(top)) == [top]
+    # supertype_chain keeps to superclasses
+    assert [c.simple_name for c in supertype_chain(model.classes["app.C"],
+                                                   model)] == ["C", "S", "Top"]
+
+
+def test_diamond_of_interfaces_is_not_a_cycle():
+    model = model_from(
+        "package app;\ninterface A {}\ninterface B extends A {}\n"
+        "interface C extends A {}\nclass D implements B, C {}\n"
+        "class E extends D implements A {}\n")
+    walk = model.type_hierarchy(model.classes["app.E"])
+    assert [c.simple_name for c in walk] == ["E", "A", "D", "B", "C"]
+
+
+@pytest.mark.parametrize("sources, message", [
+    ("interface A extends B {}\ninterface B extends A {}\n",
+     "app.A -> app.B -> app.A"),
+    ("interface J extends J {}\n", "app.J -> app.J"),
+    ("class C extends S implements I {}\ninterface I extends K {}\n"
+     "interface K extends I {}\nclass S {}\n",
+     "app.C -> app.I -> app.K -> app.I"),
+    ("class C implements I {}\ninterface I extends C {}\n",
+     "app.C -> app.I -> app.C"),
+], ids=["two-interfaces", "interface-extending-itself", "through-a-class",
+        "interface-extending-its-class"])
+def test_cycle_through_interfaces_raises(sources, message):
+    with pytest.raises(SupertypeCycleError) as exc:
+        model_from("package app;\n" + sources)
+    assert str(exc.value) == f"inheritance cycle: {message}"
+
+
+def test_constant_inherited_from_an_interface_shadows_a_static_import():
+    # JLS 8.3: a field the class inherits from its interface is in scope,
+    # and a static import on demand only gives names nothing else declares
+    model = model_from(
+        "package app.o;\npublic class O { public static final String BASE "
+        "= \"/other\"; public static final String ONLY = \"/o\"; }\n",
+        "package app;\ninterface Paths { String BASE = \"/k\"; }\n",
+        "package app;\nimport static app.o.O.*;\n"
+        "class C implements Paths { static class Nested {} }\n")
+    for name in ("app.C", "app.C.Nested"):
+        ctx = model.classes[name]
+        assert resolve_string_constant(
+            Concat((NameRef(("BASE",)), "/x")), ctx, model) == "/k/x"
+        assert resolve_string_constant(NameRef(("ONLY",)), ctx,
+                                       model) == "/o"
+
+
+def test_qualified_constant_is_found_in_a_superinterface():
+    # JLS 9.3: `L.X` names the field X that interface L inherits from K
+    model = model_from(
+        "package app;\ninterface K { String X = \"/lx\"; }\n"
+        "interface L extends K {}\nclass Impl implements L {}\n"
+        "class Sub extends Impl {}\nclass C {}\n")
+    ctx = model.classes["app.C"]
+    for owner in ("L", "Impl", "Sub"):
+        assert resolve_string_constant(NameRef((owner, "X")), ctx,
+                                       model) == "/lx"
+    assert resolve_string_constant(NameRef(("X",)), ctx, model) is None
+
+
+def test_interface_member_types_are_public():
+    # JLS 9.5; a member of a class nested in an interface keeps its own
+    classes = parse_source(
+        "package app;\ninterface K { class Dto { static class Deep {} }\n"
+        "  interface Inner { class More {} } }\n")
+    assert {c.qualified_name: c.access for c in classes} == {
+        "app.K": "", "app.K.Dto": "public", "app.K.Dto.Deep": "",
+        "app.K.Inner": "public", "app.K.Inner.More": "public"}
+
+
+def test_member_type_inherited_from_an_interface_shadows_the_package(
+        tmp_path):
+    # JLS 8.5: a class inherits the member types of its superinterfaces,
+    # which are public (JLS 9.5), before its package's classes are tried
+    (tmp_path / "api").mkdir()
+    (tmp_path / "api" / "K.java").write_text(
+        "package app.api;\npublic interface K { class Dto {} }\n")
+    (tmp_path / "L.java").write_text(
+        "package app;\ninterface L extends app.api.K {}\n")
+    (tmp_path / "Dto.java").write_text("package app;\nclass Dto {}\n")
+    (tmp_path / "Part.java").write_text("package app;\nclass Part {}\n")
+    (tmp_path / "Base.java").write_text(
+        "package app;\nclass Base { static class Part {} }\n")
+    (tmp_path / "Api.java").write_text(
+        "package app;\nclass Api extends Base implements L {\n"
+        "  static class Inner {}\n}\n"
+        "class Plain {}\n")
+    model = parse_project(tmp_path)
+    api, inner = model.classes["app.Api"], model.classes["app.Api.Inner"]
+    assert model.resolve_type_name("Dto", api) == "app.api.K.Dto"
+    assert model.resolve_type_name("Dto", inner) == "app.api.K.Dto"
+    # an interface of another package walked before the superclass does
+    # not stop a package-private member type of the superclass
+    assert model.resolve_type_name("Part", api) == "app.Base.Part"
+    plain = model.classes["app.Plain"]
+    assert model.resolve_type_name("Dto", plain) == "app.Dto"
+
+
 class _NoScan(Mapping):
     """Classes by name that can be looked up but not iterated."""
 
@@ -266,14 +402,15 @@ def test_name_lookups_do_not_scan_classes():
     assert model.resolve_type_name("Dup", ctx) is None
 
 
-def test_bare_constant_falls_back_to_the_one_class_declaring_it():
+def test_bare_constant_that_no_scope_declares_does_not_resolve():
+    # javac does not guess a class, not even the one class declaring it
     model = model_from(
         "package app.a;\nclass Paths { static final String ROOT = \"/r\"; "
         "static final String DUP = \"/a\"; }\n",
         "package app.b;\nclass More { static final String DUP = \"/b\"; }\n",
         "package app.web;\nclass User {}\n")
     ctx = model.classes["app.web.User"]
-    assert resolve_string_constant(NameRef(("ROOT",)), ctx, model) == "/r"
+    assert resolve_string_constant(NameRef(("ROOT",)), ctx, model) is None
     assert resolve_string_constant(NameRef(("DUP",)), ctx, model) is None
 
 
@@ -320,8 +457,8 @@ def test_static_import_on_demand_names_the_class_of_a_constant():
     assert resolve_string_constant(NameRef(("BASE",)), c, model) == "/base"
     # a single-static import shadows an import on demand
     assert resolve_string_constant(NameRef(("BASE",)), d, model) == "/b"
-    # a name no import gives still falls back to the one class declaring it
-    assert resolve_string_constant(NameRef(("ROOT",)), c, model) == "/top"
+    # a name no scope gives does not resolve, though one class declares it
+    assert resolve_string_constant(NameRef(("ROOT",)), c, model) is None
     # the import also gives the static member types of the class
     assert model.resolve_type_name("Inner", c) == "app.Paths.Inner"
 

@@ -169,6 +169,15 @@ abstract class BaseController {
 }
 """
 
+# An interface whose constant the controllers that implement it map
+# their handlers under.
+PATHS = """package app;
+
+interface Paths {
+    String BASE = "/base";
+}
+"""
+
 OVERRIDE = ("    @Override\n    String shared(Long id) {\n"
             "        throw new IllegalStateException();\n    }\n")
 
@@ -177,8 +186,10 @@ paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
 
 
 @st.composite
-def handlers(draw, index: int) -> str:
-    mapping = draw(st.sampled_from(MAPPINGS)).format(draw(paths))
+def handlers(draw, index: int, implements: bool) -> str:
+    mappings = MAPPINGS + ['@GetMapping(BASE + "{}")'] if implements \
+        else MAPPINGS
+    mapping = draw(st.sampled_from(mappings)).format(draw(paths))
     status = draw(st.sampled_from(
         ["", "@ResponseStatus(HttpStatus.CREATED)\n    ",
          "@ResponseStatus(HttpStatus.NO_SUCH_STATUS)\n    "]))
@@ -192,7 +203,7 @@ def handlers(draw, index: int) -> str:
 
 
 @st.composite
-def controllers(draw, index: int, parent: str) -> str:
+def controllers(draw, index: int, parent: str, paths_interface: bool) -> str:
     profile = draw(st.sampled_from([None, "default", "dev", "prod"]))
     base = draw(st.one_of(st.none(), paths))
     annotations = "@RestController\n"
@@ -203,10 +214,13 @@ def controllers(draw, index: int, parent: str) -> str:
             '@RequestMapping("{}")\n',
             '@RequestMapping(path = "{}", method = RequestMethod.POST)\n'
         ])).format(base)
-    body = "\n".join(draw(handlers(i))
+    implements = paths_interface and draw(st.booleans())
+    body = "\n".join(draw(handlers(i, implements))
                      for i in range(draw(st.integers(1, 3))))
     if parent and draw(st.booleans()):
         body += OVERRIDE
+    if implements:
+        parent += " implements Paths"
     return ("package app;\n\n"
             "import javax.servlet.http.HttpServletRequest;\n"
             "import org.springframework.context.annotation.Profile;\n"
@@ -219,10 +233,13 @@ def controllers(draw, index: int, parent: str) -> str:
 def trees(draw) -> dict[str, str]:
     count = draw(st.integers(1, 4))
     parent = draw(st.sampled_from(["", " extends BaseController"]))
-    files = {f"C{i}.java": draw(controllers(i, parent))
+    paths_interface = draw(st.booleans())
+    files = {f"C{i}.java": draw(controllers(i, parent, paths_interface))
              for i in range(count)}
     if parent:
         files["BaseController.java"] = BASE_CONTROLLER
+    if paths_interface:
+        files["Paths.java"] = PATHS
     files["Shared.java"] = SHARED
     files["Other.java"] = OTHER
     if draw(st.booleans()):
@@ -256,6 +273,8 @@ def test_generated_documents_pass_both_validators(files):
             (root / name).write_text(text)
         result = generate_project(root)
     assert result.documents
+    # `BASE` resolves in each controller that implements `Paths`
+    assert "UNRESOLVED_CONSTANT" not in {d.code for d in result.diagnostics}
     for profile, doc in result.documents.items():
         assert validate_document(doc) == [], profile
         errors = oracle.OpenAPIV30SpecValidator(doc).iter_errors()
@@ -283,7 +302,8 @@ FIXTURE_FILES = {fixture.name: {p.relative_to(fixture).as_posix():
 JAVA_FRAGMENTS = [
     "{", "}", "(", ")", "<", ">", ";", ",", ".", "@", "=", '"', "'", "/*",
     "//", "\\u", "#", "\n", "class X {", "interface I {}",
-    "record R(int a) {}", "extends Missing", "@RestController",
+    "record R(int a) {}", "extends Missing", " implements Missing",
+    "interface J extends J {}", "@RestController",
     '@GetMapping("/m")', '@RequestMapping(path = P.C)', '@Profile("dev")',
     "@PathVariable", "0b101", "0x1F", "010", "-1", "\u00e9",
     "<T extends Comparable<T>>",
