@@ -19,6 +19,7 @@ GOLDEN_FIXTURES = [
     "model_attribute", "request_body", "void_default",
     "exception_precedence", "unresolved_exception", "allof_inheritance",
     "required_fields", "map_schema", "raw_wrapper", "interface_inheritance",
+    "java17",
 ]
 
 

@@ -362,6 +362,18 @@ def test_interface_inheritance_fixture_scores_perfectly(tmp_path):
         == [["1.00", "1.00"], ["0.00", "0.00"], ["1.00", "1.00"]]
 
 
+def test_java17_fixture_scores_perfectly(tmp_path):
+    # its truth is written by hand from the Java source
+    out = tmp_path / "out"
+    run("generate", "--input", str(FIXTURES_DIR / "java17"),
+        "--output", str(out))
+    result = run("evaluate", "--oas", str(out),
+                 "--gt", str(GT_DIR / "java17.json"))
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-2:] for line in result.stdout.splitlines()[1:]] \
+        == [["1.00", "1.00"]] * 3
+
+
 CONSTANT_CHAIN = "interface P {\n    String C0 = \"/a\";\n" + "".join(
     f"    String C{i} = C{i - 1} + \"/x\";\n" for i in range(1, 300)) + "}\n"
 

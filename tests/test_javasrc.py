@@ -728,6 +728,32 @@ def test_body_reading_rules(body, thrown, statuses, plain_return):
         frozenset(thrown), frozenset(statuses), plain_return)
 
 
+def test_java17_fixture_bodies_hold_no_model_class():
+    # local classes and records, anonymous classes and lambdas in bodies
+    # and initializers, braces in literals and comments: none of them ends
+    # a body early or becomes a class of the model
+    model = parse_project(FIXTURES_DIR / "java17")
+    assert model.parse_diagnostics == []
+    assert sorted(model.classes) == [
+        f"com.demo.j17.{name}" for name in (
+            "Author", "InvalidNoteException", "NoteAdvice", "NoteController",
+            "NoteDto", "NoteNotFoundException")]
+    methods = {m.name: m for m in model.classes[
+        "com.demo.j17.NoteController"].methods}
+    assert list(methods) == ["get", "create", "kind", "local", "author"]
+    assert methods["get"].body_facts == BodyFacts(
+        frozenset({"NoteNotFoundException"}), frozenset(), True)
+    assert methods["create"].body_facts == BodyFacts(
+        frozenset({"InvalidNoteException"}), frozenset({"201", "OK"}), False)
+    assert methods["kind"].body_facts == BodyFacts(
+        frozenset({"NoteNotFoundException", "InvalidNoteException"}),
+        frozenset({"OK"}), False)
+    dto = model.classes["com.demo.j17.NoteDto"]
+    assert [(f.name, f.is_static) for f in dto.fields] == [
+        ("id", False), ("title", False), ("tags", False), ("EMPTY", True)]
+    assert [m.name for m in dto.methods] == ["labels"]
+
+
 def test_enum_constants_in_declaration_order():
     model = model_from("package app;\nenum Color { RED, GREEN, BLUE }\n")
     assert model.classes["app.Color"].enum_constants == ("RED", "GREEN", "BLUE")
