@@ -7,7 +7,7 @@ checkouts:
     python3 scripts/output_digest.py b.json      # in the other
     python3 scripts/digest_diff.py a.json b.json
 
-It makes 51 `generate` runs: each of the 15 fixtures plain, with `--merge`
+It makes 54 `generate` runs: each of the 16 fixtures plain, with `--merge`
 and with `--format yaml`, and seeds 1 and 2 of each workload of
 `perfbench/corpus.py` with that workload's flags. For each run it records
 the exit code and the sha256 of stderr, of stdout and of each output file.
@@ -18,10 +18,13 @@ fixture. For each of those it records the exit code and the sha256 of
 stdout, of stderr and of the report. The input, output, truth and report
 paths are masked in stdout and stderr, so the digest does not depend on
 where the checkout or the temporary files are. For each `.java` file of
-those trees it also records the sha256 of its token stream, or of the
-error text when it does not tokenize: 5,328 files, 5,387 entries in all.
-Each stream is a JSON list of [kind, text, line] triples (see
-`token_triples`). The code of this checkout's `src/` is the code that
+those trees it also records two entries: the sha256 of its token stream,
+or of the error text when it does not tokenize, and the sha256 of its
+parsed declarations, or of the error text when it does not parse. 5,334
+files, 10,731 entries in all. Each stream is a JSON list of [kind, text,
+line] triples (see `token_triples`), and the declarations are the JSON of
+`plain` over what `javasrc.parse_source` returns, with every method's
+`body_facts` read. The code of this checkout's `src/` is the code that
 runs.
 """
 
@@ -39,6 +42,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 import corpus  # noqa: E402
 from oasforge import cli, javasrc  # noqa: E402
+from oasforge.values import Record  # noqa: E402
 
 FIXTURE_FLAGS = {"plain": [], "merge": ["--merge"],
                  "yaml": ["--format", "yaml"]}
@@ -97,19 +101,46 @@ def token_triples(tokens) -> list[list]:
             for text, line in zip(tokens.texts, tokens.lines)]
 
 
-def digest_tokens(root: Path, name: str) -> dict[str, str]:
-    """The sha256 of the token stream of each `.java` file under `root`,
-    or of its error text where it does not tokenize, keyed
-    `NAME/PATH/tokens` with the file's path under `root`."""
+def plain(value):
+    """`value`, a parse result, as JSON data: a record as its class name and
+    each of its `_fields` read with `getattr`, so a field that is computed
+    on first read is computed, and a set sorted, so the data does not
+    depend on the hash seed."""
+    if isinstance(value, Record):
+        return [type(value).__name__,
+                {name: plain(getattr(value, name)) for name in value._fields}]
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(plain, value))
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    return value
+
+
+def _or_error(build) -> str:
+    """What `build()` returns, or the error text where the file it reads
+    does not decode, tokenize or parse."""
+    try:
+        return build()
+    except (javasrc.JavaSyntaxError, UnicodeDecodeError) as exc:
+        return f"error: {exc}"
+
+
+def digest_files(root: Path, name: str) -> dict[str, str]:
+    """For each `.java` file under `root`, keyed with its path under `root`:
+    `NAME/PATH/tokens`, the sha256 of its token stream, and
+    `NAME/PATH/model`, the sha256 of its declarations; each is the sha256
+    of the error text where the file does not tokenize or parse."""
     digests = {}
     for path in sorted(root.rglob("*.java")):
-        try:
-            tokens = javasrc.tokenize(path.read_text(encoding="utf-8"))
-            stream = json.dumps(token_triples(tokens))
-        except (javasrc.JavaSyntaxError, UnicodeDecodeError) as exc:
-            stream = f"error: {exc}"
         rel = path.relative_to(root).as_posix()
+        stream = _or_error(lambda: json.dumps(token_triples(
+            javasrc.tokenize(path.read_text(encoding="utf-8")))))
+        model = _or_error(lambda: json.dumps(plain(javasrc.parse_source(
+            path.read_text(encoding="utf-8"), rel)), sort_keys=True))
         digests[f"{name}/{rel}/tokens"] = _sha(stream.encode("utf-8"))
+        digests[f"{name}/{rel}/model"] = _sha(model.encode("utf-8"))
     return digests
 
 
@@ -121,7 +152,7 @@ def main(argv: list[str]) -> int:
     runs: dict[str, dict] = {}
     for fixture in sorted(p for p in fixtures.iterdir() if p.is_dir()):
         truth = REPO / "tests" / "gt" / f"{fixture.name}.json"
-        runs.update(digest_tokens(fixture, fixture.name))
+        runs.update(digest_files(fixture, fixture.name))
         for mode, flags in FIXTURE_FLAGS.items():
             name = f"{fixture.name}/{mode}"
             with tempfile.TemporaryDirectory() as tmp:
@@ -136,7 +167,7 @@ def main(argv: list[str]) -> int:
                 root = Path(tmp) / name  # the project is named after it
                 tree = corpus.build(workload, seed)
                 tree.write(root)
-                runs.update(digest_tokens(root, name))
+                runs.update(digest_files(root, name))
                 runs[name] = digest_run(root, flags, Path(tmp))
                 truth = Path(tmp) / "truth.json"
                 truth.write_bytes(tree.truth_bytes())

@@ -7,11 +7,15 @@ token's text and the line it starts on, with no object per token; a token's
 kind is computed from its text when a rule asks for it. Identifiers may
 hold any Unicode letter or digit (JLS 3.8). The parser is a
 recursive-descent pass over the texts, for declarations only; it reads the
-lines only for the line of a declaration or of an error. Each method body
-is a slice of the texts, read once, statement by statement, into BodyFacts
-(thrown exceptions, response-entity status literals, plain returns); no
-expression-level AST is built. This covers everything the downstream
-Spring analysis needs without a full Java grammar.
+lines only for the line of a declaration or of an error. It keeps each
+method body as its token texts joined by single spaces and reads none of
+them: a body is read, statement by statement, into BodyFacts (thrown
+exceptions, response-entity status literals, plain returns) the first time
+an analysis asks for its facts, which only handlers and exception handlers
+are. Other bodies (of constructors, initializers, enum constants and
+annotation types) are skipped. No expression-level AST is built. This
+covers everything the downstream Spring analysis needs without a full Java
+grammar.
 """
 
 from __future__ import annotations
@@ -306,20 +310,42 @@ class ParamDecl(Value):
 
 
 class MethodDecl(Value):
+    """A method. `body` is the text of its body, `{` to `}`, as its tokens
+    joined by single spaces, which tokenize to the same texts again; "" for
+    a method without a body. `body_facts` is read from it on the first use,
+    unless it is given: most methods are never asked for it."""
     __slots__ = ("name", "annotations", "parameters", "return_type",
-                 "declared_throws", "body_facts", "line")
+                 "declared_throws", "line", "_body", "_body_facts")
+    _fields = ("name", "annotations", "parameters", "return_type",
+               "declared_throws", "body_facts", "line")
 
     def __init__(self, name: str, annotations: tuple[AnnotationUse, ...],
                  parameters: tuple[ParamDecl, ...], return_type: TypeRef,
-                 declared_throws: tuple[str, ...], body_facts: BodyFacts,
-                 line: int = 0):
+                 declared_throws: tuple[str, ...],
+                 body_facts: Optional[BodyFacts] = None, line: int = 0,
+                 body: str = ""):
         set_field(self, "name", name)
         set_field(self, "annotations", annotations)
         set_field(self, "parameters", parameters)
         set_field(self, "return_type", return_type)
         set_field(self, "declared_throws", declared_throws)
-        set_field(self, "body_facts", body_facts)
         set_field(self, "line", line)
+        set_field(self, "_body", body)
+        set_field(self, "_body_facts",
+                  EMPTY_BODY if body_facts is None and not body
+                  else body_facts)
+
+    @property
+    def body_facts(self) -> BodyFacts:
+        facts = self._body_facts
+        if facts is None:
+            # `_TOKEN_RE` itself, not `tokenize`: the body was tokenized
+            # once, with its file
+            facts = extract_body_facts(
+                [text for _, text, _ in _TOKEN_RE.findall(self._body)
+                 if text])
+            set_field(self, "_body_facts", facts)
+        return facts
 
 
 class FieldDecl(Value):
@@ -425,7 +451,10 @@ class SourceModel(Record):
     the model whose simple name is unique. In that last step a qualified name
     only matches a class whose fully qualified name ends with "." plus the
     name, so `Outer.Inner` finds `app.Outer.Inner` but `java.util.Date`
-    does not find `app.Date`. A single-type import decides alone, as it
+    does not find `app.Date`; where no class does, its qualifier is
+    resolved as a type and its last name is a member type that type
+    declares or inherits, so `Sub.Part` finds `app.Base.Part` when `Sub`
+    extends `Base`. A single-type import decides alone, as it
     shadows every other class of its simple name: a name imported from
     outside the model resolves to nothing. The raw names of each class's
     `superclass` and `interfaces` are resolved once, here at construction,
@@ -568,8 +597,19 @@ class SourceModel(Record):
         if name in self.classes:
             return name
         if "." in name:
-            matches = [c for c in self.by_simple_name(name.rsplit(".", 1)[1])
+            qualifier, _, last = name.rpartition(".")
+            matches = [c for c in self.by_simple_name(last)
                        if c.qualified_name.endswith("." + name)]
+            if not matches and self._outer_classes:
+                # a member type that the qualifier declares or inherits
+                # (JLS 6.5.5.2), as `Sub.Part` names `Base.Part`
+                owner = self.resolve_type_name(qualifier, ctx)
+                if owner is None:
+                    return None
+                declared = f"{owner}.{last}"
+                if declared in self.classes:
+                    return declared
+                return self._inherited_member_type(owner, last)
         else:
             for owner in ctx.lexical_scopes:  # member types shadow imports
                 if f"{owner}.{name}" in self.classes:
@@ -670,11 +710,10 @@ class _Parser:
             return True
         return False
 
-    def skip_balanced(self, open_: str, close: str) -> list[str]:
-        """Consume from the current open_ token to its matching close, and
-        return those tokens' texts. It jumps from one `close` to the next
-        and counts the `open_` between them, so the scan runs in C."""
-        start = self.pos
+    def skip_balanced(self, open_: str, close: str) -> None:
+        """Consume from the current open_ token to its matching close. It
+        jumps from one `close` to the next and counts the `open_` between
+        them, so the scan runs in C."""
         self.expect(open_)
         texts = self.texts
         depth, i = 1, self.pos
@@ -687,7 +726,7 @@ class _Parser:
             depth += texts[i:end].count(open_) - 1
             if not depth:
                 self.pos = end + 1
-                return texts[start:self.pos]
+                return
             i = end + 1
 
     # -- compilation unit ---------------------------------------------------
@@ -1012,13 +1051,15 @@ class _Parser:
         throws: list[str] = []
         if self.accept("throws"):
             throws = [t.raw_name for t in self.parse_type_list(",")]
-        facts = EMPTY_BODY
+        body = ""
         if self.at("{"):
-            facts = extract_body_facts(self.skip_balanced("{", "}"))
+            start = self.pos
+            self.skip_balanced("{", "}")
+            body = " ".join(self.texts[start:self.pos])
         else:
             self.expect(";")
         return MethodDecl(name, tuple(annos), tuple(params), return_type,
-                          tuple(throws), facts, line)
+                          tuple(throws), line=line, body=body)
 
     def parse_formal_params(self) -> list[ParamDecl]:
         """A parenthesized parameter list: of a method or a record header.

@@ -5,10 +5,12 @@ field through `object.__setattr__` in a generated `__init__`.
 
 A class names its fields in `__slots__`, in order; a slot whose name starts
 with `_` holds state derived from the fields (or is `__dict__`, for a
-`functools.cached_property`), and is not a field. Its `__init__` sets the
-fields; a `Value`'s `__init__` sets each with `set_field`. Two instances
-are equal when they are of the same class and their fields are equal, as
-dataclasses compare them.
+`functools.cached_property`), and is not a field. A class with a field that
+is computed on first read, a property over such a slot, names its fields
+in `_fields` instead. Its `__init__` sets the fields; a `Value`'s
+`__init__` sets each with `set_field`. Two instances are equal when they
+are of the same class and their fields are equal, as dataclasses compare
+them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__
-                            if not name.startswith("_"))
+        cls._fields = cls.__dict__.get("_fields") or tuple(
+            name for name in cls.__slots__ if not name.startswith("_"))
         # `_key` gives the tuple of the fields' values, as a dataclass
         # builds it; `Value` declares no field
         if len(cls._fields) == 1:

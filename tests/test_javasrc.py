@@ -10,8 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
+from oasforge.pipeline import generate_project
+from oasforge import javasrc
 from oasforge.javasrc import (AnnotationUse, BodyFacts, ClassRef, Concat,
-                              InvalidEscapeError, JavaSyntaxError, NameRef,
+                              InvalidEscapeError, JavaSyntaxError,
+                              MethodDecl, NameRef,
                               ProjectParseError, SupertypeCycleError, TypeRef,
                               extract_body_facts, parse_project,
                               parse_source, resolve_string_constant,
@@ -558,6 +561,44 @@ def test_qualified_name_resolves_only_to_a_class_ending_with_it():
     assert model.classes["app.Date"].superclass == TypeRef("java.util.Date")
 
 
+def test_qualified_name_reaches_a_member_type_its_qualifier_inherits():
+    # JLS 6.5.5.2: in `Q.Id`, Q is a type and Id a member type that Q
+    # declares or inherits
+    model = model_from(
+        "package app;\npublic interface K { class Dto { public String a; } }\n"
+        "public interface L extends K {}\n"
+        "class Base { static class Part { static class Leaf {} } }\n"
+        "class Sub extends Base {}\n"
+        "class Far extends Sub { private static class Hidden {} }\n"
+        "class Deep extends Far {}\n",
+        "package app.web;\nimport app.Sub;\nclass User {}\n")
+    user = model.classes["app.web.User"]
+    assert model.resolve_type_name("L.Dto", user) == "app.K.Dto"
+    assert model.resolve_type_name("app.L.Dto", user) == "app.K.Dto"
+    assert model.resolve_type_name("Sub.Part", user) == "app.Base.Part"
+    assert model.resolve_type_name("Sub.Part.Leaf", user) == \
+        "app.Base.Part.Leaf"
+    assert model.resolve_type_name("Far.Part", user) == "app.Base.Part"
+    # a private member type is not inherited, nor is a name no type declares
+    assert model.resolve_type_name("Deep.Hidden", user) is None
+    assert model.resolve_type_name("Sub.Missing", user) is None
+    assert model.resolve_type_name("Nowhere.Part", user) is None
+
+
+def test_handler_returning_an_inherited_member_type_documents_it(tmp_path):
+    (tmp_path / "K.java").write_text(
+        "package app;\npublic interface K { class Dto { public String a; } }\n")
+    (tmp_path / "L.java").write_text(
+        "package app;\npublic interface L extends K {}\n")
+    (tmp_path / "C.java").write_text(
+        "package app;\n@RestController\nclass C {\n"
+        "  @GetMapping(\"/x\") L.Dto x() { return null; }\n}\n")
+    result = generate_project(tmp_path)
+    assert result.diagnostics == []
+    assert result.documents["default"]["components"]["schemas"] == {
+        "Dto": {"type": "object", "properties": {"a": {"type": "string"}}}}
+
+
 def test_member_type_shadows_imports_and_other_packages():
     model = model_from(
         "package app;\nimport app.other.Part;\n"
@@ -752,6 +793,91 @@ def test_java17_fixture_bodies_hold_no_model_class():
     assert [(f.name, f.is_static) for f in dto.fields] == [
         ("id", False), ("title", False), ("tags", False), ("EMPTY", True)]
     assert [m.name for m in dto.methods] == ["labels"]
+
+
+# Tokens that a method body may hold, each of which tokenizes to itself:
+# every operator, so `>` `>` and `.` `5`, numbers that start or end
+# with `.`, literals that hold spaces, braces or `//`, and identifiers
+# outside ASCII, with the words that body reading looks for.
+_BODY_TOKENS = st.one_of(
+    st.sampled_from([
+        "...", "->", "::", "<<=", "<<", "++", "--", "&&", "||",
+        *"+-*/%=<>!&|^~?:;,.(){}[]@", ".5", "1.", "1.e5", "0x1F",
+        "0b1_0L", "1_000L", "3.14f", "201", '"a b"', '"// not a comment"',
+        '"/* x */"', '"{"', '"}"', '"\\""', "' '", "'}'", "'\\''",
+        '"""\n    { a } "" b\n    """', "\u00f1ame", "\u53d8\u91cf",
+        "\u0394x", "$", "_x$", "throw", "new", "return", "null", "yield",
+        "HttpStatus", "CREATED", "ResponseEntity", "status", "ok",
+        "created", "NotFound", "app"]),
+    st.from_regex(r"[^\W\d][\w$]{0,4}", fullmatch=True).filter(
+        lambda t: tokenize(t).texts == [t]))
+
+
+@given(st.lists(_BODY_TOKENS, max_size=40))
+@example([">", ">", ">", "=", ".", "5", "1.", "."])
+@example(["{", "throw", "new", "NotFound", "(", ")", ";", "}"])
+def test_a_body_kept_as_joined_text_reads_as_its_tokens(texts):
+    body = " ".join(texts)
+    assert [t for _, t, _ in javasrc._TOKEN_RE.findall(body) if t] == texts
+    method = MethodDecl("m", (), (), TypeRef("void"), (), body=body)
+    assert method.body_facts == extract_body_facts(texts)
+
+
+@pytest.fixture
+def body_reads(monkeypatch):
+    """The token texts of each body that `extract_body_facts` reads."""
+    reads = []
+    read = javasrc.extract_body_facts
+
+    def counted(texts):
+        reads.append(texts)
+        return read(texts)
+    monkeypatch.setattr(javasrc, "extract_body_facts", counted)
+    return reads
+
+
+def test_parsing_reads_no_method_body(body_reads):
+    n = 25
+    methods = "".join(f"  int m{i}(int x) {{ if (x > {i}) throw new E(); "
+                      f"return x; }}\n" for i in range(n))
+    (cls,) = parse_source(f"class A {{\n{methods}}}\n")
+    assert len(cls.methods) == n
+    assert body_reads == []
+    # a body is read on the first use of its facts only
+    assert cls.methods[3].body_facts == BodyFacts(frozenset({"E"}),
+                                                  frozenset(), True)
+    assert cls.methods[3].body_facts.has_plain_return
+    assert len(body_reads) == 1
+
+
+def test_generate_reads_the_bodies_of_handlers_and_their_advice_only(
+        tmp_path, body_reads):
+    (tmp_path / "Api.java").write_text(
+        "package app;\n@RestController\nclass Api {\n"
+        "  Api() { helper(); }\n"
+        "  @GetMapping(\"/a\") String a() { return \"handler-a\"; }\n"
+        "  @PostMapping(\"/b\") String b() {\n"
+        "    if (x) throw new Gone(); return \"handler-b\"; }\n"
+        "  String helper() { return \"helper\"; }\n"
+        "  @ExceptionHandler(Other.class) @ResponseStatus(HttpStatus.CONFLICT)"
+        "\n  void other() { log(\"unused-local\"); }\n}\n")
+    (tmp_path / "Advice.java").write_text(
+        "package app;\n@ControllerAdvice\nclass Advice {\n"
+        "  @ExceptionHandler(Gone.class) ResponseEntity<String> gone() {\n"
+        "    return ResponseEntity.status(410).body(\"advice-gone\"); }\n"
+        "  @ExceptionHandler(Other.class) ResponseEntity<String> other() {\n"
+        "    return ResponseEntity.status(409).body(\"advice-other\"); }\n}\n")
+    (tmp_path / "Service.java").write_text(
+        "package app;\nclass Service {\n"
+        + "".join(f"  int s{i}() {{ return {i}; }}\n" for i in range(10))
+        + "}\nclass Gone extends RuntimeException {}\n"
+        "class Other extends RuntimeException {}\n")
+    result = generate_project(tmp_path)
+    assert sorted(result.documents["default"]["paths"]["/b"]["post"]
+                  ["responses"]) == ["200", "410"]
+    markers = sorted(next(t for t in texts if t.startswith('"'))
+                     for texts in body_reads)
+    assert markers == ['"advice-gone"', '"handler-a"', '"handler-b"']
 
 
 def test_enum_constants_in_declaration_order():
