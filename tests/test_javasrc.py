@@ -10,7 +10,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
-from oasforge.pipeline import generate_project
 from oasforge import javasrc
 from oasforge.javasrc import (AnnotationUse, BodyFacts, ClassRef, Concat,
                               InvalidEscapeError, JavaSyntaxError,
@@ -20,6 +19,7 @@ from oasforge.javasrc import (AnnotationUse, BodyFacts, ClassRef, Concat,
                               parse_source, resolve_string_constant,
                               spelling, supertype_chain, token_kind, tokenize,
                               unescape_string)
+from oasforge.pipeline import generate_project
 
 SIMPLE_CONTROLLER = """
 package app;
