@@ -109,7 +109,7 @@ def plain(value):
     if isinstance(value, Record):
         return [type(value).__name__,
                 {name: plain(getattr(value, name)) for name in value._fields}]
-    if isinstance(value, (set, frozenset)):
+    if isinstance(value, frozenset):
         return sorted(map(plain, value))
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
