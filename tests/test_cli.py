@@ -374,6 +374,23 @@ def test_java17_fixture_scores_perfectly(tmp_path):
         == [["1.00", "1.00"]] * 3
 
 
+def test_profile_advice_fixture_scores_perfectly(tmp_path):
+    # its truth is written by hand from the Java source: the union of the
+    # "default", "dev" and "prod" documents, whose advices map one
+    # exception to 409 in two of them and to 423 in "dev"
+    out = tmp_path / "out"
+    run("generate", "--input", str(FIXTURES_DIR / "profile_advice"),
+        "--output", str(out))
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"profile_advice-{profile}.openapi.json"
+        for profile in ("default", "dev", "prod")]
+    result = run("evaluate", "--oas", str(out),
+                 "--gt", str(GT_DIR / "profile_advice.json"))
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-2:] for line in result.stdout.splitlines()[1:]] \
+        == [["1.00", "1.00"]] * 3
+
+
 CONSTANT_CHAIN = "interface P {\n    String C0 = \"/a\";\n" + "".join(
     f"    String C{i} = C{i - 1} + \"/x\";\n" for i in range(1, 300)) + "}\n"
 
