@@ -12,15 +12,6 @@ from .spring import (ADVICE_MARKERS, CONTROLLER_MARKERS, PROFILE_MARKER,
 from .values import Record
 
 
-class _AllProfiles(frozenset):
-    """Sentinel set: the class is active in every profile."""
-
-    def __repr__(self):
-        return "ALL"
-
-
-ALL = _AllProfiles()
-
 DEFAULT_PROFILE = "default"
 
 
@@ -72,12 +63,13 @@ def discover_rest_classes(model: SourceModel) -> ControllerSet:
 
 
 def assign_profiles(cls: ClassDecl, model: SourceModel,
-                    diagnostics: list[Diagnostic]) -> frozenset[str]:
-    """Profile names from @Profile; absent/empty annotation means ALL. A
-    name that does not resolve is reported and left out."""
+                    diagnostics: list[Diagnostic]) -> Optional[frozenset[str]]:
+    """Profile names from @Profile, or None for every profile when it is
+    absent or names none. A name that does not resolve is reported and left
+    out."""
     anno = find_annotation(cls.annotations, PROFILE_MARKER)
     if anno is None:
-        return ALL
+        return None
     names: set[str] = set()
     for item in anno.items("value"):
         text = resolve_string_constant(item, cls, model)
@@ -93,25 +85,24 @@ def assign_profiles(cls: ClassDecl, model: SourceModel,
                 f"negated profile expression {text!r} on "
                 f"{cls.qualified_name} treated as all profiles",
                 cls.source_file))
-            return ALL
+            return None
         names.add(text)
-    return frozenset(names) if names else ALL
+    return frozenset(names) or None
 
 
 def group_by_profile(controller_set: ControllerSet, model: SourceModel,
                      diagnostics: list[Diagnostic]) -> list[ProfileUnit]:
-    assignments: dict[str, frozenset[str]] = {}
+    assignments: dict[str, Optional[frozenset[str]]] = {}
     for cls in controller_set.controllers + controller_set.advices:
         assignments[cls.qualified_name] = assign_profiles(cls, model,
                                                           diagnostics)
     observed = sorted({name for profiles in assignments.values()
-                       if profiles is not ALL for name in profiles}
-                      - {DEFAULT_PROFILE})
+                       for name in profiles or ()} - {DEFAULT_PROFILE})
     profile_names = [DEFAULT_PROFILE] + observed
 
     def active(classes: list[ClassDecl], profile: str) -> list[ClassDecl]:
         return [cls for cls in classes
-                if assignments[cls.qualified_name] is ALL
+                if assignments[cls.qualified_name] is None
                 or profile in assignments[cls.qualified_name]]
 
     units = [ProfileUnit(profile, ControllerSet(

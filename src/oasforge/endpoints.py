@@ -1,9 +1,10 @@
 """Extract (path, verb) operations with parameters and responses from the
 controller classes of one profile unit, each as its OAS operation dict.
 
-A handler is analyzed once per project. The dicts of its analysis are
-shared by its paths, verbs and profiles, so none is changed after it is
-built.
+A handler is analyzed once per project, and its operations are finished
+with their `responses` once per list of advices. Every profile with those
+advices links the same operation dicts, and the dicts of an analysis are
+shared by its paths and verbs, so none is changed after it is built.
 """
 
 from __future__ import annotations
@@ -438,17 +439,17 @@ def _success_responses(handler: MethodDecl,
 
 
 def extract_responses(handler: MethodDecl, success: dict[str, dict],
-                      unit: ProfileUnit, model: SourceModel, ctx: ClassDecl,
-                      diagnostics: list[Diagnostic]) -> dict[str, dict]:
-    """The `responses` dict of `handler` in `unit`, in code order: its
+                      advices: list[ClassDecl], model: SourceModel,
+                      ctx: ClassDecl, diagnostics: list[Diagnostic]
+                      ) -> dict[str, dict]:
+    """The `responses` dict of `handler` under `advices`, in code order: its
     `success` responses and the codes its exceptions map to, as named in
-    `ctx`, through `ctx`'s and then `unit`'s exception handlers."""
+    `ctx`, through `ctx`'s and then the `advices`' exception handlers."""
     codes = set(success)
     error_sources = set(handler.declared_throws) \
         | handler.body_facts.thrown_exception_types
     for exc in sorted(error_sources):
-        codes.add(resolve_exception_status(exc, ctx,
-                                           unit.controller_set.advices, model,
+        codes.add(resolve_exception_status(exc, ctx, advices, model,
                                            diagnostics))
     return {code: success.get(code) or {"description": reason_phrase(code)}
             for code in sorted(codes)}
@@ -460,8 +461,10 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 
 class HandlerAnalysis(Record):
     """What a handler gives every profile: each path's operation less
-    `responses`."""
-    __slots__ = ("method", "file", "verbs", "operations", "success")
+    `responses`, and by the qualified names of a profile's advices, in
+    order, each path's finished operation under them."""
+    __slots__ = ("method", "file", "verbs", "operations", "success",
+                 "finished")
 
     def __init__(self, method: MethodDecl, file: str, verbs: list[str],
                  operations: list[tuple[str, dict]],
@@ -471,6 +474,7 @@ class HandlerAnalysis(Record):
         self.verbs = verbs
         self.operations = operations
         self.success = success
+        self.finished: dict[tuple[str, ...], list[tuple[str, dict]]] = {}
 
 
 def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
@@ -541,17 +545,25 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
     """The operation dict of each (path, VERB) of `unit`, in the order the
     handlers are found; a later handler of a taken (path, VERB) is dropped
     with DUPLICATE_METHOD. Each controller is analyzed on its first visit,
-    into `analyses` by qualified name, and here only linked to the unit."""
+    into `analyses` by qualified name, and each handler is finished on its
+    first visit under the unit's advices; here both are only linked."""
     operations: dict[tuple[str, str], dict] = {}
+    advices = unit.controller_set.advices
+    advice_names = tuple(advice.qualified_name for advice in advices)
     for controller in unit.controller_set.controllers:
         key = controller.qualified_name
         if key not in analyses:
             analyses[key] = _analyze(controller, model, reg, diagnostics)
         for handler in analyses[key]:
-            responses = extract_responses(handler.method, handler.success,
-                                          unit, model, controller, diagnostics)
-            for path, template in handler.operations:
-                operation = {**template, "responses": responses}
+            finished = handler.finished.get(advice_names)
+            if finished is None:
+                responses = extract_responses(handler.method, handler.success,
+                                              advices, model, controller,
+                                              diagnostics)
+                finished = handler.finished[advice_names] = [
+                    (path, {**template, "responses": responses})
+                    for path, template in handler.operations]
+            for path, operation in finished:
                 for verb in handler.verbs:
                     if (path, verb) in operations:
                         diagnostics.append(Diagnostic(

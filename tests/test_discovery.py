@@ -1,7 +1,7 @@
 """Controller discovery and profile grouping."""
 
 from conftest import model_from
-from oasforge.discovery import (ALL, assign_profiles, discover_rest_classes,
+from oasforge.discovery import (assign_profiles, discover_rest_classes,
                                 group_by_profile)
 from oasforge.endpoints import extract_endpoints
 from oasforge.javasrc import SourceModel, parse_source
@@ -173,7 +173,7 @@ def test_single_profile_annotation():
 
 def test_no_annotation_means_all():
     model = model_from(PROFILED)
-    assert assign_profiles(model.classes["app.Everywhere"], model, []) is ALL
+    assert assign_profiles(model.classes["app.Everywhere"], model, []) is None
 
 
 def test_profile_array_attribute():
@@ -193,7 +193,7 @@ class NotProd {}
 """
     model = model_from(src)
     diags = []
-    assert assign_profiles(model.classes["app.NotProd"], model, diags) is ALL
+    assert assign_profiles(model.classes["app.NotProd"], model, diags) is None
     assert len(diags) == 1 and diags[0].code == "PROFILE_NEGATION"
 
 
@@ -237,7 +237,7 @@ class Api {}
 """
     model = model_from(src)
     diags = []
-    assert assign_profiles(model.classes["app.Api"], model, diags) is ALL
+    assert assign_profiles(model.classes["app.Api"], model, diags) is None
     assert [(d.code, d.message, d.file) for d in diags] == [
         ("UNRESOLVED_CONSTANT",
          "cannot resolve profile name 'Missing.EU' in app.Api", "<test-0>")]

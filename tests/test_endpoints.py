@@ -1424,6 +1424,15 @@ def test_handlers_are_analyzed_once_and_linked_per_profile(tmp_path,
         return original(handler, *args)
 
     monkeypatch.setattr(endpoints, "extract_parameters", counting)
+    finished = []
+    original_responses = endpoints.extract_responses
+
+    def counting_responses(handler, success, advices, *args):
+        finished.append((handler.name,
+                         tuple(a.simple_name for a in advices)))
+        return original_responses(handler, success, advices, *args)
+
+    monkeypatch.setattr(endpoints, "extract_responses", counting_responses)
     docs = generate_project(tmp_path).documents
     assert list(docs) == ["default", "dev", "prod"]
     assert sorted(analyzed) == ["a", "b", "p"]
@@ -1431,6 +1440,14 @@ def test_handlers_are_analyzed_once_and_linked_per_profile(tmp_path,
             for profile, doc in docs.items()} == {
         "default": ["200", "500"], "dev": ["200", "404"],
         "prod": ["200", "500"]}
+    # "default" and "prod" have the same advices, none, and share the
+    # finished operation; "dev" finishes its own
+    a = {profile: doc["paths"]["/a"]["get"] for profile, doc in docs.items()}
+    assert a["default"] is a["prod"]
+    assert a["dev"] is not a["default"]
+    assert sorted(finished) == [("a", ()), ("a", ("DevAdvice",)),
+                                ("b", ()), ("b", ("DevAdvice",)),
+                                ("p", ())]
 
 
 def test_constants_defined_by_each_other_are_unresolved_not_recursive():
