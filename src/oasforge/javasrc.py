@@ -1102,7 +1102,8 @@ class _Parser:
 
     def parse_initializer_expr(self) -> Optional[AttributeValue]:
         """Parse a field initializer, returning an AttributeValue when it
-        fits the constant-expression subset, else None (tokens skipped)."""
+        fits the constant-expression subset, else None (tokens skipped to
+        its `;`, or to a `,` that another declarator follows)."""
         save = self.pos
         try:
             value = self.parse_attr_expr()
@@ -1119,13 +1120,28 @@ class _Parser:
             if text is None:
                 raise JavaSyntaxError("unterminated initializer",
                                       self.last_line())
-            if depth == 0 and text in (";", ","):
+            if depth == 0 and (text == ";" or text == ","
+                               and self.declarator_follows()):
                 return None
             if text in ("(", "{", "["):
                 depth += 1
             elif text in (")", "}", "]"):
                 depth -= 1
             self.pos += 1
+
+    def declarator_follows(self) -> bool:
+        """Whether the `,` here is followed by more declarators of a field:
+        each a name and its `[]`s, the last one then `=` or `;`. A `,`
+        between type arguments, as in `new HashMap<String, Integer>()` or
+        `Foo.<A, B>of()`, is followed by none."""
+        texts, i = self.texts, self.pos
+        while i + 1 < self.n and token_kind(texts[i + 1]) == "ident":
+            i += 2
+            while texts[i:i + 2] == ["[", "]"]:
+                i += 2
+            if texts[i:i + 1] != [","]:
+                return texts[i:i + 1] in (["="], [";"])
+        return False
 
     # -- types ---------------------------------------------------------------
 

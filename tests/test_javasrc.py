@@ -1120,6 +1120,25 @@ def test_one_declaration_of_several_fields():
     assert type(cls.fields[2].initializer) is int
 
 
+@pytest.mark.parametrize("declaration, fields", [
+    ("private java.util.Map<String, Integer> m = "
+     "new java.util.HashMap<String, Integer>();", [("m", 0, None)]),
+    ("Object m = Foo.<A, B>of();", [("m", 0, None)]),
+    ("Object t = new Triple<A, B, C>(), u;", [("t", 0, None), ("u", 0, None)]),
+    ("Object t = new HashMap<K, V[]>(), u[] = {};",
+     [("t", 0, None), ("u", 1, ())]),
+    ("int a = x < y ? 1 : 2, b = 3;", [("a", 0, None), ("b", 0, 3)]),
+    ("int a = f(1, 2), b, c[], d = 4;",
+     [("a", 0, None), ("b", 0, None), ("c", 1, None), ("d", 0, 4)]),
+], ids=["new-generic", "generic-call", "three-arguments", "array-argument",
+        "ternary", "call"])
+def test_comma_of_type_arguments_ends_no_skipped_initializer(declaration,
+                                                             fields):
+    cls = only_class("class A { " + declaration + " }")
+    assert [(f.name, f.type.array_depth, f.initializer)
+            for f in cls.fields] == fields
+
+
 def test_file_cut_off_mid_class_is_one_parse_error(tmp_path):
     (tmp_path / "A.java").write_text("package app;\nclass A {}\n")
     (tmp_path / "Cut.java").write_text("package app;\nclass Cut {\n"

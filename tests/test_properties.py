@@ -181,6 +181,17 @@ interface Paths {
 OVERRIDE = ("    @Override\n    String shared(Long id) {\n"
             "        throw new IllegalStateException();\n    }\n")
 
+# Field declarations whose initializers hold commas: of type arguments,
+# which end no declarator, and between declarators.
+FIELDS = [
+    "",
+    "    private java.util.Map<String, Integer> counts =\n"
+    "        new java.util.HashMap<String, Integer>();\n",
+    "    private Object pair = java.util.Map.<String, Long>entry(\"a\", 1L),"
+    " other;\n",
+    "    private int low = 1 < 2 ? 1 : 2, high = 3;\n",
+]
+
 paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
     lambda segments: "/" + "/".join(segments))
 
@@ -215,8 +226,8 @@ def controllers(draw, index: int, parent: str, paths_interface: bool) -> str:
             '@RequestMapping(path = "{}", method = RequestMethod.POST)\n'
         ])).format(base)
     implements = paths_interface and draw(st.booleans())
-    body = "\n".join(draw(handlers(i, implements))
-                     for i in range(draw(st.integers(1, 3))))
+    body = draw(st.sampled_from(FIELDS)) + "\n".join(
+        draw(handlers(i, implements)) for i in range(draw(st.integers(1, 3))))
     if parent and draw(st.booleans()):
         body += OVERRIDE
     if implements:
@@ -273,8 +284,10 @@ def test_generated_documents_pass_both_validators(files):
             (root / name).write_text(text)
         result = generate_project(root)
     assert result.documents
-    # `BASE` resolves in each controller that implements `Paths`
-    assert "UNRESOLVED_CONSTANT" not in {d.code for d in result.diagnostics}
+    # `BASE` resolves in each controller that implements `Paths`, and
+    # every file parses
+    assert {"UNRESOLVED_CONSTANT", "PARSE_ERROR"}.isdisjoint(
+        d.code for d in result.diagnostics)
     for profile, doc in result.documents.items():
         assert validate_document(doc) == [], profile
         errors = oracle.OpenAPIV30SpecValidator(doc).iter_errors()
