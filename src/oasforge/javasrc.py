@@ -1262,24 +1262,50 @@ def _statement_statuses(stmt: list[str]) -> set[str]:
     return statuses
 
 
+def _opens_class_body(body: list[str], paren: int) -> bool:
+    """Whether the `(` at `paren` opens the arguments of `new T<…>(`, so
+    that a `{` after its `)` opens an anonymous class body."""
+    i = paren - 1
+    while i > 0 and body[i] != "new" and (
+            body[i] in (".", "<", ">", ",", "?")
+            or token_kind(body[i]) == "ident"):
+        i -= 1
+    return body[i] == "new"
+
+
 def extract_body_facts(body: list[str]) -> BodyFacts:
     """Read the token texts of a `{...}` body in one pass. A statement is
     the slice between two `;`, `{` or `}` outside parentheses, so the `;` of
     a for-header or of a lambda block in a call ends none; text after a `(`
-    that never closes is not read."""
+    that never closes is not read. A `return` in a lambda block or in an
+    anonymous class body returns from neither the method nor its
+    statement; a `throw` there still counts."""
     thrown: set[str] = set()
     statuses: set[str] = set()
     plain_return = False
-    paren = start = 0  # `start`: the token before the current statement
+    start = 0  # the token before the current statement
+    opened: list[int] = []  # the index of each `(` not yet closed
+    closed = 0  # the index of the `(` of the last `)`
+    foreign = [False]  # per open `{`: in a lambda or anonymous class body
     first: dict[str, int] = {}  # the statement's first `throw` and `return`
     for end, text in enumerate(body):
         if text == "(":
-            paren += 1
+            opened.append(end)
         elif text == ")":
-            paren = max(0, paren - 1)
-        elif text == "throw" or text == "return":
+            closed = opened.pop() if opened else 0
+        elif text == "throw" or text == "return" and not foreign[-1]:
             first.setdefault(text, end)
-        elif text in (";", "{", "}") and not paren:
+        elif text == "{":
+            before = body[end - 1] if end else ""
+            # `case A -> {` of a switch statement, which is never in
+            # parentheses, is no lambda
+            rule = not opened and body[start + 1] in ("case", "default")
+            foreign.append(foreign[-1] or before == "->" and not rule
+                           or before == ")" and _opens_class_body(body,
+                                                                  closed))
+        elif text == "}" and len(foreign) > 1:
+            foreign.pop()
+        if text in (";", "{", "}") and not opened:
             stmt_statuses = _statement_statuses(body[start + 1:end])
             statuses |= stmt_statuses
             at = first.get("throw")  # also `if (c) throw`, `case A -> throw`

@@ -1269,6 +1269,36 @@ class C {
     assert diags == []
 
 
+def test_return_in_an_anonymous_class_or_lambda_adds_no_200():
+    _, _, _, ops, _ = analyze("""
+package app;
+import java.util.*;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @PostMapping("/sorted")
+    ResponseEntity<Void> sorted(@RequestBody List<String> names) {
+        names.sort(new Comparator<>() {
+            public int compare(String a, String b) {
+                return 0;
+            }
+        });
+        names.removeIf(name -> {
+            if (name.isEmpty()) {
+                throw new IllegalArgumentException();
+            }
+            return false;
+        });
+        return ResponseEntity.status(201).build();
+    }
+}
+""")
+    # the lambda's throw still counts
+    assert statuses(ops["/sorted", "POST"]) == ["201", "500"]
+
+
 UNRESOLVED_NAMES = """
 package app;
 import javax.servlet.http.HttpServletRequest;

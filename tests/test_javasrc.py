@@ -769,6 +769,32 @@ def test_body_reading_rules(body, thrown, statuses, plain_return):
         frozenset(thrown), frozenset(statuses), plain_return)
 
 
+CREATED = "return ResponseEntity.status(201).build(); }"
+
+
+@pytest.mark.parametrize("body, thrown, plain_return", [
+    ("{ list.sort(new Comparator<>() { public int compare(A a, A b) { "
+     "return 0; } }); " + CREATED, set(), False),
+    ("{ Comparator<A> c = new java.util.Comparator<A>() { public int "
+     "compare(A a, A b) { if (a == b) { return 0; } return 1; } }; "
+     + CREATED, set(), False),
+    ("{ list.forEach(x -> { return; }); " + CREATED, set(), False),
+    ("{ Runnable r = () -> { if (a) { throw new Bad(); } return; }; "
+     + CREATED, {"Bad"}, False),
+    # a block of a switch statement's `case … ->` rule is no lambda
+    ("{ switch (k) { case 1 -> { return x; } default -> { "
+     "throw new Bad(); } } }", {"Bad"}, True),
+    ("{ if (a) { return x; } " + CREATED, set(), True),
+    ("{ synchronized (lock) { return x; } }", set(), True),
+], ids=["anonymous-in-call", "anonymous-in-field", "lambda-in-call",
+        "lambda-assigned", "case-rule", "if", "synchronized"])
+def test_return_in_lambda_or_anonymous_class_is_not_plain(body, thrown,
+                                                          plain_return):
+    facts = extract_body_facts(tokenize(body).texts)
+    assert facts.thrown_exception_types == thrown
+    assert facts.has_plain_return is plain_return
+
+
 def test_java17_fixture_bodies_hold_no_model_class():
     # local classes and records, anonymous classes and lambdas in bodies
     # and initializers, braces in literals and comments: none of them ends
