@@ -30,13 +30,12 @@ class MergeConflictError(FatalError):
 class RunMemo:
     """What one run derives from each operation and each schema dict of its
     documents: its `$ref`s, its checks and its text, made once however many
-    documents hold it. Profiles with the same advices hold the same
-    operation dicts, and the merged document those of every profile. A part
-    is a dict that a document holds three dicts down (`paths.<path>.<verb>`,
-    `components.schemas.<name>`), so its text is the same in each. Entries
-    are keyed by a part's identity and hold the part, so no id is reused
-    while the memo lives; a part must not change once a document holds it.
-    Also holds the YAML text of each str."""
+    documents hold it, as the profiles with the same advices hold the same
+    operations. A part is a dict that a document holds three dicts down
+    (`paths.<path>.<verb>`, `components.schemas.<name>`), so its text is the
+    same in each. Entries are keyed by a part's identity and hold the part,
+    so no id is reused while the memo lives; a part must not change once a
+    document holds it. Also holds the YAML text of each str."""
 
     def __init__(self):
         self._derived: dict[tuple, tuple] = {}  # (what, id) -> (part, value)

@@ -1,10 +1,9 @@
 """Extract (path, verb) operations with parameters and responses from the
 controller classes of one profile unit, each as its OAS operation dict.
 
-A handler is analyzed once per project, and its operations are finished
-with their `responses` once per list of advices. Every profile with those
-advices links the same operation dicts, and the dicts of an analysis are
-shared by its paths and verbs, so none is changed after it is built.
+A handler is analyzed once per project and finished once per list of
+advices. Its dicts are shared by its paths, verbs and the profiles with
+those advices, so none is changed after it is built.
 """
 
 from __future__ import annotations
@@ -462,7 +461,7 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 class HandlerAnalysis(Record):
     """What a handler gives every profile: each path's operation less
     `responses`, and by the qualified names of a profile's advices, in
-    order, each path's finished operation under them."""
+    order, each path's finished operation."""
     __slots__ = ("method", "file", "verbs", "operations", "success",
                  "finished")
 
@@ -555,15 +554,14 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
         if key not in analyses:
             analyses[key] = _analyze(controller, model, reg, diagnostics)
         for handler in analyses[key]:
-            finished = handler.finished.get(advice_names)
-            if finished is None:
+            if advice_names not in handler.finished:
                 responses = extract_responses(handler.method, handler.success,
                                               advices, model, controller,
                                               diagnostics)
-                finished = handler.finished[advice_names] = [
+                handler.finished[advice_names] = [
                     (path, {**template, "responses": responses})
                     for path, template in handler.operations]
-            for path, operation in finished:
+            for path, operation in handler.finished[advice_names]:
                 for verb in handler.verbs:
                     if (path, verb) in operations:
                         diagnostics.append(Diagnostic(

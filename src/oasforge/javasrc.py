@@ -1130,10 +1130,9 @@ class _Parser:
             self.pos += 1
 
     def declarator_follows(self) -> bool:
-        """Whether the `,` here is followed by more declarators of a field:
-        each a name and its `[]`s, the last one then `=` or `;`. A `,`
-        between type arguments, as in `new HashMap<String, Integer>()` or
-        `Foo.<A, B>of()`, is followed by none."""
+        """Whether the `,` here is followed by more declarators of a field,
+        each a name and its `[]`s, the last then `=` or `;`, and so is not
+        one of type arguments, as in `new HashMap<String, Integer>()`."""
         texts, i = self.texts, self.pos
         while i + 1 < self.n and token_kind(texts[i + 1]) == "ident":
             i += 2
@@ -1262,31 +1261,27 @@ def _statement_statuses(stmt: list[str]) -> set[str]:
     return statuses
 
 
-def _opens_class_body(body: list[str], paren: int) -> bool:
-    """Whether the `(` at `paren` opens the arguments of `new T<…>(`, so
-    that a `{` after its `)` opens an anonymous class body."""
-    i = paren - 1
-    while i > 0 and body[i] != "new" and (
-            body[i] in (".", "<", ">", ",", "?")
-            or token_kind(body[i]) == "ident"):
-        i -= 1
-    return body[i] == "new"
+# The statements that a block follows after their `(…)`. After any other
+# `)`, a `{` opens a body that is not the method's: an anonymous class's,
+# as in `new T(…) {`, a local record's, or that of a local class's method.
+_BLOCK_STATEMENTS = frozenset({"if", "for", "while", "switch", "catch",
+                               "synchronized", "try"})
 
 
 def extract_body_facts(body: list[str]) -> BodyFacts:
     """Read the token texts of a `{...}` body in one pass. A statement is
     the slice between two `;`, `{` or `}` outside parentheses, so the `;` of
     a for-header or of a lambda block in a call ends none; text after a `(`
-    that never closes is not read. A `return` in a lambda block or in an
-    anonymous class body returns from neither the method nor its
-    statement; a `throw` there still counts."""
+    that never closes is not read. A `return` in a lambda block, or in a
+    class body (see `_BLOCK_STATEMENTS`), is not the method's; a `throw`
+    there still counts."""
     thrown: set[str] = set()
     statuses: set[str] = set()
     plain_return = False
     start = 0  # the token before the current statement
     opened: list[int] = []  # the index of each `(` not yet closed
     closed = 0  # the index of the `(` of the last `)`
-    foreign = [False]  # per open `{`: in a lambda or anonymous class body
+    foreign = [False]  # per open `{`: in a lambda block or a class body
     first: dict[str, int] = {}  # the statement's first `throw` and `return`
     for end, text in enumerate(body):
         if text == "(":
@@ -1296,13 +1291,12 @@ def extract_body_facts(body: list[str]) -> BodyFacts:
         elif text == "throw" or text == "return" and not foreign[-1]:
             first.setdefault(text, end)
         elif text == "{":
-            before = body[end - 1] if end else ""
-            # `case A -> {` of a switch statement, which is never in
-            # parentheses, is no lambda
+            # a switch statement, whose `case A -> {` opens no lambda, is
+            # never in parentheses
             rule = not opened and body[start + 1] in ("case", "default")
-            foreign.append(foreign[-1] or before == "->" and not rule
-                           or before == ")" and _opens_class_body(body,
-                                                                  closed))
+            foreign.append(foreign[-1] or body[end - 1] == "->" and not rule
+                           or body[end - 1] == ")"
+                           and body[closed - 1] not in _BLOCK_STATEMENTS)
         elif text == "}" and len(foreign) > 1:
             foreign.pop()
         if text in (";", "{", "}") and not opened:

@@ -49,7 +49,6 @@ def generate_project(root: Path | str,
         operations = extract_endpoints(unit, model, reg, analyses, diagnostics)
         documents[unit.profile_name] = assemble_document(
             operations, reg, project, unit.profile_name, version, memo)
-    # An exception handler's finding repeats for each handler, and each
-    # list of advices, that reaches it.
+    # An exception handler's finding repeats per handler and advice list.
     diagnostics = list(dict.fromkeys(diagnostics))
     return GenerationResult(project, documents, diagnostics, memo)

@@ -784,10 +784,15 @@ CREATED = "return ResponseEntity.status(201).build(); }"
     # a block of a switch statement's `case … ->` rule is no lambda
     ("{ switch (k) { case 1 -> { return x; } default -> { "
      "throw new Bad(); } } }", {"Bad"}, True),
+    ("{ class L { int n() { return 1; } } " + CREATED, set(), False),
+    ("{ record P(int a) { int n() { return a; } } " + CREATED, set(), False),
     ("{ if (a) { return x; } " + CREATED, set(), True),
     ("{ synchronized (lock) { return x; } }", set(), True),
+    ("{ try (var in = open()) { return in.read(); } "
+     "catch (IOException e) { throw new Bad(); } }", {"Bad"}, True),
 ], ids=["anonymous-in-call", "anonymous-in-field", "lambda-in-call",
-        "lambda-assigned", "case-rule", "if", "synchronized"])
+        "lambda-assigned", "case-rule", "local-class", "local-record", "if",
+        "synchronized", "try-catch"])
 def test_return_in_lambda_or_anonymous_class_is_not_plain(body, thrown,
                                                           plain_return):
     facts = extract_body_facts(tokenize(body).texts)
