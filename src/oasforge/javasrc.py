@@ -1288,7 +1288,7 @@ def extract_body_facts(body: list[str]) -> BodyFacts:
             opened.append(end)
         elif text == ")":
             closed = opened.pop() if opened else 0
-        elif text == "throw" or text == "return" and not foreign[-1]:
+        elif text == "throw" or (text == "return" and not foreign[-1]):
             first.setdefault(text, end)
         elif text == "{":
             # a switch statement, whose `case A -> {` opens no lambda, is
