@@ -1261,11 +1261,12 @@ def _statement_statuses(stmt: list[str]) -> set[str]:
     return statuses
 
 
-# The statements that a block follows after their `(…)`. After any other
-# `)`, a `{` opens a body that is not the method's: an anonymous class's,
-# as in `new T(…) {`, a local record's, or that of a local class's method.
-_BLOCK_STATEMENTS = frozenset({"if", "for", "while", "switch", "catch",
-                               "synchronized", "try"})
+# The keywords that head a block of the method itself, right before its
+# `{` or before the `(…)` that precedes it. After any other name or a `>`,
+# a `{` opens a body declared in the method: an anonymous class's, as in
+# `new T(…) {`, a local class's or record's, or one of their methods'.
+_BLOCK_KEYWORDS = frozenset({"if", "else", "for", "while", "do", "switch",
+                             "try", "catch", "finally", "synchronized"})
 
 
 def extract_body_facts(body: list[str]) -> BodyFacts:
@@ -1273,15 +1274,15 @@ def extract_body_facts(body: list[str]) -> BodyFacts:
     the slice between two `;`, `{` or `}` outside parentheses, so the `;` of
     a for-header or of a lambda block in a call ends none; text after a `(`
     that never closes is not read. A `return` in a lambda block, or in a
-    class body (see `_BLOCK_STATEMENTS`), is not the method's; a `throw`
-    there still counts."""
+    body declared in the method (see `_BLOCK_KEYWORDS`), is not the
+    method's; a `throw` there still counts."""
     thrown: set[str] = set()
     statuses: set[str] = set()
     plain_return = False
     start = 0  # the token before the current statement
     opened: list[int] = []  # the index of each `(` not yet closed
     closed = 0  # the index of the `(` of the last `)`
-    foreign = [False]  # per open `{`: in a lambda block or a class body
+    foreign = [False]  # per open `{`: in a lambda block or a declared body
     first: dict[str, int] = {}  # the statement's first `throw` and `return`
     for end, text in enumerate(body):
         if text == "(":
@@ -1291,12 +1292,15 @@ def extract_body_facts(body: list[str]) -> BodyFacts:
         elif text == "throw" or (text == "return" and not foreign[-1]):
             first.setdefault(text, end)
         elif text == "{":
+            head = body[end - 1]
+            if head == ")":
+                head = body[closed - 1]
             # a switch statement, whose `case A -> {` opens no lambda, is
             # never in parentheses
             rule = not opened and body[start + 1] in ("case", "default")
-            foreign.append(foreign[-1] or body[end - 1] == "->" and not rule
-                           or body[end - 1] == ")"
-                           and body[closed - 1] not in _BLOCK_STATEMENTS)
+            foreign.append(foreign[-1] or head == "->" and not rule or (
+                head == ">" or token_kind(head) == "ident")
+                and head not in _BLOCK_KEYWORDS)
         elif text == "}" and len(foreign) > 1:
             foreign.pop()
         if text in (";", "{", "}") and not opened:

@@ -785,14 +785,21 @@ CREATED = "return ResponseEntity.status(201).build(); }"
     ("{ switch (k) { case 1 -> { return x; } default -> { "
      "throw new Bad(); } } }", {"Bad"}, True),
     ("{ class L { int n() { return 1; } } " + CREATED, set(), False),
+    ("{ class L<T> implements I<T> { T n() throws E { return t; } } "
+     + CREATED, set(), False),
     ("{ record P(int a) { int n() { return a; } } " + CREATED, set(), False),
     ("{ if (a) { return x; } " + CREATED, set(), True),
     ("{ synchronized (lock) { return x; } }", set(), True),
     ("{ try (var in = open()) { return in.read(); } "
      "catch (IOException e) { throw new Bad(); } }", {"Bad"}, True),
+    ("{ try { x(); } finally { return y; } }", set(), True),
+    ("{ do { x(); } while (a); if (b) x(); else { return y; } }",
+     set(), True),
+    ("{ switch (k) { case 1: { return x; } } }", set(), True),
 ], ids=["anonymous-in-call", "anonymous-in-field", "lambda-in-call",
-        "lambda-assigned", "case-rule", "local-class", "local-record", "if",
-        "synchronized", "try-catch"])
+        "lambda-assigned", "case-rule", "local-class", "local-class-throws",
+        "local-record", "if", "synchronized", "try-catch", "try-finally",
+        "do-else", "case-label"])
 def test_return_in_lambda_or_anonymous_class_is_not_plain(body, thrown,
                                                           plain_return):
     facts = extract_body_facts(tokenize(body).texts)

@@ -51,7 +51,9 @@ BODIES = (
        "throw new IllegalArgumentException();",
        "if (page < 0) throw new IllegalStateException();",
        "return ResponseEntity.status(HttpStatus.valueOf(page)).build();",
-       "return null;"])
+       "return null;",
+       "java.util.List.of(1).forEach(n -> { return; });\n"
+       "        return new ResponseEntity<>(HttpStatus.CREATED);"])
 
 # A plain DTO, a generic wrapper, the wrapper used raw, a DTO that refers
 # to itself, one that extends a base class, a record with a varargs
