@@ -64,9 +64,8 @@ def discover_rest_classes(model: SourceModel) -> ControllerSet:
 
 def assign_profiles(cls: ClassDecl, model: SourceModel,
                     diagnostics: list[Diagnostic]) -> Optional[frozenset[str]]:
-    """Profile names from @Profile, or None for every profile when it is
-    absent or names none. A name that does not resolve is reported and left
-    out."""
+    """Profile names from @Profile; None, for every profile, without one or
+    when it names none. An unresolved name is reported and left out."""
     anno = find_annotation(cls.annotations, PROFILE_MARKER)
     if anno is None:
         return None

@@ -460,8 +460,7 @@ def extract_responses(handler: MethodDecl, success: dict[str, dict],
 
 class HandlerAnalysis(Record):
     """What a handler gives every profile: each path's operation less
-    `responses`, and by the qualified names of a profile's advices, in
-    order, each path's finished operation."""
+    `responses`, and by a profile's advice names each finished operation."""
     __slots__ = ("method", "file", "verbs", "operations", "success",
                  "finished")
 
@@ -543,9 +542,8 @@ def extract_endpoints(unit: ProfileUnit, model: SourceModel,
                       ) -> dict[tuple[str, str], dict]:
     """The operation dict of each (path, VERB) of `unit`, in the order the
     handlers are found; a later handler of a taken (path, VERB) is dropped
-    with DUPLICATE_METHOD. Each controller is analyzed on its first visit,
-    into `analyses` by qualified name, and each handler is finished on its
-    first visit under the unit's advices; here both are only linked."""
+    with DUPLICATE_METHOD. Each controller is analyzed once, into `analyses`
+    by qualified name, and each handler finished once per advice list."""
     operations: dict[tuple[str, str], dict] = {}
     advices = unit.controller_set.advices
     advice_names = tuple(advice.qualified_name for advice in advices)
