@@ -1103,7 +1103,7 @@ class _Parser:
     def parse_initializer_expr(self) -> Optional[AttributeValue]:
         """Parse a field initializer, returning an AttributeValue when it
         fits the constant-expression subset, else None (tokens skipped to
-        its `;`, or to a `,` that another declarator follows)."""
+        its `;`, or to a `,` that is not one of type arguments)."""
         save = self.pos
         try:
             value = self.parse_attr_expr()
@@ -1130,17 +1130,15 @@ class _Parser:
             self.pos += 1
 
     def declarator_follows(self) -> bool:
-        """Whether the `,` here is followed by more declarators of a field,
-        each a name and its `[]`s, the last then `=` or `;`, and so is not
-        one of type arguments, as in `new HashMap<String, Integer>()`."""
-        texts, i = self.texts, self.pos
-        while i + 1 < self.n and token_kind(texts[i + 1]) == "ident":
-            i += 2
-            while texts[i:i + 2] == ["[", "]"]:
-                i += 2
-            if texts[i:i + 1] != [","]:
-                return texts[i:i + 1] in (["="], [";"])
-        return False
+        """Whether the `,` here ends a declarator: it does unless the names
+        and type punctuation after it reach the `>` that closes type
+        arguments, as in `new HashMap<String, Integer>()`."""
+        i = self.pos + 1
+        while i < self.n and (token_kind(self.texts[i]) == "ident"
+                              or self.texts[i] in (".", ",", "[", "]", "?",
+                                                   "<")):
+            i += 1
+        return not self.at(">", i - self.pos)
 
     # -- types ---------------------------------------------------------------
 

@@ -1168,13 +1168,22 @@ def test_one_declaration_of_several_fields():
     ("int a = x < y ? 1 : 2, b = 3;", [("a", 0, None), ("b", 0, 3)]),
     ("int a = f(1, 2), b, c[], d = 4;",
      [("a", 0, None), ("b", 0, None), ("c", 1, None), ("d", 0, 4)]),
+    ("Object m = new HashMap<String, Map<K, ? extends V>>(), n;",
+     [("m", 0, None), ("n", 0, None)]),
 ], ids=["new-generic", "generic-call", "three-arguments", "array-argument",
-        "ternary", "call"])
+        "ternary", "call", "nested-arguments"])
 def test_comma_of_type_arguments_ends_no_skipped_initializer(declaration,
                                                              fields):
     cls = only_class("class A { " + declaration + " }")
     assert [(f.name, f.type.array_depth, f.initializer)
             for f in cls.fields] == fields
+
+
+@pytest.mark.parametrize("declaration", [
+    "int a = x < y ? 1 : 2, ;", "int a = f(x), b, ;"])
+def test_comma_before_no_declarator_is_a_syntax_error(declaration):
+    with pytest.raises(JavaSyntaxError, match="expected identifier"):
+        only_class("class A { " + declaration + " }")
 
 
 def test_file_cut_off_mid_class_is_one_parse_error(tmp_path):
