@@ -1121,7 +1121,7 @@ class _Parser:
                 raise JavaSyntaxError("unterminated initializer",
                                       self.last_line())
             if depth == 0 and (text == ";" or text == ","
-                               and self.declarator_follows()):
+                               and self.comma_ends_declarator()):
                 return None
             if text in ("(", "{", "["):
                 depth += 1
@@ -1129,7 +1129,7 @@ class _Parser:
                 depth -= 1
             self.pos += 1
 
-    def declarator_follows(self) -> bool:
+    def comma_ends_declarator(self) -> bool:
         """Whether the `,` here ends a declarator: it does unless the names
         and type punctuation after it reach the `>` that closes type
         arguments, as in `new HashMap<String, Integer>()`."""
