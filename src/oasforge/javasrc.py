@@ -1290,12 +1290,13 @@ def extract_body_facts(body: list[str]) -> BodyFacts:
         elif text == "throw" or (text == "return" and not foreign[-1]):
             first.setdefault(text, end)
         elif text == "{":
-            head = body[end - 1]
+            head = body[end - 1] if end else "{"
             if head == ")":
                 head = body[closed - 1]
             # a switch statement, whose `case A -> {` opens no lambda, is
             # never in parentheses
-            rule = not opened and body[start + 1] in ("case", "default")
+            rule = not opened and start + 1 < end \
+                and body[start + 1] in ("case", "default")
             foreign.append(foreign[-1] or head == "->" and not rule or (
                 head == ">" or token_kind(head) == "ident")
                 and head not in _BLOCK_KEYWORDS)

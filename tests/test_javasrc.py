@@ -854,6 +854,7 @@ _BODY_TOKENS = st.one_of(
 @given(st.lists(_BODY_TOKENS, max_size=40))
 @example([">", ">", ">", "=", ".", "5", "1.", "."])
 @example(["{", "throw", "new", "NotFound", "(", ")", ";", "}"])
+@example(["{"])
 def test_a_body_kept_as_joined_text_reads_as_its_tokens(texts):
     body = " ".join(texts)
     assert [t for _, t, _ in javasrc._TOKEN_RE.findall(body) if t] == texts
