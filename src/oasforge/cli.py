@@ -14,12 +14,9 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .diagnostics import FatalError
-
-if TYPE_CHECKING:
-    from .emitter import RunMemo
 
 EXIT_FATAL = 1
 EXIT_DIAGNOSTICS = 2
@@ -128,7 +125,6 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     """Analyze a source tree and write one description per Spring profile;
     return the exit code."""
     from .emitter import merge_documents
-    from .oasvalidate import validate_document
     from .pipeline import generate_project
 
     if fmt == "yaml":
@@ -141,18 +137,14 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
     profiles_filter = [p.strip() for p in profiles.split(",") if p.strip()] \
         if profiles else None
     result = generate_project(input_root, profiles_filter)
-    outputs = {}  # file name -> document; its suffix is its format
-    for profile, doc in result.documents.items():
-        errors = validate_document(doc, result.memo)
-        if errors:
-            raise FatalError("generated document failed validation:"
-                             + "".join(f"\n  {err}" for err in errors))
-        outputs[f"{result.project}-{profile}.openapi.{fmt}"] = doc
+    # file name -> document; its suffix is its format
+    outputs = {f"{result.project}-{profile}.openapi.{fmt}": doc
+               for profile, doc in result.documents.items()}
     if merge and result.documents:
         outputs[f"{result.project}-merged.openapi.json"] = merge_documents(
             result.documents, result.project)
 
-    _write_outputs(output_dir, outputs, result.memo)
+    _write_outputs(output_dir, outputs)
 
     for diag in result.diagnostics:
         print(diag.render(), file=sys.stderr)
@@ -171,14 +163,14 @@ def generate(input_root: Path, output_dir: Path, fmt: str, merge: bool,
         else 0
 
 
-def _write_outputs(output_dir: Path, outputs: dict[str, dict],
-                   memo: RunMemo) -> None:
+def _write_outputs(output_dir: Path, outputs: dict[str, dict]) -> None:
     """Write each document of `outputs` under `output_dir`, serialized one
-    at a time through the run's `memo`, as written, so no two texts are
-    held at once. On any error, the files this run opened and the
-    directories it made are removed."""
-    from .emitter import serialize
+    at a time through one memo, as written, so no two texts are held at
+    once. On any error, the files this run opened and the directories it
+    made are removed."""
+    from .emitter import RunMemo, serialize
 
+    memo = RunMemo()
     made = [d for d in (output_dir, *output_dir.parents) if not d.exists()]
     opened: list[Path] = []
     try:

@@ -310,6 +310,17 @@ def _annotated_status(annotations: tuple[AnnotationUse, ...], what: str,
     return annotated or ""
 
 
+def _bean_status(chain: list[ClassDecl]) -> Optional[tuple]:
+    """The arguments of `_annotated_status` for the nearest @ResponseStatus
+    on `chain`, a bean's superclass chain, which applies to each handler
+    and exception handler of the bean that declares none; None without
+    one."""
+    for cls in chain:
+        if find_annotation(cls.annotations, {"ResponseStatus"}):
+            return cls.annotations, cls.qualified_name, cls.source_file, 0
+    return None
+
+
 def _literal_statuses(method: MethodDecl, file: str,
                       diagnostics: list[Diagnostic]) -> set[str]:
     """The codes of the status literals in `method`'s body. Each literal
@@ -362,13 +373,14 @@ def resolve_exception_status(exc: str, local: ClassDecl,
     `exc`'s ancestry wins, then the first declared, subclass first. A
     target that resolves where it is declared matches a model class by
     qualified name, any other a class by simple name. A handler's
-    @ResponseStatus wins over its body's status, which must be unique.
+    @ResponseStatus, else its scope's (`_bean_status`), wins over its
+    body's status, which must be unique.
     Unhandled, the nearest @ResponseStatus on a model class of the
     ancestry applies, else 500."""
     ancestry = _ancestry(exc, local, model)
     for scope in [local, *advices]:
-        methods = [(cls, method) for cls in supertype_chain(scope, model)
-                   for method in cls.methods]
+        chain = supertype_chain(scope, model)
+        methods = [(cls, method) for cls in chain for method in cls.methods]
         hits = [(distance, i) for i, (cls, method) in enumerate(methods)
                 for name in _exception_handler_targets(method)
                 for fq in [model.resolve_type_name(name, cls)]
@@ -380,6 +392,8 @@ def resolve_exception_status(exc: str, local: ClassDecl,
             annotated = _annotated_status(method.annotations, method.name,
                                           cls.source_file, method.line,
                                           diagnostics)
+            if annotated is None and (bean := _bean_status(chain)):
+                annotated = _annotated_status(*bean, diagnostics)
             if annotated:
                 return annotated
             if len(codes) == 1:
@@ -401,21 +415,16 @@ def resolve_exception_status(exc: str, local: ClassDecl,
     return "500"
 
 
-def _success_responses(handler: MethodDecl,
-                       status: Optional[tuple[ClassDecl, MethodDecl]],
+def _success_responses(handler: MethodDecl, status: Optional[tuple],
                        model: SourceModel, reg: SchemaRegistry,
                        ctx: ClassDecl, file: str,
                        diagnostics: list[Diagnostic]) -> dict[str, dict]:
     """The response of each success code of `handler`, with a body schema
-    on each 1xx-3xx one; `status` is the declaration of its @ResponseStatus
-    (see `_analyze`), with its class."""
+    on each 1xx-3xx one; `status` holds the arguments of `_annotated_status`
+    for the @ResponseStatus that applies to it (see `_analyze`)."""
     explicit = _literal_statuses(handler, file, diagnostics)
-    annotated = None
-    if status is not None:
-        cls, method = status
-        annotated = _annotated_status(method.annotations, method.name,
-                                      cls.source_file, method.line,
-                                      diagnostics)
+    annotated = None if status is None \
+        else _annotated_status(*status, diagnostics)
     success = set(explicit)
     if not explicit or handler.body_facts.has_plain_return \
             or annotated is not None:
@@ -481,12 +490,14 @@ def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
     the type-level mapping of the nearest class with one. A signature's
     handler is its nearest declaration. Its mapping and @ResponseStatus are
     the nearest declared, each named in its class, as Spring finds them on
-    overridden methods; an unannotated parameter takes the mapped one's."""
+    overridden methods; an unannotated parameter takes the mapped one's.
+    Without a declared @ResponseStatus, the controller's applies."""
     type_level = None
     nearest: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
     mapped: dict[tuple, tuple[ClassDecl, MethodDecl, AnnotationUse]] = {}
-    statuses: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
-    for cls in supertype_chain(controller, model):
+    statuses: dict[tuple, tuple] = {}  # sig -> `_annotated_status` args
+    chain = supertype_chain(controller, model)
+    for cls in chain:
         if type_level is None and (anno := find_annotation(
                 cls.annotations, REQUEST_MAPPING)):
             type_level = _mapping(anno, cls, 0, model, diagnostics)
@@ -498,8 +509,10 @@ def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
                     method.annotations, MAPPING_ANNOTATIONS)):
                 mapped[sig] = (cls, method, anno)
             if find_annotation(method.annotations, {"ResponseStatus"}):
-                statuses.setdefault(sig, (cls, method))
+                statuses.setdefault(sig, (method.annotations, method.name,
+                                          cls.source_file, method.line))
     base_paths, base_verbs = type_level or ([""], None)
+    bean_status = _bean_status(chain)
 
     handlers: list[HandlerAnalysis] = []
     for sig, (cls, declaration, anno) in mapped.items():
@@ -530,8 +543,8 @@ def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
         # After the parameters, so schema names are allocated in the order
         # the golden corpus fixes.
         handlers.append(HandlerAnalysis(handler, file, verbs, operations, (
-            _success_responses(handler, statuses.get(sig), model, reg,
-                               controller, file, diagnostics))))
+            _success_responses(handler, statuses.get(sig, bean_status),
+                               model, reg, controller, file, diagnostics))))
     return handlers
 
 

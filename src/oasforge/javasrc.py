@@ -468,13 +468,13 @@ class SourceModel(Record):
     clause does not see them.
 
     Construction builds a simple name → classes index, in `classes` order,
-    so `by_simple_name` does not walk `classes`, and the set of classes
-    that declare a member type, so a tree without member types skips the
-    search of inherited ones. Both are valid because `classes` is not
-    changed after construction.
+    so `by_simple_name` does not walk `classes`, and the set of the simple
+    names of member types, so the search of inherited member types runs
+    only for a name that some member type has. Both are valid because
+    `classes` is not changed after construction.
     """
     __slots__ = ("classes", "parse_diagnostics", "_by_simple_name",
-                 "_outer_classes")
+                 "_member_names")
 
     def __init__(self, classes: dict[str, ClassDecl],
                  parse_diagnostics: Optional[list[Diagnostic]] = None):
@@ -485,9 +485,9 @@ class SourceModel(Record):
         for cls in self.classes.values():
             index.setdefault(cls.simple_name, []).append(cls)
         self._by_simple_name = {k: tuple(v) for k, v in index.items()}
-        # the classes that declare a member type; empty until the cycle
-        # check below has passed, so every walk up a hierarchy ends
-        self._outer_classes: set[str] = set()
+        # the simple names of member types; empty until the cycle check
+        # below has passed, so every walk up a hierarchy ends
+        self._member_names: set[str] = set()
         for cls in self.classes.values():
             if cls.superclass:
                 cls.superclass = self._qualify_supertype(cls.superclass, cls)
@@ -495,9 +495,8 @@ class SourceModel(Record):
                 cls.interfaces = tuple(self._qualify_supertype(t, cls)
                                        for t in cls.interfaces)
         self._check_cycles()
-        self._outer_classes = {
-            cls.qualified_name.rpartition(".")[0]
-            for cls in self.classes.values()
+        self._member_names = {
+            cls.simple_name for cls in self.classes.values()
             if cls.qualified_name.find(".", len(cls.package) + 1) != -1}
 
     def _qualify_supertype(self, t: TypeRef, cls: ClassDecl) -> TypeRef:
@@ -600,7 +599,7 @@ class SourceModel(Record):
             qualifier, _, last = name.rpartition(".")
             matches = [c for c in self.by_simple_name(last)
                        if c.qualified_name.endswith("." + name)]
-            if not matches and self._outer_classes:
+            if not matches and last in self._member_names:
                 # a member type that the qualifier declares or inherits
                 # (JLS 6.5.5.2), as `Sub.Part` names `Base.Part`
                 owner = self.resolve_type_name(qualifier, ctx)
@@ -614,7 +613,7 @@ class SourceModel(Record):
             for owner in ctx.lexical_scopes:  # member types shadow imports
                 if f"{owner}.{name}" in self.classes:
                     return f"{owner}.{name}"
-                if self._outer_classes:
+                if name in self._member_names:
                     inherited = self._inherited_member_type(owner, name)
                     if inherited:
                         return inherited

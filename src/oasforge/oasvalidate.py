@@ -1,4 +1,4 @@
-"""The checks `generate` runs on each document before writing it.
+"""The checks `pipeline.generate_project` runs on each document it returns.
 
 Each check guards a rule that depends on the source tree and that extraction
 keeps for any input: every $ref names a component schema, every template

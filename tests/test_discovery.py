@@ -1,5 +1,7 @@
 """Controller discovery and profile grouping."""
 
+import pytest
+
 from conftest import model_from
 from oasforge.discovery import (assign_profiles, discover_rest_classes,
                                 group_by_profile)
@@ -260,3 +262,29 @@ def test_default_profile_named_explicitly_is_the_one_default_unit(tmp_path):
     docs = generate_project(tmp_path).documents
     assert {profile: list(doc["paths"]) for profile, doc in docs.items()} == {
         "default": ["/d"], "dev": ["/dev"]}
+
+
+@pytest.mark.parametrize("client", [
+    "import org.springframework.cloud.openfeign.FeignClient;\n"
+    '@FeignClient(name = "users")',
+    "import org.springframework.web.service.annotation.HttpExchange;\n"
+    '@HttpExchange("/api")',
+], ids=["feign", "http-exchange"])
+def test_client_interface_without_a_controller_gives_no_operation(
+        tmp_path, client):
+    # a client interface carries the controllers' mapping annotations, but
+    # no in-tree controller implements it, so Spring serves none of them
+    (tmp_path / "UserClient.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        f"{client}\npublic interface UserClient {{\n"
+        '    @GetMapping("/users/{id}")\n'
+        '    String get(@PathVariable("id") long id);\n}\n')
+    (tmp_path / "Api.java").write_text(
+        "package app;\nimport org.springframework.web.bind.annotation.*;\n"
+        '@RestController\nclass Api {\n    @GetMapping("/ping")\n'
+        '    String ping() { return ""; }\n}\n')
+    result = generate_project(tmp_path)
+    assert {profile: list(doc["paths"])
+            for profile, doc in result.documents.items()} == {
+        "default": ["/ping"]}
+    assert result.diagnostics == []

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, GOLDEN_FIXTURES
+from oasforge import pipeline
+from oasforge.diagnostics import FatalError
 from oasforge.emitter import (MergeConflictError, RunMemo,
                               _no_alias_dumper, _yaml_strings,
                               assemble_document, doc_to_dict,
@@ -98,7 +100,7 @@ _LIBYAML_DIVERGES = [
 ]
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(_documents)
 @example({"paths": {"/a": _SHARED, "/b": [_SHARED, {"s": _SHARED}]}})
 @example(True)
@@ -129,7 +131,7 @@ _writable_documents = st.recursive(
     max_leaves=24)
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(st.lists(_writable_documents, max_size=4),
                  st.dictionaries(_WRITABLE_KEYS, _writable_documents,
                                  max_size=4)))
@@ -177,7 +179,7 @@ def _fanout_run():
     return [(doc, fmt) for fmt in ("json", "yaml") for doc in docs.values()]
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(_runs())
 @example(_fanout_run())
 def test_one_memo_writes_each_document_of_a_run(run):
@@ -385,6 +387,29 @@ def test_validator_flags_what_extraction_must_prevent(edit, error):
     path = next(iter(doc["paths"]))
     edit(doc["paths"][path]["get"])
     assert any(error in e for e in validate_document(doc))
+
+
+def test_pipeline_raises_the_errors_of_the_first_faulty_document(
+        monkeypatch):
+    # each profile's document gets two dangling `$ref`s naming the profile;
+    # the pipeline checks the documents in profile order
+    real_assemble = pipeline.assemble_document
+
+    def assemble_faulty(operations, reg, project, profile, *rest):
+        doc = real_assemble(operations, reg, project, profile, *rest)
+        schemas = doc.setdefault("components", {}).setdefault("schemas", {})
+        for name in ("Ghost", "Phantom"):
+            schemas[name] = {"$ref": f"#/components/schemas/{name}_{profile}"}
+        return doc
+
+    monkeypatch.setattr(pipeline, "assemble_document", assemble_faulty)
+    with pytest.raises(FatalError) as raised:
+        generate_project(FIXTURES_DIR / "profile_split")
+    ref = "components.schemas: dangling $ref '#/components/schemas/{}'"
+    assert str(raised.value) == (
+        "generated document failed validation:"
+        f"\n  {ref.format('Ghost_external')}"
+        f"\n  {ref.format('Phantom_external')}")
 
 
 # -- merging ----------------------------------------------------------------

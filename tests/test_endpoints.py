@@ -1113,6 +1113,104 @@ def test_response_status_of_an_unhandled_exception_class_applies():
          "status code; ignored", "<test-0>")]
 
 
+CLASS_STATUSES = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+class Bad extends RuntimeException {}
+
+class Worse extends RuntimeException {}
+
+class Local extends RuntimeException {}
+
+@ResponseStatus(HttpStatus.CREATED)
+abstract class Base {}
+
+@RestController
+class C extends Base {
+    @PostMapping("/c") void create() {}
+
+    @PostMapping("/own") @ResponseStatus(HttpStatus.ACCEPTED) void own() {}
+
+    @PostMapping("/entity") ResponseEntity<String> entity() {
+        return ResponseEntity.status(HttpStatus.OK).body("");
+    }
+
+    @GetMapping("/bad") String bad() { throw new Bad(); }
+
+    @GetMapping("/worse") String worse() { throw new Worse(); }
+
+    @GetMapping("/local") String local() { throw new Local(); }
+
+    @ExceptionHandler(Local.class) void onLocal() {}
+}
+
+@ResponseStatus(HttpStatus.NO_CONTENT)
+@RestController
+class D extends Base {
+    @DeleteMapping("/d") void delete() {}
+}
+
+@ResponseStatus(HttpStatus.BAD_REQUEST)
+abstract class BaseAdvice {}
+
+@RestControllerAdvice
+class A extends BaseAdvice {
+    @ExceptionHandler(Bad.class) String h() { return "bad"; }
+
+    @ExceptionHandler(Worse.class) @ResponseStatus(HttpStatus.CONFLICT)
+    String w() { return "worse"; }
+}
+"""
+
+
+# As Spring's HandlerMethod does: a handler or exception handler with no
+# @ResponseStatus of its own takes the nearest one of its bean's class and
+# superclasses; the bean of an exception handler is the class that scopes
+# it, a controller or an advice. Such a status counts as a handler's own.
+def test_response_status_of_a_bean_class_applies_to_its_handlers():
+    _, _, _, ops, diags = analyze(CLASS_STATUSES)
+    assert {(path, verb): statuses(op) for (path, verb), op in ops.items()} \
+        == {("/c", "POST"): ["201"], ("/own", "POST"): ["202"],
+            ("/entity", "POST"): ["200", "201"],
+            ("/bad", "GET"): ["201", "400"],
+            ("/worse", "GET"): ["201", "409"],
+            ("/local", "GET"): ["201"], ("/d", "DELETE"): ["204"]}
+    assert diags == []
+    # the same status declared on each handler gives the same responses
+    _, _, _, own_ops, _ = analyze(CLASS_STATUSES.replace(
+        '@PostMapping("/entity")',
+        '@PostMapping("/entity") @ResponseStatus(HttpStatus.CREATED)'))
+    assert own_ops["/entity", "POST"] == ops["/entity", "POST"]
+
+
+def test_unmappable_response_status_of_a_bean_class_is_reported(tmp_path):
+    (tmp_path / "C.java").write_text(
+        "package app;\n" + SPRING_HEAD
+        + "class Bad extends RuntimeException {}\n"
+        "@ResponseStatus(HttpStatus.NO_SUCH)\n@RestController\nclass C {\n"
+        '    @GetMapping("/a") void a() {}\n'
+        '    @GetMapping("/b") String b() { throw new Bad(); }\n}\n'
+        "@ResponseStatus(code = HttpStatus.NO_SUCH)\n"
+        "@RestControllerAdvice\nclass A {\n"
+        "    @ExceptionHandler(Bad.class) void h() {}\n}\n")
+    result = generate_project(tmp_path)
+    assert {path: list(item["get"]["responses"]) for path, item
+            in result.documents["default"]["paths"].items()} == {
+        "/a": ["200"], "/b": ["200", "500"]}
+    # each once, though C's applies to two handlers
+    assert [(d.code, d.message, d.file, d.line)
+            for d in result.diagnostics] == [
+        ("UNRESOLVED_STATUS", "@ResponseStatus of app.C maps to no HTTP "
+         "status code; ignored", "C.java", 0),
+        ("UNRESOLVED_STATUS", "@ResponseStatus of app.A maps to no HTTP "
+         "status code; ignored", "C.java", 0),
+        ("UNRESOLVED_STATUS", "exception handler h for Bad has no "
+         "statically readable status; assuming 500", "C.java", 14)]
+
+
 def test_every_endpoint_has_a_response():
     _, _, _, ops, _ = analyze(RESPONSES)
     assert ops

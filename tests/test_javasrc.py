@@ -585,6 +585,26 @@ def test_qualified_name_reaches_a_member_type_its_qualifier_inherits():
     assert model.resolve_type_name("Nowhere.Part", user) is None
 
 
+def test_only_a_member_type_name_searches_the_hierarchy(monkeypatch):
+    model = model_from(
+        "package app;\nclass Base { static class Part {} }\n"
+        "class Sub extends Base { static class Inner {} }\n"
+        "class Item {}\n")
+    walked = []
+    real_walk = javasrc.SourceModel.type_hierarchy
+    monkeypatch.setattr(javasrc.SourceModel, "type_hierarchy",
+                        lambda self, cls: walked.append(cls.qualified_name)
+                        or real_walk(self, cls))
+    inner = model.classes["app.Sub.Inner"]
+    # no member type is named `Item` or `Missing`
+    assert model.resolve_type_name("Item", inner) == "app.Item"
+    assert model.resolve_type_name("Sub.Missing", inner) is None
+    assert walked == []
+    # `Part` is: each lexical scope up to the one that inherits it is walked
+    assert model.resolve_type_name("Part", inner) == "app.Base.Part"
+    assert walked == ["app.Sub.Inner", "app.Sub"]
+
+
 def test_handler_returning_an_inherited_member_type_documents_it(tmp_path):
     (tmp_path / "K.java").write_text(
         "package app;\npublic interface K { class Dto { public String a; } }\n")
