@@ -8,7 +8,8 @@ those advices, so none is changed after it is built.
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import Iterable, Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
                           SERVLET_PARAMETER, SKIPPED_PARAMETER,
@@ -20,10 +21,11 @@ from .javasrc import (AnnotationUse, AttributeValue, ClassDecl, ClassRef,
                       resolve_string_constant, spelling, supertype_chain)
 from .schemas import (SchemaRegistry, primitive, schema_for_type,
                       unwrap_response_wrapper)
-from .spring import (EXCEPTION_SUPERCLASSES, HTTP_VERBS, MAPPING_ANNOTATIONS,
-                     PARAM_ANNOTATIONS, REQUEST_MAPPING, REQUEST_METHODS,
-                     SERVLET_TYPES, VERB_MAPPINGS, find_annotation,
-                     reason_phrase, status_code_for)
+from .spring import (EXCEPTION_HANDLER, EXCEPTION_SUPERCLASSES, HTTP_VERBS,
+                     MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS, REQUEST_MAPPING,
+                     REQUEST_METHODS, RESPONSE_STATUS, SERVLET_TYPES,
+                     VERB_MAPPINGS, find_annotation, reason_phrase,
+                     status_code_for)
 from .values import Record, replace
 
 
@@ -287,38 +289,34 @@ def _bind_to_template(params: list[dict], path: str,
 # Responses
 # ---------------------------------------------------------------------------
 
-def _annotated_status(annotations: tuple[AnnotationUse, ...], what: str,
-                      file: str, line: int, diagnostics: list[Diagnostic]
-                      ) -> Optional[str]:
-    """The code of the @ResponseStatus among `annotations` of `what`: None
-    without one, "" when it gives none. A value that maps to no code is
-    reported at `file`:`line` and gives ""."""
-    anno = find_annotation(annotations, {"ResponseStatus"})
-    if anno is None:
-        return None
-    annotated = None
-    for attr in ("value", "code"):
-        value = anno.attributes.get(attr)
-        if isinstance(value, NameRef):
-            annotated = status_code_for(value.parts[-1])
+Holder = tuple[ClassDecl, Optional[MethodDecl]]
+
+
+def _annotated_status(holders: Iterable[Holder],
+                      diagnostics: list[Diagnostic]) -> Optional[str]:
+    """The code of the @ResponseStatus of the first of `holders` with one,
+    each a method of a class or, with None, the class itself: None without
+    one, "500" when it sets neither `value` nor `code`, as `code` defaults
+    to INTERNAL_SERVER_ERROR. A value that maps to no code is reported at
+    the method's line, or at line 0 for a class, and gives ""."""
+    for cls, method in holders:
+        holder = cls if method is None else method
+        if anno := find_annotation(holder.annotations, RESPONSE_STATUS):
             break
-    if annotated is None and anno.attributes.keys() & {"value", "code"}:
-        diagnostics.append(Diagnostic(
-            UNRESOLVED_STATUS,
-            f"@ResponseStatus of {what} maps to no HTTP status code; "
-            "ignored", file, line))
-    return annotated or ""
-
-
-def _bean_status(chain: list[ClassDecl]) -> Optional[tuple]:
-    """The arguments of `_annotated_status` for the nearest @ResponseStatus
-    on `chain`, a bean's superclass chain, which applies to each handler
-    and exception handler of the bean that declares none; None without
-    one."""
-    for cls in chain:
-        if find_annotation(cls.annotations, {"ResponseStatus"}):
-            return cls.annotations, cls.qualified_name, cls.source_file, 0
-    return None
+    else:
+        return None
+    value = anno.attributes.get("value", anno.attributes.get("code"))
+    if value is None:
+        return "500"
+    code = isinstance(value, NameRef) and status_code_for(value.parts[-1])
+    if code:
+        return code
+    what, line = (cls.qualified_name, 0) if method is None \
+        else (method.name, method.line)
+    diagnostics.append(Diagnostic(
+        UNRESOLVED_STATUS, f"@ResponseStatus of {what} maps to no HTTP "
+        "status code; ignored", cls.source_file, line))
+    return ""
 
 
 def _literal_statuses(method: MethodDecl, file: str,
@@ -340,7 +338,7 @@ def _literal_statuses(method: MethodDecl, file: str,
 
 
 def _exception_handler_targets(method: MethodDecl) -> list[str]:
-    anno = find_annotation(method.annotations, {"ExceptionHandler"})
+    anno = find_annotation(method.annotations, EXCEPTION_HANDLER)
     if anno is None:
         return []
     return [item.name for item in anno.items("value")
@@ -348,12 +346,12 @@ def _exception_handler_targets(method: MethodDecl) -> list[str]:
         or [p.type.raw_name for p in method.parameters]
 
 
-def _ancestry(exc: str, local: ClassDecl, model: SourceModel
+def _ancestry(exc: str, cls: Optional[ClassDecl], model: SourceModel
               ) -> list[tuple[str, str]]:
-    """`exc`, as named in `local`, and its superclasses, nearest first, as
-    (qualified name, simple name) pairs; past the model's edge the chain
-    goes on through EXCEPTION_SUPERCLASSES, with no qualified name."""
-    cls = model.find_class(exc, local)
+    """`exc`, whose model class is `cls` if it has one, and its
+    superclasses, nearest first, as (qualified name, simple name) pairs;
+    past the model's edge the chain goes on through EXCEPTION_SUPERCLASSES,
+    with no qualified name."""
     chain = supertype_chain(cls, model) if cls else []
     ancestry = [(c.qualified_name, c.simple_name) for c in chain]
     parent = chain[-1].superclass if chain else TypeRef(exc)
@@ -373,11 +371,12 @@ def resolve_exception_status(exc: str, local: ClassDecl,
     `exc`'s ancestry wins, then the first declared, subclass first. A
     target that resolves where it is declared matches a model class by
     qualified name, any other a class by simple name. A handler's
-    @ResponseStatus, else its scope's (`_bean_status`), wins over its
-    body's status, which must be unique.
-    Unhandled, the nearest @ResponseStatus on a model class of the
-    ancestry applies, else 500."""
-    ancestry = _ancestry(exc, local, model)
+    @ResponseStatus, else the nearest in its scope's `type_hierarchy`, wins
+    over its body's status, which must be unique.
+    Unhandled, the nearest @ResponseStatus in the `type_hierarchy` of
+    `exc`'s model class applies, else 500."""
+    exc_class = model.find_class(exc, local)
+    ancestry = _ancestry(exc, exc_class, model)
     for scope in [local, *advices]:
         chain = supertype_chain(scope, model)
         methods = [(cls, method) for cls in chain for method in cls.methods]
@@ -389,11 +388,9 @@ def resolve_exception_status(exc: str, local: ClassDecl,
         if hits:
             cls, method = methods[min(hits)[1]]
             codes = _literal_statuses(method, cls.source_file, diagnostics)
-            annotated = _annotated_status(method.annotations, method.name,
-                                          cls.source_file, method.line,
-                                          diagnostics)
-            if annotated is None and (bean := _bean_status(chain)):
-                annotated = _annotated_status(*bean, diagnostics)
+            scoped = ((c, None) for c in model.type_hierarchy(scope))
+            annotated = _annotated_status(
+                itertools.chain([(cls, method)], scoped), diagnostics)
             if annotated:
                 return annotated
             if len(codes) == 1:
@@ -404,27 +401,20 @@ def resolve_exception_status(exc: str, local: ClassDecl,
                 "statically readable status; assuming 500",
                 cls.source_file, method.line))
             return "500"
-    for qualified, _ in ancestry:
-        cls = model.classes.get(qualified)
-        if cls is None:
-            break
-        annotated = _annotated_status(cls.annotations, qualified,
-                                      cls.source_file, 0, diagnostics)
-        if annotated is not None:
-            return annotated or "500"
-    return "500"
+    hierarchy = model.type_hierarchy(exc_class) if exc_class else ()
+    return _annotated_status(((c, None) for c in hierarchy), diagnostics) \
+        or "500"
 
 
-def _success_responses(handler: MethodDecl, status: Optional[tuple],
+def _success_responses(handler: MethodDecl, holders: list[Holder],
                        model: SourceModel, reg: SchemaRegistry,
                        ctx: ClassDecl, file: str,
                        diagnostics: list[Diagnostic]) -> dict[str, dict]:
     """The response of each success code of `handler`, with a body schema
-    on each 1xx-3xx one; `status` holds the arguments of `_annotated_status`
-    for the @ResponseStatus that applies to it (see `_analyze`)."""
+    on each 1xx-3xx one; the @ResponseStatus of the first of `holders` with
+    one applies to it (see `_analyze`)."""
     explicit = _literal_statuses(handler, file, diagnostics)
-    annotated = None if status is None \
-        else _annotated_status(*status, diagnostics)
+    annotated = _annotated_status(holders, diagnostics)
     success = set(explicit)
     if not explicit or handler.body_facts.has_plain_return \
             or annotated is not None:
@@ -491,32 +481,28 @@ def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
     handler is its nearest declaration. Its mapping and @ResponseStatus are
     the nearest declared, each named in its class, as Spring finds them on
     overridden methods; an unannotated parameter takes the mapped one's.
-    Without a declared @ResponseStatus, the controller's applies."""
+    Without a declared @ResponseStatus, the nearest in the controller's
+    `type_hierarchy` applies."""
     type_level = None
-    nearest: dict[tuple, tuple[ClassDecl, MethodDecl]] = {}
+    declarations: dict[tuple, list[Holder]] = {}  # sig -> nearest first
     mapped: dict[tuple, tuple[ClassDecl, MethodDecl, AnnotationUse]] = {}
-    statuses: dict[tuple, tuple] = {}  # sig -> `_annotated_status` args
-    chain = supertype_chain(controller, model)
-    for cls in chain:
+    for cls in supertype_chain(controller, model):
         if type_level is None and (anno := find_annotation(
                 cls.annotations, REQUEST_MAPPING)):
             type_level = _mapping(anno, cls, 0, model, diagnostics)
         for method in cls.methods:
             sig = (method.name, tuple((p.type.simple_name, p.type.array_depth)
                                       for p in method.parameters))
-            nearest.setdefault(sig, (cls, method))
+            declarations.setdefault(sig, []).append((cls, method))
             if sig not in mapped and (anno := find_annotation(
                     method.annotations, MAPPING_ANNOTATIONS)):
                 mapped[sig] = (cls, method, anno)
-            if find_annotation(method.annotations, {"ResponseStatus"}):
-                statuses.setdefault(sig, (method.annotations, method.name,
-                                          cls.source_file, method.line))
     base_paths, base_verbs = type_level or ([""], None)
-    bean_status = _bean_status(chain)
+    beans = [(c, None) for c in model.type_hierarchy(controller)]
 
     handlers: list[HandlerAnalysis] = []
     for sig, (cls, declaration, anno) in mapped.items():
-        owner, handler = nearest[sig]
+        owner, handler = declarations[sig][0]
         if handler is not declaration:
             handler = replace(handler, parameters=tuple(
                 replace(p, annotations=p.annotations or q.annotations)
@@ -543,8 +529,8 @@ def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
         # After the parameters, so schema names are allocated in the order
         # the golden corpus fixes.
         handlers.append(HandlerAnalysis(handler, file, verbs, operations, (
-            _success_responses(handler, statuses.get(sig, bean_status),
-                               model, reg, controller, file, diagnostics))))
+            _success_responses(handler, declarations[sig] + beans, model,
+                               reg, controller, file, diagnostics))))
     return handlers
 
 

@@ -17,6 +17,8 @@ REQUEST_METHODS = HTTP_VERBS + ("TRACE",)
 CONTROLLER_MARKERS = frozenset({"RestController", "Controller"})
 ADVICE_MARKERS = frozenset({"ControllerAdvice", "RestControllerAdvice"})
 PROFILE_MARKER = frozenset({"Profile"})
+RESPONSE_STATUS = frozenset({"ResponseStatus"})
+EXCEPTION_HANDLER = frozenset({"ExceptionHandler"})
 
 VERB_MAPPINGS = {
     "GetMapping": "GET",

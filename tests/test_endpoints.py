@@ -1211,6 +1211,102 @@ def test_unmappable_response_status_of_a_bean_class_is_reported(tmp_path):
          "statically readable status; assuming 500", "C.java", 14)]
 
 
+BARE_STATUSES = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@ResponseStatus(reason = "gone")
+class Gone extends RuntimeException {}
+
+class Bad extends RuntimeException {}
+
+@RestController
+class C {
+    @GetMapping("/a") @ResponseStatus(reason = "nope") void a() {}
+
+    @GetMapping("/gone") String gone() { throw new Gone(); }
+
+    @GetMapping("/bad") String bad() { throw new Bad(); }
+
+    @ExceptionHandler(Bad.class) @ResponseStatus void onBad() {}
+}
+
+@ResponseStatus(reason = "x")
+@RestController
+class D {
+    @GetMapping("/d") void d() {}
+}
+"""
+
+
+# The Javadoc of @ResponseStatus gives `code` the default
+# INTERNAL_SERVER_ERROR, so one that sets neither `value` nor `code` means
+# 500 on a handler, an exception handler, a bean or an exception class.
+def test_response_status_without_a_code_means_500():
+    _, _, _, ops, diags = analyze(BARE_STATUSES)
+    assert {path: statuses(op) for (path, _), op in ops.items()} == {
+        "/a": ["500"], "/gone": ["200", "500"], "/bad": ["200", "500"],
+        "/d": ["500"]}
+    assert diags == []
+
+
+INTERFACE_STATUSES = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+@ResponseStatus(HttpStatus.CREATED)
+interface Created {}
+
+@ResponseStatus(HttpStatus.ACCEPTED)
+interface Accepted {}
+
+@ResponseStatus(HttpStatus.NOT_FOUND)
+interface Missing {}
+
+@ResponseStatus(HttpStatus.BAD_REQUEST)
+interface Rejected {}
+
+class NoSuchOrder extends RuntimeException implements Missing {}
+
+class Bad extends RuntimeException {}
+
+abstract class Base implements Created {}
+
+@RestController
+class C implements Created {
+    @PostMapping("/d") void d() {}
+
+    @GetMapping("/e") String e() { throw new NoSuchOrder(); }
+
+    @GetMapping("/bad") String bad() { throw new Bad(); }
+}
+
+@RestController
+class D extends Base implements Accepted {
+    @PostMapping("/f") void f() {}
+}
+
+@RestControllerAdvice
+class A implements Rejected {
+    @ExceptionHandler(Bad.class) void h() {}
+}
+"""
+
+
+# Spring's HandlerMethod reads the bean's @ResponseStatus, and its
+# ResponseStatusExceptionResolver the exception's, with
+# AnnotatedElementUtils.findMergedAnnotation, whose TYPE_HIERARCHY search
+# visits a class, its interfaces, then its superclass: so D's interface
+# wins over its superclass's.
+def test_response_status_of_an_interface_applies():
+    _, _, _, ops, diags = analyze(INTERFACE_STATUSES)
+    assert {path: statuses(op) for (path, _), op in ops.items()} == {
+        "/d": ["201"], "/e": ["201", "404"], "/bad": ["201", "400"],
+        "/f": ["202"]}
+    assert diags == []
+
+
 def test_every_endpoint_has_a_response():
     _, _, _, ops, _ = analyze(RESPONSES)
     assert ops

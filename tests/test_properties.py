@@ -112,6 +112,10 @@ class Order extends Entity {
 
 record Tag(String label, String... aliases) {}
 
+// a class-level status that controllers and MissingException may inherit
+@ResponseStatus(HttpStatus.ACCEPTED)
+interface Tracked {}
+
 class MissingException extends RuntimeException {}
 
 @RestControllerAdvice
@@ -219,7 +223,10 @@ def handlers(draw, index: int, implements: bool) -> str:
 def controllers(draw, index: int, parent: str, paths_interface: bool) -> str:
     profile = draw(st.sampled_from([None, "default", "dev", "prod"]))
     base = draw(st.one_of(st.none(), paths))
-    annotations = "@RestController\n"
+    annotations = "@RestController\n" + draw(st.sampled_from(
+        ["", "@ResponseStatus(HttpStatus.CREATED)\n",
+         "@ResponseStatus(HttpStatus.NO_SUCH_STATUS)\n",
+         '@ResponseStatus(reason = "x")\n']))
     if profile:
         annotations += f'@Profile("{profile}")\n'
     if base is not None:
@@ -232,8 +239,11 @@ def controllers(draw, index: int, parent: str, paths_interface: bool) -> str:
         draw(handlers(i, implements)) for i in range(draw(st.integers(1, 3))))
     if parent and draw(st.booleans()):
         body += OVERRIDE
-    if implements:
-        parent += " implements Paths"
+    interfaces = ["Paths"] if implements else []
+    if draw(st.booleans()):
+        interfaces.append("Tracked")
+    if interfaces:
+        parent += " implements " + ", ".join(interfaces)
     return ("package app;\n\n"
             "import javax.servlet.http.HttpServletRequest;\n"
             "import org.springframework.context.annotation.Profile;\n"
@@ -253,7 +263,10 @@ def trees(draw) -> dict[str, str]:
         files["BaseController.java"] = BASE_CONTROLLER
     if paths_interface:
         files["Paths.java"] = PATHS
-    files["Shared.java"] = SHARED
+    missing = "class MissingException extends RuntimeException"
+    files["Shared.java"] = SHARED.replace(
+        missing, missing + " implements Tracked") if draw(st.booleans()) \
+        else SHARED
     files["Other.java"] = OTHER
     if draw(st.booleans()):
         files["DevAdvice.java"] = DEV_ADVICE
