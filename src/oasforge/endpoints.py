@@ -22,10 +22,10 @@ from .javasrc import (AnnotationUse, AttributeValue, ClassDecl, ClassRef,
 from .schemas import (SchemaRegistry, primitive, schema_for_type,
                       unwrap_response_wrapper)
 from .spring import (EXCEPTION_HANDLER, EXCEPTION_SUPERCLASSES, HTTP_VERBS,
-                     MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS, REQUEST_MAPPING,
-                     REQUEST_METHODS, RESPONSE_STATUS, SERVLET_TYPES,
-                     VERB_MAPPINGS, find_annotation, reason_phrase,
-                     status_code_for)
+                     MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS, PARAM_LOCATIONS,
+                     REQUEST_MAPPING, REQUEST_METHODS, RESPONSE_STATUS,
+                     SERVLET_TYPES, VERB_MAPPINGS, find_annotation,
+                     reason_phrase, status_code_for)
 from .values import Record, replace
 
 
@@ -228,12 +228,11 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
         schema = schema_for_type(p.type, model, reg, ctx)
         if kind == "PathVariable":
             params.append(_parameter(name, "path", True, schema))
-        else:  # RequestParam or RequestHeader
+        else:
             required = _attr_bool(anno, "required", True) \
                 and "defaultValue" not in anno.attributes
-            params.append(_parameter(
-                name, "query" if kind == "RequestParam" else "header",
-                required, schema))
+            params.append(_parameter(name, PARAM_LOCATIONS[kind], required,
+                                     schema))
     return params, body
 
 

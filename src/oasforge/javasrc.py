@@ -1,13 +1,14 @@
 """Parse Java source trees into an immutable, queryable source model.
 
-The tokenizer is one `findall` of one regular expression over the whole
-file: each match is a run of whitespace and comments and then one token, so
-the regex engine does the scanning. Python only fills two columns, each
-token's text and the line it starts on, with no object per token; a token's
-kind is computed from its text when a rule asks for it. Identifiers may
-hold any Unicode letter or digit (JLS 3.8). The parser is a
-recursive-descent pass over the texts, for declarations only; it reads the
-lines only for the line of a declaration or of an error. It keeps each
+A file's leading `package` and `import` statements are read by one regex,
+a match each; the tokenizer is one `findall` of another over the rest of
+the file: each match is a run of whitespace and comments and then one
+token, so the regex engine does the scanning. Python only fills two
+columns, each token's text and the line it starts on, with no object per
+token; a token's kind is computed from its text when a rule asks for it.
+Identifiers may hold any Unicode letter or digit (JLS 3.8). The parser is
+a recursive-descent pass over the texts, for declarations only; it reads
+the lines only for the line of a declaration or of an error. It keeps each
 method body as its token texts joined by single spaces, and reads none: a
 body is read, statement by statement, into BodyFacts (thrown exceptions,
 response-entity status literals, plain returns) the first time an analysis
@@ -26,7 +27,7 @@ import re
 from functools import cached_property
 from itertools import takewhile
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .diagnostics import DUPLICATE_CLASS, PARSE_ERROR, Diagnostic, FatalError
 from .values import Record, Value, replace, set_field
@@ -119,12 +120,12 @@ class InvalidEscapeError(JavaSyntaxError):
     not skipped."""
 
 
-def tokenize(source: str) -> Tokens:
+def tokenize(source: str, start: int = 0, line: int = 1) -> Tokens:
+    """The tokens of `source` from index `start`, which is on line `line`."""
     texts: list[str] = []
     lines: list[int] = []
     add_text, add_line = texts.append, lines.append
-    line = 1
-    for space, text, stray in _TOKEN_RE.findall(source):
+    for space, text, stray in _TOKEN_RE.findall(source, start):
         if "\n" in space:
             line += space.count("\n")
         if text:
@@ -137,6 +138,24 @@ def tokenize(source: str) -> Tokens:
         else:  # the end of the file
             break
     return Tokens(texts, lines)
+
+
+# A `package` or `import` statement of a file's header, after whitespace and
+# comments, with ASCII names and only spaces and tabs inside. A line comment
+# ends only at the end of its line, so no run is read two ways and no match
+# backtracks into a comment. A statement this declines (with a comment or a
+# line break inside, a name outside ASCII, an annotated `package`, a syntax
+# error such as `import a.class;`) and all after it are left to the tokens.
+_HEADER_RE = re.compile(
+    r"""
+    \s*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)\s*)*
+    (?: package[ \t]+ ({name})
+      | import[ \t]+ (?:(static)[ \t]+)? (?!static(?![\w$])) ({name})
+        (\.\*)?
+    ) [ \t]*;
+    """.format(
+        name=r"[A-Za-z_$][\w$]*(?:\.(?!class(?![\w$]))[A-Za-z_$][\w$]*)*"),
+    re.VERBOSE | re.ASCII)
 
 
 # An escape sequence of a string literal (JLS 3.10.7): a unicode escape
@@ -730,7 +749,10 @@ class _Parser:
 
     # -- compilation unit ---------------------------------------------------
 
-    def parse_unit(self) -> list[ClassDecl]:
+    def parse_unit(self, header: Sequence[tuple[Optional[str], ...]] = ()
+                   ) -> list[ClassDecl]:
+        """The declarations of the file, whose `header` `_HEADER_RE` read:
+        each statement's groups, a package name or `static`, name, `.*`."""
         package = ""
         imports = self.imports
         static_imports: dict[str, str] = {}
@@ -738,12 +760,26 @@ class _Parser:
         static_wildcards: list[str] = []
         classes: list[ClassDecl] = []
 
-        # a package declaration may be annotated (JLS 7.4.1), as in
-        # `@NonNullApi package app;`; its annotations are read and dropped
-        start = self.pos
-        self.parse_annotations_and_modifiers()
-        if not self.at("package"):
-            self.pos = start  # they belong to the first type declaration
+        def declare(static, name: str, on_demand) -> None:
+            if on_demand:
+                (static_wildcards if static else wildcards).append(name)
+            elif static:
+                owner, _, member = name.rpartition(".")
+                static_imports[member] = owner
+            else:
+                imports[name.rsplit(".", 1)[-1]] = name
+
+        for package_name, static, name, on_demand in header:
+            package = package_name or package
+            if name:
+                declare(static, name, on_demand)
+        if not header:
+            # a package declaration may be annotated (JLS 7.4.1), as in
+            # `@NonNullApi package app;`; its annotations are read and dropped
+            start = self.pos
+            self.parse_annotations_and_modifiers()
+            if not self.at("package"):
+                self.pos = start  # they belong to the first type declaration
         while self.pos < self.n:
             text = self.texts[self.pos]
             if text == ";":
@@ -758,14 +794,10 @@ class _Parser:
                 self.pos += 1
                 static = self.accept("static")
                 name = self.parse_dotted_name()
-                if self.accept("."):
+                on_demand = self.accept(".")
+                if on_demand:
                     self.expect("*")
-                    (static_wildcards if static else wildcards).append(name)
-                elif static:
-                    owner, _, member = name.rpartition(".")
-                    static_imports[member] = owner
-                else:
-                    imports[name.rsplit(".", 1)[-1]] = name
+                declare(static, name, on_demand)
                 self.expect(";")
                 continue
             classes.extend(self.parse_type_decl(package))
@@ -1336,9 +1368,16 @@ class SupertypeCycleError(ProjectParseError):
 
 
 def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
-    parser = _Parser(tokenize(source), file)
+    """The declarations of `source`: its header by `_HEADER_RE`, the rest
+    from its tokens."""
+    header, end = [], 0
+    while match := _HEADER_RE.match(source, end):
+        header.append(match.groups())
+        end = match.end()
+    parser = _Parser(tokenize(source, end, source.count("\n", 0, end) + 1),
+                     file)
     try:
-        return parser.parse_unit()
+        return parser.parse_unit(header)
     except RecursionError:  # the parser recurses once per level of nesting
         line = parser.lines[min(parser.pos, parser.n - 1)]
         raise JavaSyntaxError("nested too deeply to parse", line) from None

@@ -30,10 +30,16 @@ VERB_MAPPINGS = {
 REQUEST_MAPPING = frozenset({"RequestMapping"})
 MAPPING_ANNOTATIONS = frozenset(VERB_MAPPINGS) | REQUEST_MAPPING
 
-PARAM_ANNOTATIONS = frozenset({"PathVariable", "RequestParam", "RequestHeader",
-                               "RequestBody", "ModelAttribute"})
+# The location of a parameter that one of these annotations binds; its
+# `required` is true unless `required = false` or a `defaultValue` says
+# otherwise.
+PARAM_LOCATIONS = {"RequestParam": "query", "RequestHeader": "header",
+                   "CookieValue": "cookie"}
+PARAM_ANNOTATIONS = frozenset({"PathVariable", "RequestBody",
+                               "ModelAttribute", *PARAM_LOCATIONS})
 
-REQUIRED_MARKERS = frozenset({"NotNull", "NotEmpty"})
+# Bean Validation constraints that reject null.
+REQUIRED_MARKERS = frozenset({"NotNull", "NotEmpty", "NotBlank"})
 
 SERVLET_TYPES = {
     "HttpServletRequest", "HttpServletResponse", "ServletRequest",

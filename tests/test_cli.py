@@ -391,6 +391,20 @@ def test_profile_advice_fixture_scores_perfectly(tmp_path):
         == [["1.00", "1.00"]] * 3
 
 
+def test_import_headers_fixture_scores_perfectly(tmp_path):
+    # its truth is written by hand from the Java source: each mapping and
+    # type resolves only through imports that the header regex or the
+    # tokens read, and not through the commented-out one
+    out = tmp_path / "out"
+    run("generate", "--input", str(FIXTURES_DIR / "import_headers"),
+        "--output", str(out))
+    result = run("evaluate", "--oas", str(out),
+                 "--gt", str(GT_DIR / "import_headers.json"))
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-2:] for line in result.stdout.splitlines()[1:]] \
+        == [["1.00", "1.00"]] * 3
+
+
 CONSTANT_CHAIN = "interface P {\n    String C0 = \"/a\";\n" + "".join(
     f"    String C{i} = C{i - 1} + \"/x\";\n" for i in range(1, 300)) + "}\n"
 

@@ -597,6 +597,28 @@ def test_required_attribute_honored():
     assert by_name["X-Org"]["in"] == "header"
 
 
+def test_cookie_value_binds_a_cookie_parameter():
+    src = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RestController
+class C {
+    @GetMapping("/c")
+    void c(@CookieValue("s") String s,
+           @CookieValue(name = "theme", defaultValue = "dark") String theme,
+           @CookieValue(value = "t", required = false) String t) {}
+}
+"""
+    _, _, _, ops, diags = analyze(src)
+    params = {p["name"]: p for p in params_of(ops["/c", "GET"])}
+    assert {name: (p["in"], p["required"]) for name, p in params.items()} \
+        == {"s": ("cookie", True), "theme": ("cookie", False),
+            "t": ("cookie", False)}
+    assert params["s"]["schema"] == {"type": "string"}
+    assert not [d for d in diags if d.code == "SKIPPED_PARAMETER"]
+
+
 def test_servlet_and_unannotated_parameters_skipped_with_diagnostics():
     op, diags = params_for("/q")
     assert {p["name"] for p in params_of(op)} == {"sort_by", "limit",

@@ -74,8 +74,11 @@ def test_annotated_package_declaration_is_read(tmp_path):
     model = parse_project(tmp_path)
     assert model.parse_diagnostics == []
     assert list(model.classes) == ["app.A"]
-    [a] = parse_source("@Foo package app;\n@Bar class A {}\n")
-    assert (a.qualified_name, a.package) == ("app.A", "app")
+    source = "/* license */\n@Foo package app;\nimport a.B;\n@Bar class A {}\n"
+    assert header_statements(source) == 0  # the tokens read it all
+    [a] = parse_source(source)
+    assert (a.qualified_name, a.package, a.imports) == \
+        ("app.A", "app", {"B": "a.B"})
     assert [anno.simple_name for anno in a.annotations] == ["Bar"]
 
 
@@ -1411,3 +1414,110 @@ def test_body_cut_off_is_an_unexpected_end_of_file():
     with pytest.raises(JavaSyntaxError,
                        match=r"^unexpected end of file \(line 2\)$"):
         parse_source("class A {\n void f() { if (x) { y(); }")
+
+
+# -- the header: `package` and `import` statements read by one regex -------
+
+def token_path(source: str):
+    """The declarations of `source` read from its tokens alone, as
+    `parse_source` reads what follows the header."""
+    return javasrc._Parser(tokenize(source), "<memory>").parse_unit()
+
+
+def parsed_or_error(parse, source):
+    try:
+        return parse(source)
+    except JavaSyntaxError as exc:
+        return str(exc), exc.line
+
+
+# Statements the regex reads, statements it declines (each of which the
+# tokens read or reject), and what may come between them.
+_HEADER_STATEMENTS = [
+    "package app;", "package app.web ;", "package static;",
+    "import a.B;", "import a.b.C;", "import a.b.*;", "import\tstatic a.B.c;",
+    "import static a.B.*;", "import static a;", "import staticx.Y;",
+    "import a.static;", "import class.B;", "import a.classy.B;",
+    "import a./* c */B;", "import a.\n    B;", "import a.b\u00e9ta.C;",
+    "import \u00e9.B;", "@NonNullApi package app;", "public package app;",
+    "import a.class;", "import a.B.class.*;", "import static;",
+    "import static.X;", "import static static.Y;", "import a.B",
+    "import a.*.B;", "import ;", "package a.*;", "package static a;",
+    "import a . B ;", "import a.B;;", ";", "import a.1B;", "import a...B;",
+    "importa.B;", "import a.B*;",
+]
+_HEADER_SEPARATORS = [
+    "", " ", "\n", "\n\n", "\r\n", "\t", "// c\n", "// import a.Z;\n",
+    "/* c */", "/** doc\n * x */\n", "/* a * b ** / c **/", "/*/ c */",
+    "/* open", "\u00a0", "\u2028", "\ufeff",
+]
+_HEADER_TAILS = ["\nclass A {}\n", "\n@Bar class A {}", "\nclass A {\n",
+                 "\npublic class A extends B { B b; }", "\nclass A { # }",
+                 ""]
+
+
+@given(st.lists(st.sampled_from(_HEADER_STATEMENTS + _HEADER_SEPARATORS),
+                max_size=12).map("".join),
+       st.sampled_from(_HEADER_TAILS))
+@example("/*\n * License\n */\n\npackage app;\n\n// x\nimport a.B;\n"
+         "import static a.C.*;\n", "\nclass A {}\n")
+@example("import a.B;\n// import c.B;\n", "\nclass A {}\n")
+@example("import a.B;\n@Ann package app;", "\nclass A {}\n")
+@example("package a; package b;", "\nclass A {}\n")
+def test_header_regex_reads_what_the_tokens_read(header, tail):
+    source = header + tail
+    assert parsed_or_error(parse_source, source) == \
+        parsed_or_error(token_path, source)
+
+
+def header_statements(source: str) -> int:
+    """How many statements `_HEADER_RE` reads from the start of
+    `source`."""
+    count = end = 0
+    while match := javasrc._HEADER_RE.match(source, end):
+        count, end = count + 1, match.end()
+    return count
+
+
+@pytest.mark.parametrize("statement, imports", [
+    ("import a./* c */B;", {"B": "a.B"}),  # a comment inside
+    ("import a.\n    B;", {"B": "a.B"}),  # a line break inside
+    ("import a.b\u00e9ta.C;", {"C": "a.b\u00e9ta.C"}),  # outside ASCII
+    ("import \u00e9.B;", {"B": "\u00e9.B"}),
+    ("import a . B ;", {"B": "a.B"}),  # spaces around a dot
+])
+def test_header_statement_the_regex_declines_is_read_from_tokens(
+        statement, imports):
+    source = f"package app;\nimport x.Y;\n{statement}\nimport z.W;\n" \
+        "class A {}\n"
+    assert header_statements(source) == 2
+    [a] = parse_source(source)
+    assert (a.package, a.imports) == \
+        ("app", {"Y": "x.Y", **imports, "W": "z.W"})
+
+
+@pytest.mark.parametrize("statement, error", [
+    ("import a.class;", "expected '*', found 'class' (line 3)"),
+    ("import static;", "expected identifier, found ';' (line 3)"),
+    ("import a.B", "expected ';', found 'class' (line 4)"),
+    ("package a.*;", "expected ';', found '.' (line 3)"),
+])
+def test_header_syntax_error_is_the_token_paths(statement, error):
+    source = f"package app;\nimport x.Y;\n{statement}\nclass A {{}}\n"
+    assert header_statements(source) == 2
+    with pytest.raises(JavaSyntaxError) as exc:
+        parse_source(source)
+    assert str(exc.value) == error
+    assert parsed_or_error(token_path, source) == (error, exc.value.line)
+
+
+def test_header_lines_carry_over_to_the_tokens():
+    source = "/*\n * License\n */\npackage app;\n\n// x\nimport a.B;\n\n" \
+        "class A {\n    void f() {}\n}\n"
+    assert header_statements(source) == 2
+    [a] = parse_source(source)
+    assert [m.line for m in a.methods] == [10]
+    rest, whole = tokenize(source, source.index("class"), 9), \
+        tokenize(source)
+    assert (rest.texts, rest.lines) == \
+        (whole.texts[-len(rest):], whole.lines[-len(rest):])

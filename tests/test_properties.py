@@ -36,9 +36,11 @@ PARAMETERS = [
     '@RequestParam("q") String q2',
     '@RequestParam(defaultValue = "1") int page',
     '@RequestHeader("X-Org") String org',
+    '@CookieValue(name = "s", required = false) String session',
     "@ModelAttribute Filter filter",
     "@ModelAttribute Paging paging",
     "@RequestBody Filter body",
+    "@RequestParam List<@NotNull String> tags",
     "HttpServletRequest request",
     "String unannotated",
 ]
@@ -53,15 +55,19 @@ BODIES = (
        "return ResponseEntity.status(HttpStatus.valueOf(page)).build();",
        "return null;",
        "java.util.List.of(1).forEach(n -> { return; });\n"
-       "        return new ResponseEntity<>(HttpStatus.CREATED);"])
+       "        return new ResponseEntity<>(HttpStatus.CREATED);",
+       'String json = """\n            {"a": "}"}\n            """;\n'
+       "        return ResponseEntity.status(201).build();"])
 
 # A plain DTO, a generic wrapper, the wrapper used raw, a DTO that refers
 # to itself, one that extends a base class, a record with a varargs
-# component, a class that extends the generic wrapper, and two classes
-# named like ones of package `app` (so a profile's `Filter` may be another
-# profile's `Filter_2`).
+# component, a record with a compact constructor, a class that extends the
+# generic wrapper, and two classes named like ones of package `app` (so a
+# profile's `Filter` may be another profile's `Filter_2`); type arguments
+# may carry type-use annotations.
 RETURNS = ["Filter", "Page<Filter>", "Page", "TreeNode", "Order", "Tag",
-           "FilterPage", "app.other.Filter", "Page<app.other.Order>"]
+           "Note", "FilterPage", "app.other.Filter", "Page<app.other.Order>",
+           "Page<@NotNull Filter>"]
 
 MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
             '@RequestMapping(path = "{}", method = RequestMethod.PUT)',
@@ -73,6 +79,7 @@ MAPPINGS = ['@GetMapping("{}")', '@PostMapping("{}")', '@RequestMapping("{}")',
 SHARED = """package app;
 
 import java.util.List;
+import javax.validation.constraints.NotNull;
 import org.springframework.http.HttpStatus;
 import org.springframework.web.bind.annotation.*;
 
@@ -111,6 +118,16 @@ class Order extends Entity {
 }
 
 record Tag(String label, String... aliases) {}
+
+record Note(@NotNull String title, List<@NotNull String> tags) {
+    Note {
+        if (title == null) {
+            title = \"""
+                {"}": "{"}
+                \""";
+        }
+    }
+}
 
 // a class-level status that controllers and MissingException may inherit
 @ResponseStatus(HttpStatus.ACCEPTED)
@@ -188,7 +205,8 @@ OVERRIDE = ("    @Override\n    String shared(Long id) {\n"
             "        throw new IllegalStateException();\n    }\n")
 
 # Field declarations whose initializers hold commas: of type arguments,
-# which end no declarator, and between declarators.
+# which end no declarator, and between declarators; and a text block that
+# holds braces.
 FIELDS = [
     "",
     "    private java.util.Map<String, Integer> counts =\n"
@@ -196,6 +214,7 @@ FIELDS = [
     "    private Object pair = java.util.Map.<String, Long>entry(\"a\", 1L),"
     " other;\n",
     "    private int low = 1 < 2 ? 1 : 2, high = 3;\n",
+    '    private String doc = """\n        { "}": 1 }\n        """, two;\n',
 ]
 
 paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
@@ -245,7 +264,9 @@ def controllers(draw, index: int, parent: str, paths_interface: bool) -> str:
     if interfaces:
         parent += " implements " + ", ".join(interfaces)
     return ("package app;\n\n"
+            "import java.util.List;\n"
             "import javax.servlet.http.HttpServletRequest;\n"
+            "import javax.validation.constraints.NotNull;\n"
             "import org.springframework.context.annotation.Profile;\n"
             "import org.springframework.http.*;\n"
             "import org.springframework.web.bind.annotation.*;\n\n"

@@ -232,6 +232,25 @@ class P {
     assert required_fields(model.classes["app.P"]) == ["a", "c"]
 
 
+def test_not_blank_and_not_empty_mark_a_property_required():
+    # Bean Validation's @NotBlank and @NotEmpty reject null, as @NotNull does
+    src = """
+package app;
+import jakarta.validation.constraints.NotBlank;
+import jakarta.validation.constraints.NotEmpty;
+
+class P {
+    @NotBlank
+    private String name;
+    @NotEmpty
+    private java.util.List<String> tags;
+    private String note;
+}
+"""
+    model = model_from(src)
+    assert required_fields(model.classes["app.P"]) == ["name", "tags"]
+
+
 def test_static_fields_excluded_from_schema():
     src = """
 package app;
