@@ -3,20 +3,23 @@
 A file's leading `package` and `import` statements are read by one regex,
 a match each; the tokenizer is one `findall` of another over the rest of
 the file: each match is a run of whitespace and comments and then one
-token, so the regex engine does the scanning. Python only fills two
-columns, each token's text and the line it starts on, with no object per
-token; a token's kind is computed from its text when a rule asks for it.
-Identifiers may hold any Unicode letter or digit (JLS 3.8). The parser is
-a recursive-descent pass over the texts, for declarations only; it reads
-the lines only for the line of a declaration or of an error. It keeps each
-method body as its token texts joined by single spaces, and reads none: a
-body is read, statement by statement, into BodyFacts (thrown exceptions,
-response-entity status literals, plain returns) the first time an analysis
-asks for its facts, and only the analysis of handlers and of exception
-handlers does. Other bodies (of constructors, initializers, enum constants
-and annotation types) are skipped and not kept. No expression-level AST is
-built. This covers everything the downstream Spring analysis needs without
-a full Java grammar.
+token, or a whole method or constructor body, so the regex engine does the
+scanning. Python only fills two columns, each token's text and the line it
+starts on, with no object per token; a token's kind is computed from its
+text when a rule asks for it. A body read in one match is the token pair
+`{` `}`, and its source text is kept aside. Identifiers may hold any
+Unicode letter or digit (JLS 3.8). The parser is a recursive-descent pass
+over the texts, for declarations only; it reads the lines only for the line
+of a declaration or of an error. It keeps each method body as text, and
+reads none: its source text when it was read in one match, else its token
+texts joined by single spaces. A body is read, statement by statement, into
+BodyFacts (thrown exceptions, response-entity status literals, plain
+returns) the first time an analysis asks for its facts, and only the
+analysis of handlers and of exception handlers does. Other bodies (of
+constructors, initializers, enum constants and annotation types) are
+skipped and not kept. No expression-level AST is built. This covers
+everything the downstream Spring analysis needs without a full Java
+grammar.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import json
 import os
 import re
 from functools import cached_property
-from itertools import takewhile
+from itertools import groupby, takewhile
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -37,39 +41,67 @@ from .values import Record, Value, replace, set_field
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# The pieces the regexes below are built from, each read one way only, so a
+# regex that fails after one backtracks into no other reading of it: a line
+# comment ends only at the end of its line, a block comment at its first
+# `*/`, a string or char literal at its first quote that no backslash
+# escapes, and a text block (JLS 3.10.6) at the first such `"""`.
+_COMMENT = r"//[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+_GAP = rf"\s*(?:(?:{_COMMENT})\s*)*"
+_TEXT_BLOCK_TAIL = r'""[ \t\f]*(?:\r\n|\r|\n)(?:\\.|[^"\\]|"(?!""))*"""'
+_STRING_TAIL = r'(?:\\.|[^"\\])*"'
+_CHAR = r"'(?:\\.|[^'\\])+'"
+
 # One match per token: a run of whitespace and comments, then a token, or
 # else the end of the file or the one character no token starts with. That
 # last alternative matches wherever a token does not, so `findall` skips no
-# character, and the engine never backtracks into the run: a comment cannot
-# stretch over the character that stopped the token after it. Every `>` is
-# a token of its own, so nested type arguments close one level per token;
-# a shift operator, which only bodies hold, is read as several tokens. A
-# text block (JLS 3.10.6) is tried ahead of a string, which would read its
-# `"""` as an empty string and the start of another, and ends at the first
-# `"""` that no backslash escapes. An identifier may hold any Unicode letter
-# or digit (JLS 3.8); one that starts with a letter outside ASCII is the
-# last alternative, so every token of ASCII source matches before it is
-# tried.
-_TOKEN_RE = re.compile(
-    r"""
-    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
-    (?:
-      ( \"\"\"[ \t\f]*(?:\r\n|\r|\n)(?:\\.|[^"\\]|"(?!""))*\"\"\"
-      | "(?:\\.|[^"\\])*"
-      | '(?:\\.|[^'\\])+'
-      | 0[xX][0-9a-fA-F_]+[lL]?
-      | 0[bB][01_]+[lL]?
-      | \d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
-      | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-      | [A-Za-z_$][\w$]*
-      | \.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){}\[\]@]
-      | [^\W\d][\w$]*
-      )
-    | (\Z|.)
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# character. Every `>` is a token of its own, so nested type arguments
+# close one level per token; a shift operator, which only bodies hold, is
+# read as several tokens. A text block is tried ahead of a string, which
+# would read its `"""` as an empty string and the start of another. An
+# identifier may hold any Unicode letter or digit (JLS 3.8); one that starts
+# with a letter outside ASCII is the last alternative, so every token of
+# ASCII source matches before it is tried.
+_TOKEN = rf"""
+      "{_TEXT_BLOCK_TAIL}
+    | "{_STRING_TAIL}
+    | {_CHAR}
+    | 0[xX][0-9a-fA-F_]+[lL]?
+    | 0[bB][01_]+[lL]?
+    | \d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
+    | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
+    | [A-Za-z_$][\w$]*
+    | \.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){{}}\[\]@]
+    | [^\W\d][\w$]*
+"""
+_TOKEN_RE = re.compile(rf"({_GAP})(?:({_TOKEN})|(\Z|.))",
+                       re.VERBOSE | re.DOTALL)
+
+# A method or constructor body in one match: the `)` that ends a parameter
+# list, a `throws` clause of plain dotted names if any, and a `{…}` whose
+# braces nest at most `_BODY_DEPTH` deep and that holds only whitespace,
+# comments and tokens. Between two items that start with a quote, `/` or a
+# brace, a body holds characters that tokens of other kinds start with, and
+# each item starts with a character or pair that no other item starts with,
+# so the body is read as the tokenizer reads it, and a failed match
+# backtracks into no other reading. A body with a character no token starts
+# with, an unclosed literal or comment, `"""` (which starts a text block or
+# an empty string, as what follows decides) or deeper nesting is declined,
+# and its tokens are read one match each.
+_BODY_DEPTH = 8
+_BODY_HEAD = (rf"\){_GAP}(?:throws(?![\w$]){_GAP}{{name}}"
+              rf"(?:{_GAP},{_GAP}{{name}})*{_GAP})?").format(
+    name=r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*")
+_BODY_PLAIN = r"[\s\w$+\-*%=<>!&|^~?:;,.()\[\]@]*"
+_BODY_ITEM = rf'"(?!""){_STRING_TAIL}|{_CHAR}|{_COMMENT}|/(?![/*])'
+_BODY = f"{_BODY_PLAIN}(?:(?:{_BODY_ITEM}){_BODY_PLAIN})*"
+for _ in range(_BODY_DEPTH - 1):
+    _BODY = f"{_BODY_PLAIN}(?:(?:{_BODY_ITEM}|\\{{{_BODY}\\}}){_BODY_PLAIN})*"
+# `_TOKEN_RE` with a first alternative that reads a whole body: a match
+# that starts with `)` and is longer than it is one
+_DECL_TOKEN_RE = re.compile(
+    rf"({_GAP})(?:({_BODY_HEAD}\{{{_BODY}\}}|{_TOKEN})|(\Z|.))",
+    re.VERBOSE | re.DOTALL)
 
 # A token's kind by its first character. The letters are spelled out:
 # importing `string` for them takes about 1 ms of each run's start-up.
@@ -120,19 +152,54 @@ class InvalidEscapeError(JavaSyntaxError):
     not skipped."""
 
 
-def tokenize(source: str, start: int = 0, line: int = 1) -> Tokens:
-    """The tokens of `source` from index `start`, which is on line `line`."""
+def tokenize(source: str, start: int = 0, line: int = 1,
+             bodies: Optional[dict[int, str]] = None) -> Tokens:
+    """The tokens of `source` from index `start`, which is on line `line`.
+    Given a `bodies` dict, each body that `_DECL_TOKEN_RE` reads in one
+    match is the two tokens `{` and `}`, and `bodies` maps the index of
+    that `{` to the body's text, from `{` up to its `}`."""
+    return _tokenize(source, start, line, bodies)
+
+
+def _tokenize(source: str, start: int, line: int,
+              bodies: Optional[dict[int, str]]) -> Tokens:
+    """What `tokenize` does; `_Parser.open_body` calls it for a body's
+    tokens, which are no file of their own."""
     texts: list[str] = []
     lines: list[int] = []
     add_text, add_line = texts.append, lines.append
-    for space, text, stray in _TOKEN_RE.findall(source, start):
+    regex = _TOKEN_RE if bodies is None else _DECL_TOKEN_RE
+    for space, text, stray in regex.findall(source, start):
         if "\n" in space:
             line += space.count("\n")
         if text:
-            add_text(text)
-            add_line(line)
-            if text[0] in "\"'":  # a literal may hold a raw newline
+            if text[0] not in "\"')" or text == ")":
+                add_text(text)
+                add_line(line)
+            elif text[0] != ")":  # a literal may hold a raw newline
+                add_text(text)
+                add_line(line)
                 line += text.count("\n")
+            else:  # `)`, a throws clause if any, and a body
+                if text.startswith(") {"):
+                    brace = 2
+                    add_text(")")
+                    add_line(line)
+                else:
+                    for match in _TOKEN_RE.finditer(text):
+                        gap, head, _ = match.groups()
+                        line += gap.count("\n")
+                        if head == "{":
+                            break
+                        add_text(head)
+                        add_line(line)
+                    brace = match.start(2)
+                bodies[len(texts)] = text[brace:-1]
+                add_text("{")
+                add_line(line)
+                line += text.count("\n", brace)
+                add_text("}")
+                add_line(line)
         elif stray:
             raise JavaSyntaxError(f"unexpected character {stray!r}", line)
         else:  # the end of the file
@@ -140,21 +207,33 @@ def tokenize(source: str, start: int = 0, line: int = 1) -> Tokens:
     return Tokens(texts, lines)
 
 
+# The keywords (JLS 3.9) and the literals `true`, `false` and `null`, none
+# of which may be a part of a `package` or `import` name (JLS 3.8)
+RESERVED_WORDS = frozenset(
+    "abstract assert boolean break byte case catch char class const continue "
+    "default do double else enum extends final finally float for goto if "
+    "implements import instanceof int interface long native new package "
+    "private protected public return short static strictfp super switch "
+    "synchronized this throw throws transient try void volatile while _ "
+    "true false null".split())
+
 # A `package` or `import` statement of a file's header, after whitespace and
-# comments, with ASCII names and only spaces and tabs inside. A line comment
-# ends only at the end of its line, so no run is read two ways and no match
-# backtracks into a comment. A statement this declines (with a comment or a
-# line break inside, a name outside ASCII, an annotated `package`, a syntax
-# error such as `import a.class;`) and all after it are left to the tokens.
+# comments, with an ASCII name and only spaces and tabs inside, and no
+# reserved word as a part of its name. A statement this declines (with a
+# comment or a line break inside, a name outside ASCII, a reserved word in
+# a name, an annotated `package`, a syntax error such as `import a.class;`)
+# and all after it are left to the tokens. The reserved words are grouped by
+# their first letter, so the engine tries a name part against one group.
+_RESERVED = "|".join(f"{first}(?:{'|'.join(w[1:] for w in words)})"
+                     for first, words in groupby(sorted(RESERVED_WORDS),
+                                                 itemgetter(0)))
+_HEADER_PART = rf"(?!(?:{_RESERVED})(?![\w$]))[A-Za-z_$][\w$]*"
 _HEADER_RE = re.compile(
-    r"""
-    \s*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)\s*)*
-    (?: package[ \t]+ ({name})
-      | import[ \t]+ (?:(static)[ \t]+)? (?!static(?![\w$])) ({name})
-        (\.\*)?
-    ) [ \t]*;
-    """.format(
-        name=r"[A-Za-z_$][\w$]*(?:\.(?!class(?![\w$]))[A-Za-z_$][\w$]*)*"),
+    rf"""
+    {_GAP}
+    (?: (package) | import (?:[ \t]+ (static))? ) [ \t]+
+    ({_HEADER_PART}(?:\.{_HEADER_PART})*) (?(1)|(\.\*)?) [ \t]*;
+    """,
     re.VERBOSE | re.ASCII)
 
 
@@ -329,9 +408,11 @@ class ParamDecl(Value):
 
 
 class MethodDecl(Value):
-    """A method. `body` is the text of its body, `{` to `}`, as its tokens
-    joined by single spaces, which tokenize to the same texts again; "" for
-    a method without a body. `body_facts` is read from it on the first use,
+    """A method. `body` is the text of its body, `{` to `}`: its source
+    text when the tokenizer read it in one match, else its tokens joined by
+    single spaces, each block inside that was read in one match as its
+    source text; either tokenizes to the body's token texts. It is "" for a
+    method without a body. `body_facts` is read from it on the first use,
     unless it is given: most methods are never asked for it."""
     __slots__ = ("name", "annotations", "parameters", "return_type",
                  "declared_throws", "line", "_body", "_body_facts")
@@ -680,14 +761,19 @@ class SourceModel(Record):
 class _Parser:
     """Reads the declarations of one file from its token columns. Every
     rule reads `texts`; `lines` is read only for the line of a declaration
-    or of an error."""
+    or of an error. `bodies` is what `tokenize` filled: a body read in one
+    match is a `{` `}` pair, which a rule that reads tokens one by one
+    replaces with the body's tokens (`open_body`) before it steps in, so
+    every rule reads what it would read from the full token stream."""
 
-    def __init__(self, tokens: Tokens, file: str):
+    def __init__(self, tokens: Tokens, file: str,
+                 bodies: Optional[dict[int, str]] = None):
         self.texts = tokens.texts
         self.lines = tokens.lines
         self.n = len(self.texts)
         self.pos = 0
         self.file = file
+        self.bodies = {} if bodies is None else bodies
         # simple name -> qualified name, by the single-type imports read so
         # far; they precede every annotation of the file
         self.imports: dict[str, str] = {}
@@ -728,10 +814,32 @@ class _Parser:
             return True
         return False
 
+    def open_body(self, i: int) -> None:
+        """Put the tokens of the body whose `{` is token `i`, read in one
+        match, in place of that `{`."""
+        tokens = _tokenize(self.bodies.pop(i), 0, self.lines[i], None)
+        self.texts[i:i + 1] = tokens.texts
+        self.lines[i:i + 1] = tokens.lines
+        grown = len(tokens) - 1
+        self.n += grown
+        self.bodies = {k + grown if k > i else k: body
+                       for k, body in self.bodies.items()}
+
+    def open_bodies(self, start: int, end: int) -> bool:
+        """Open each body read in one match whose `{` lies in
+        `start..end`; whether there was one."""
+        found = [k for k, text in enumerate(self.texts[start:end], start)
+                 if text == "{" and k in self.bodies]
+        for k in reversed(found):
+            self.open_body(k)
+        return bool(found)
+
     def skip_balanced(self, open_: str, close: str) -> None:
         """Consume from the current open_ token to its matching close. It
         jumps from one `close` to the next and counts the `open_` between
-        them, so the scan runs in C."""
+        them, so the scan runs in C. A body read in one match is a balanced
+        `{` `}` pair, so only a pair other than braces opens the bodies it
+        passes, whose parentheses, brackets and angle brackets count."""
         self.expect(open_)
         texts = self.texts
         depth, i = 1, self.pos
@@ -739,8 +847,12 @@ class _Parser:
             try:
                 end = texts.index(close, i)
             except ValueError:
+                if open_ != "{" and self.open_bodies(i, self.n):
+                    continue
                 raise JavaSyntaxError("unexpected end of file",
                                       self.last_line()) from None
+            if open_ != "{" and self.open_bodies(i, end):
+                continue
             depth += texts[i:end].count(open_) - 1
             if not depth:
                 self.pos = end + 1
@@ -752,7 +864,7 @@ class _Parser:
     def parse_unit(self, header: Sequence[tuple[Optional[str], ...]] = ()
                    ) -> list[ClassDecl]:
         """The declarations of the file, whose `header` `_HEADER_RE` read:
-        each statement's groups, a package name or `static`, name, `.*`."""
+        each statement's groups, `package`, `static`, name, `.*`."""
         package = ""
         imports = self.imports
         static_imports: dict[str, str] = {}
@@ -769,9 +881,10 @@ class _Parser:
             else:
                 imports[name.rsplit(".", 1)[-1]] = name
 
-        for package_name, static, name, on_demand in header:
-            package = package_name or package
-            if name:
+        for is_package, static, name, on_demand in header:
+            if is_package:
+                package = name
+            else:
                 declare(static, name, on_demand)
         if not header:
             # a package declaration may be annotated (JLS 7.4.1), as in
@@ -787,13 +900,13 @@ class _Parser:
                 continue
             if text == "package":
                 self.pos += 1
-                package = self.parse_dotted_name()
+                package = self.parse_declared_name()
                 self.expect(";")
                 continue
             if text == "import":
                 self.pos += 1
                 static = self.accept("static")
-                name = self.parse_dotted_name()
+                name = self.parse_declared_name()
                 on_demand = self.accept(".")
                 if on_demand:
                     self.expect("*")
@@ -821,6 +934,18 @@ class _Parser:
             parts.append(text)
         self.pos = pos
         return ".".join(parts)
+
+    def parse_declared_name(self) -> str:
+        """The name of a `package` or `import` statement, none of whose
+        parts may be a keyword or a literal (JLS 3.8)."""
+        start = self.pos
+        name = self.parse_dotted_name()
+        for i in range(start, self.pos, 2):
+            if self.texts[i] in RESERVED_WORDS:
+                raise JavaSyntaxError(
+                    f"expected identifier, found {self.texts[i]!r}",
+                    self.lines[i])
+        return name
 
     def expect_ident(self) -> str:
         text = self.next()
@@ -975,6 +1100,8 @@ class _Parser:
         nested: list[ClassDecl] = []
         methods: list[MethodDecl] = []
         enum_constants: list[str] = []
+        if self.pos in self.bodies:  # a record's, after its header's `)`
+            self.open_body(self.pos)
         self.expect("{")
         if kind == "enum":
             enum_constants = self.parse_enum_constants()
@@ -1085,8 +1212,14 @@ class _Parser:
         body = ""
         if self.at("{"):
             start = self.pos
-            self.skip_balanced("{", "}")
-            body = " ".join(self.texts[start:self.pos])
+            bodies = self.bodies
+            if start in bodies:
+                body = bodies[start] + "}"
+                self.pos += 2
+            else:
+                self.skip_balanced("{", "}")
+                body = " ".join([bodies.get(i, text) for i, text in
+                                 enumerate(self.texts[start:self.pos], start)])
         else:
             self.expect(";")
         return MethodDecl(name, tuple(annos), tuple(params), return_type,
@@ -1155,6 +1288,8 @@ class _Parser:
                                and self.comma_ends_declarator()):
                 return None
             if text in ("(", "{", "["):
+                if self.pos in self.bodies:
+                    self.open_body(self.pos)
                 depth += 1
             elif text in (")", "}", "]"):
                 depth -= 1
@@ -1374,8 +1509,9 @@ def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
     while match := _HEADER_RE.match(source, end):
         header.append(match.groups())
         end = match.end()
-    parser = _Parser(tokenize(source, end, source.count("\n", 0, end) + 1),
-                     file)
+    bodies: dict[int, str] = {}
+    parser = _Parser(tokenize(source, end, source.count("\n", 0, end) + 1,
+                              bodies), file, bodies)
     try:
         return parser.parse_unit(header)
     except RecursionError:  # the parser recurses once per level of nesting

@@ -6,7 +6,7 @@ import re
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, model_from
@@ -1444,7 +1444,9 @@ _HEADER_STATEMENTS = [
     "import static.X;", "import static static.Y;", "import a.B",
     "import a.*.B;", "import ;", "package a.*;", "package static a;",
     "import a . B ;", "import a.B;;", ";", "import a.1B;", "import a...B;",
-    "importa.B;", "import a.B*;",
+    "importa.B;", "import a.B*;", "package true;", "import int.X;",
+    "import a.null.*;", "import static a.B.false;", "package a._;",
+    "import a.goto.B;", "import a.trueish.B;", "import _x.B;",
 ]
 _HEADER_SEPARATORS = [
     "", " ", "\n", "\n\n", "\r\n", "\t", "// c\n", "// import a.Z;\n",
@@ -1521,3 +1523,152 @@ def test_header_lines_carry_over_to_the_tokens():
         tokenize(source)
     assert (rest.texts, rest.lines) == \
         (whole.texts[-len(rest):], whole.lines[-len(rest):])
+
+
+@pytest.mark.parametrize("statement, word", [
+    ("package static;", "static"), ("package true;", "true"),
+    ("import int.X;", "int"), ("import a.static;", "static"),
+    ("import class.B;", "class"), ("import a.null.*;", "null"),
+    ("import static a.B.false;", "false"), ("package a._;", "_"),
+    ("import static static.Y;", "static"), ("import a.goto.B;", "goto"),
+])
+def test_keyword_or_literal_in_a_header_name_is_a_parse_error(
+        tmp_path, statement, word):
+    source = f"package app;\nimport x.Y;\n{statement}\nclass A {{}}\n"
+    error = f"expected identifier, found {word!r} (line 3)"
+    assert parsed_or_error(parse_source, source) == (error, 3)
+    assert parsed_or_error(token_path, source) == (error, 3)
+    (tmp_path / "A.java").write_text(source)
+    (tmp_path / "B.java").write_text("package app;\nclass B {}\n")
+    assert [(d.code, d.file, d.line, d.message)
+            for d in parse_project(tmp_path).parse_diagnostics] == \
+        [("PARSE_ERROR", "A.java", 3, error)]
+
+
+# -- method bodies read in one match ----------------------------------------
+
+def test_a_body_read_in_one_match_is_a_brace_pair_and_its_text():
+    source = ("class A {\n  int f(int x) throws A, b.C {\n"
+              "    return x; // }\n  }\n  void g() {}\n}\n")
+    bodies = {}
+    tokens = tokenize(source, 0, 1, bodies)
+    assert tokens.texts == ["class", "A", "{", "int", "f", "(", "int", "x",
+                            ")", "throws", "A", ",", "b", ".", "C", "{",
+                            "}", "void", "g", "(", ")", "{", "}", "}"]
+    assert tokens.lines == [1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+                            4, 5, 5, 5, 5, 5, 5, 6]
+    assert bodies == {15: "{\n    return x; // }\n  ", 21: "{"}
+    # without `bodies`, the full token stream
+    assert len(tokenize(source)) == 27
+
+
+def test_parse_source_tokenizes_each_file_once_whole(monkeypatch):
+    calls = []
+    real = javasrc.tokenize
+
+    def counted(source, *args):
+        calls.append(source)
+        return real(source, *args)
+    monkeypatch.setattr(javasrc, "tokenize", counted)
+    source = "package app;\nrecord R(int x) {\n  int y() { return x; }\n}\n"
+    (cls,) = parse_source(source)
+    assert calls == [source]
+    assert [m.name for m in cls.methods] == ["y"]
+
+
+def same_as_token_path(source):
+    """`parse_source` gives what the tokens alone give: the declarations,
+    with every method's line and body facts, or the error and its line."""
+    expected = parsed_or_error(token_path, source)
+    assert parsed_or_error(parse_source, source) == expected
+    return expected
+
+
+# Statements a body may hold: words that body facts read, and literals and
+# comments that hold braces; and, one draw in ten, a piece that makes a
+# body one the single match declines (a character no token starts with, an
+# unclosed literal or comment, an unbalanced brace) or that unbalances
+# parentheses.
+_BODY_BITS = st.sampled_from([
+    "f(x);", "return 1;", "return null;", "throw new E();",
+    "return ResponseEntity.ok(x);", "return HttpStatus.NOT_FOUND;",
+    "r = () -> { return 2; };", "/* } */", "// {\n", '"}"', "'{'",
+    '"""\n  { """', "\n"] * 9 + [
+    "case 1 -> {", "new Y() {", "(", ")", ";", "#", '"', "/*", "'", '"""',
+    "{", "}", "\\"])
+_BODIES = st.recursive(
+    st.lists(_BODY_BITS, max_size=3).map(" ".join),
+    lambda inner: st.lists(st.one_of(_BODY_BITS,
+                                     inner.map("if (a) {{ {} }}".format),
+                                     inner.map("{{ {} }}".format)),
+                           max_size=3).map(" ".join),
+    max_leaves=10)
+# Members whose bodies the single match may read: of methods, constructors,
+# a record's compact constructor, initializers, an anonymous class and a
+# switch in field initializers and an enum constant's argument; with heads
+# and members that are broken one draw in four.
+_MEMBERS = st.one_of(
+    st.tuples(st.sampled_from(["void f()", "int g(int a)", "<T> T h(T t)",
+                               "A()", "A(int a)", "R", "static"] * 3
+                              + ["", "void f() x", "int m()[]"]),
+              st.sampled_from(["", " throws A, b.C", " /* a */",
+                               " // c\n"] * 3
+                              + [" throws @T X", " /* a */ x /* b */"]),
+              _BODIES).map(lambda t: f"{t[0]}{t[1]} {{ {t[2]} }}"),
+    _BODIES.map("Object o = new Object() {{ int f() {{ {} }} }};".format),
+    _BODIES.map("int v = switch (k) {{ case 1 -> {{ {} }} default -> 0; }};"
+                .format),
+    _BODIES.map("enum N {{ X(new Y() {{ void f() {{ {} }} }}), Z; }}"
+                .format),
+    st.sampled_from(["int x;", 'static final String P = "/a";'] * 3
+                    + [";", "}", "{", '@A(x = {"/a"})']))
+_SOURCES = st.tuples(
+    st.sampled_from(["class A {", "record R(int x) {", "record P<T>(T t) {",
+                     "enum E { X(1) { void f() { g(; } }, Y;",
+                     "interface I {"] * 3 + ["class A extends B() {"]),
+    st.lists(_MEMBERS, max_size=5),
+    st.sampled_from(["}"] * 6 + ["", "}}"]),
+).map(lambda t: "\n".join([t[0], *t[1], t[2]]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_SOURCES)
+@example("class A {\n void f() /* a */ x /* b */ { } }")
+@example('class A {\n void f() { @A(x = {"/a"}) // {\n// }\n } }')
+@example('class A {\n void f() { s = """x"""; } }')
+@example('class A {\n void f() { """\n" """#" } }')
+@example('class A {\n void f() { """\n" """ } }')
+@example("class A {\n void f() { # } }")
+@example("class A {\n void f() { { } }")
+@example("class A {\n void f() } }")
+@example("class A {\n void f() " + "{" * 8 + "}" * 8 + " }")
+@example("class A {\n void f() " + "{" * 9 + "}" * 9 + " }")
+@example("record R(int x) { int y() { return x; } }")
+@example("record P<T>(T t) { T t() { throw new E(); } }")
+@example("class A {\n void f() throws @T X { throw new E(); } }")
+@example("enum E { X(1) { void f() { g(; } }, Y; }")
+@example("enum E { X(new Y() { void f() { g()); } }), Z; }")
+@example("class A {\n Object o = new Object() { int f() { return (1; } };"
+         " int b; }")
+@example("class A {\n int v = switch (k) { case 1 -> { yield 2; } "
+         "default -> 0; }; int b; }")
+@example("class A {\n void f() { if (a) {{{{{{{{ }}}}}}}} "
+         "if (b) { throw new E(); } } }")
+@example("class A {\n <T> void f() { } A() { ( } }")
+def test_parse_source_reads_what_the_tokens_read(source):
+    same_as_token_path(source)
+
+
+@pytest.mark.parametrize("source", [
+    "class A {\n  void f(int a)" + " " * 64 + "int x; }",
+    "class A {\n  void f() throws" + " " * 64 + "@T X { } }",
+    "class A {\n  void f() " + "{ if (a) " * 30_000 + "{ throw new E(); }"
+    + " }" * 30_000 + " }",
+    "class A {\n  void f() " + "{ if (a) " * 30_000,
+    "class A {\n  void f() { " + "/* c */ " * 20_000 + "# } }",
+    "class A {\n  void f() " + "/* c */ " * 20_000 + "# }",
+], ids=["spaces-after-paren", "spaces-after-throws", "deep-chain",
+        "deep-chain-unclosed", "comments-before-stray-in-body",
+        "comments-before-stray-after-paren"])
+def test_inputs_a_backtracking_pattern_would_not_finish(source):
+    same_as_token_path(source)
