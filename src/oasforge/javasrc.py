@@ -89,9 +89,9 @@ _TOKEN_RE = re.compile(rf"({_GAP})(?:({_TOKEN})|(\Z|.))",
 # an empty string, as what follows decides) or deeper nesting is declined,
 # and its tokens are read one match each.
 _BODY_DEPTH = 8
-_BODY_HEAD = (rf"\){_GAP}(?:throws(?![\w$]){_GAP}{{name}}"
-              rf"(?:{_GAP},{_GAP}{{name}})*{_GAP})?").format(
-    name=r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*")
+_THROWN = r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*"
+_BODY_HEAD = (rf"\){_GAP}(?:throws(?![\w$]){_GAP}{_THROWN}"
+              rf"(?:{_GAP},{_GAP}{_THROWN})*{_GAP})?")
 _BODY_PLAIN = r"[\s\w$+\-*%=<>!&|^~?:;,.()\[\]@]*"
 _BODY_ITEM = rf'"(?!""){_STRING_TAIL}|{_CHAR}|{_COMMENT}|/(?![/*])'
 _BODY = f"{_BODY_PLAIN}(?:(?:{_BODY_ITEM}){_BODY_PLAIN})*"
