@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .diagnostics import Diagnostic, PROFILE_NEGATION, UNRESOLVED_CONSTANT
-from .javasrc import (ClassDecl, SourceModel, resolve_string_constant,
-                      spelling)
+from .diagnostics import Diagnostic, PROFILE_NEGATION
+from .javasrc import ClassDecl, SourceModel
 from .spring import (ADVICE_MARKERS, CONTROLLER_MARKERS, PROFILE_MARKER,
-                     find_annotation)
+                     attr_strings, find_annotation)
 from .values import Record
 
 
@@ -70,13 +69,9 @@ def assign_profiles(cls: ClassDecl, model: SourceModel,
     if anno is None:
         return None
     names: set[str] = set()
-    for item in anno.items("value"):
-        text = resolve_string_constant(item, cls, model)
+    for _, text in attr_strings(anno, ("value",), "profile name", cls, model,
+                                cls.source_file, 0, diagnostics):
         if text is None:
-            diagnostics.append(Diagnostic(
-                UNRESOLVED_CONSTANT,
-                f"cannot resolve profile name {spelling(item)!r} in "
-                f"{cls.qualified_name}", cls.source_file))
             continue
         if text.startswith("!"):
             diagnostics.append(Diagnostic(

@@ -24,8 +24,8 @@ from .schemas import (SchemaRegistry, primitive, schema_for_type,
 from .spring import (EXCEPTION_HANDLER, EXCEPTION_SUPERCLASSES, HTTP_VERBS,
                      MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS, PARAM_LOCATIONS,
                      REQUEST_MAPPING, REQUEST_METHODS, RESPONSE_STATUS,
-                     SERVLET_TYPES, VERB_MAPPINGS, find_annotation,
-                     reason_phrase, status_code_for)
+                     SERVLET_TYPES, VERB_MAPPINGS, attr_strings,
+                     find_annotation, reason_phrase, status_code_for)
 from .values import Record, replace
 
 
@@ -96,29 +96,6 @@ def _partial_string(value: AttributeValue, ctx: ClassDecl,
     return spelling(value)
 
 
-def _attr_strings(anno: AnnotationUse, names: tuple[str, ...], what: str,
-                  ctx: ClassDecl, model: SourceModel, file: str, line: int,
-                  diagnostics: list[Diagnostic],
-                  fallback: Optional[str] = None) -> list[str]:
-    """The strings of the first attribute in `names` that `anno` sets, as
-    named in `ctx`. An element that does not resolve is reported as
-    UNRESOLVED_CONSTANT at `file`:`line` and read as `fallback`, or as its
-    partial string without one."""
-    items = next(filter(None, map(anno.items, names)), ())
-    out: list[str] = []
-    for item in items:
-        resolved = resolve_string_constant(item, ctx, model)
-        if resolved is None:
-            diagnostics.append(Diagnostic(
-                UNRESOLVED_CONSTANT,
-                f"cannot resolve {what} {spelling(item)!r} in "
-                f"{ctx.qualified_name}", file, line))
-            resolved = _partial_string(item, ctx, model) \
-                if fallback is None else fallback
-        out.append(resolved)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Mapping annotations
 # ---------------------------------------------------------------------------
@@ -131,8 +108,10 @@ def _mapping(anno: AnnotationUse, ctx: ClassDecl, line: int,
     verbs are a `@GetMapping`-style mapping's one, else the request methods
     `method` names, less each element naming none (UNRESOLVED_CONSTANT), or
     None when `method` is unset or `{}`."""
-    paths = _attr_strings(anno, ("value", "path"), "path constant", ctx,
-                          model, ctx.source_file, line, diagnostics) or [""]
+    paths = [_partial_string(item, ctx, model) if text is None else text
+             for item, text in attr_strings(
+                 anno, ("value", "path"), "path constant", ctx, model,
+                 ctx.source_file, line, diagnostics)] or [""]
     if anno.simple_name in VERB_MAPPINGS:
         return paths, [VERB_MAPPINGS[anno.simple_name]]
     items = anno.items("method")
@@ -222,9 +201,9 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
             params.extend(expand_model_attribute(p.type, model, reg, ctx,
                                                  diagnostics))
             continue
-        name = next(iter(_attr_strings(
+        name = next(iter([text for _, text in attr_strings(
             anno, ("value", "name"), "parameter name", ctx, model, file,
-            handler.line, diagnostics, fallback=p.name)), "") or p.name
+            handler.line, diagnostics)]), None) or p.name
         schema = schema_for_type(p.type, model, reg, ctx)
         if kind == "PathVariable":
             params.append(_parameter(name, "path", True, schema))

@@ -1,25 +1,26 @@
 """Parse Java source trees into an immutable, queryable source model.
 
-A file's leading `package` and `import` statements are read by one regex,
-a match each; the tokenizer is one `findall` of another over the rest of
-the file: each match is a run of whitespace and comments and then one
-token, or a whole method or constructor body, so the regex engine does the
-scanning. Python only fills two columns, each token's text and the line it
-starts on, with no object per token; a token's kind is computed from its
-text when a rule asks for it. A body read in one match is the token pair
-`{` `}`, and its source text is kept aside. Identifiers may hold any
-Unicode letter or digit (JLS 3.8). The parser is a recursive-descent pass
-over the texts, for declarations only; it reads the lines only for the line
-of a declaration or of an error. It keeps each method body as text, and
-reads none: its source text when it was read in one match, else its token
-texts joined by single spaces. A body is read, statement by statement, into
-BodyFacts (thrown exceptions, response-entity status literals, plain
-returns) the first time an analysis asks for its facts, and only the
-analysis of handlers and of exception handlers does. Other bodies (of
-constructors, initializers, enum constants and annotation types) are
-skipped and not kept. No expression-level AST is built. This covers
-everything the downstream Spring analysis needs without a full Java
-grammar.
+A file's leading `package` and `import` statements are read by one regex, a
+match each, up to the first with a keyword or a literal in its name (JLS
+3.8), which the parser of the tokens rejects. The tokenizer is one
+`findall` of another regex over the rest of the file: each match is a run
+of whitespace and comments and then one token, or a whole method or
+constructor body, so the regex engine does the scanning. Python only fills
+two columns, each token's text and the line it starts on, with no object
+per token; a token's kind is computed from its text when a rule asks for
+it. A body read in one match is the token pair `{` `}`, whose `{` holds the
+body's source text. Identifiers may hold any Unicode letter or digit (JLS
+3.8). The parser is a recursive-descent pass over the texts, for
+declarations only; it reads the lines only for the line of a declaration or
+of an error. It keeps each method body as text, and reads none: its source
+text when it was read in one match, else its token texts joined by single
+spaces. A body is read, statement by statement, into BodyFacts (thrown
+exceptions, response-entity status literals, plain returns) the first time
+an analysis asks for its facts, and only the analysis of handlers and of
+exception handlers does. Other bodies (of constructors, initializers, enum
+constants and annotation types) are skipped and not kept. No
+expression-level AST is built. This covers everything the downstream Spring
+analysis needs without a full Java grammar.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import json
 import os
 import re
 from functools import cached_property
-from itertools import groupby, takewhile
-from operator import itemgetter
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -48,6 +48,8 @@ from .values import Record, Value, replace, set_field
 # escapes, and a text block (JLS 3.10.6) at the first such `"""`.
 _COMMENT = r"//[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
 _GAP = rf"\s*(?:(?:{_COMMENT})\s*)*"
+_NAME = r"[A-Za-z_$][\w$]*"  # an ASCII identifier
+_DOTTED_NAME = rf"{_NAME}(?:\.{_NAME})*"
 _TEXT_BLOCK_TAIL = r'""[ \t\f]*(?:\r\n|\r|\n)(?:\\.|[^"\\]|"(?!""))*"""'
 _STRING_TAIL = r'(?:\\.|[^"\\])*"'
 _CHAR = r"'(?:\\.|[^'\\])+'"
@@ -70,7 +72,7 @@ _TOKEN = rf"""
     | 0[bB][01_]+[lL]?
     | \d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?
     | \.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
-    | [A-Za-z_$][\w$]*
+    | {_NAME}
     | \.\.\.|->|::|<<=|<<|\+\+|--|&&|\|\||[+\-*/%=<>!&|^~?:;,.(){{}}\[\]@]
     | [^\W\d][\w$]*
 """
@@ -89,9 +91,8 @@ _TOKEN_RE = re.compile(rf"({_GAP})(?:({_TOKEN})|(\Z|.))",
 # an empty string, as what follows decides) or deeper nesting is declined,
 # and its tokens are read one match each.
 _BODY_DEPTH = 8
-_THROWN = r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*"
-_BODY_HEAD = (rf"\){_GAP}(?:throws(?![\w$]){_GAP}{_THROWN}"
-              rf"(?:{_GAP},{_GAP}{_THROWN})*{_GAP})?")
+_BODY_HEAD = (rf"\){_GAP}(?:throws(?![\w$]){_GAP}{_DOTTED_NAME}"
+              rf"(?:{_GAP},{_GAP}{_DOTTED_NAME})*{_GAP})?")
 _BODY_PLAIN = r"[\s\w$+\-*%=<>!&|^~?:;,.()\[\]@]*"
 _BODY_ITEM = rf'"(?!""){_STRING_TAIL}|{_CHAR}|{_COMMENT}|/(?![/*])'
 _BODY = f"{_BODY_PLAIN}(?:(?:{_BODY_ITEM}){_BODY_PLAIN})*"
@@ -152,23 +153,27 @@ class InvalidEscapeError(JavaSyntaxError):
     not skipped."""
 
 
+class _Body(str):
+    """The `{` of a body read in one match, with the body's source text, `{`
+    up to its `}`, as `text`; it has no `__new__`, which costs a call."""
+    text: str
+
+
 def tokenize(source: str, start: int = 0, line: int = 1,
-             bodies: Optional[dict[int, str]] = None) -> Tokens:
+             bodies: bool = False) -> Tokens:
     """The tokens of `source` from index `start`, which is on line `line`.
-    Given a `bodies` dict, each body that `_DECL_TOKEN_RE` reads in one
-    match is the two tokens `{` and `}`, and `bodies` maps the index of
-    that `{` to the body's text, from `{` up to its `}`."""
+    With `bodies`, each body that `_DECL_TOKEN_RE` reads in one match is
+    the two tokens `{` and `}`, and that `{` is a `_Body`."""
     return _tokenize(source, start, line, bodies)
 
 
-def _tokenize(source: str, start: int, line: int,
-              bodies: Optional[dict[int, str]]) -> Tokens:
-    """What `tokenize` does; `_Parser.open_body` calls it for a body's
-    tokens, which are no file of their own."""
+def _tokenize(source: str, start: int, line: int, bodies: bool) -> Tokens:
+    """What `tokenize` does, for a text that is no file of its own: a body
+    that `_Parser.open_body` or `MethodDecl.body_facts` reads."""
     texts: list[str] = []
     lines: list[int] = []
     add_text, add_line = texts.append, lines.append
-    regex = _TOKEN_RE if bodies is None else _DECL_TOKEN_RE
+    regex = _DECL_TOKEN_RE if bodies else _TOKEN_RE
     for space, text, stray in regex.findall(source, start):
         if "\n" in space:
             line += space.count("\n")
@@ -194,8 +199,9 @@ def _tokenize(source: str, start: int, line: int,
                         add_text(head)
                         add_line(line)
                     brace = match.start(2)
-                bodies[len(texts)] = text[brace:-1]
-                add_text("{")
+                body = _Body("{")
+                body.text = text[brace:-1]
+                add_text(body)
                 add_line(line)
                 line += text.count("\n", brace)
                 add_text("}")
@@ -218,21 +224,16 @@ RESERVED_WORDS = frozenset(
     "true false null".split())
 
 # A `package` or `import` statement of a file's header, after whitespace and
-# comments, with an ASCII name and only spaces and tabs inside, and no
-# reserved word as a part of its name. A statement this declines (with a
-# comment or a line break inside, a name outside ASCII, a reserved word in
-# a name, an annotated `package`, a syntax error such as `import a.class;`)
-# and all after it are left to the tokens. The reserved words are grouped by
-# their first letter, so the engine tries a name part against one group.
-_RESERVED = "|".join(f"{first}(?:{'|'.join(w[1:] for w in words)})"
-                     for first, words in groupby(sorted(RESERVED_WORDS),
-                                                 itemgetter(0)))
-_HEADER_PART = rf"(?!(?:{_RESERVED})(?![\w$]))[A-Za-z_$][\w$]*"
+# comments, with an ASCII name and only spaces and tabs inside. A statement
+# this declines (with a comment or a line break inside, a name outside
+# ASCII, an annotated `package`, a syntax error such as `import a.;`), one
+# with a reserved word in its name, which `parse_source` declines, and all
+# after either are left to the tokens.
 _HEADER_RE = re.compile(
     rf"""
     {_GAP}
     (?: (package) | import (?:[ \t]+ (static))? ) [ \t]+
-    ({_HEADER_PART}(?:\.{_HEADER_PART})*) (?(1)|(\.\*)?) [ \t]*;
+    ({_DOTTED_NAME}) (?(1)|(\.\*)?) [ \t]*;
     """,
     re.VERBOSE | re.ASCII)
 
@@ -439,11 +440,8 @@ class MethodDecl(Value):
     def body_facts(self) -> BodyFacts:
         facts = self._body_facts
         if facts is None:
-            # `_TOKEN_RE` itself, not `tokenize`, which runs once per
-            # file: the benchmark's tracer counts files by its calls
             facts = extract_body_facts(
-                [text for _, text, _ in _TOKEN_RE.findall(self._body)
-                 if text])
+                _tokenize(self._body, 0, 1, False).texts)
             set_field(self, "_body_facts", facts)
         return facts
 
@@ -761,19 +759,17 @@ class SourceModel(Record):
 class _Parser:
     """Reads the declarations of one file from its token columns. Every
     rule reads `texts`; `lines` is read only for the line of a declaration
-    or of an error. `bodies` is what `tokenize` filled: a body read in one
-    match is a `{` `}` pair, which a rule that reads tokens one by one
-    replaces with the body's tokens (`open_body`) before it steps in, so
-    every rule reads what it would read from the full token stream."""
+    or of an error. A body read in one match is a `_Body` and a `}`, which
+    a rule that reads tokens one by one replaces with the body's tokens
+    (`open_body`) before it steps in, so every rule reads what it would
+    read from the full token stream."""
 
-    def __init__(self, tokens: Tokens, file: str,
-                 bodies: Optional[dict[int, str]] = None):
+    def __init__(self, tokens: Tokens, file: str):
         self.texts = tokens.texts
         self.lines = tokens.lines
         self.n = len(self.texts)
         self.pos = 0
         self.file = file
-        self.bodies = {} if bodies is None else bodies
         # simple name -> qualified name, by the single-type imports read so
         # far; they precede every annotation of the file
         self.imports: dict[str, str] = {}
@@ -815,21 +811,18 @@ class _Parser:
         return False
 
     def open_body(self, i: int) -> None:
-        """Put the tokens of the body whose `{` is token `i`, read in one
-        match, in place of that `{`."""
-        tokens = _tokenize(self.bodies.pop(i), 0, self.lines[i], None)
+        """Put the tokens of the body whose `_Body` is token `i` in place
+        of it."""
+        tokens = _tokenize(self.texts[i].text, 0, self.lines[i], False)
         self.texts[i:i + 1] = tokens.texts
         self.lines[i:i + 1] = tokens.lines
-        grown = len(tokens) - 1
-        self.n += grown
-        self.bodies = {k + grown if k > i else k: body
-                       for k, body in self.bodies.items()}
+        self.n += len(tokens) - 1
 
     def open_bodies(self, start: int, end: int) -> bool:
-        """Open each body read in one match whose `{` lies in
+        """Open each body read in one match whose `_Body` lies in
         `start..end`; whether there was one."""
         found = [k for k, text in enumerate(self.texts[start:end], start)
-                 if text == "{" and k in self.bodies]
+                 if isinstance(text, _Body)]
         for k in reversed(found):
             self.open_body(k)
         return bool(found)
@@ -1061,8 +1054,8 @@ class _Parser:
                         outer: Optional[str] = None) -> list[ClassDecl]:
         annos, mods = self.parse_annotations_and_modifiers()
         text = self.peek()
-        if text is None:
-            return []
+        if text is None:  # annotations or modifiers end the file
+            raise JavaSyntaxError("unexpected end of file", self.last_line())
         if text == "@" and self.at("interface", 1):
             # annotation type declaration: skip entirely
             while not self.at("{"):
@@ -1100,7 +1093,7 @@ class _Parser:
         nested: list[ClassDecl] = []
         methods: list[MethodDecl] = []
         enum_constants: list[str] = []
-        if self.pos in self.bodies:  # a record's, after its header's `)`
+        if isinstance(self.peek(), _Body):  # a record's, after its `)`
             self.open_body(self.pos)
         self.expect("{")
         if kind == "enum":
@@ -1206,20 +1199,20 @@ class _Parser:
     def parse_method_rest(self, name: str, line: int, annos,
                           return_type: TypeRef) -> MethodDecl:
         params = self.parse_formal_params()
+        return_type = self.parse_dims(return_type)  # as in `int m()[]`
         throws: list[str] = []
         if self.accept("throws"):
             throws = [t.raw_name for t in self.parse_type_list(",")]
         body = ""
-        if self.at("{"):
+        brace = self.peek()
+        if isinstance(brace, _Body):
+            body = brace.text + "}"
+            self.pos += 2
+        elif brace == "{":
             start = self.pos
-            bodies = self.bodies
-            if start in bodies:
-                body = bodies[start] + "}"
-                self.pos += 2
-            else:
-                self.skip_balanced("{", "}")
-                body = " ".join([bodies.get(i, text) for i, text in
-                                 enumerate(self.texts[start:self.pos], start)])
+            self.skip_balanced("{", "}")
+            body = " ".join([getattr(text, "text", text)
+                             for text in self.texts[start:self.pos]])
         else:
             self.expect(";")
         return MethodDecl(name, tuple(annos), tuple(params), return_type,
@@ -1288,7 +1281,7 @@ class _Parser:
                                and self.comma_ends_declarator()):
                 return None
             if text in ("(", "{", "["):
-                if self.pos in self.bodies:
+                if isinstance(text, _Body):
                     self.open_body(self.pos)
                 depth += 1
             elif text in (")", "}", "]"):
@@ -1506,12 +1499,12 @@ def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
     """The declarations of `source`: its header by `_HEADER_RE`, the rest
     from its tokens."""
     header, end = [], 0
-    while match := _HEADER_RE.match(source, end):
+    while (match := _HEADER_RE.match(source, end)) \
+            and RESERVED_WORDS.isdisjoint(match[3].split(".")):
         header.append(match.groups())
         end = match.end()
-    bodies: dict[int, str] = {}
     parser = _Parser(tokenize(source, end, source.count("\n", 0, end) + 1,
-                              bodies), file, bodies)
+                              True), file)
     try:
         return parser.parse_unit(header)
     except RecursionError:  # the parser recurses once per level of nesting

@@ -8,8 +8,9 @@ several operations and documents, so none is changed after it is built.
 
 from __future__ import annotations
 
-from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, RESPONSE_WRAPPERS,
-                      SourceModel, TypeRef, UNSPECIFIED_TYPE)
+from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, PRIMITIVES,
+                      RESPONSE_WRAPPERS, SourceModel, TypeRef,
+                      UNSPECIFIED_TYPE)
 from .spring import REQUIRED_MARKERS, find_annotation
 
 PRIMITIVE_MAP = {
@@ -40,8 +41,7 @@ MAP_TYPES = {
     "NavigableMap", "ConcurrentMap", "ConcurrentHashMap", "Properties",
 }
 
-NONNULL_PRIMITIVES = {"int", "long", "short", "byte", "float", "double",
-                      "boolean", "char"}
+NONNULL_PRIMITIVES = PRIMITIVES - {"void"}
 
 UNSPECIFIED_SCHEMA_NAME = "UNSPECIFIED_TYPE"
 

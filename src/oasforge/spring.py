@@ -1,12 +1,14 @@
 """Spring framework vocabulary: annotation names, HTTP status table,
-servlet-parameter types."""
+servlet-parameter types, and the reader of string attribute elements."""
 
 from __future__ import annotations
 
 from http import HTTPStatus
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Iterator, Optional
 
-from .javasrc import AnnotationUse
+from .diagnostics import UNRESOLVED_CONSTANT, Diagnostic
+from .javasrc import (AnnotationUse, AttributeValue, ClassDecl, SourceModel,
+                      resolve_string_constant, spelling)
 
 # The verbs of a mapping without a `method`; a `method` may also name TRACE.
 HTTP_VERBS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
@@ -120,3 +122,21 @@ def find_annotation(annotations, names: AbstractSet[str]
     framework annotation named in `names`."""
     return next((anno for anno in annotations if anno.simple_name in names
                  and is_framework_annotation(anno)), None)
+
+
+def attr_strings(anno: AnnotationUse, names: tuple[str, ...], what: str,
+                 ctx: ClassDecl, model: SourceModel, file: str, line: int,
+                 diagnostics: list[Diagnostic]
+                 ) -> Iterator[tuple[AttributeValue, Optional[str]]]:
+    """Each element of the first attribute in `names` that `anno` sets,
+    with its string as named in `ctx`, or None when it does not resolve:
+    such an element is reported as UNRESOLVED_CONSTANT at `file`:`line`
+    when it is reached."""
+    for item in next(filter(None, map(anno.items, names)), ()):
+        text = resolve_string_constant(item, ctx, model)
+        if text is None:
+            diagnostics.append(Diagnostic(
+                UNRESOLVED_CONSTANT,
+                f"cannot resolve {what} {spelling(item)!r} in "
+                f"{ctx.qualified_name}", file, line))
+        yield item, text

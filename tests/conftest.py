@@ -4,9 +4,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from oasforge.cli import main
 from oasforge.javasrc import SourceModel, parse_source
+
+# No deadline for any property: a loaded host can take longer than
+# Hypothesis's 200 ms for one example of the slower ones.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 TESTS_DIR = Path(__file__).parent
 FIXTURES_DIR = TESTS_DIR / "fixtures"

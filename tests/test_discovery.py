@@ -245,6 +245,33 @@ class Api {}
          "cannot resolve profile name 'Missing.EU' in app.Api", "<test-0>")]
 
 
+def profiles_and_diagnostics(value: str):
+    """What `assign_profiles` gives for `@Profile(value)` on `app.Api`, and
+    the code and message of each diagnostic it reports, in order."""
+    model = model_from(
+        "package app;\nimport org.springframework.context.annotation.Profile;"
+        f"\n@Profile({value})\nclass Api {{}}\n")
+    diags = []
+    profiles = assign_profiles(model.classes["app.Api"], model, diags)
+    return profiles, [(d.code, d.message) for d in diags]
+
+
+def test_profile_names_are_read_up_to_the_first_negation():
+    # an unresolved name before it is reported; one after it is not read
+    assert profiles_and_diagnostics(
+        '{Missing.A, "eu", "!prod", Missing.B}') == (None, [
+            ("UNRESOLVED_CONSTANT",
+             "cannot resolve profile name 'Missing.A' in app.Api"),
+            ("PROFILE_NEGATION", "negated profile expression '!prod' on "
+             "app.Api treated as all profiles")])
+
+
+def test_unresolved_profile_name_is_left_out_of_the_others():
+    assert profiles_and_diagnostics('{"eu", Missing.X}') == ({"eu"}, [
+        ("UNRESOLVED_CONSTANT",
+         "cannot resolve profile name 'Missing.X' in app.Api")])
+
+
 def test_default_profile_named_explicitly_is_the_one_default_unit(tmp_path):
     sources = {name: "package app;\n"
                "import org.springframework.context.annotation.Profile;\n"

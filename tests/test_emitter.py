@@ -100,7 +100,7 @@ _LIBYAML_DIVERGES = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_documents)
 @example({"paths": {"/a": _SHARED, "/b": [_SHARED, {"s": _SHARED}]}})
 @example(True)
@@ -131,7 +131,7 @@ _writable_documents = st.recursive(
     max_leaves=24)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(st.lists(_writable_documents, max_size=4),
                  st.dictionaries(_WRITABLE_KEYS, _writable_documents,
                                  max_size=4)))
@@ -179,7 +179,7 @@ def _fanout_run():
     return [(doc, fmt) for fmt in ("json", "yaml") for doc in docs.values()]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_runs())
 @example(_fanout_run())
 def test_one_memo_writes_each_document_of_a_run(run):

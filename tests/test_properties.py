@@ -311,7 +311,7 @@ def reached(doc: dict) -> set[str]:
     return names
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(trees())
 def test_generated_documents_pass_both_validators(files):
     with tempfile.TemporaryDirectory() as tmp:
@@ -384,7 +384,7 @@ def mutated_trees(draw) -> tuple[dict[str, bytes], list[str]]:
     return files, flags
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(mutated_trees())
 def test_mutated_tree_ends_in_documents_or_one_error_line(case):
     files, flags = case

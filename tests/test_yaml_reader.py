@@ -142,21 +142,21 @@ def mutated(draw):
 
 
 @with_each_loader
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(text=dumped())
 def test_dumped_documents_read_as_yaml_load_reads_them(loader, text):
     assert_reads_like_yaml_load(text, loader)
 
 
 @with_each_loader
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(text=hand_written)
 def test_hand_written_texts_read_as_yaml_load_reads_them(loader, text):
     assert_reads_like_yaml_load(text, loader)
 
 
 @with_each_loader
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(text=mutated())
 def test_mutated_texts_read_as_yaml_load_reads_them(loader, text):
     assert_reads_like_yaml_load(text, loader)
