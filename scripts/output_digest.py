@@ -7,7 +7,7 @@ checkouts:
     python3 scripts/output_digest.py b.json      # in the other
     python3 scripts/digest_diff.py a.json b.json
 
-It makes 60 `generate` runs: each of the 18 fixtures plain, with `--merge`
+It makes 63 `generate` runs: each of the 19 fixtures plain, with `--merge`
 and with `--format yaml`, and seeds 1 and 2 of each workload of
 `perfbench/corpus.py` with that workload's flags. For each run it records
 the exit code and the sha256 of stderr, of stdout and of each output file.
@@ -20,8 +20,8 @@ paths are masked in stdout and stderr, so the digest does not depend on
 where the checkout or the temporary files are. For each `.java` file of
 those trees it also records two entries: the sha256 of its token stream,
 or of the error text when it does not tokenize, and the sha256 of its
-parsed declarations, or of the error text when it does not parse. 5,348
-files, 10,767 entries in all. Each stream is a JSON list of [kind, text,
+parsed declarations, or of the error text when it does not parse. 5,353
+files, 10,781 entries in all. Each stream is a JSON list of [kind, text,
 line] triples (see `token_triples`), and the declarations are the JSON of
 `plain` over what `javasrc.parse_source` returns, with every method's
 `body_facts` read. The code of this checkout's `src/` is the code that

@@ -8,7 +8,6 @@ those advices, so none is changed after it is built.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional
 
 from .diagnostics import (BAD_PATH_SEGMENT, Diagnostic, DUPLICATE_METHOD,
@@ -155,7 +154,7 @@ def expand_model_attribute(obj_type: TypeRef, model: SourceModel,
         return []
     params: list[dict] = []
     seen: set[str] = set()
-    for level in supertype_chain(cls, model):
+    for level in model.type_hierarchy(cls):
         for f in level.fields:
             if f.is_static or f.name in seen:
                 continue
@@ -344,19 +343,18 @@ def resolve_exception_status(exc: str, local: ClassDecl,
                              advices: list[ClassDecl], model: SourceModel,
                              diagnostics: list[Diagnostic]) -> str:
     """The status `exc`, named in `local`, maps to. `local`, then each
-    advice, with its superclasses, is a scope; the first that handles `exc`
-    decides. In it, as in Spring, the handler whose target is nearest in
-    `exc`'s ancestry wins, then the first declared, subclass first. A
-    target that resolves where it is declared matches a model class by
-    qualified name, any other a class by simple name. A handler's
-    @ResponseStatus, else the nearest in its scope's `type_hierarchy`, wins
-    over its body's status, which must be unique.
+    advice, with its `type_hierarchy`, is a scope; the first that handles
+    `exc` decides. In it, as in Spring, the handler whose target is nearest
+    in `exc`'s ancestry wins, then the first in the hierarchy. A target
+    resolved where it is declared matches a model class by qualified name,
+    any other a class by simple name. A handler's @ResponseStatus, else
+    its scope's nearest, wins over its body's status, which must be unique.
     Unhandled, the nearest @ResponseStatus in the `type_hierarchy` of
     `exc`'s model class applies, else 500."""
     exc_class = model.find_class(exc, local)
     ancestry = _ancestry(exc, exc_class, model)
     for scope in [local, *advices]:
-        chain = supertype_chain(scope, model)
+        chain = list(model.type_hierarchy(scope))
         methods = [(cls, method) for cls in chain for method in cls.methods]
         hits = [(distance, i) for i, (cls, method) in enumerate(methods)
                 for name in _exception_handler_targets(method)
@@ -366,9 +364,8 @@ def resolve_exception_status(exc: str, local: ClassDecl,
         if hits:
             cls, method = methods[min(hits)[1]]
             codes = _literal_statuses(method, cls.source_file, diagnostics)
-            scoped = ((c, None) for c in model.type_hierarchy(scope))
             annotated = _annotated_status(
-                itertools.chain([(cls, method)], scoped), diagnostics)
+                [(cls, method), *((c, None) for c in chain)], diagnostics)
             if annotated:
                 return annotated
             if len(codes) == 1:
@@ -454,17 +451,19 @@ class HandlerAnalysis(Record):
 
 def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
              diagnostics: list[Diagnostic]) -> list[HandlerAnalysis]:
-    """Each handler of the hierarchy, in the order its mapping is found, under
-    the type-level mapping of the nearest class with one. A signature's
-    handler is its nearest declaration. Its mapping and @ResponseStatus are
-    the nearest declared, each named in its class, as Spring finds them on
-    overridden methods; an unannotated parameter takes the mapped one's.
-    Without a declared @ResponseStatus, the nearest in the controller's
-    `type_hierarchy` applies."""
+    """Each handler of the controller's `type_hierarchy`, superclasses and
+    interfaces both, in the order its mapping is found, under the nearest
+    type-level mapping. A signature's handler is its nearest declaration
+    in a class, else in an interface (JLS 8.4.8). Its mapping is the
+    nearest declared and its @ResponseStatus that of the nearest
+    declaration, else class, with one, each named in its class, as Spring
+    finds them; an unannotated parameter takes the mapped one's."""
     type_level = None
     declarations: dict[tuple, list[Holder]] = {}  # sig -> nearest first
     mapped: dict[tuple, tuple[ClassDecl, MethodDecl, AnnotationUse]] = {}
-    for cls in supertype_chain(controller, model):
+    beans: list[Holder] = []
+    for cls in model.type_hierarchy(controller):
+        beans.append((cls, None))
         if type_level is None and (anno := find_annotation(
                 cls.annotations, REQUEST_MAPPING)):
             type_level = _mapping(anno, cls, 0, model, diagnostics)
@@ -476,11 +475,11 @@ def _analyze(controller: ClassDecl, model: SourceModel, reg: SchemaRegistry,
                     method.annotations, MAPPING_ANNOTATIONS)):
                 mapped[sig] = (cls, method, anno)
     base_paths, base_verbs = type_level or ([""], None)
-    beans = [(c, None) for c in model.type_hierarchy(controller)]
 
     handlers: list[HandlerAnalysis] = []
     for sig, (cls, declaration, anno) in mapped.items():
-        owner, handler = declarations[sig][0]
+        owner, handler = min(declarations[sig],
+                             key=lambda d: d[0].kind == "interface")
         if handler is not declaration:
             handler = replace(handler, parameters=tuple(
                 replace(p, annotations=p.annotations or q.annotations)

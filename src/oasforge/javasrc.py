@@ -632,29 +632,24 @@ class SourceModel(Record):
     def _direct_supertypes(self, cls: ClassDecl) -> list[ClassDecl]:
         """The model classes `cls` names as its interfaces, in order, and
         then its superclass."""
-        return [c for c in (*self._interfaces_of(cls), self.superclass_of(cls))
-                if c]
-
-    def _interfaces_of(self, cls: ClassDecl) -> list[ClassDecl]:
-        return [iface for t in cls.interfaces
-                if (iface := self.classes.get(t.raw_name))]
+        return [c for t in (*cls.interfaces, cls.superclass)
+                if t and (c := self.classes.get(t.raw_name))]
 
     def type_hierarchy(self, cls: ClassDecl) -> Iterator[ClassDecl]:
-        """`cls` and its supertypes in the model, each once: `cls`, then
-        the hierarchy of each of its interfaces in declaration order,
-        depth-first, then the same for its superclass. This is the order
-        in which Spring's `TYPE_HIERARCHY` annotation search visits them;
-        each level of `supertype_chain` is followed by its interfaces."""
+        """`cls` and its supertypes in the model, each once: a preorder
+        depth-first walk of `_direct_supertypes`, so `cls`, then the
+        hierarchy of each of its interfaces in declaration order, then that
+        of its superclass. This is the order in which Spring's
+        `TYPE_HIERARCHY` annotation search (`AnnotationsScanner`) visits
+        them, superclasses and interfaces both."""
         seen: set[str] = set()
-        for level in supertype_chain(cls, self):
-            pending = [level]
-            while pending:
-                cur = pending.pop()
-                if cur.qualified_name not in seen:
-                    seen.add(cur.qualified_name)
-                    yield cur
-                    if cur.interfaces:
-                        pending += reversed(self._interfaces_of(cur))
+        pending = [cls]
+        while pending:
+            cur = pending.pop()
+            if cur.qualified_name not in seen:
+                seen.add(cur.qualified_name)
+                yield cur
+                pending += reversed(self._direct_supertypes(cur))
 
     def _inherited_member_type(self, owner: str, name: str) -> Optional[str]:
         """The member type `name` that the class `owner` inherits from its

@@ -362,6 +362,20 @@ def test_interface_inheritance_fixture_scores_perfectly(tmp_path):
         == [["1.00", "1.00"], ["0.00", "0.00"], ["1.00", "1.00"]]
 
 
+def test_interface_mappings_fixture_scores_perfectly(tmp_path):
+    # its truth is written by hand from the Java source and Spring's rules:
+    # the controller serves its interface's mappings, bindings, status and
+    # exception handler, and the Feign client interface serves nothing
+    out = tmp_path / "out"
+    run("generate", "--input", str(FIXTURES_DIR / "interface_mappings"),
+        "--output", str(out))
+    result = run("evaluate", "--oas", str(out),
+                 "--gt", str(GT_DIR / "interface_mappings.json"))
+    assert result.exit_code == 0, result.output
+    assert [line.split()[-2:] for line in result.stdout.splitlines()[1:]] \
+        == [["1.00", "1.00"]] * 3
+
+
 def test_java17_fixture_scores_perfectly(tmp_path):
     # its truth is written by hand from the Java source
     out = tmp_path / "out"

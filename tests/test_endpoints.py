@@ -397,6 +397,81 @@ def test_override_takes_the_nearest_response_status(own, middle, mapped,
     assert diags == []
 
 
+SEARCH_ORDER = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+@RequestMapping("/s")
+abstract class S {
+    @GetMapping("/from-s")
+    public String m() { return ""; }
+}
+
+@RequestMapping("/i")
+interface I {
+    @GetMapping("/from-i")
+    String m();
+}
+
+@RestController
+OWN_TYPE
+class C extends S implements I {
+    @Override OWN_METHOD
+    public String m() { return ""; }
+}
+"""
+
+
+# Spring reads a handler's mapping, and the controller's type-level one,
+# with MergedAnnotations' TYPE_HIERARCHY search, which AnnotationsScanner
+# runs over a class, then its interfaces, then its superclass: so I's
+# mappings win over S's, and C's own over both
+@pytest.mark.parametrize("own_type, own_method, paths", [
+    ("", "", ["/i/from-i"]),
+    ("", '@GetMapping("/from-c")', ["/i/from-c"]),
+    ('@RequestMapping("/c")', "", ["/c/from-i"]),
+], ids=["interface", "own-method", "own-type"])
+def test_interface_mappings_are_searched_before_the_superclass(
+        own_type, own_method, paths):
+    _, _, _, ops, diags = analyze(SEARCH_ORDER.replace(
+        "OWN_TYPE", own_type).replace("OWN_METHOD", own_method))
+    assert [path for path, _ in ops] == paths
+    assert diags == []
+
+
+# A class's method wins over an interface's (JLS 8.4.8), so a handler that
+# an interface redeclares without a mapping is still the superclass's, with
+# its body and its parameter bindings
+def test_an_interface_redeclaring_a_handler_does_not_replace_its_body():
+    _, _, _, ops, diags = analyze("""
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+class Gone extends RuntimeException {}
+
+interface Lookup {
+    String find(String key);
+}
+
+abstract class Base {
+    @GetMapping("/find")
+    public String find(@RequestParam("k") String key) { throw new Gone(); }
+}
+
+@RestController
+class C extends Base implements Lookup {
+    @ExceptionHandler(Gone.class)
+    @ResponseStatus(HttpStatus.GONE)
+    void gone() {}
+}
+""")
+    op = ops["/find", "GET"]
+    assert [p["name"] for p in params_of(op)] == ["k"]
+    assert statuses(op) == ["200", "410"]
+    assert diags == []
+
+
 def test_inherited_mapping_diagnostics_name_the_mapped_declaration():
     model, _, _, ops, diags = analyze(INHERITED_MAPPING_BASE,
                                       INHERITED_MAPPING_API)
@@ -1043,6 +1118,59 @@ class Advice extends BaseAdvice {}
 ])
 def test_handlers_of_superclasses_count(path, codes):
     _, _, _, ops, diags = analyze(INHERITED_HANDLERS)
+    assert statuses(ops[path, "GET"]) == codes
+    assert diags == []
+
+
+INTERFACE_HANDLERS = """
+package app;
+import org.springframework.http.HttpStatus;
+import org.springframework.web.bind.annotation.*;
+
+class Gone extends RuntimeException {}
+
+class Bad extends RuntimeException {}
+
+interface GoneHandling {
+    @ExceptionHandler(Gone.class)
+    @ResponseStatus(HttpStatus.GONE)
+    default void gone() {}
+}
+
+interface BadHandling {
+    @ExceptionHandler(Bad.class)
+    @ResponseStatus(HttpStatus.BAD_REQUEST)
+    default void bad() {}
+}
+
+@RestController
+class C implements GoneHandling {
+    @GetMapping("/gone")
+    String vanished() { throw new Gone(); }
+
+    @GetMapping("/bad")
+    String bad() { throw new Bad(); }
+}
+
+@RestControllerAdvice
+class Advice implements BadHandling {
+    @ExceptionHandler(Gone.class)
+    @ResponseStatus(HttpStatus.CONFLICT)
+    void conflict() {}
+}
+"""
+
+
+# Spring's ExceptionHandlerMethodResolver reads a class's handlers through
+# MethodIntrospector.selectMethods, which takes its interfaces' methods
+# too: a default @ExceptionHandler method of a controller's interface is a
+# local handler, and one of an advice's interface is the advice's
+@pytest.mark.parametrize("path, codes", [
+    ("/gone", ["200", "410"]),
+    ("/bad", ["200", "400"]),
+], ids=["controller-interface", "advice-interface"])
+def test_exception_handlers_of_interfaces_count(path, codes):
+    _, _, _, ops, diags = analyze(INTERFACE_HANDLERS)
     assert statuses(ops[path, "GET"]) == codes
     assert diags == []
 

@@ -31,5 +31,6 @@ def test_traced_generate_reaches_the_wrapped_functions(fixture, tmp_path,
     assert metrics["endpoints.operations"] > 0
     assert metrics["endpoints.extract_responses.busy_s"] > 0
     if fixture == "exception_precedence":
-        # every hierarchy walk goes through the wrapped `supertype_chain`
+        # an exception's ancestry is walked through the wrapped
+        # `supertype_chain`
         assert metrics["javasrc.supertype_chain.calls"] > 0

@@ -193,12 +193,19 @@ abstract class BaseController {
 """
 
 # An interface whose constant the controllers that implement it map
-# their handlers under.
+# their handlers under, and which declares a mapped default handler that
+# they inherit (closed by `trees`).
 PATHS = """package app;
+
+import java.util.List;
+import javax.servlet.http.HttpServletRequest;
+import javax.validation.constraints.NotNull;
+import org.springframework.http.*;
+import org.springframework.web.bind.annotation.*;
 
 interface Paths {
     String BASE = "/base";
-}
+
 """
 
 OVERRIDE = ("    @Override\n    String shared(Long id) {\n"
@@ -222,7 +229,8 @@ paths = st.lists(st.sampled_from(SEGMENTS), max_size=3).map(
 
 
 @st.composite
-def handlers(draw, index: int, implements: bool) -> str:
+def handlers(draw, index: int | str, implements: bool,
+             modifier: str = "") -> str:
     mappings = MAPPINGS + ['@GetMapping(BASE + "{}")'] if implements \
         else MAPPINGS
     mapping = draw(st.sampled_from(mappings)).format(draw(paths))
@@ -233,8 +241,8 @@ def handlers(draw, index: int, implements: bool) -> str:
                            max_size=4))
     returned = draw(st.sampled_from(RETURNS))
     return (f"    {status}{mapping}\n"
-            f"    ResponseEntity<{returned}> h{index}({', '.join(params)}) "
-            "{\n"
+            f"    {modifier}ResponseEntity<{returned}> "
+            f"h{index}({', '.join(params)}) {{\n"
             f"        {draw(st.sampled_from(BODIES))}\n    }}\n")
 
 
@@ -283,7 +291,8 @@ def trees(draw) -> dict[str, str]:
     if parent:
         files["BaseController.java"] = BASE_CONTROLLER
     if paths_interface:
-        files["Paths.java"] = PATHS
+        files["Paths.java"] = PATHS + draw(
+            handlers("p", True, "default ")) + "}\n"
     missing = "class MissingException extends RuntimeException"
     files["Shared.java"] = SHARED.replace(
         missing, missing + " implements Tracked") if draw(st.booleans()) \
