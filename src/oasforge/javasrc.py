@@ -9,18 +9,21 @@ constructor body, so the regex engine does the scanning. Python only fills
 two columns, each token's text and the line it starts on, with no object
 per token; a token's kind is computed from its text when a rule asks for
 it. A body read in one match is the token pair `{` `}`, whose `{` holds the
-body's source text. Identifiers may hold any Unicode letter or digit (JLS
-3.8). The parser is a recursive-descent pass over the texts, for
-declarations only; it reads the lines only for the line of a declaration or
-of an error. It keeps each method body as text, and reads none: its source
-text when it was read in one match, else its token texts joined by single
-spaces. A body is read, statement by statement, into BodyFacts (thrown
-exceptions, response-entity status literals, plain returns) the first time
-an analysis asks for its facts, and only the analysis of handlers and of
-exception handlers does. Other bodies (of constructors, initializers, enum
-constants and annotation types) are skipped and not kept. No
-expression-level AST is built. This covers everything the downstream Spring
-analysis needs without a full Java grammar.
+body's source text. An identifier is `$` or a word character of re's `\\w`
+that is no decimal digit, then any run of both. That is not quite JLS 3.8's
+rule: `á` written with a combining accent, `€x` and `‿x` are rejected, and
+`x²` is accepted (ROADMAP item 6). The parser is a recursive-descent pass
+over the texts, for declarations only; it reads the lines only for the line
+of a declaration or of an error. It keeps each method body as text, and
+reads none: its source text when it was read in one match, else its token
+texts joined by single spaces. A body is read, statement by statement, into
+BodyFacts (thrown exceptions, response-entity status literals, plain
+returns) the first time an analysis asks for its facts, and only the
+analysis of handlers and of exception handlers does. Other bodies (of
+constructors, initializers, enum constants and annotation types) are
+skipped and not kept. No expression-level AST is built. This covers
+everything the downstream Spring analysis needs without a full Java
+grammar.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ _CHAR = r"'(?:\\.|[^'\\])+'"
 # close one level per token; a shift operator, which only bodies hold, is
 # read as several tokens. A text block is tried ahead of a string, which
 # would read its `"""` as an empty string and the start of another. An
-# identifier may hold any Unicode letter or digit (JLS 3.8); one that starts
-# with a letter outside ASCII is the last alternative, so every token of
-# ASCII source matches before it is tried.
+# identifier that starts outside ASCII, with a word character that is no
+# decimal digit, is the last alternative, so every token of ASCII source
+# matches before it is tried.
 _TOKEN = rf"""
       "{_TEXT_BLOCK_TAIL}
     | "{_STRING_TAIL}
@@ -751,18 +754,27 @@ class SourceModel(Record):
 # Parser
 # ---------------------------------------------------------------------------
 
+# The text of an end mark, which no token has
+_END = "\0"
+
+
 class _Parser:
     """Reads the declarations of one file from its token columns. Every
     rule reads `texts`; `lines` is read only for the line of a declaration
     or of an error. A body read in one match is a `_Body` and a `}`, which
     a rule that reads tokens one by one replaces with the body's tokens
     (`open_body`) before it steps in, so every rule reads what it would
-    read from the full token stream."""
+    read from the full token stream. The columns end in three end marks,
+    each on the last line, so a rule that looks up to two tokens ahead of
+    the current one, which is at most the first end mark, reads them with
+    no bounds check; `n` is the number of tokens before them."""
 
     def __init__(self, tokens: Tokens, file: str):
-        self.texts = tokens.texts
-        self.lines = tokens.lines
-        self.n = len(self.texts)
+        self.texts = texts = tokens.texts
+        self.lines = lines = tokens.lines
+        self.n = len(texts)
+        texts += (_END,) * 3
+        lines += (lines[-1] if lines else 0,) * 3
         self.pos = 0
         self.file = file
         # simple name -> qualified name, by the single-type imports read so
@@ -775,8 +787,7 @@ class _Parser:
         return self.texts[self.pos] if self.pos < self.n else None
 
     def at(self, text: str, offset: int = 0) -> bool:
-        i = self.pos + offset
-        return i < self.n and self.texts[i] == text
+        return self.texts[self.pos + offset] == text
 
     def next(self) -> str:
         if self.pos >= self.n:
@@ -791,7 +802,7 @@ class _Parser:
 
     def last_line(self) -> int:
         """The line of the last token, where a cut-off file ends."""
-        return self.lines[-1] if self.lines else 0
+        return self.lines[-1]
 
     def expect(self, text: str) -> None:
         found = self.next()
@@ -800,7 +811,7 @@ class _Parser:
                                   self.line(-1))
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
@@ -914,7 +925,7 @@ class _Parser:
     def parse_dotted_name(self) -> str:
         parts = [self.expect_ident()]
         texts, pos = self.texts, self.pos
-        while pos + 1 < self.n and texts[pos] == ".":
+        while texts[pos] == ".":
             text = texts[pos + 1]
             if text == "class" or token_kind(text) != "ident":
                 break
@@ -947,15 +958,17 @@ class _Parser:
     def parse_annotations_and_modifiers(self) -> tuple[list[AnnotationUse], set[str]]:
         annos: list[AnnotationUse] = []
         mods: set[str] = set()
-        while self.pos < self.n:
-            text = self.texts[self.pos]
-            if text == "@" and not self.at("interface", 1):
+        texts = self.texts
+        while True:
+            text = texts[self.pos]
+            if text == "@" and texts[self.pos + 1] != "interface":
                 self.pos += 1
                 annos.append(self.parse_annotation_use())
             elif text in MODIFIERS:
                 self.pos += 1
                 mods.add(text)
-            elif text == "non" and self.at("-", 1) and self.at("sealed", 2):
+            elif text == "non" and texts[self.pos + 1] == "-" \
+                    and texts[self.pos + 2] == "sealed":
                 # `non-sealed` is three tokens (JLS 3.9)
                 self.pos += 3
                 mods.add("non-sealed")
@@ -1288,20 +1301,19 @@ class _Parser:
         and type punctuation after it reach the `>` that closes type
         arguments, as in `new HashMap<String, Integer>()`."""
         i = self.pos + 1
-        while i < self.n and (token_kind(self.texts[i]) == "ident"
-                              or self.texts[i] in (".", ",", "[", "]", "?",
-                                                   "<")):
+        while (token_kind(self.texts[i]) == "ident"
+               or self.texts[i] in (".", ",", "[", "]", "?", "<")):
             i += 1
         return not self.at(">", i - self.pos)
 
     # -- types ---------------------------------------------------------------
 
     def parse_type_ref(self) -> TypeRef:
-        text = self.peek()
+        text = self.texts[self.pos]
         if text == "@":  # as in `List<@NotNull String>`
             self.drop_type_annotations()
-            text = self.peek()
-        if text is None:
+            text = self.texts[self.pos]
+        if text is _END:
             raise JavaSyntaxError("expected type", self.last_line())
         if text == "?":
             self.next()
@@ -1349,11 +1361,12 @@ class _Parser:
         """`type_` with one more array dimension for each `[]` that
         follows, each possibly annotated, as in `String @NotNull []`."""
         depth = type_.array_depth
+        texts = self.texts
         while True:
-            text = self.peek()
+            text = texts[self.pos]
             if text == "@":
                 self.drop_type_annotations()
-            elif text == "[" and self.at("]", 1):
+            elif text == "[" and texts[self.pos + 1] == "]":
                 self.pos += 2
                 depth += 1
             else:
@@ -1503,25 +1516,70 @@ def parse_source(source: str, file: str = "<memory>") -> list[ClassDecl]:
     try:
         return parser.parse_unit(header)
     except RecursionError:  # the parser recurses once per level of nesting
-        line = parser.lines[min(parser.pos, parser.n - 1)]
+        line = parser.lines[parser.pos]
         raise JavaSyntaxError("nested too deeply to parse", line) from None
 
 
+def _java_files(root: str) -> list[tuple[str, str]]:
+    """What `Path(root).rglob("*.java")` finds, but `module-info.java`, in
+    the order of `sorted(Path)`, which compares the path parts normcased:
+    each entry's path below `root` and its path. One `os.scandir` walk,
+    which enters a directory only when it is one and no symlink, and skips
+    one it cannot list."""
+    found = []
+    stack: list[tuple[str, tuple[str, ...], str]] = [(root, (), "")]
+    while stack:
+        top, keys, prefix = stack.pop()
+        try:
+            with os.scandir(top) as scan:
+                entries = list(scan)
+        except OSError:
+            continue
+        for entry in entries:
+            name = entry.name
+            key = (*keys, os.path.normcase(name))
+            # a modular compilation unit declares no type (JLS 7.7)
+            if key[-1].endswith(".java") and name != "module-info.java":
+                found.append((key, prefix + name, entry.path))
+            try:
+                is_dir = entry.is_dir() and not entry.is_symlink()
+            except OSError:
+                is_dir = False
+            if is_dir:
+                stack.append((entry.path, key, prefix + name + os.sep))
+    found.sort()
+    return [(rel, path) for _, rel, path in found]
+
+
+def _read_source(path: str) -> str:
+    """The text of the file at `path`: strict UTF-8, whose error names a
+    byte offset, with each `\\r\\n` and then each `\\r` read as `\\n`, as
+    universal newlines read them."""
+    with open(path, "rb", buffering=0) as file:
+        text = file.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def parse_project(root_dir: os.PathLike | str) -> SourceModel:
+    """The source model of every `.java` file under `root_dir`, read in the
+    order of their path parts below it. A symlinked directory is not
+    entered; a symlinked file is read. `module-info.java` declares no type
+    and is not read. A file is read as strict UTF-8 with its line ends
+    normalized to `\\n`. A file that cannot be read or parsed is a
+    `PARSE_ERROR` and the rest is still read; a tree with no `.java` file,
+    or none that parses, is a `ProjectParseError`."""
     root = Path(root_dir)
-    # a modular compilation unit declares no type (JLS 7.7)
-    files = sorted(path for path in root.rglob("*.java")
-                   if path.name != "module-info.java")
+    files = _java_files(str(root))
     if not files:
         raise ProjectParseError(f"no .java files under {root}")
     classes: dict[str, ClassDecl] = {}
     diagnostics: list[Diagnostic] = []
     parsed_any = False
-    for path in files:
-        rel = str(path.relative_to(root))
+    for rel, path in files:
         try:
-            text = path.read_text(encoding="utf-8")
-            for cls in parse_source(text, rel):
+            for cls in parse_source(_read_source(path), rel):
                 earlier = classes.get(cls.qualified_name)
                 if earlier is not None:
                     diagnostics.append(Diagnostic(

@@ -3,7 +3,9 @@
 import errno
 import os
 import re
+import runpy
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,6 +95,91 @@ def test_module_info_declares_no_type_and_is_skipped(tmp_path):
     (tmp_path / "A.java").unlink()
     with pytest.raises(ProjectParseError, match="no .java files under"):
         parse_project(tmp_path)
+
+
+WALK_CHECK = Path(__file__).resolve().parent.parent / "scripts" / \
+    "walk_check.py"
+
+
+def test_project_files_are_found_and_ordered_as_rglob_finds_them(tmp_path):
+    # the tree and the comparison of `scripts/walk_check.py`, which CI runs
+    # under each supported Python
+    check = runpy.run_path(str(WALK_CHECK))
+    check["build_tree"](tmp_path)
+    assert check["differences"](tmp_path) == []
+    model = parse_project(tmp_path)
+    # by path parts: `a` before `a b` before `a-b`, whose strings sort the
+    # other way; not the symlinked directory, nor `X.JAVA`
+    assert [cls.source_file for cls in model.classes.values()] == [
+        ".hidden/E.java", ".java", "Dir.java/F.java", "Dir.java/sub/G.java",
+        "L.java", "a/B.java", "a b/D.java", "a-b/C.java"]
+    assert [d.file for d in model.parse_diagnostics] == \
+        ["Broken.java", "Dir.java"]
+
+
+LINE_ENDS_SOURCE = '''package app;
+
+/* a block comment
+   over two lines */
+@RestController
+public class Ends {
+    static final String TEXT = """
+        one
+
+        two
+        """;
+
+    @GetMapping("/x")
+    String get(
+            int a) {
+        String t = """
+            in a body
+            """;
+        return t;
+    }
+
+    int after;
+}
+'''
+
+
+@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "mixed"])
+def test_line_ends_give_the_same_declarations(tmp_path, ends):
+    lines = LINE_ENDS_SOURCE.split("\n")
+    if ends == "mixed":
+        # no `\r` is followed by a `\n` that ends the next line
+        cycle = ["\r\n", "\n", "\r"]
+        source = "".join(line + cycle[i % 3] for i, line in enumerate(lines))
+    else:
+        source = ends.join(lines)
+    (tmp_path / "Ends.java").write_bytes(source.encode("utf-8"))
+    model = parse_project(tmp_path)
+    assert model.parse_diagnostics == []
+    expected = parse_source(LINE_ENDS_SOURCE, "Ends.java")
+    assert list(model.classes.values()) == expected
+    (ends_class,) = expected
+    assert [(m.name, m.line) for m in ends_class.methods] == [("get", 14)]
+    assert [(f.name, f.line, f.initializer) for f in ends_class.fields] == [
+        ("TEXT", 7, "one\n\ntwo\n"), ("after", 22, None)]
+
+
+def test_file_that_is_not_utf8_is_a_parse_error_at_its_byte(tmp_path):
+    (tmp_path / "A.java").write_text("class A {}\n")
+    (tmp_path / "Mid.java").write_bytes(b"class Mid {\n  int \xff;\n}\n")
+    (tmp_path / "Cut.java").write_bytes(
+        "class Cut { String s = \"\u00e9".encode() + "\u20ac".encode()[:2])
+    # the position counts the bytes of each `\r\n`
+    (tmp_path / "Crlf.java").write_bytes(
+        b"class Crlf {\r\n  int a;\r\n  int b;\r\n  \xc3\x28\r\n}\r\n")
+    model = parse_project(tmp_path)
+    assert [(d.code, d.file, d.line, d.message)
+            for d in model.parse_diagnostics] == [
+        ("PARSE_ERROR", "Crlf.java", 0, "'utf-8' codec can't decode byte "
+         "0xc3 in position 36: invalid continuation byte"),
+        ("PARSE_ERROR", "Cut.java", 0, "'utf-8' codec can't decode bytes "
+         "in position 26-27: unexpected end of data"),
+        ("PARSE_ERROR", "Mid.java", 0, "'utf-8' codec can't decode byte "
+         "0xff in position 18: invalid start byte")]
 
 
 def test_syntax_error_recorded_and_skipped():
@@ -1414,6 +1501,30 @@ def test_body_cut_off_is_an_unexpected_end_of_file():
     with pytest.raises(JavaSyntaxError,
                        match=r"^unexpected end of file \(line 2\)$"):
         parse_source("class A {\n void f() { if (x) { y(); }")
+
+
+@pytest.mark.parametrize("source, error", [
+    ("class A {\n  int x", ("unexpected end of file (line 2)", 2)),
+    # from `skip_balanced`, which finds no `)`
+    ("class A {\n  A(int a\n", ("unexpected end of file (line 2)", 2)),
+    ("@A(\n", ("unexpected end in annotation value (line 1)", 1)),
+], ids=["member", "constructor", "annotation"])
+def test_end_of_input_is_an_error_at_the_last_line(source, error):
+    assert parsed_or_error(parse_source, source) == error
+    assert parsed_or_error(token_path, source) == error
+
+
+def test_declarations_that_end_at_the_last_tokens_parse():
+    # a body read in one match inside an enum constant's arguments, which
+    # `skip_balanced` opens and then scans again
+    (enum,) = parse_source(
+        "enum E { X(new Object() { int f() { return (1); } }) }")
+    assert (enum.qualified_name, enum.enum_constants) == ("E", ("X",))
+    # a constructor with no body
+    (cls,) = parse_source("class A {\n  A();\n}")
+    assert (cls.qualified_name, cls.methods, cls.fields) == ("A", (), ())
+    assert parse_source("") == []
+    assert parse_source("// only a comment\n/* and another */\n") == []
 
 
 # -- the header: `package` and `import` statements read by one regex -------
