@@ -18,13 +18,13 @@ from .discovery import ProfileUnit
 from .javasrc import (AnnotationUse, AttributeValue, ClassDecl, ClassRef,
                       Concat, MethodDecl, NameRef, SourceModel, TypeRef,
                       resolve_string_constant, spelling, supertype_chain)
-from .schemas import (SchemaRegistry, primitive, schema_for_type,
-                      unwrap_response_wrapper)
+from .schemas import (SchemaRegistry, primitive, response_body_schema,
+                      schema_for_type)
 from .spring import (EXCEPTION_HANDLER, EXCEPTION_SUPERCLASSES, HTTP_VERBS,
-                     MAPPING_ANNOTATIONS, PARAM_ANNOTATIONS, PARAM_LOCATIONS,
-                     REQUEST_MAPPING, REQUEST_METHODS, RESPONSE_STATUS,
-                     SERVLET_TYPES, VERB_MAPPINGS, attr_strings,
-                     find_annotation, reason_phrase, status_code_for)
+                     MAPPING_ANNOTATIONS, PARAM_BINDINGS, REQUEST_MAPPING,
+                     REQUEST_METHODS, RESPONSE_STATUS, SERVLET_TYPES,
+                     VERB_MAPPINGS, attr_strings, find_annotation,
+                     reason_phrase, status_code_for)
 from .values import Record, replace
 
 
@@ -182,35 +182,31 @@ def extract_parameters(handler: MethodDecl, model: SourceModel,
                 "encapsulated parameters are not statically visible",
                 file, handler.line))
             continue
-        anno = find_annotation(p.annotations, PARAM_ANNOTATIONS)
+        anno = find_annotation(p.annotations, PARAM_BINDINGS.keys())
         if anno is None:
             diagnostics.append(Diagnostic(
                 SKIPPED_PARAMETER,
                 f"parameter {p.name!r} of {handler.name} has no recognized "
                 "binding annotation", file, handler.line))
             continue
-        kind = anno.simple_name
-        if kind == "RequestBody":
+        binding = PARAM_BINDINGS[anno.simple_name]
+        if binding == "body":
             body = {
                 "content": {"application/json": {
                     "schema": schema_for_type(p.type, model, reg, ctx)}},
                 "required": _attr_bool(anno, "required", True)}
             continue
-        if kind == "ModelAttribute":
+        if binding == "model":
             params.extend(expand_model_attribute(p.type, model, reg, ctx,
                                                  diagnostics))
             continue
         name = next(iter([text for _, text in attr_strings(
             anno, ("value", "name"), "parameter name", ctx, model, file,
             handler.line, diagnostics)]), None) or p.name
-        schema = schema_for_type(p.type, model, reg, ctx)
-        if kind == "PathVariable":
-            params.append(_parameter(name, "path", True, schema))
-        else:
-            required = _attr_bool(anno, "required", True) \
-                and "defaultValue" not in anno.attributes
-            params.append(_parameter(name, PARAM_LOCATIONS[kind], required,
-                                     schema))
+        required = binding == "path" or _attr_bool(anno, "required", True) \
+            and "defaultValue" not in anno.attributes
+        params.append(_parameter(name, binding, required,
+                                 schema_for_type(p.type, model, reg, ctx)))
     return params, body
 
 
@@ -395,13 +391,9 @@ def _success_responses(handler: MethodDecl, holders: list[Holder],
             or annotated is not None:
         success.add(annotated or "200")
 
-    return_type = unwrap_response_wrapper(handler.return_type)
-    content: Optional[dict] = None
-    if return_type.raw_name not in ("void", "Void") and not (
-            return_type.simple_name == "Object"
-            and return_type.array_depth == 0):
-        content = {"application/json": {
-            "schema": schema_for_type(return_type, model, reg, ctx)}}
+    schema = response_body_schema(handler.return_type, model, reg, ctx)
+    content = None if schema is None else {
+        "application/json": {"schema": schema}}
 
     responses: dict[str, dict] = {}
     for code in sorted(success):

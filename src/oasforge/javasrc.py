@@ -382,7 +382,6 @@ class TypeRef(Value):
         return self.raw_name.rsplit(".", 1)[-1]
 
 
-UNSPECIFIED_TYPE = TypeRef("UNSPECIFIED_TYPE")
 OBJECT_TYPE = TypeRef("java.lang.Object")
 
 
@@ -767,12 +766,11 @@ class _Parser:
     read from the full token stream. The columns end in three end marks,
     each on the last line, so a rule that looks up to two tokens ahead of
     the current one, which is at most the first end mark, reads them with
-    no bounds check; `n` is the number of tokens before them."""
+    no bounds check."""
 
     def __init__(self, tokens: Tokens, file: str):
         self.texts = texts = tokens.texts
         self.lines = lines = tokens.lines
-        self.n = len(texts)
         texts += (_END,) * 3
         lines += (lines[-1] if lines else 0,) * 3
         self.pos = 0
@@ -783,17 +781,15 @@ class _Parser:
 
     # -- primitives --------------------------------------------------------
 
-    def peek(self) -> Optional[str]:
-        return self.texts[self.pos] if self.pos < self.n else None
-
     def at(self, text: str, offset: int = 0) -> bool:
         return self.texts[self.pos + offset] == text
 
     def next(self) -> str:
-        if self.pos >= self.n:
+        text = self.texts[self.pos]
+        if text is _END:
             raise JavaSyntaxError("unexpected end of file", self.last_line())
         self.pos += 1
-        return self.texts[self.pos - 1]
+        return text
 
     def line(self, offset: int = 0) -> int:
         """The line of the token at `offset` from the current one: -1 is
@@ -822,7 +818,6 @@ class _Parser:
         tokens = _tokenize(self.texts[i].text, 0, self.lines[i], False)
         self.texts[i:i + 1] = tokens.texts
         self.lines[i:i + 1] = tokens.lines
-        self.n += len(tokens) - 1
 
     def open_bodies(self, start: int, end: int) -> bool:
         """Open each body read in one match whose `_Body` lies in
@@ -846,7 +841,7 @@ class _Parser:
             try:
                 end = texts.index(close, i)
             except ValueError:
-                if open_ != "{" and self.open_bodies(i, self.n):
+                if open_ != "{" and self.open_bodies(i, len(texts)):
                     continue
                 raise JavaSyntaxError("unexpected end of file",
                                       self.last_line()) from None
@@ -892,8 +887,7 @@ class _Parser:
             self.parse_annotations_and_modifiers()
             if not self.at("package"):
                 self.pos = start  # they belong to the first type declaration
-        while self.pos < self.n:
-            text = self.texts[self.pos]
+        while (text := self.texts[self.pos]) is not _END:
             if text == ";":
                 self.pos += 1
                 continue
@@ -1006,8 +1000,8 @@ class _Parser:
         return Concat(tuple(parts))
 
     def parse_attr_term(self) -> AttributeValue:
-        text = self.peek()
-        if text is None:
+        text = self.texts[self.pos]
+        if text is _END:
             raise JavaSyntaxError("unexpected end in annotation value",
                                   self.last_line())
         if text == "{":
@@ -1061,8 +1055,8 @@ class _Parser:
     def parse_type_decl(self, package: str,
                         outer: Optional[str] = None) -> list[ClassDecl]:
         annos, mods = self.parse_annotations_and_modifiers()
-        text = self.peek()
-        if text is None:  # annotations or modifiers end the file
+        text = self.texts[self.pos]
+        if text is _END:  # annotations or modifiers end the file
             raise JavaSyntaxError("unexpected end of file", self.last_line())
         if text == "@" and self.at("interface", 1):
             # annotation type declaration: skip entirely
@@ -1101,7 +1095,7 @@ class _Parser:
         nested: list[ClassDecl] = []
         methods: list[MethodDecl] = []
         enum_constants: list[str] = []
-        if isinstance(self.peek(), _Body):  # a record's, after its `)`
+        if isinstance(self.texts[self.pos], _Body):  # a record's, after `)`
             self.open_body(self.pos)
         self.expect("{")
         if kind == "enum":
@@ -1165,8 +1159,8 @@ class _Parser:
             return []
         save = self.pos
         annos, mods = self.parse_annotations_and_modifiers()
-        text = self.peek()
-        if text is None:
+        text = self.texts[self.pos]
+        if text is _END:
             raise JavaSyntaxError("unexpected end of class body",
                                   self.last_line())
         if text == "{":  # static or instance initializer block
@@ -1212,7 +1206,7 @@ class _Parser:
         if self.accept("throws"):
             throws = [t.raw_name for t in self.parse_type_list(",")]
         body = ""
-        brace = self.peek()
+        brace = self.texts[self.pos]
         if isinstance(brace, _Body):
             body = brace.text + "}"
             self.pos += 2
@@ -1281,8 +1275,8 @@ class _Parser:
         self.pos = save
         depth = 0
         while True:
-            text = self.peek()
-            if text is None:
+            text = self.texts[self.pos]
+            if text is _END:
                 raise JavaSyntaxError("unterminated initializer",
                                       self.last_line())
             if depth == 0 and (text == ";" or text == ","
@@ -1403,8 +1397,12 @@ _BUILDER_STATUS = {
     "internalServerError": "INTERNAL_SERVER_ERROR",
 }
 
-# Return types whose first type argument is the response body.
-RESPONSE_WRAPPERS = frozenset({"ResponseEntity", "DeferredResult"})
+# Return types whose first type argument is the response body: Spring MVC
+# reads an entity's body, or an async result, as the return value.
+RESPONSE_WRAPPERS = frozenset({
+    "ResponseEntity", "HttpEntity", "DeferredResult", "Callable",
+    "WebAsyncTask", "ListenableFuture", "CompletionStage",
+    "CompletableFuture"})
 
 
 def _statement_statuses(stmt: list[str]) -> set[str]:

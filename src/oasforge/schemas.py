@@ -9,8 +9,7 @@ several operations and documents, so none is changed after it is built.
 from __future__ import annotations
 
 from .javasrc import (ClassDecl, FieldDecl, OBJECT_TYPE, PRIMITIVES,
-                      RESPONSE_WRAPPERS, SourceModel, TypeRef,
-                      UNSPECIFIED_TYPE)
+                      RESPONSE_WRAPPERS, SourceModel, TypeRef)
 from .spring import REQUIRED_MARKERS, find_annotation
 
 PRIMITIVE_MAP = {
@@ -42,8 +41,6 @@ MAP_TYPES = {
 }
 
 NONNULL_PRIMITIVES = PRIMITIVES - {"void"}
-
-UNSPECIFIED_SCHEMA_NAME = "UNSPECIFIED_TYPE"
 
 
 def primitive(oas_type: str, oas_format: str = "") -> dict:
@@ -93,9 +90,6 @@ def schema_for_type(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
                 "items": schema_for_type(element, model, reg, ctx)}
 
     simple = t.simple_name
-    if t.raw_name == UNSPECIFIED_TYPE.raw_name:
-        name, _ = reg.allocate_name("<unspecified>", UNSPECIFIED_SCHEMA_NAME)
-        return ref_to(name)
     if simple in PRIMITIVE_MAP:
         oas_type, oas_format = PRIMITIVE_MAP[simple]
         return primitive(oas_type, oas_format)
@@ -134,12 +128,18 @@ def _instance_fields(cls: ClassDecl) -> list[FieldDecl]:
     return [f for f in cls.fields if not f.is_static]
 
 
-def unwrap_response_wrapper(t: TypeRef) -> TypeRef:
+def response_body_schema(t: TypeRef, model: SourceModel, reg: SchemaRegistry,
+                         ctx: ClassDecl) -> dict | None:
+    """Schema of the body that a handler returning `t`, named in `ctx`,
+    writes; None when it writes none."""
     while t.simple_name in RESPONSE_WRAPPERS and t.array_depth == 0:
         if not t.type_arguments:
-            return UNSPECIFIED_TYPE
+            return ref_to(reg.allocate_name("<unspecified>",
+                                            "UNSPECIFIED_TYPE")[0])
         t = t.type_arguments[0]
-    return t
+    if t.simple_name in ("void", "Void", "Object") and t.array_depth == 0:
+        return None
+    return schema_for_type(t, model, reg, ctx)
 
 
 def _mangled_name(t: TypeRef) -> str:

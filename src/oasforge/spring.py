@@ -32,13 +32,11 @@ VERB_MAPPINGS = {
 REQUEST_MAPPING = frozenset({"RequestMapping"})
 MAPPING_ANNOTATIONS = frozenset(VERB_MAPPINGS) | REQUEST_MAPPING
 
-# The location of a parameter that one of these annotations binds; its
-# `required` is true unless `required = false` or a `defaultValue` says
-# otherwise.
-PARAM_LOCATIONS = {"RequestParam": "query", "RequestHeader": "header",
-                   "CookieValue": "cookie"}
-PARAM_ANNOTATIONS = frozenset({"PathVariable", "RequestBody",
-                               "ModelAttribute", *PARAM_LOCATIONS})
+# What each binding annotation binds: the request body, the fields of a
+# model attribute, or a parameter in that location.
+PARAM_BINDINGS = {"PathVariable": "path", "RequestParam": "query",
+                  "RequestHeader": "header", "CookieValue": "cookie",
+                  "RequestBody": "body", "ModelAttribute": "model"}
 
 # Bean Validation constraints that reject null.
 REQUIRED_MARKERS = frozenset({"NotNull", "NotEmpty", "NotBlank"})

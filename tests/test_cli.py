@@ -1112,10 +1112,14 @@ def test_closed_stdout_ends_quietly(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "oasforge.cli", "generate", "--input",
-         str(FIXTURES_DIR / "request_body"), "--output", str(tmp_path)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()  # before the interpreter has started
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (1, b"")
+    # in a fresh interpreter, as the branch puts /dev/null on descriptor 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the process starts
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oasforge.cli", "generate", "--input",
+             str(FIXTURES_DIR / "request_body"), "--output", str(tmp_path)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

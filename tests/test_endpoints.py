@@ -1613,6 +1613,71 @@ class C {
     assert diags == []
 
 
+RETURNING = """
+package app;
+import org.springframework.web.bind.annotation.*;
+
+class User {{ String name; }}
+
+@RestController
+class C {{
+    @GetMapping("/u")
+    {returns} u() {{ return null; }}
+}}
+"""
+
+
+def body_schema(returns):
+    """The body schema of a handler returning `returns`, and the schemas
+    registered."""
+    _, _, reg, ops, diags = analyze(RETURNING.format(returns=returns))
+    assert diags == []
+    (ok,) = ops["/u", "GET"]["responses"].values()
+    return ok["content"]["application/json"]["schema"], reg.schemas
+
+
+USER = {"type": "object", "properties": {"name": {"type": "string"}}}
+
+
+@pytest.mark.parametrize("returns", [
+    "HttpEntity<User>", "Callable<User>", "WebAsyncTask<User>",
+    "ListenableFuture<User>", "CompletionStage<User>",
+    "CompletableFuture<User>", "CompletableFuture<ResponseEntity<User>>"])
+def test_entity_and_async_returns_write_their_type_argument(returns):
+    assert body_schema(returns) == (
+        {"$ref": "#/components/schemas/User"}, {"User": USER})
+
+
+def test_a_raw_future_refers_to_the_unspecified_type():
+    assert body_schema("CompletableFuture") == (
+        {"$ref": "#/components/schemas/UNSPECIFIED_TYPE"},
+        {"UNSPECIFIED_TYPE": {}})
+
+
+def test_a_model_class_named_unspecified_type_has_its_own_schema():
+    _, _, reg, ops, _ = analyze("""
+package app;
+import org.springframework.http.ResponseEntity;
+import org.springframework.web.bind.annotation.*;
+
+class UNSPECIFIED_TYPE { String name; }
+
+@RestController
+class C {
+    @GetMapping("/model")
+    UNSPECIFIED_TYPE model() { return null; }
+
+    @GetMapping("/raw")
+    ResponseEntity raw() { return null; }
+}
+""")
+    assert {path: op["responses"]["200"]["content"]["application/json"]
+            ["schema"]["$ref"].rsplit("/", 1)[1]
+            for (path, _), op in ops.items()} == {
+        "/model": "UNSPECIFIED_TYPE", "/raw": "UNSPECIFIED_TYPE_2"}
+    assert reg.schemas == {"UNSPECIFIED_TYPE": USER, "UNSPECIFIED_TYPE_2": {}}
+
+
 def test_return_in_an_anonymous_class_or_lambda_adds_no_200():
     _, _, _, ops, _ = analyze("""
 package app;

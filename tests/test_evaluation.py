@@ -139,6 +139,22 @@ def test_flatten_expands_body_fields_through_inheritance():
     assert {name for _, _, name in flat["parameters"]} == {"a", "b", "c"}
 
 
+def test_flatten_reads_each_schema_of_an_all_of_cycle_once():
+    def part(other, field):
+        return {"allOf": [{"$ref": f"#/components/schemas/{other}"},
+                          {"properties": {field: {"type": "string"}}}]}
+    doc = {
+        "paths": {"/x": {"post": {
+            "requestBody": {"content": {"application/json": {
+                "schema": {"$ref": "#/components/schemas/A"}}}},
+            "responses": {"200": {"description": "OK"}},
+        }}},
+        "components": {"schemas": {"A": part("B", "a"), "B": part("A", "b")}},
+    }
+    assert flatten_for_eval(doc)["parameters"] == {("/x", "POST", "a"),
+                                                   ("/x", "POST", "b")}
+
+
 def test_flatten_dangling_ref_raises():
     doc = {
         "openapi": "3.0.3",

@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import model_from
-from oasforge.javasrc import TypeRef, UNSPECIFIED_TYPE
+from oasforge.javasrc import TypeRef
 from oasforge.pipeline import generate_project
 from oasforge.schemas import (PRIMITIVE_MAP, SchemaRegistry, primitive,
-                              ref_to, required_fields, schema_for_type,
-                              unwrap_response_wrapper)
+                              ref_to, required_fields, response_body_schema,
+                              schema_for_type)
 
 DOMAIN = """
 package app;
@@ -98,19 +98,39 @@ def test_primitive_mapping_total_and_stable(name):
 
 # -- response unwrapping ----------------------------------------------------
 
+def body_of(ref, model, ctx):
+    return response_body_schema(ref, model, SchemaRegistry(), ctx)
+
+
 def test_unwrap_generic_wrapper():
+    model, ctx = ctx_model()
     inner = t("Account")
-    assert unwrap_response_wrapper(t("ResponseEntity", inner)) == inner
-    assert unwrap_response_wrapper(
-        t("DeferredResult", t("ResponseEntity", inner))) == inner
+    body = ref_to("Account")
+    assert body_of(t("ResponseEntity", inner), model, ctx) == body
+    assert body_of(t("DeferredResult", t("ResponseEntity", inner)),
+                   model, ctx) == body
+    # an array of wrappers is no wrapper
+    assert body_of(t("ResponseEntity", inner, depth=1), model, ctx) == \
+        {"type": "array", "items": ref_to("ResponseEntity")}
 
 
 def test_unwrap_raw_wrapper_is_unspecified_type():
-    assert unwrap_response_wrapper(t("ResponseEntity")) == UNSPECIFIED_TYPE
+    model, ctx = ctx_model()
+    reg = SchemaRegistry()
+    for raw in (t("ResponseEntity"), t("DeferredResult", t("HttpEntity"))):
+        assert response_body_schema(raw, model, reg, ctx) == \
+            ref_to("UNSPECIFIED_TYPE")
+    assert reg.schemas == {"UNSPECIFIED_TYPE": {}}
 
 
 def test_unwrap_passes_plain_types_through():
-    assert unwrap_response_wrapper(t("String")) == t("String")
+    model, ctx = ctx_model()
+    assert body_of(t("String"), model, ctx) == {"type": "string"}
+    assert body_of(t("Object", depth=1), model, ctx) == \
+        {"type": "array", "items": {}}
+    for none in ("void", "Void", "java.lang.Void", "Object"):
+        assert body_of(t(none), model, ctx) is None
+        assert body_of(t("ResponseEntity", t(none)), model, ctx) is None
 
 
 # -- named schemas ----------------------------------------------------------
